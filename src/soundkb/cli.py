@@ -319,14 +319,12 @@ def cmd_predict(args) -> int:
     lines = [l for l in _read_lines(model_path) if not l.startswith("#")]
     params, vocab = lstm.load_relation_model(lines)
     occurrences = _read_occurrences(occ_path)
+    probs = lstm.predict_paths(params, vocab, [occ.path for occ in occurrences])
 
     with _open_out(Path(args.out)) as sink:
         sink.write(f"# {_provenance('predict', None, [model_path, occ_path])}\n")
         sink.write("# scene\tconcept\tpath\tp_positive\n")
-        for occ in occurrences:
-            p_pos, _ = lstm.predict_relation(
-                params, vocab, lstm.tokenize_path(occ.path)
-            )
+        for occ, (p_pos, _p_neg) in zip(occurrences, probs):
             sink.write(f"{occ.scene}\t{occ.concept}\t{occ.path}\t{p_pos:.9g}\n")
     return EXIT_OK
 
@@ -344,9 +342,7 @@ class Relation:
 
 @dataclass
 class KnowledgeBase:
-    concepts: mining.ConceptTable
     relations: list[Relation]
-    provenance: dict
 
 
 def _read_predictions(path: Path) -> list[tuple[str, str, float]]:
@@ -365,7 +361,6 @@ def build_kb(
     predictions: list[tuple[str, str, float]],
     lexicon: paths.EnvironmentLexicon,
     threshold: float,
-    concepts: mining.ConceptTable | None = None,
 ) -> KnowledgeBase:
     """Aggregate per-path predictions into one relation per scene-sound pair.
 
@@ -383,7 +378,7 @@ def build_kb(
         Relation(scene, concept, p, "yes" if p >= threshold else "no")
         for (scene, concept), p in sorted(best.items())
     ]
-    return KnowledgeBase(concepts=concepts or {}, relations=relations, provenance={})
+    return KnowledgeBase(relations=relations)
 
 
 def cmd_report(args) -> int:

@@ -6,6 +6,9 @@ the final hidden state through a linear layer and a softmax into
 probabilities for the two relation labels (positive first).  Everything
 is plain numpy with hand-written backpropagation through time so the
 gradients can be checked against finite differences.
+
+The gates share fused weights ``W`` (4h x d), ``U`` (4h x h) and ``b``
+(4h), stacked in gate order i, f, o, u: a cell step is one matmul and slices.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .paths import POSITIVE, RelationExample
 PRETRAINED = "pretrained"
 LEARNED = "learned"
 UNK_TOKEN = "<unk>"
+MODEL_FORMAT = "soundkb-relation-model"
+MODEL_VERSION = 2
+BATCH_SIZE = 64  # sequences per batched inference step
 
 
 def is_edge_label(token: str) -> bool:
@@ -90,28 +96,16 @@ def build_vocab(
     return PathVocab(tokens, flags)
 
 
-_GATE_FIELDS = ("W_xi", "W_xf", "W_xo", "W_xu")
-_RECUR_FIELDS = ("U_hi", "U_hf", "U_ho", "U_hu")
-_BIAS_FIELDS = ("b_i", "b_f", "b_o", "b_u")
-ARRAY_FIELDS = ("E",) + _GATE_FIELDS + _RECUR_FIELDS + _BIAS_FIELDS + ("W_r",)
+ARRAY_FIELDS = ("E", "W", "U", "b", "W_r")
 
 
 @dataclass
 class LstmParams:
-    E: np.ndarray
-    W_xi: np.ndarray
-    W_xf: np.ndarray
-    W_xo: np.ndarray
-    W_xu: np.ndarray
-    U_hi: np.ndarray
-    U_hf: np.ndarray
-    U_ho: np.ndarray
-    U_hu: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_u: np.ndarray
-    W_r: np.ndarray
+    E: np.ndarray  # (vocab, d) token embeddings
+    W: np.ndarray  # (4h, d) input weights, gate blocks i, f, o, u
+    U: np.ndarray  # (4h, h) recurrent weights, same blocks
+    b: np.ndarray  # (4h,) gate biases, same blocks
+    W_r: np.ndarray  # (2, h) output projection
 
     @property
     def d(self) -> int:
@@ -119,7 +113,7 @@ class LstmParams:
 
     @property
     def h(self) -> int:
-        return self.W_xi.shape[0]
+        return self.U.shape[1]
 
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in ARRAY_FIELDS]
@@ -161,7 +155,8 @@ def init_params(
     Pretrained word rows are copied from the store verbatim; learned rows
     (edge labels, unknown words) are uniform in [-init_scale, init_scale].
     Gate weights are uniform in [-1/sqrt(h), 1/sqrt(h)] and the forget
-    gate bias starts at 1 so early cell states survive.
+    gate bias starts at 1 so early cell states survive.  Drawing each of
+    ``W`` and ``U`` whole uses the stream of drawing its gate blocks in turn.
     """
     if store is not None and store.dimension != d:
         raise ValueError(
@@ -176,83 +171,64 @@ def init_params(
                 raise ValueError(f"token {token!r} flagged pretrained but not in store")
             E[token_id] = vector
     scale = 1.0 / np.sqrt(h)
-    def gate(rows, cols):
-        return rng.uniform(-scale, scale, size=(rows, cols))
-
-    return LstmParams(
-        E=E,
-        W_xi=gate(h, d), W_xf=gate(h, d), W_xo=gate(h, d), W_xu=gate(h, d),
-        U_hi=gate(h, h), U_hf=gate(h, h), U_ho=gate(h, h), U_hu=gate(h, h),
-        b_i=np.zeros(h), b_f=np.ones(h), b_o=np.zeros(h), b_u=np.zeros(h),
-        W_r=gate(2, h),
-    )
+    W = rng.uniform(-scale, scale, size=(4 * h, d))
+    U = rng.uniform(-scale, scale, size=(4 * h, h))
+    W_r = rng.uniform(-scale, scale, size=(2, h))
+    b = np.zeros(4 * h)
+    b[h : 2 * h] = 1.0
+    return LstmParams(E=E, W=W, U=U, b=b, W_r=W_r)
 
 
 def zero_params(vocab_size: int, d: int, h: int) -> LstmParams:
     """All-zero parameters, handy for analytic checks."""
-    return LstmParams(
-        E=np.zeros((vocab_size, d)),
-        W_xi=np.zeros((h, d)), W_xf=np.zeros((h, d)),
-        W_xo=np.zeros((h, d)), W_xu=np.zeros((h, d)),
-        U_hi=np.zeros((h, h)), U_hf=np.zeros((h, h)),
-        U_ho=np.zeros((h, h)), U_hu=np.zeros((h, h)),
-        b_i=np.zeros(h), b_f=np.zeros(h), b_o=np.zeros(h), b_u=np.zeros(h),
-        W_r=np.zeros((2, h)),
-    )
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return LstmParams(E=np.zeros((vocab_size, d)), W=np.zeros((4 * h, d)),
+                      U=np.zeros((4 * h, h)), b=np.zeros(4 * h), W_r=np.zeros((2, h)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = np.exp(z - np.max(z))
-    return shifted / shifted.sum()
+    """Softmax over the last axis."""
+    shifted = np.exp(z - z.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _step(params: LstmParams, x, h_prev, c_prev):
-    i = _sigmoid(params.W_xi @ x + params.U_hi @ h_prev + params.b_i)
-    f = _sigmoid(params.W_xf @ x + params.U_hf @ h_prev + params.b_f)
-    o = _sigmoid(params.W_xo @ x + params.U_ho @ h_prev + params.b_o)
-    u = np.tanh(params.W_xu @ x + params.U_hu @ h_prev + params.b_u)
-    c = i * u + f * c_prev
+def _cell(a: np.ndarray, c_prev: np.ndarray, h: int):
+    """The shared cell step on gate pre-activations ``a`` (..., 4h): returns
+    the sigmoid gates (i, f, o side by side), u, c, tanh(c) and the new h."""
+    ifo = 0.5 * (1.0 + np.tanh(0.5 * a[..., : 3 * h]))
+    u = np.tanh(a[..., 3 * h :])
+    c = ifo[..., :h] * u + ifo[..., h : 2 * h] * c_prev
     tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return i, f, o, u, c, tanh_c, h
+    return ifo, u, c, tanh_c, ifo[..., 2 * h :] * tanh_c
 
 
-def lstm_cell(
-    params: LstmParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def lstm_cell(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
+              c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One gated memory-cell update; returns (h_t, c_t)."""
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
     c_prev = np.asarray(c_prev, dtype=np.float64)
     d, h = params.d, params.h
     if x.shape != (d,) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValueError(
-            f"shape mismatch: x{x.shape}, h{h_prev.shape}, c{c_prev.shape} "
-            f"for d={d}, h={h}"
-        )
+        raise ValueError(f"shape mismatch: x{x.shape}, h{h_prev.shape}, "
+                         f"c{c_prev.shape} for d={d}, h={h}")
     if not (np.isfinite(x).all() and np.isfinite(h_prev).all() and np.isfinite(c_prev).all()):
         raise ValueError("non-finite input to lstm_cell")
-    *_, c, _tanh_c, h_new = _step(params, x, h_prev, c_prev)
+    *_, c, _tanh_c, h_new = _cell(params.W @ x + params.b + params.U @ h_prev, c_prev, h)
     return h_new, c
 
 
-@dataclass
-class PathEncoding:
-    hs: np.ndarray
-    cs: np.ndarray
-
-    @property
-    def v_p(self) -> np.ndarray:
-        return self.hs[-1]
+def _run(params: LstmParams, inputs: Iterable[np.ndarray], shape: tuple, steps=None):
+    """Final (h, c) of the cell run from zero state of shape ``shape + (h,)``
+    over ``inputs``, one projection ``W @ x + b`` per step.  Each step costs
+    one matmul with ``U`` and, if ``steps`` is a list, appends (h_prev,
+    c_prev, ifo, u, tanh_c) to it for backpropagation."""
+    h = c = np.zeros(shape + (params.h,))
+    for xa in inputs:
+        ifo, u, c_new, tanh_c, h_new = _cell(xa + h @ params.U.T, c, params.h)
+        if steps is not None:
+            steps.append((h, c, ifo, u, tanh_c))
+        h, c = h_new, c_new
+    return h, c
 
 
 def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
@@ -261,112 +237,97 @@ def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
     return [vocab.id_of(t) for t in tokens]
 
 
-def _forward(params: LstmParams, ids: Sequence[int]):
-    h = np.zeros(params.h)
-    c = np.zeros(params.h)
-    caches = []
-    for token_id in ids:
-        x = params.E[token_id]
-        i, f, o, u, c_new, tanh_c, h_new = _step(params, x, h, c)
-        caches.append((token_id, x, h, c, i, f, o, u, c_new, tanh_c))
-        h, c = h_new, c_new
-    return h, c, caches
+def _encode(params: LstmParams, ids: Sequence[int], steps=None) -> np.ndarray:
+    """Final hidden state of one path, its inputs projected in one matmul."""
+    return _run(params, params.E[ids] @ params.W.T + params.b, (), steps)[0]
 
 
-def encode_path(
-    params: LstmParams, vocab: PathVocab, tokens: Sequence[str]
-) -> PathEncoding:
-    """Run the cell over the embedded tokens from zero initial state."""
-    ids = _ids_for(vocab, tokens)
-    hs = []
-    cs = []
-    h = np.zeros(params.h)
-    c = np.zeros(params.h)
-    for token_id in ids:
-        *_, c, _tanh_c, h = _step(params, params.E[token_id], h, c)
-        hs.append(h)
-        cs.append(c)
-    return PathEncoding(hs=np.array(hs), cs=np.array(cs))
-
-
-def predict_relation(
-    params: LstmParams, vocab: PathVocab, tokens: Sequence[str]
-) -> tuple[float, float]:
+def predict_relation(params: LstmParams, vocab: PathVocab,
+                     tokens: Sequence[str]) -> tuple[float, float]:
     """Probabilities (positive, negative) for a path."""
-    ids = _ids_for(vocab, tokens)
-    h, _c, _caches = _forward(params, ids)
-    p = softmax(params.W_r @ h)
+    p = softmax(params.W_r @ _encode(params, _ids_for(vocab, tokens)))
     return float(p[0]), float(p[1])
+
+
+def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) -> np.ndarray:
+    """Probabilities (positive, negative) for each rendered path, as (n, 2).
+
+    Each distinct path is scored once.  Paths of one length run together,
+    at most ``BATCH_SIZE`` at a time, one (n x 4h) matmul per step; inputs
+    are projected step by step and no per-step state is kept, so memory
+    stays O(BATCH_SIZE x 4h).
+    """
+    rows: dict[str, int] = {}
+    index = [rows.setdefault(path, len(rows)) for path in paths]
+    by_length: dict[int, list[tuple[int, list[int]]]] = {}
+    for path, row in rows.items():
+        ids = _ids_for(vocab, tokenize_path(path))
+        by_length.setdefault(len(ids), []).append((row, ids))
+    probs = np.empty((len(rows), 2))
+    for group in by_length.values():
+        for start in range(0, len(group), BATCH_SIZE):
+            chunk = group[start : start + BATCH_SIZE]
+            columns = np.array([ids for _, ids in chunk]).T  # one row of ids per step
+            inputs = (params.E[ids] @ params.W.T + params.b for ids in columns)
+            h, _c = _run(params, inputs, (len(chunk),))
+            probs[[row for row, _ in chunk]] = softmax(h @ params.W_r.T)
+    return probs[index]
 
 
 def label_index(label: str) -> int:
     return 0 if label == POSITIVE else 1
 
 
-def loss_and_gradients(
-    params: LstmParams,
-    vocab: PathVocab,
-    example: RelationExample,
-    fine_tune_words: bool = False,
-) -> tuple[float, LstmGrads]:
+def loss_and_gradients(params: LstmParams, vocab: PathVocab, example: RelationExample,
+                       fine_tune_words: bool = False) -> tuple[float, LstmGrads]:
     """Cross-entropy loss and its gradients via backpropagation through time.
 
     Embedding gradients flow only into learned rows unless word
-    fine-tuning is enabled; frozen rows stay exactly zero.
+    fine-tuning is enabled; frozen rows stay exactly zero.  The weight
+    gradients are one matmul each over the (T x 4h) gate deltas.
     """
-    tokens = tokenize_path(example.path)
     target = label_index(example.label)
-    ids = _ids_for(vocab, tokens)
-    h_final, _c, caches = _forward(params, ids)
+    ids = np.array(_ids_for(vocab, tokenize_path(example.path)))
+    steps: list = []
+    h_final = _encode(params, ids, steps)
     p = softmax(params.W_r @ h_final)
     loss = -np.log(p[target]) if p[target] > 0 else np.inf
     if not np.isfinite(loss):
         raise ArithmeticError(f"non-finite loss for path {example.path!r}")
 
-    grads = zero_params(len(vocab), params.d, params.h)
+    h = params.h
+    H_prev, C_prev, IFO, Uc, TanhC = (np.array(column) for column in zip(*steps))
+    # a step's gate deltas (i, f, o, u) are coef * (dc, dc, dh, dc)
+    coef = (np.concatenate([Uc, C_prev, TanhC, IFO[:, :h]], axis=1)
+            * np.concatenate([IFO * (1.0 - IFO), 1.0 - Uc * Uc], axis=1)).reshape(-1, 4, h)
+    dc_from_h = IFO[:, 2 * h :] * (1.0 - TanhC * TanhC)
+
     dz = p.copy()
     dz[target] -= 1.0
-    grads.W_r += np.outer(dz, h_final)
     dh = params.W_r.T @ dz
-    dc = np.zeros(params.h)
-    for token_id, x, h_prev, c_prev, i, f, o, u, c_new, tanh_c in reversed(caches):
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        da_i = (dc * u) * i * (1.0 - i)
-        da_f = (dc * c_prev) * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_u = (dc * i) * (1.0 - u * u)
-        grads.W_xi += np.outer(da_i, x)
-        grads.W_xf += np.outer(da_f, x)
-        grads.W_xo += np.outer(da_o, x)
-        grads.W_xu += np.outer(da_u, x)
-        grads.U_hi += np.outer(da_i, h_prev)
-        grads.U_hf += np.outer(da_f, h_prev)
-        grads.U_ho += np.outer(da_o, h_prev)
-        grads.U_hu += np.outer(da_u, h_prev)
-        grads.b_i += da_i
-        grads.b_f += da_f
-        grads.b_o += da_o
-        grads.b_u += da_u
-        if fine_tune_words or vocab.is_learned(token_id):
-            grads.E[token_id] += (
-                params.W_xi.T @ da_i
-                + params.W_xf.T @ da_f
-                + params.W_xo.T @ da_o
-                + params.W_xu.T @ da_u
-            )
-        dh = (
-            params.U_hi.T @ da_i
-            + params.U_hf.T @ da_f
-            + params.U_ho.T @ da_o
-            + params.U_hu.T @ da_u
-        )
-        dc = dc * f
+    dc = np.zeros(h)
+    deltas = np.empty_like(coef)
+    carry = np.empty((4, h))
+    for t in range(len(ids) - 1, -1, -1):
+        dc = dc + dh * dc_from_h[t]
+        carry[:] = dc
+        carry[2] = dh
+        dh = np.multiply(coef[t], carry, out=deltas[t]).reshape(4 * h) @ params.U
+        dc = dc * IFO[t, h : 2 * h]
+
+    DA = deltas.reshape(len(ids), 4 * h)
+    gE = np.zeros_like(params.E)
+    trained = np.array([fine_tune_words or vocab.is_learned(i) for i in ids])
+    np.add.at(gE, ids[trained], (DA @ params.W)[trained])
+    grads = LstmParams(
+        E=gE, W=DA.T @ params.E[ids], U=DA.T @ H_prev, b=DA.sum(axis=0),
+        W_r=np.outer(dz, h_final),
+    )
     return float(loss), grads
 
 
 def _global_norm(grads: LstmGrads) -> float:
-    return float(np.sqrt(sum(float((a * a).sum()) for a in grads.arrays())))
+    return float(np.sqrt(sum(np.vdot(a, a) for a in grads.arrays())))
 
 
 @dataclass(frozen=True)
@@ -400,12 +361,9 @@ def train(
             example = examples[int(idx)]
             try:
                 loss, grads = loss_and_gradients(
-                    params, vocab, example, fine_tune_words=config.fine_tune_words
-                )
+                    params, vocab, example, fine_tune_words=config.fine_tune_words)
             except ArithmeticError as err:
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch}: {err}"
-                ) from err
+                raise RuntimeError(f"training diverged at epoch {epoch}: {err}") from err
             total += loss
             norm = _global_norm(grads)
             scale = config.learning_rate
@@ -423,47 +381,85 @@ def evaluate(
     params: LstmParams, vocab: PathVocab, examples: Sequence[RelationExample]
 ) -> float:
     """Fraction of examples whose higher-probability label is correct."""
-    correct = 0
-    for example in examples:
-        p_pos, p_neg = predict_relation(params, vocab, tokenize_path(example.path))
-        predicted = 0 if p_pos > p_neg else 1
-        if predicted == label_index(example.label):
-            correct += 1
+    probs = predict_paths(params, vocab, [ex.path for ex in examples])
+    correct = sum(
+        (0 if p_pos > p_neg else 1) == label_index(example.label)
+        for (p_pos, p_neg), example in zip(probs, examples)
+    )
     return correct / len(examples)
 
 
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
-
-
-def _matrix9(array: np.ndarray) -> list:
-    if array.ndim == 1:
-        return [_round9(v) for v in array]
-    return [[_round9(v) for v in row] for row in array]
+_round9 = np.vectorize(lambda value: float(f"{value:.9g}"), otypes=[np.float64])
 
 
 def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> None:
     doc = {
-        "format": "soundkb-relation-model",
-        "version": 1,
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
         "d": params.d,
         "h": params.h,
         "vocab": [[tok, flag] for tok, flag in zip(vocab.tokens, vocab.flags)],
     }
     for name in ARRAY_FIELDS:
-        doc[name] = _matrix9(getattr(params, name))
+        doc[name] = _round9(getattr(params, name)).tolist()
     json.dump(doc, out)
     out.write("\n")
 
 
+# version 1 stored one array per gate: W_xi ... W_xu, U_hi ... U_hu, b_i ... b_u
+_V1_PREFIXES = {"W": "W_x", "U": "U_h", "b": "b_"}
+
+
+def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    try:
+        array = np.array(doc[name], dtype=np.float64)
+    except KeyError:
+        raise ValueError(f"relation model has no {name!r} array") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"relation model array {name!r} is not a numeric array: {err}") from None
+    if array.shape != shape:
+        raise ValueError(
+            f"relation model array {name!r} has shape {array.shape}, expected {shape}"
+        )
+    if not np.isfinite(array).all():
+        raise ValueError(f"relation model array {name!r} has non-finite weights")
+    return array
+
+
 def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, PathVocab]:
+    """Read a version 2 model, or a version 1 one with per-gate arrays.
+
+    Any defect (bad JSON, unknown version, missing, mis-shaped or
+    non-finite arrays, a malformed vocabulary) raises ``ValueError``.
+    """
     text = source.read() if hasattr(source, "read") else "".join(source)
-    doc = json.loads(text)
-    if doc.get("format") != "soundkb-relation-model":
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"relation model is not valid JSON: {err}") from err
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a relation model file")
-    vocab = PathVocab([t for t, _ in doc["vocab"]], [f for _, f in doc["vocab"]])
-    arrays = {name: np.array(doc[name], dtype=np.float64) for name in ARRAY_FIELDS}
-    params = LstmParams(**arrays)
-    if params.d != doc["d"] or params.h != doc["h"] or params.E.shape[0] != len(vocab):
-        raise ValueError("relation model dimensions are inconsistent")
-    return params, vocab
+    version, d, h, entries = (doc.get(key) for key in ("version", "d", "h", "vocab"))
+    if type(version) is not int or version not in (1, MODEL_VERSION):
+        raise ValueError(f"unsupported relation model version {version!r}")
+    if not all(type(v) is int and v > 0 for v in (d, h)):
+        raise ValueError("relation model dimensions d and h must be positive integers")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(s, str) for s in e)
+        for e in entries
+    ):
+        raise ValueError("relation model vocabulary must be a list of [token, flag] pairs")
+    vocab = PathVocab([t for t, _ in entries], [f for _, f in entries])
+
+    shapes = {"E": (len(vocab), d), "W": (4 * h, d), "U": (4 * h, h), "b": (4 * h,),
+              "W_r": (2, h)}
+    arrays = {}
+    for name, shape in shapes.items():
+        if version == 1 and name in _V1_PREFIXES:
+            arrays[name] = np.concatenate([
+                _model_array(doc, _V1_PREFIXES[name] + gate, (h,) + shape[1:])
+                for gate in "ifou"
+            ])
+        else:
+            arrays[name] = _model_array(doc, name, shape)
+    return LstmParams(**arrays), vocab

@@ -1,10 +1,15 @@
 """Shared fixtures: hand-annotated sentences and small embedding stores."""
 
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
+from soundkb.lstm import load_relation_model, save_relation_model
 
 # "The park was filled with the sound of children playing", with its
 # eight dependencies.  The collapsed prepositions carry no edge.
@@ -152,3 +157,43 @@ def separable_phrase_data(n_per_class: int, dim: int, seed: int, margin: float =
                 vectors[w] = vec
             labeled.append(((w1, w2), label))
     return make_store(vectors), labeled
+
+
+# A version 1 relation model, written by hand: one array per gate.
+V1_RELATION_MODEL = """\
+{"format": "soundkb-relation-model", "version": 1, "d": 2, "h": 2,
+ "vocab": [["<unk>", "learned"], ["amod()", "learned"], ["park", "learned"]],
+ "E": [[0.1, -0.2], [0.3, 0.05], [-0.4, 0.2]],
+ "W_xi": [[0.1, 0.2], [-0.3, 0.4]], "W_xf": [[0.5, -0.1], [0.2, 0.2]],
+ "W_xo": [[-0.2, 0.3], [0.1, -0.5]], "W_xu": [[0.4, 0.1], [-0.1, 0.3]],
+ "U_hi": [[0.2, -0.1], [0.1, 0.3]], "U_hf": [[-0.3, 0.2], [0.4, 0.1]],
+ "U_ho": [[0.1, 0.1], [-0.2, 0.2]], "U_hu": [[0.3, -0.4], [0.2, 0.1]],
+ "b_i": [0.0, 0.1], "b_f": [1.0, 1.0], "b_o": [-0.1, 0.0], "b_u": [0.2, -0.2],
+ "W_r": [[0.5, -0.5], [-0.3, 0.7]]}
+"""
+
+
+def malformed_relation_models() -> dict[str, str]:
+    """Broken relation model documents, each a copy of a good one with one defect."""
+    buf = io.StringIO()
+    save_relation_model(*load_relation_model(io.StringIO(V1_RELATION_MODEL)), buf)
+    v2 = buf.getvalue()
+    cases = {"truncated-json": v2[: len(v2) // 2]}
+
+    def variant(name, text, mutate):
+        doc = json.loads(text)
+        mutate(doc)
+        cases[name] = json.dumps(doc)
+
+    variant("unknown-version", v2, lambda doc: doc.update(version=3))
+    variant("missing-array", v2, lambda doc: doc.pop("U"))
+    variant("mis-shaped-array", v2, lambda doc: doc.update(b=doc["b"][:-1]))
+    variant("ragged-array", v2, lambda doc: doc["E"][1].pop())
+    variant("non-numeric-array", v2, lambda doc: doc.update(W_r="weights"))
+    variant("non-finite-weight", v2, lambda doc: doc["W"][0].__setitem__(0, math.inf))
+    variant("nan-weight", v2, lambda doc: doc["b"].__setitem__(1, math.nan))
+    variant("bad-dimension", v2, lambda doc: doc.update(h="2"))
+    variant("bad-vocab", v2, lambda doc: doc.update(vocab=["<unk>"]))
+    variant("v1-missing-gate", V1_RELATION_MODEL, lambda doc: doc.pop("U_hf"))
+    variant("v1-mis-shaped-gate", V1_RELATION_MODEL, lambda doc: doc["W_xo"].pop())
+    return cases

@@ -1,14 +1,22 @@
 """CLI subcommands: outputs, diagnostics, exit codes."""
 
 import hashlib
+import io
 from importlib import resources
 
 import pytest
 
 from soundkb.cli import main
 from soundkb.embeddings import dump_embeddings
+from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
 
-from conftest import PARK_BLOCK, PATTERN_EXAMPLES_CORPUS, separable_phrase_data
+from conftest import (
+    PARK_BLOCK,
+    PATTERN_EXAMPLES_CORPUS,
+    V1_RELATION_MODEL,
+    malformed_relation_models,
+    separable_phrase_data,
+)
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
 
@@ -267,6 +275,51 @@ class TestPredictAndReport:
         assert len(rows) == 40
         by_path = {row.split("\t")[2]: float(row.split("\t")[3]) for row in rows}
         assert by_path["prep_of()"] > 0.5 > by_path["amod()"]
+
+    def test_predict_rows_follow_input_order(self, trained_model, tmp_path):
+        occ = tmp_path / "mixed.tsv"
+        paths = ["amod()", "prep_of() park nsubj()", "prep_of()", "unseenword amod()",
+                 "amod()", "nsubj() filled prep_of() sound", "prep_of()"]
+        rows_in = [(["park", "beach"][k % 2], f"c{k}", path) for k, path in enumerate(paths)]
+        occ.write_text(
+            "# scene\tconcept\tpath\tsentence\n"
+            + "".join(f"{s}\t{c}\t{p}\tref{k}\n" for k, (s, c, p) in enumerate(rows_in)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "preds.tsv"
+        assert main(["predict", "--model", str(trained_model),
+                     "--occurrences", str(occ), "--out", str(out)]) == 0
+        rows = [row.split("\t") for row in data_lines(out)]
+        assert [tuple(row[:3]) for row in rows] == rows_in
+        lines = [l for l in trained_model.read_text(encoding="utf-8").splitlines()
+                 if not l.startswith("#")]
+        params, vocab = load_relation_model(lines)
+        for row in rows:
+            p_pos, _ = predict_relation(params, vocab, tokenize_path(row[2]))
+            assert float(row[3]) == pytest.approx(p_pos, rel=1e-8)
+        by_path = {}
+        for row in rows:
+            assert by_path.setdefault(row[2], row[3]) == row[3]
+
+    def test_predict_reads_version_1_model(self, relation_setup, tmp_path):
+        model = tmp_path / "v1.json"
+        model.write_text("# hand-written\n" + V1_RELATION_MODEL, encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["predict", "--model", str(model),
+                     "--occurrences", str(relation_setup), "--out", str(out)]) == 0
+        params, vocab = load_relation_model(io.StringIO(V1_RELATION_MODEL))
+        p_amod, _ = predict_relation(params, vocab, ["amod()"])
+        rows = [row.split("\t") for row in data_lines(out)]
+        assert len(rows) == 40
+        assert {row[3] for row in rows if row[2] == "amod()"} == {f"{p_amod:.9g}"}
+
+    @pytest.mark.parametrize("case", sorted(malformed_relation_models()))
+    def test_malformed_model_is_data_error(self, case, relation_setup, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text(malformed_relation_models()[case], encoding="utf-8")
+        assert main(["predict", "--model", str(model), "--occurrences",
+                     str(relation_setup), "--out", str(tmp_path / "p.tsv")]) == 2
+        assert "relation model" in capsys.readouterr().err
 
     def test_report_thresholds(self, trained_model, relation_setup, tmp_path):
         preds = tmp_path / "preds.tsv"

@@ -1,12 +1,14 @@
 """Recurrent path encoder: cell equations, BPTT gradients, training."""
 
 import io
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from soundkb import lstm
 from soundkb.lstm import (
     ARRAY_FIELDS,
     LEARNED,
@@ -16,12 +18,13 @@ from soundkb.lstm import (
     PathVocab,
     TrainConfig,
     build_vocab,
-    encode_path,
+    evaluate,
     init_params,
     label_index,
     load_relation_model,
     loss_and_gradients,
     lstm_cell,
+    predict_paths,
     predict_relation,
     save_relation_model,
     softmax,
@@ -31,7 +34,7 @@ from soundkb.lstm import (
 )
 from soundkb.paths import NEGATIVE, POSITIVE, RelationExample
 
-from conftest import make_store
+from conftest import V1_RELATION_MODEL, make_store, malformed_relation_models
 
 EDGE_LABELS = ["amod()", "det()", "prep_of()", "nsubj()", "conj_and()", "dobj()"]
 WORDS = ["children", "music", "dogs", "park", "noise", "heard", "came"]
@@ -50,6 +53,20 @@ def random_example(rng: random.Random, max_len: int = 7) -> RelationExample:
     )
 
 
+def gate(array: np.ndarray, name: str, h: int) -> np.ndarray:
+    """One gate's block of a fused array; blocks are stacked i, f, o, u."""
+    k = "ifou".index(name)
+    return array[k * h : (k + 1) * h]
+
+
+def run_path(params: LstmParams, vocab: PathVocab, tokens):
+    """Final (h, c) of the shared forward pass over a path, and its steps."""
+    ids = [vocab.id_of(t) for t in tokens]
+    steps = []
+    h, c = lstm._run(params, params.E[ids] @ params.W.T + params.b, (), steps)
+    return h, c, steps
+
+
 def scalar_cell_oracle(params: LstmParams, x, h_prev, c_prev):
     """Straight-line scalar re-implementation of the gate equations."""
     h = params.h
@@ -66,13 +83,16 @@ def scalar_cell_oracle(params: LstmParams, x, h_prev, c_prev):
             total += U[row][col] * h_prev[col]
         return total
 
+    def block(name):
+        return gate(params.W, name, h), gate(params.U, name, h), gate(params.b, name, h)
+
     h_out = [0.0] * h
     c_out = [0.0] * h
     for row in range(h):
-        i = sig(affine(params.W_xi, params.U_hi, params.b_i, row))
-        f = sig(affine(params.W_xf, params.U_hf, params.b_f, row))
-        o = sig(affine(params.W_xo, params.U_ho, params.b_o, row))
-        u = math.tanh(affine(params.W_xu, params.U_hu, params.b_u, row))
+        i = sig(affine(*block("i"), row))
+        f = sig(affine(*block("f"), row))
+        o = sig(affine(*block("o"), row))
+        u = math.tanh(affine(*block("u"), row))
         c_out[row] = i * u + f * c_prev[row]
         h_out[row] = o * math.tanh(c_out[row])
     return np.array(h_out), np.array(c_out)
@@ -164,36 +184,105 @@ class TestEncode:
     def test_single_token_equals_one_cell(self):
         vocab = small_vocab()
         params = init_params(vocab, d=3, h=4, seed=0)
-        enc = encode_path(params, vocab, ["amod()"])
+        h_path, c_path, _ = run_path(params, vocab, ["amod()"])
         x = params.E[vocab.id_of("amod()")]
         h, c = lstm_cell(params, x, np.zeros(4), np.zeros(4))
-        np.testing.assert_array_equal(enc.v_p, h)
-        np.testing.assert_array_equal(enc.cs[-1], c)
+        np.testing.assert_array_equal(h_path, h)
+        np.testing.assert_array_equal(c_path, c)
 
     def test_zero_params_zero_encoding(self):
         vocab = small_vocab()
         params = zero_params(len(vocab), 3, 4)
-        enc = encode_path(params, vocab, ["amod()", "children", "det()"])
-        np.testing.assert_allclose(enc.v_p, 0.0, atol=1e-15)
+        h, _, _ = run_path(params, vocab, ["amod()", "children", "det()"])
+        np.testing.assert_allclose(h, 0.0, atol=1e-15)
 
     def test_three_steps_equal_chained_cells(self):
         vocab = small_vocab()
         params = init_params(vocab, d=3, h=4, seed=7)
         tokens = ["amod()", "children", "det()"]
-        enc = encode_path(params, vocab, tokens)
+        h_path, c_path, steps = run_path(params, vocab, tokens)
         h = np.zeros(4)
         c = np.zeros(4)
         for tok in tokens:
             h, c = lstm_cell(params, params.E[vocab.id_of(tok)], h, c)
-        np.testing.assert_allclose(enc.v_p, h, rtol=1e-15)
-        np.testing.assert_allclose(enc.cs[-1], c, rtol=1e-15)
-        assert enc.hs.shape == (3, 4)
+        np.testing.assert_allclose(h_path, h, rtol=1e-15)
+        np.testing.assert_allclose(c_path, c, rtol=1e-15)
+        assert len(steps) == 3 and steps[-1][0].shape == (4,)
+
+    def test_predict_relation_decodes_chained_cells(self):
+        vocab = small_vocab()
+        params = init_params(vocab, d=3, h=4, seed=8)
+        tokens = ["prep_of()", "park", "amod()", "noise"]
+        h = np.zeros(4)
+        c = np.zeros(4)
+        for tok in tokens:
+            h, c = lstm_cell(params, params.E[vocab.id_of(tok)], h, c)
+        np.testing.assert_allclose(
+            predict_relation(params, vocab, tokens), softmax(params.W_r @ h), rtol=1e-14
+        )
 
     def test_empty_path_rejected(self):
         vocab = small_vocab()
         params = init_params(vocab, d=3, h=4, seed=0)
         with pytest.raises(ValueError, match="empty path"):
-            encode_path(params, vocab, [])
+            predict_relation(params, vocab, [])
+        with pytest.raises(ValueError, match="empty path"):
+            predict_paths(params, vocab, ["amod()", ""])
+
+
+class TestBatchedPredict:
+    def _paths(self, n, seed):
+        rng = random.Random(seed)
+        pool = EDGE_LABELS + WORDS + ["neverseen", "alsounseen"]
+        paths = [[rng.choice(pool) for _ in range(rng.randint(1, 9))] for _ in range(n)]
+        return [" ".join(p) for p in paths + paths[: n // 3]]  # duplicates too
+
+    # caps far under and over the number of sequences of one length
+    @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
+    def test_matches_per_path_predict_relation(self, batch_size, monkeypatch):
+        monkeypatch.setattr(lstm, "BATCH_SIZE", batch_size)
+        vocab = small_vocab()
+        params = init_params(vocab, d=5, h=6, seed=21)
+        paths = self._paths(300, seed=21)
+        assert len({len(tokenize_path(p)) for p in paths}) > 5
+        probs = predict_paths(params, vocab, paths)
+        assert probs.shape == (len(paths), 2)
+        expected = [predict_relation(params, vocab, tokenize_path(p)) for p in paths]
+        np.testing.assert_allclose(probs, expected, rtol=1e-12)
+
+    def test_unknown_tokens_score_as_unk(self):
+        vocab = small_vocab()
+        params = init_params(vocab, d=3, h=4, seed=22)
+        probs = predict_paths(params, vocab, ["neverseen amod()", f"{UNK_TOKEN} amod()"])
+        np.testing.assert_array_equal(probs[0], probs[1])
+
+    def test_duplicates_get_identical_rows(self, monkeypatch):
+        monkeypatch.setattr(lstm, "BATCH_SIZE", 1)
+        vocab = small_vocab()
+        params = init_params(vocab, d=3, h=4, seed=23)
+        paths = ["amod() park", "det()", "amod() park", "det()"]
+        probs = predict_paths(params, vocab, paths)
+        np.testing.assert_array_equal(probs[0], probs[2])
+        np.testing.assert_array_equal(probs[1], probs[3])
+
+    def test_no_paths(self):
+        vocab = small_vocab()
+        params = init_params(vocab, d=3, h=4, seed=24)
+        assert predict_paths(params, vocab, []).shape == (0, 2)
+
+    def test_evaluate_matches_per_path_rule(self):
+        vocab = small_vocab()
+        params = init_params(vocab, d=4, h=5, seed=25)
+        rng = random.Random(25)
+        examples = [random_example(rng, max_len=9) for _ in range(150)]
+        correct = 0
+        for ex in examples:
+            p_pos, p_neg = predict_relation(params, vocab, tokenize_path(ex.path))
+            correct += (0 if p_pos > p_neg else 1) == label_index(ex.label)
+        assert evaluate(params, vocab, examples) == correct / len(examples)
+        params.W_r[:] = 0.0  # p_pos == p_neg: ties go to the negative label
+        negatives = sum(ex.label == NEGATIVE for ex in examples)
+        assert evaluate(params, vocab, examples) == negatives / len(examples)
 
 
 class TestPredict:
@@ -382,8 +471,26 @@ class TestInit:
     def test_forget_bias_is_one(self):
         vocab = small_vocab()
         params = init_params(vocab, d=3, h=4, seed=0)
-        np.testing.assert_array_equal(params.b_f, np.ones(4))
-        np.testing.assert_array_equal(params.b_i, np.zeros(4))
+        np.testing.assert_array_equal(gate(params.b, "f", 4), np.ones(4))
+        np.testing.assert_array_equal(gate(params.b, "i", 4), np.zeros(4))
+
+    def test_draws_in_per_gate_order(self):
+        # the fused arrays hold the values that drawing W_xi ... W_xu,
+        # U_hi ... U_hu and W_r one by one gives, so seeded runs start equal
+        vocab = small_vocab()
+        d, h = 3, 5
+        params = init_params(vocab, d=d, h=h, seed=9, init_scale=0.1)
+        rng = np.random.default_rng(9)
+        E = rng.uniform(-0.1, 0.1, size=(len(vocab), d))
+        scale = 1.0 / math.sqrt(h)
+        W_x = [rng.uniform(-scale, scale, size=(h, d)) for _ in "ifou"]
+        U_h = [rng.uniform(-scale, scale, size=(h, h)) for _ in "ifou"]
+        W_r = rng.uniform(-scale, scale, size=(2, h))
+        np.testing.assert_array_equal(params.E, E)
+        for k, name in enumerate("ifou"):
+            np.testing.assert_array_equal(gate(params.W, name, h), W_x[k])
+            np.testing.assert_array_equal(gate(params.U, name, h), U_h[k])
+        np.testing.assert_array_equal(params.W_r, W_r)
 
     def test_store_dimension_mismatch(self):
         store = make_store({"children": [1.0, 2.0]})
@@ -395,8 +502,8 @@ class TestInit:
         vocab = small_vocab()
         params = init_params(vocab, d=3, h=16, seed=2)
         bound = 1.0 / math.sqrt(16)
-        for name in ("W_xi", "U_hu", "W_r"):
-            assert np.all(np.abs(getattr(params, name)) <= bound)
+        for array in (gate(params.W, "i", 16), gate(params.U, "u", 16), params.W_r):
+            assert np.all(np.abs(array) <= bound)
 
 
 class TestVocab:
@@ -448,3 +555,46 @@ class TestSerialization:
     def test_rejects_other_documents(self):
         with pytest.raises(ValueError, match="relation model"):
             load_relation_model(io.StringIO('{"format": "nope"}'))
+
+    def test_writes_version_2_layout(self):
+        vocab = small_vocab()
+        params = init_params(vocab, d=3, h=4, seed=14)
+        buf = io.StringIO()
+        save_relation_model(params, vocab, buf)
+        doc = json.loads(buf.getvalue())
+        assert list(doc) == ["format", "version", "d", "h", "vocab", "E", "W", "U",
+                             "b", "W_r"]
+        assert (doc["format"], doc["version"], doc["d"], doc["h"]) == (
+            "soundkb-relation-model", 2, 3, 4)
+
+    def test_version_1_stacks_gates_in_order(self):
+        params, vocab = load_relation_model(io.StringIO(V1_RELATION_MODEL))
+        doc = json.loads(V1_RELATION_MODEL)
+        assert vocab.tokens == ["<unk>", "amod()", "park"]
+        for name in "ifou":
+            np.testing.assert_array_equal(gate(params.W, name, 2), doc[f"W_x{name}"])
+            np.testing.assert_array_equal(gate(params.U, name, 2), doc[f"U_h{name}"])
+            np.testing.assert_array_equal(gate(params.b, name, 2), doc[f"b_{name}"])
+        np.testing.assert_array_equal(params.E, doc["E"])
+        np.testing.assert_array_equal(params.W_r, doc["W_r"])
+
+    def test_version_1_predicts_like_its_version_2_resave(self):
+        params, vocab = load_relation_model(io.StringIO(V1_RELATION_MODEL))
+        buf = io.StringIO()
+        save_relation_model(params, vocab, buf)
+        params2, vocab2 = load_relation_model(io.StringIO(buf.getvalue()))
+        assert vocab2.tokens == vocab.tokens
+        for tokens in (["amod()"], ["park", "amod()", "park"], ["neverseen"]):
+            assert predict_relation(params, vocab, tokens) == predict_relation(
+                params2, vocab2, tokens)
+
+    @pytest.mark.parametrize("case", sorted(malformed_relation_models()))
+    def test_malformed_documents_raise_value_error(self, case):
+        with pytest.raises(ValueError, match="relation model"):
+            load_relation_model(io.StringIO(malformed_relation_models()[case]))
+
+    def test_truncated_json_keeps_the_decoder_reason(self):
+        text = malformed_relation_models()["truncated-json"]
+        with pytest.raises(ValueError, match="not valid JSON: .*line 1") as info:
+            load_relation_model(io.StringIO(text))
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
