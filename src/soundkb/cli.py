@@ -41,8 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+_DIGEST_CHUNK = 1 << 20
+
+
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+    digest = hashlib.sha256()
+    with open(path, "rb") as source:
+        while chunk := source.read(_DIGEST_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()[:12]
 
 
 def _provenance(command: str, seed, inputs: list[Path]) -> str:
@@ -132,7 +139,15 @@ def _read_labeled_phrases(path: Path) -> list[phrase.LabeledPhrase]:
         if len(cols) != 3:
             raise ValueError(f"{path.name} line {line_no}: expected 3 columns")
         w1, w2, label = cols
-        rows.append(phrase.LabeledPhrase(bigram=(w1, w2), label=int(label)))
+        try:
+            value = int(label)
+        except ValueError:
+            value = None
+        if value not in (+1, -1):
+            raise ValueError(
+                f"{path.name} line {line_no}: label must be +1 or -1, got {label!r}"
+            )
+        rows.append(phrase.LabeledPhrase(bigram=(w1, w2), label=value))
     return rows
 
 def _representable(
@@ -200,12 +215,14 @@ def cmd_classify(args) -> int:
             f"# {_provenance('classify', None, [model_path, emb_path, phrases_path])}\n"
         )
         sink.write("# word1\tword2\tlabel\tmargin\n")
-        for line in _read_lines(phrases_path):
+        for line_no, line in enumerate(_read_lines(phrases_path), 1):
             if not line.strip() or line.startswith("#"):
                 continue
             cols = line.split("\t")
             if len(cols) < 2:
-                raise ValueError(f"phrase rows need 2 columns: {line!r}")
+                raise ValueError(
+                    f"{phrases_path.name} line {line_no}: phrase rows need 2 columns: {line!r}"
+                )
             bigram = (cols[0], cols[1])
             try:
                 feature = embeddings.featurize(store, bigram, kind)
@@ -224,7 +241,7 @@ def cmd_paths(args) -> int:
     corpus_path = Path(args.corpus)
     concepts_path = Path(args.concepts)
     sentences = _load_sentences(corpus_path)
-    concepts = mining.read_concept_texts(_read_lines(concepts_path))
+    concepts = paths.PhraseIndex(mining.read_concept_texts(_read_lines(concepts_path)))
     lexicon = _lexicon(args)
 
     occurrences = []
@@ -409,6 +426,21 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="soundkb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -416,8 +448,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mine", help="mine sound concepts from an annotated corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--top-k", type=int, default=0)
+    p.add_argument("--shards", type=_int_at_least(1), default=1)
+    p.add_argument("--top-k", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train-phrase", help="train the sound/non-sound phrase classifier")
@@ -426,7 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--featurizer", choices=[embeddings.AWV, embeddings.CWV],
                    default=embeddings.AWV)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=4)
+    p.add_argument("--folds", type=_int_at_least(2), default=4)
     p.add_argument("--reg", type=float, default=phrase.DEFAULT_REG)
     p.add_argument("--epochs", type=int, default=phrase.DEFAULT_EPOCHS)
     p.add_argument("--out", required=True)
@@ -474,7 +506,7 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--environments")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--top-k", type=int, default=0)
+    p.add_argument("--top-k", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

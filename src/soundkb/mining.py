@@ -189,11 +189,10 @@ def merge_tables(*tables: ConceptTable) -> ConceptTable:
 
 
 def mine_corpus(sentences: Iterable[Sentence]) -> ConceptTable:
-    table: ConceptTable = {}
-    for sentence in sentences:
-        for _mention, match in mine_sentence(sentence):
-            _add(table, match.text, match.pattern, 1)
-    return table
+    """Concept table of every pattern-accepted mention in ``sentences``."""
+    return aggregate_concepts(
+        accepted for sentence in sentences for accepted in mine_sentence(sentence)
+    )
 
 
 def sorted_entries(table: ConceptTable) -> list[ConceptEntry]:

@@ -11,7 +11,7 @@ become labeled relation examples.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -25,11 +25,65 @@ def _data_text(name: str) -> str:
     return resources.files("soundkb").joinpath("data").joinpath(name).read_text("utf-8")
 
 
+class PhraseIndex:
+    """A phrase table compiled for token-level longest-match scanning.
+
+    Each first token maps to the widths of the phrases that start with
+    it, longest first, and each word tuple maps to its phrase text, so a
+    scan costs a few dictionary probes per token however large the table
+    is (a first-token form of Aho-Corasick dictionary matching).  Empty
+    or whitespace-only phrases are ignored; when two phrases split to
+    the same words, the later one wins.
+    """
+
+    def __init__(self, phrases: Iterable[str]):
+        texts: dict[tuple[str, ...], str] = {}
+        size = 0
+        for phrase in phrases:
+            size += 1
+            words = tuple(phrase.split())
+            if words:
+                texts[words] = phrase
+        widths: dict[str, set[int]] = {}
+        for words in texts:
+            widths.setdefault(words[0], set()).add(len(words))
+        self._texts = texts
+        self._widths = {
+            first: tuple(sorted(found, reverse=True)) for first, found in widths.items()
+        }
+        self._size = size
+
+    def __len__(self) -> int:
+        """Number of phrases the index was built from, blanks and duplicates included."""
+        return self._size
+
+    def scan(self, lowers: Sequence[str]) -> list[tuple[int, int, str]]:
+        """Longest-match left-to-right scan; spans are 1-based inclusive."""
+        matches = []
+        n = len(lowers)
+        i = 0
+        while i < n:
+            for width in self._widths.get(lowers[i], ()):
+                if i + width <= n:
+                    text = self._texts.get(tuple(lowers[i : i + width]))
+                    if text is not None:
+                        matches.append((i + 1, i + width, text))
+                        i += width
+                        break
+            else:
+                i += 1
+        return matches
+
+
 @dataclass(frozen=True)
 class EnvironmentLexicon:
-    """Acoustic environment names; multiword entries anchor on their last token."""
+    """Acoustic environment names; multiword entries anchor on their last token.
+
+    The entries are compiled into ``index`` once, when the lexicon is made.
+    """
 
     entries: tuple[str, ...]
+    index: PhraseIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -37,6 +91,7 @@ class EnvironmentLexicon:
         for entry in self.entries:
             if entry != entry.lower() or not entry.strip():
                 raise ValueError(f"lexicon entries must be lowercase: {entry!r}")
+        object.__setattr__(self, "index", PhraseIndex(self.entries))
 
     @classmethod
     def default(cls) -> "EnvironmentLexicon":
@@ -91,49 +146,24 @@ class DepPath:
         return tuple(out)
 
 
-def _scan_phrases(
-    lowers: Sequence[str], phrases: Iterable[str]
-) -> list[tuple[int, int, str]]:
-    """Longest-match left-to-right scan; spans are 1-based inclusive."""
-    phrase_map = {}
-    max_len = 0
-    for phrase in phrases:
-        words = tuple(phrase.split())
-        if words:
-            phrase_map[words] = phrase
-            max_len = max(max_len, len(words))
-    matches = []
-    n = len(lowers)
-    i = 0
-    while i < n:
-        hit = None
-        for width in range(min(max_len, n - i), 0, -1):
-            candidate = tuple(lowers[i : i + width])
-            if candidate in phrase_map:
-                hit = (i + 1, i + width, phrase_map[candidate])
-                break
-        if hit:
-            matches.append(hit)
-            i = hit[1]
-        else:
-            i += 1
-    return matches
-
-
 def find_mention_pairs(
     sentence: Sentence,
-    concepts: Iterable[str],
+    concepts: PhraseIndex,
     lexicon: EnvironmentLexicon,
 ) -> list[MentionPair]:
     """All (concept, environment) mention pairs with non-overlapping spans.
 
-    The concept anchor is the rightmost noun-tagged token of its span
-    (rightmost token if none is a noun); the environment anchor is the
-    last token of its span.
+    Concepts and environments are scanned independently, so a concept
+    that overlaps an environment is still found; the overlapping pair is
+    then dropped.  The concept anchor is the rightmost noun-tagged token
+    of its span (rightmost token if none is a noun); the environment
+    anchor is the last token of its span.
     """
     lowers = [t.lower for t in sentence.tokens]
-    concept_spans = _scan_phrases(lowers, concepts)
-    env_spans = _scan_phrases(lowers, lexicon.entries)
+    concept_spans = concepts.scan(lowers)
+    if not concept_spans:
+        return []
+    env_spans = lexicon.index.scan(lowers)
     pairs = []
     for c_start, c_end, c_text in concept_spans:
         anchor = c_end
@@ -256,7 +286,7 @@ class PathOccurrence:
 
 def occurrences_for_sentence(
     sentence: Sentence,
-    concepts: Iterable[str],
+    concepts: PhraseIndex,
     lexicon: EnvironmentLexicon,
     graph: DepGraph | None = None,
 ) -> list[PathOccurrence]:

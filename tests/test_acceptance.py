@@ -32,6 +32,7 @@ from soundkb.paths import (
     NEGATIVE,
     POSITIVE,
     EnvironmentLexicon,
+    PhraseIndex,
     RelationExample,
     find_mention_pairs,
     render_path,
@@ -84,7 +85,7 @@ def test_criterion_2_path_golden():
     sentence = block_to_sentence(PARK_BLOCK)
     assert len(sentence.edges) == 8
     (pair,) = find_mention_pairs(
-        sentence, ["children playing"], EnvironmentLexicon.default()
+        sentence, PhraseIndex(["children playing"]), EnvironmentLexicon.default()
     )
     assert pair.scene == "park"
     graph = build_dep_graph(sentence)

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from soundkb import cli
 from soundkb.cli import main
 from soundkb.embeddings import dump_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
@@ -150,6 +151,18 @@ class TestTrainPhrase:
                      "--out", str(tmp_path / "m.json")]) == 0
         assert "unrepresentable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["x", "2", "0", "+1.0"])
+    def test_bad_label_names_file_and_line(self, phrase_setup, tmp_path, capsys, label):
+        _, labeled, vec, _ = phrase_setup
+        data = tmp_path / "bad_label.tsv"
+        rows = "".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in labeled[:4])
+        data.write_text("# labels\n" + rows + f"zz\tqq\t{label}\n", encoding="utf-8")
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert f"bad_label.tsv line 6: label must be +1 or -1, got {label!r}" in (
+            capsys.readouterr().err
+        )
+
 
 class TestClassify:
     def test_batch_and_flags(self, phrase_setup, tmp_path):
@@ -172,6 +185,18 @@ class TestClassify:
         for row in rows[:5]:
             assert row.split("\t")[2] == "+1"
         assert rows[5].split("\t")[2:] == ["unrepresentable", "NA"]
+
+    def test_one_column_row_names_file_and_line(self, phrase_setup, tmp_path, capsys):
+        _, labeled, vec, data = phrase_setup
+        model = tmp_path / "model.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--seed", "3", "--out", str(model)]) == 0
+        phrases = tmp_path / "phrases.tsv"
+        w1, w2 = labeled[0][0]
+        phrases.write_text(f"{w1}\t{w2}\n\nlonely\n", encoding="utf-8")
+        assert main(["classify", "--model", str(model), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")]) == 2
+        assert "phrases.tsv line 3: phrase rows need 2 columns" in capsys.readouterr().err
 
 
 class TestPaths:
@@ -388,3 +413,38 @@ class TestExitCodes:
     def test_bad_featurizer_value(self, capsys):
         assert main(["train-phrase", "--data", "d", "--embeddings", "e",
                      "--featurizer", "xyz", "--out", "o"]) == 1
+
+    @pytest.mark.parametrize("shards", ["0", "-3", "two"])
+    def test_shards_below_one_is_usage_error(self, pattern_corpus_file, tmp_path,
+                                             capsys, shards):
+        out = tmp_path / "c.tsv"
+        assert main(["mine", "--corpus", str(pattern_corpus_file), "--out", str(out),
+                     "--shards", shards]) == 1
+        assert "--shards" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_folds_below_two_is_usage_error(self, phrase_setup, tmp_path, capsys, folds):
+        _, _, vec, data = phrase_setup
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--folds", folds, "--out", str(tmp_path / "m.json")]) == 1
+        assert "--folds: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mine", "report"])
+    def test_negative_top_k_is_usage_error(self, command, tmp_path, capsys):
+        source = {"mine": "--corpus", "report": "--predictions"}[command]
+        out = tmp_path / "o.tsv"
+        assert main([command, source, str(tmp_path / "in.tsv"), "--top-k", "-1",
+                     "--out", str(out)]) == 1
+        assert "--top-k: must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDigest:
+    def test_chunked_digest_equals_whole_file_digest(self, tmp_path):
+        data = tmp_path / "big.bin"
+        payload = bytes(range(256)) * (2 * cli._DIGEST_CHUNK // 256) + b"tail"
+        data.write_bytes(payload)
+        assert data.stat().st_size > 2 * cli._DIGEST_CHUNK
+        assert cli._digest(data) == hashlib.sha256(payload).hexdigest()[:12]
+        assert f"big.bin:{cli._digest(data)}" in cli._provenance("mine", None, [data])

@@ -11,6 +11,7 @@ from soundkb.paths import (
     EnvironmentLexicon,
     MentionPair,
     PathOccurrence,
+    PhraseIndex,
     default_seed_paths,
     find_mention_pairs,
     generate_training_examples,
@@ -63,6 +64,52 @@ def random_graph(rng: random.Random, max_nodes: int = 12) -> DepGraph:
     return DepGraph(words=words, adjacency=tuple(tuple(x) for x in adjacency))
 
 
+def scan_phrases_oracle(lowers, phrases):
+    """The per-call scan ``PhraseIndex`` replaced, kept as its reference:
+    longest match left to right over a map rebuilt from every phrase."""
+    phrase_map = {}
+    max_len = 0
+    for phrase in phrases:
+        words = tuple(phrase.split())
+        if words:
+            phrase_map[words] = phrase
+            max_len = max(max_len, len(words))
+    matches = []
+    n = len(lowers)
+    i = 0
+    while i < n:
+        hit = None
+        for width in range(min(max_len, n - i), 0, -1):
+            candidate = tuple(lowers[i : i + width])
+            if candidate in phrase_map:
+                hit = (i + 1, i + width, phrase_map[candidate])
+                break
+        if hit:
+            matches.append(hit)
+            i = hit[1]
+        else:
+            i += 1
+    return matches
+
+
+def random_phrase_table(rng: random.Random, vocab: list[str]) -> list[str]:
+    """Multiword phrases over a small vocabulary, so first tokens are shared,
+    with over-long phrases, blank entries and spacing variants of one phrase."""
+    table = []
+    for _ in range(rng.randint(0, 25)):
+        roll = rng.random()
+        if roll < 0.1:
+            table.append(rng.choice(["", " ", "\t", "  \t "]))
+        elif roll < 0.25 and table:
+            # same words as an earlier phrase, spaced differently
+            words = rng.choice(table).split() or ["x"]
+            table.append(rng.choice(["  ", " ", "\t"]).join(words) + rng.choice(["", " "]))
+        else:
+            width = rng.choice([1, 1, 2, 2, 3, 4, 9])
+            table.append(" ".join(rng.choice(vocab) for _ in range(width)))
+    return table
+
+
 def floyd_warshall(graph: DepGraph) -> list[list[float]]:
     n = len(graph)
     inf = float("inf")
@@ -96,10 +143,45 @@ class TestLexicon:
             EnvironmentLexicon(("Park",))
 
 
+class TestPhraseIndex:
+    def test_matches_oracle_on_random_tables(self):
+        rng = random.Random(4049)
+        vocab = ["a", "b", "c", "d", "park", "store"]
+        for _ in range(400):
+            table = random_phrase_table(rng, vocab)
+            index = PhraseIndex(table)
+            assert len(index) == len(table)
+            for _ in range(5):
+                lowers = [rng.choice(vocab + ["z"]) for _ in range(rng.randint(0, 12))]
+                assert index.scan(lowers) == scan_phrases_oracle(lowers, table)
+
+    def test_longest_match_left_to_right(self):
+        index = PhraseIndex(["a", "a b", "a b c", "b c d"])
+        assert index.scan(["a", "b", "c", "d", "a", "b"]) == [
+            (1, 3, "a b c"),
+            (5, 6, "a b"),
+        ]
+
+    def test_later_duplicate_wins_and_blanks_ignored(self):
+        index = PhraseIndex(["dogs barking", "", "  ", "dogs  barking "])
+        assert len(index) == 4
+        assert index.scan(["dogs", "barking"]) == [(1, 2, "dogs  barking ")]
+
+    def test_lexicon_compiles_its_entries(self):
+        lex = EnvironmentLexicon(("park", "grocery store"))
+        assert lex.index.scan(["the", "grocery", "store", "park"]) == [
+            (2, 3, "grocery store"),
+            (4, 4, "park"),
+        ]
+        assert lex == EnvironmentLexicon(("park", "grocery store"))
+
+
 class TestMentionPairs:
     def test_park_sentence_single_pair(self, park_sentence):
         lex = EnvironmentLexicon.default()
-        pairs = find_mention_pairs(park_sentence, ["children playing"], lex)
+        pairs = find_mention_pairs(
+            park_sentence, PhraseIndex(["children playing"]), lex
+        )
         assert len(pairs) == 1
         pair = pairs[0]
         assert pair.scene == "park"
@@ -117,7 +199,9 @@ class TestMentionPairs:
             "5\tmusic\tNN\t4\tdobj"
         )
         sent = block_to_sentence(block)
-        pairs = find_mention_pairs(sent, ["music"], EnvironmentLexicon.default())
+        pairs = find_mention_pairs(
+            sent, PhraseIndex(["music"]), EnvironmentLexicon.default()
+        )
         assert len(pairs) == 1
         assert pairs[0].env_span == (2, 3)
         assert pairs[0].env_anchor == 3
@@ -133,7 +217,7 @@ class TestMentionPairs:
         )
         sent = block_to_sentence(block)
         pairs = find_mention_pairs(
-            sent, ["music", "laughter"], EnvironmentLexicon.default()
+            sent, PhraseIndex(["music", "laughter"]), EnvironmentLexicon.default()
         )
         assert len(pairs) == 2
         assert {p.concept_text for p in pairs} == {"music", "laughter"}
@@ -146,8 +230,29 @@ class TestMentionPairs:
             "3\tplays\tVBZ\t0\troot"
         )
         sent = block_to_sentence(block)
-        pairs = find_mention_pairs(sent, ["park music"], EnvironmentLexicon.default())
+        pairs = find_mention_pairs(
+            sent, PhraseIndex(["park music"]), EnvironmentLexicon.default()
+        )
         assert pairs == []
+
+    def test_concept_overlapping_environment_is_still_found(self):
+        # "grocery store" (1-2) and "store music" (2-3) overlap; two separate
+        # scans find both, the overlapping pair is dropped and the concept
+        # still pairs with the other environment
+        block = (
+            "1\tgrocery\tNN\t2\tnn\n"
+            "2\tstore\tNN\t3\tnn\n"
+            "3\tmusic\tNN\t4\tnsubj\n"
+            "4\tfilled\tVBD\t0\troot\n"
+            "5\tbeach\tNN\t4\tdobj"
+        )
+        sent = block_to_sentence(block)
+        pairs = find_mention_pairs(
+            sent, PhraseIndex(["store music"]), EnvironmentLexicon.default()
+        )
+        assert [(p.concept_text, p.concept_span, p.scene, p.env_span) for p in pairs] == [
+            ("store music", (2, 3), "beach", (5, 5))
+        ]
 
     def test_concept_anchor_falls_back_to_last_token(self):
         block = (
@@ -157,13 +262,13 @@ class TestMentionPairs:
         )
         sent = block_to_sentence(block)
         pairs = find_mention_pairs(
-            sent, ["loud yelling"], EnvironmentLexicon.default()
+            sent, PhraseIndex(["loud yelling"]), EnvironmentLexicon.default()
         )
         assert pairs[0].concept_anchor == 3
 
     def test_no_match_yields_empty(self, park_sentence):
         pairs = find_mention_pairs(
-            park_sentence, ["gunshots"], EnvironmentLexicon(("library",))
+            park_sentence, PhraseIndex(["gunshots"]), EnvironmentLexicon(("library",))
         )
         assert pairs == []
 
@@ -286,7 +391,9 @@ class TestShortestPath:
 class TestRender:
     def test_park_golden_string(self, park_sentence):
         lex = EnvironmentLexicon.default()
-        (pair,) = find_mention_pairs(park_sentence, ["children playing"], lex)
+        (pair,) = find_mention_pairs(
+            park_sentence, PhraseIndex(["children playing"]), lex
+        )
         graph = build_dep_graph(park_sentence)
         path = shortest_dep_path(graph, pair.env_anchor, pair.concept_anchor)
         assert render_path(path, pair) == PARK_GOLDEN
@@ -366,7 +473,7 @@ class TestRender:
 class TestOccurrences:
     def test_park_occurrence(self, park_sentence):
         occs = occurrences_for_sentence(
-            park_sentence, ["children playing"], EnvironmentLexicon.default()
+            park_sentence, PhraseIndex(["children playing"]), EnvironmentLexicon.default()
         )
         assert len(occs) == 1
         occ = occs[0]
@@ -375,8 +482,9 @@ class TestOccurrences:
         assert occ.sentence_ref == park_sentence.sent_id
 
     def test_no_pairs_no_occurrences(self, park_sentence):
-        assert occurrences_for_sentence(park_sentence, ["gunshots"],
-                                        EnvironmentLexicon.default()) == []
+        assert occurrences_for_sentence(
+            park_sentence, PhraseIndex(["gunshots"]), EnvironmentLexicon.default()
+        ) == []
 
 
 class TestRanking:
