@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, corpus, embeddings, lstm, mining, paths, phrase
+from . import DataError, __version__, corpus, embeddings, lstm, mining, paths, phrase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +69,52 @@ def _open_out(path: Path):
 def _read_lines(path: Path) -> list[str]:
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    return path.read_text(encoding="utf-8").splitlines()
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line_no = path.read_bytes().count(b"\n", 0, err.start) + 1
+        raise DataError(f"{path.name} line {line_no}: not UTF-8 text ({err.reason})") from None
+
+
+def _rows(path: Path, columns: int, kind: str, exact: bool = True):
+    """Yield ``(line number, fields)`` for each TAB-separated row of a file.
+
+    Blank lines and lines starting with ``#`` are skipped.  A row needs
+    ``columns`` fields (at least that many if not ``exact``).
+    """
+    for line_no, line in enumerate(_read_lines(path), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < columns or (exact and len(fields) > columns):
+            raise DataError(
+                f"{path.name} line {line_no}: {kind} rows need {columns} columns, got {len(fields)}"
+            )
+        yield line_no, fields
+
+
+def _model_lines(path: Path) -> list[str]:
+    """A model file without its ``#`` provenance lines."""
+    return [line for line in _read_lines(path) if not line.startswith("#")]
+
+
+@contextmanager
+def _naming(*inputs: Path):
+    """Put the names of the input files in front of a DataError raised inside."""
+    try:
+        yield
+    except DataError as err:
+        names = ", ".join(path.name for path in inputs)
+        text = str(err)
+        raise DataError(
+            f"{names} {text}" if text.startswith("line ") else f"{names}: {text}"
+        ) from err
+
+
+def _load_store(path: Path) -> embeddings.EmbeddingStore:
+    lines = _read_lines(path)
+    with _naming(path):
+        return embeddings.load_embeddings(lines)
 
 
 def _load_sentences(path: Path) -> list[corpus.Sentence]:
@@ -82,9 +129,12 @@ def _load_sentences(path: Path) -> list[corpus.Sentence]:
 
 
 def _lexicon(args) -> paths.EnvironmentLexicon:
-    if getattr(args, "environments", None):
-        return paths.EnvironmentLexicon.from_lines(_read_lines(Path(args.environments)))
-    return paths.EnvironmentLexicon.default()
+    if not args.environments:
+        return paths.EnvironmentLexicon.default()
+    path = Path(args.environments)
+    lines = _read_lines(path)
+    with _naming(path):
+        return paths.EnvironmentLexicon.from_lines(lines)
 
 
 def _chunk(items: list, shards: int) -> list[list]:
@@ -132,23 +182,18 @@ def cmd_mine(args) -> int:
 
 def _read_labeled_phrases(path: Path) -> list[phrase.LabeledPhrase]:
     rows = []
-    for line_no, line in enumerate(_read_lines(path), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise ValueError(f"{path.name} line {line_no}: expected 3 columns")
-        w1, w2, label = cols
+    for line_no, (w1, w2, label) in _rows(path, 3, "labeled phrase"):
         try:
             value = int(label)
         except ValueError:
             value = None
         if value not in (+1, -1):
-            raise ValueError(
+            raise DataError(
                 f"{path.name} line {line_no}: label must be +1 or -1, got {label!r}"
             )
         rows.append(phrase.LabeledPhrase(bigram=(w1, w2), label=value))
     return rows
+
 
 def _representable(
     rows: list[phrase.LabeledPhrase], store: embeddings.EmbeddingStore
@@ -168,26 +213,27 @@ def _representable(
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
-    store = embeddings.load_embeddings(_read_lines(emb_path))
+    store = _load_store(emb_path)
     rows = _representable(_read_labeled_phrases(data_path), store)
 
-    report = phrase.cross_validate(
-        rows, store, args.featurizer, k=args.folds, seed=args.seed,
-        reg=args.reg, epochs=args.epochs,
-    )
+    with _naming(data_path):
+        report = phrase.cross_validate(
+            rows, store, args.featurizer, k=args.folds, seed=args.seed,
+            reg=args.reg, epochs=args.epochs,
+        )
+        examples = [
+            (embeddings.featurize(store, row.bigram, args.featurizer), row.label)
+            for row in rows
+        ]
+        model = phrase.train(
+            examples, reg=args.reg, epochs=args.epochs, seed=args.seed,
+            feature_kind=args.featurizer,
+        )
     header = "\t".join(f"Fold {i + 1}" for i in range(args.folds)) + "\tAvg"
     values = "\t".join(f"{100 * acc:.2f}" for acc in report.fold_accuracies)
     print(header)
     print(f"{values}\t{100 * report.mean_accuracy:.2f}")
 
-    examples = [
-        (embeddings.featurize(store, row.bigram, args.featurizer), row.label)
-        for row in rows
-    ]
-    model = phrase.train(
-        examples, reg=args.reg, epochs=args.epochs, seed=args.seed,
-        feature_kind=args.featurizer,
-    )
     with _open_out(Path(args.out)) as sink:
         sink.write(f"# {_provenance('train-phrase', args.seed, [data_path, emb_path])}\n")
         phrase.save_model(model, sink)
@@ -197,33 +243,23 @@ def cmd_train_phrase(args) -> int:
 # -------------------------------------------------------------- classify
 
 
-def _load_model_file(path: Path) -> phrase.LinearModel:
-    lines = [l for l in _read_lines(path) if not l.startswith("#")]
-    return phrase.load_model(lines)
-
-
 def cmd_classify(args) -> int:
     model_path = Path(args.model)
     emb_path = Path(args.embeddings)
     phrases_path = Path(args.phrases)
-    model = _load_model_file(model_path)
-    store = embeddings.load_embeddings(_read_lines(emb_path))
+    lines = _model_lines(model_path)
+    with _naming(model_path):
+        model = phrase.load_model(lines)
+    store = _load_store(emb_path)
     kind = model.feature_kind or args.featurizer
+    bigrams = [(cols[0], cols[1]) for _, cols in _rows(phrases_path, 2, "phrase", exact=False)]
 
-    with _open_out(Path(args.out)) as sink:
+    with _open_out(Path(args.out)) as sink, _naming(model_path, emb_path):
         sink.write(
             f"# {_provenance('classify', None, [model_path, emb_path, phrases_path])}\n"
         )
         sink.write("# word1\tword2\tlabel\tmargin\n")
-        for line_no, line in enumerate(_read_lines(phrases_path), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise ValueError(
-                    f"{phrases_path.name} line {line_no}: phrase rows need 2 columns: {line!r}"
-                )
-            bigram = (cols[0], cols[1])
+        for bigram in bigrams:
             try:
                 feature = embeddings.featurize(store, bigram, kind)
             except embeddings.PhraseUnrepresentableError:
@@ -269,17 +305,10 @@ def cmd_paths(args) -> int:
 
 def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
     rows = []
-    for line_no, line in enumerate(_read_lines(path), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ValueError(f"{path.name} line {line_no}: expected 4 columns")
-        rows.append(
-            paths.PathOccurrence(
-                scene=cols[0], concept=cols[1], path=cols[2], sentence_ref=cols[3]
-            )
-        )
+    for line_no, (scene, concept, rendered, ref) in _rows(path, 4, "occurrence"):
+        if not rendered.strip():
+            raise DataError(f"{path.name} line {line_no}: empty path")
+        rows.append(paths.PathOccurrence(scene, concept, rendered, ref))
     return rows
 
 
@@ -293,16 +322,20 @@ def cmd_train_relation(args) -> int:
     occurrences = _read_occurrences(occ_path)
     seed_pos = paths.load_seed_paths(_read_lines(pos_path))
     seed_neg = paths.load_seed_paths(_read_lines(neg_path))
-    examples = paths.generate_training_examples(occurrences, seed_pos, seed_neg)
+    with _naming(pos_path, neg_path):
+        examples = paths.generate_training_examples(occurrences, seed_pos, seed_neg)
     if not examples:
-        raise ValueError("no occurrence matched a seed path; nothing to train on")
+        raise DataError(
+            f"{occ_path.name}: no occurrence matched a seed path in {pos_path.name} "
+            f"or {neg_path.name}; nothing to train on"
+        )
 
     store = None
     inputs = [occ_path, pos_path, neg_path]
     d = args.dim
     if args.embeddings:
         emb_path = Path(args.embeddings)
-        store = embeddings.load_embeddings(_read_lines(emb_path))
+        store = _load_store(emb_path)
         inputs.append(emb_path)
         d = store.dimension
 
@@ -317,7 +350,8 @@ def cmd_train_relation(args) -> int:
         vocab, d, args.hidden, store=store, seed=args.seed,
         init_scale=args.init_scale,
     )
-    params, trace = lstm.train(params, vocab, examples, config)
+    with _naming(*inputs):
+        params, trace = lstm.train(params, vocab, examples, config)
     for stats in trace:
         print(f"epoch {stats.epoch}\tloss {stats.mean_loss:.6f}\tacc {stats.accuracy:.4f}")
 
@@ -333,8 +367,9 @@ def cmd_train_relation(args) -> int:
 def cmd_predict(args) -> int:
     model_path = Path(args.model)
     occ_path = Path(args.occurrences)
-    lines = [l for l in _read_lines(model_path) if not l.startswith("#")]
-    params, vocab = lstm.load_relation_model(lines)
+    lines = _model_lines(model_path)
+    with _naming(model_path):
+        params, vocab = lstm.load_relation_model(lines)
     occurrences = _read_occurrences(occ_path)
     probs = lstm.predict_paths(params, vocab, [occ.path for occ in occurrences])
 
@@ -362,32 +397,36 @@ class KnowledgeBase:
     relations: list[Relation]
 
 
-def _read_predictions(path: Path) -> list[tuple[str, str, float]]:
+def _read_predictions(
+    path: Path, lexicon: paths.EnvironmentLexicon
+) -> list[tuple[str, str, float]]:
+    """(scene, concept, p) rows; p must lie in [0, 1], the scene in the lexicon."""
+    known = set(lexicon.entries)
     rows = []
-    for line_no, line in enumerate(_read_lines(path), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ValueError(f"{path.name} line {line_no}: expected 4 columns")
-        rows.append((cols[0], cols[1], float(cols[3])))
+    for line_no, (scene, concept, _path, p_text) in _rows(path, 4, "prediction"):
+        try:
+            p = float(p_text)
+        except ValueError:
+            p = math.nan
+        if not 0.0 <= p <= 1.0:
+            raise DataError(
+                f"{path.name} line {line_no}: p must be a number in [0, 1], got {p_text!r}"
+            )
+        if scene not in known:
+            raise DataError(
+                f"{path.name} line {line_no}: scene {scene!r} is not in the environment lexicon"
+            )
+        rows.append((scene, concept, p))
     return rows
 
 
-def build_kb(
-    predictions: list[tuple[str, str, float]],
-    lexicon: paths.EnvironmentLexicon,
-    threshold: float,
-) -> KnowledgeBase:
+def build_kb(predictions: list[tuple[str, str, float]], threshold: float) -> KnowledgeBase:
     """Aggregate per-path predictions into one relation per scene-sound pair.
 
     A pair seen along several paths keeps its highest probability.
     """
-    known = set(lexicon.entries)
     best: dict[tuple[str, str], float] = {}
     for scene, concept, p in predictions:
-        if scene not in known:
-            raise ValueError(f"scene {scene!r} is not in the environment lexicon")
         key = (scene, concept)
         if p > best.get(key, -1.0):
             best[key] = p
@@ -401,7 +440,7 @@ def build_kb(
 def cmd_report(args) -> int:
     pred_path = Path(args.predictions)
     lexicon = _lexicon(args)
-    kb = build_kb(_read_predictions(pred_path), lexicon, args.threshold)
+    kb = build_kb(_read_predictions(pred_path, lexicon), args.threshold)
 
     by_scene: dict[str, list[Relation]] = {}
     for rel in kb.relations:
@@ -426,16 +465,18 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------- main
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type=`` for integers no smaller than ``minimum``."""
+def _bounded(kind, low, strict: bool = False):
+    """argparse ``type=`` for finite ``kind`` (int or float) values no smaller
+    than ``low``, or greater than ``low`` if ``strict``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            relation = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(f"must be {relation} {low}, got {text}")
         return value
 
     return parse
@@ -448,8 +489,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mine", help="mine sound concepts from an annotated corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shards", type=_int_at_least(1), default=1)
-    p.add_argument("--top-k", type=_int_at_least(0), default=0)
+    p.add_argument("--shards", type=_bounded(int, 1), default=1)
+    p.add_argument("--top-k", type=_bounded(int, 0), default=0)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train-phrase", help="train the sound/non-sound phrase classifier")
@@ -458,9 +499,9 @@ def build_parser() -> _Parser:
     p.add_argument("--featurizer", choices=[embeddings.AWV, embeddings.CWV],
                    default=embeddings.AWV)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=_int_at_least(2), default=4)
-    p.add_argument("--reg", type=float, default=phrase.DEFAULT_REG)
-    p.add_argument("--epochs", type=int, default=phrase.DEFAULT_EPOCHS)
+    p.add_argument("--folds", type=_bounded(int, 2), default=4)
+    p.add_argument("--reg", type=_bounded(float, 0, strict=True), default=phrase.DEFAULT_REG)
+    p.add_argument("--epochs", type=_bounded(int, 1), default=phrase.DEFAULT_EPOCHS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_phrase)
 
@@ -487,12 +528,12 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds-neg", required=True)
     p.add_argument("--embeddings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--init-scale", type=float, default=0.1)
-    p.add_argument("--clip", type=float, default=5.0)
+    p.add_argument("--dim", type=_bounded(int, 1), default=32)
+    p.add_argument("--hidden", type=_bounded(int, 1), default=64)
+    p.add_argument("--lr", type=_bounded(float, 0), default=0.05)
+    p.add_argument("--epochs", type=_bounded(int, 1), default=50)
+    p.add_argument("--init-scale", type=_bounded(float, 0, strict=True), default=0.1)
+    p.add_argument("--clip", type=_bounded(float, 0, strict=True), default=5.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_relation)
 
@@ -506,22 +547,15 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--environments")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--top-k", type=_int_at_least(0), default=0)
+    p.add_argument("--top-k", type=_bounded(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 
     return parser
 
 
-DATA_ERRORS = (
-    corpus.CorpusFormatError,
-    embeddings.EmbeddingFormatError,
-    embeddings.PhraseUnrepresentableError,
-    ValueError,
-    OSError,
-    ArithmeticError,
-    RuntimeError,
-)
+# bad input (a DataError) or an unreadable file; anything else is a bug
+DATA_ERRORS = (DataError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,12 +17,14 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from . import DataError
+
 log = logging.getLogger(__name__)
 
 SENTENCE_FINAL_PUNCT = {".", "!", "?"}
 
 
-class CorpusFormatError(Exception):
+class CorpusFormatError(DataError):
     """A sentence block that violates the corpus format."""
 
     def __init__(self, message: str, line: int):

@@ -14,17 +14,19 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from . import DataError
+
 log = logging.getLogger(__name__)
 
 AWV = "awv"
 CWV = "cwv"
 
 
-class EmbeddingFormatError(Exception):
+class EmbeddingFormatError(DataError):
     """Malformed embedding file."""
 
 
-class PhraseUnrepresentableError(Exception):
+class PhraseUnrepresentableError(DataError):
     """Raised when neither word of a bigram has a vector."""
 
 
@@ -156,4 +158,4 @@ def featurize(
         return featurize_awv(store, bigram)
     if kind == CWV:
         return featurize_cwv(store, bigram)
-    raise ValueError(f"unknown feature kind {kind!r}")
+    raise DataError(f"unknown feature kind {kind!r}")

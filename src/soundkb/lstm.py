@@ -19,6 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from . import DataError
 from .embeddings import EmbeddingStore
 from .paths import POSITIVE, RelationExample
 
@@ -28,6 +29,10 @@ UNK_TOKEN = "<unk>"
 MODEL_FORMAT = "soundkb-relation-model"
 MODEL_VERSION = 2
 BATCH_SIZE = 64  # sequences per batched inference step
+
+
+class TrainingDivergedError(DataError, RuntimeError):
+    """Training met a non-finite loss: reported as bad data, not as a bug."""
 
 
 def is_edge_label(token: str) -> bool:
@@ -43,19 +48,19 @@ class PathVocab:
 
     def __init__(self, tokens: Sequence[str], flags: Sequence[str]):
         if len(tokens) != len(flags):
-            raise ValueError("tokens and flags differ in length")
+            raise DataError("tokens and flags differ in length")
         self.tokens = list(tokens)
         self.flags = list(flags)
         self.ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.ids) != len(self.tokens):
-            raise ValueError("duplicate vocabulary token")
+            raise DataError("duplicate vocabulary token")
         if UNK_TOKEN not in self.ids:
-            raise ValueError("vocabulary must contain the unknown token")
+            raise DataError("vocabulary must contain the unknown token")
         for token, flag in zip(self.tokens, self.flags):
             if flag not in (PRETRAINED, LEARNED):
-                raise ValueError(f"bad flag {flag!r}")
+                raise DataError(f"bad vocabulary flag {flag!r}")
             if is_edge_label(token) and flag != LEARNED:
-                raise ValueError(f"edge label {token!r} must be learned")
+                raise DataError(f"edge label {token!r} must be learned")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -351,7 +356,7 @@ def train(
     """
     labels = {ex.label for ex in examples}
     if len(labels) < 2:
-        raise ValueError("training data must contain both relation labels")
+        raise DataError("training data must contain both relation labels")
     rng = np.random.default_rng(config.seed)
     n = len(examples)
     trace = []
@@ -363,7 +368,7 @@ def train(
                 loss, grads = loss_and_gradients(
                     params, vocab, example, fine_tune_words=config.fine_tune_words)
             except ArithmeticError as err:
-                raise RuntimeError(f"training diverged at epoch {epoch}: {err}") from err
+                raise TrainingDivergedError(f"training diverged at epoch {epoch}: {err}") from err
             total += loss
             norm = _global_norm(grads)
             scale = config.learning_rate
@@ -414,15 +419,15 @@ def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
     try:
         array = np.array(doc[name], dtype=np.float64)
     except KeyError:
-        raise ValueError(f"relation model has no {name!r} array") from None
+        raise DataError(f"relation model has no {name!r} array") from None
     except (TypeError, ValueError) as err:
-        raise ValueError(f"relation model array {name!r} is not a numeric array: {err}") from None
+        raise DataError(f"relation model array {name!r} is not a numeric array: {err}") from None
     if array.shape != shape:
-        raise ValueError(
+        raise DataError(
             f"relation model array {name!r} has shape {array.shape}, expected {shape}"
         )
     if not np.isfinite(array).all():
-        raise ValueError(f"relation model array {name!r} has non-finite weights")
+        raise DataError(f"relation model array {name!r} has non-finite weights")
     return array
 
 
@@ -430,26 +435,29 @@ def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, Pa
     """Read a version 2 model, or a version 1 one with per-gate arrays.
 
     Any defect (bad JSON, unknown version, missing, mis-shaped or
-    non-finite arrays, a malformed vocabulary) raises ``ValueError``.
+    non-finite arrays, a malformed vocabulary) raises ``DataError``.
     """
     text = source.read() if hasattr(source, "read") else "".join(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ValueError(f"relation model is not valid JSON: {err}") from err
+        raise DataError(f"relation model is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError("not a relation model file")
+        raise DataError("not a relation model file")
     version, d, h, entries = (doc.get(key) for key in ("version", "d", "h", "vocab"))
     if type(version) is not int or version not in (1, MODEL_VERSION):
-        raise ValueError(f"unsupported relation model version {version!r}")
+        raise DataError(f"unsupported relation model version {version!r}")
     if not all(type(v) is int and v > 0 for v in (d, h)):
-        raise ValueError("relation model dimensions d and h must be positive integers")
+        raise DataError("relation model dimensions d and h must be positive integers")
     if not isinstance(entries, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(isinstance(s, str) for s in e)
         for e in entries
     ):
-        raise ValueError("relation model vocabulary must be a list of [token, flag] pairs")
-    vocab = PathVocab([t for t, _ in entries], [f for _, f in entries])
+        raise DataError("relation model vocabulary must be a list of [token, flag] pairs")
+    try:
+        vocab = PathVocab([t for t, _ in entries], [f for _, f in entries])
+    except DataError as err:
+        raise DataError(f"relation model vocabulary: {err}") from None
 
     shapes = {"E": (len(vocab), d), "W": (4 * h, d), "U": (4 * h, h), "b": (4 * h,),
               "W_r": (2, h)}

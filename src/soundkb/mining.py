@@ -224,20 +224,6 @@ def write_concepts_tsv(
         out.write(f"{entry.text}\t{entry.pattern}\t{entry.frequency}\n")
 
 
-def read_concepts_tsv(lines: Iterable[str]) -> ConceptTable:
-    table: ConceptTable = {}
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise ValueError(f"concepts row needs 3 columns, got {len(cols)}")
-        text, pattern, freq = cols
-        table[text] = ConceptEntry(text=text, pattern=pattern, frequency=int(freq))
-    return table
-
-
 def read_concept_texts(lines: Iterable[str]) -> list[str]:
     """Concept texts from either a concepts.tsv or a bare one-per-line list."""
     texts = []

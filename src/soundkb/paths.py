@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
+from . import DataError
 from .corpus import DepGraph, Sentence, build_dep_graph
 
 POSITIVE = "positive"
@@ -87,10 +88,10 @@ class EnvironmentLexicon:
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("environment lexicon is empty")
+            raise DataError("environment lexicon is empty")
         for entry in self.entries:
             if entry != entry.lower() or not entry.strip():
-                raise ValueError(f"lexicon entries must be lowercase: {entry!r}")
+                raise DataError(f"lexicon entries must be lowercase: {entry!r}")
         object.__setattr__(self, "index", PhraseIndex(self.entries))
 
     @classmethod
@@ -351,7 +352,7 @@ def generate_training_examples(
     negative = set(seed_negative)
     overlap = positive & negative
     if overlap:
-        raise ValueError(f"overlapping seed sets: {sorted(overlap)}")
+        raise DataError(f"overlapping seed sets: {sorted(overlap)}")
     examples = []
     for occ in occurrences:
         if occ.path in positive:

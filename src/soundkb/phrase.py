@@ -9,12 +9,14 @@ bias is kept as an explicit unregularized scalar.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, PhraseFeature, featurize
+from . import DataError
+from .embeddings import AWV, CWV, EmbeddingStore, PhraseFeature, featurize
 
 # With the 1/(reg*t) schedule, convergence needs on the order of 1/reg
 # steps, so very small reg values underfit at desk scale.
@@ -65,11 +67,11 @@ def train(
     if epochs < 1:
         raise ValueError("epoch count must be positive")
     if not examples:
-        raise ValueError("no training examples")
+        raise DataError("no training examples")
     features = np.stack([_as_vector(f) for f, _ in examples])
     labels = np.array([y for _, y in examples], dtype=np.float64)
     if not (np.any(labels == 1) and np.any(labels == -1)):
-        raise ValueError("training data must contain both labels")
+        raise DataError("training data must contain both labels")
     n, dim = features.shape
 
     rng = np.random.default_rng(seed)
@@ -100,7 +102,7 @@ def predict(model: LinearModel, feature) -> tuple[int, float]:
     """Label and signed margin; a zero margin is classified non-sound."""
     x = _as_vector(feature)
     if x.shape[0] != model.dimension:
-        raise ValueError(
+        raise DataError(
             f"feature dimension {x.shape[0]} != model dimension {model.dimension}"
         )
     margin = float(model.weights @ x + model.bias)
@@ -121,7 +123,7 @@ def hinge_objective(
 def make_folds(n: int, k: int, seed: int) -> list[list[int]]:
     """Seeded partition of range(n) into k folds with sizes differing <= 1."""
     if n < k:
-        raise ValueError(f"dataset of size {n} cannot be split into {k} folds")
+        raise DataError(f"dataset of size {n} cannot be split into {k} folds")
     order = list(np.random.default_rng(seed).permutation(n))
     base, extra = divmod(n, k)
     folds = []
@@ -177,10 +179,17 @@ def _round9(value: float) -> float:
     return float(f"{value:.9g}")
 
 
+MODEL_FORMAT = "soundkb-linear-model"
+MODEL_VERSION = 1
+# the numeric fields of a model file and the JSON types each may take
+_NUMBERS = {"dimension": (int,), "bias": (int, float), "reg": (int, float),
+            "epochs": (int,), "seed": (int,)}
+
+
 def save_model(model: LinearModel, out: IO[str]) -> None:
     doc = {
-        "format": "soundkb-linear-model",
-        "version": 1,
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
         "dimension": model.dimension,
         "feature_kind": model.feature_kind,
         "weights": [_round9(w) for w in model.weights],
@@ -194,18 +203,48 @@ def save_model(model: LinearModel, out: IO[str]) -> None:
 
 
 def load_model(lines: Iterable[str] | IO[str]) -> LinearModel:
+    """Read a model written by ``save_model``.
+
+    Any defect (bad JSON, another document, an unknown version, a
+    missing or non-numeric field, ragged, empty or non-finite weights, a
+    weight count other than ``dimension``, an unknown feature kind)
+    raises ``DataError``.
+    """
     text = lines.read() if hasattr(lines, "read") else "".join(lines)
-    doc = json.loads(text)
-    if doc.get("format") != "soundkb-linear-model":
-        raise ValueError("not a phrase classifier model file")
-    weights = np.array(doc["weights"], dtype=np.float64)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DataError(f"phrase model is not valid JSON: {err}") from err
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise DataError("not a phrase classifier model file")
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_VERSION:
+        raise DataError(f"unsupported phrase model version {version!r}")
+    for key, types in _NUMBERS.items():
+        value = doc.get(key)
+        if type(value) not in types or not math.isfinite(value):
+            expected = "an integer" if types == (int,) else "a finite number"
+            raise DataError(f"phrase model field {key!r} must be {expected}, got {value!r}")
+    weights = doc.get("weights")
+    if not isinstance(weights, list) or not all(type(w) in (int, float) for w in weights):
+        raise DataError("phrase model weights must be a list of numbers")
+    weights = np.array(weights, dtype=np.float64)
+    if not np.isfinite(weights).all():
+        raise DataError("phrase model has non-finite weights")
+    if weights.size == 0:
+        raise DataError("phrase model has no weights")
     if weights.shape[0] != doc["dimension"]:
-        raise ValueError("model dimension disagrees with weight count")
+        raise DataError(
+            f"phrase model dimension {doc['dimension']} disagrees with weight count {weights.size}"
+        )
+    kind = doc.get("feature_kind", "")
+    if kind not in ("", AWV, CWV):
+        raise DataError(f"phrase model has unknown feature kind {kind!r}")
     return LinearModel(
         weights=weights,
         bias=float(doc["bias"]),
         reg=float(doc["reg"]),
-        epochs=int(doc["epochs"]),
-        seed=int(doc["seed"]),
-        feature_kind=doc.get("feature_kind", ""),
+        epochs=doc["epochs"],
+        seed=doc["seed"],
+        feature_kind=kind,
     )

@@ -10,6 +10,7 @@ import pytest
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
 from soundkb.lstm import load_relation_model, save_relation_model
+from soundkb.phrase import LinearModel, save_model
 
 # "The park was filled with the sound of children playing", with its
 # eight dependencies.  The collapsed prepositions carry no edge.
@@ -194,6 +195,43 @@ def malformed_relation_models() -> dict[str, str]:
     variant("nan-weight", v2, lambda doc: doc["b"].__setitem__(1, math.nan))
     variant("bad-dimension", v2, lambda doc: doc.update(h="2"))
     variant("bad-vocab", v2, lambda doc: doc.update(vocab=["<unk>"]))
+    variant("duplicate-token", v2, lambda doc: doc["vocab"].__setitem__(2, ["amod()", "learned"]))
+    variant("no-unknown-token", v2, lambda doc: doc["vocab"].__setitem__(0, ["x", "learned"]))
+    variant("bad-flag", v2, lambda doc: doc["vocab"].__setitem__(2, ["park", "frozen"]))
+    variant("pretrained-edge-label", v2,
+            lambda doc: doc["vocab"].__setitem__(1, ["amod()", "pretrained"]))
     variant("v1-missing-gate", V1_RELATION_MODEL, lambda doc: doc.pop("U_hf"))
     variant("v1-mis-shaped-gate", V1_RELATION_MODEL, lambda doc: doc["W_xo"].pop())
+    return cases
+
+
+def malformed_phrase_models() -> dict[str, str]:
+    """Broken phrase model documents, each a copy of a good one with one defect."""
+    buf = io.StringIO()
+    model = LinearModel(weights=np.array([0.5, -0.25]), bias=0.125, reg=0.01, epochs=3,
+                        seed=1, feature_kind="awv")
+    save_model(model, buf)
+    good = buf.getvalue()
+    cases = {"truncated-json": good[: len(good) // 2], "not-an-object": "[1, 2]"}
+
+    def variant(name, mutate):
+        doc = json.loads(good)
+        mutate(doc)
+        cases[name] = json.dumps(doc)
+
+    variant("other-format", lambda doc: doc.update(format="soundkb-relation-model"))
+    variant("unknown-version", lambda doc: doc.update(version=2))
+    variant("missing-weights", lambda doc: doc.pop("weights"))
+    variant("missing-bias", lambda doc: doc.pop("bias"))
+    variant("non-numeric-bias", lambda doc: doc.update(bias="0.125"))
+    variant("non-integer-epochs", lambda doc: doc.update(epochs=2.5))
+    variant("ragged-weights", lambda doc: doc.update(weights=[[0.5], -0.25]))
+    variant("non-numeric-weights", lambda doc: doc.update(weights=["0.5", -0.25]))
+    variant("weights-not-a-list", lambda doc: doc.update(weights="weights"))
+    variant("non-finite-weight", lambda doc: doc["weights"].__setitem__(0, math.inf))
+    variant("nan-weight", lambda doc: doc["weights"].__setitem__(1, math.nan))
+    variant("non-finite-bias", lambda doc: doc.update(bias=math.inf))
+    variant("count-mismatch", lambda doc: doc.update(dimension=3))
+    variant("no-weights", lambda doc: doc.update(weights=[], dimension=0))
+    variant("unknown-feature-kind", lambda doc: doc.update(feature_kind="xyz"))
     return cases

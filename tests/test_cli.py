@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from soundkb import cli
+from soundkb import DataError, cli
 from soundkb.cli import main
 from soundkb.embeddings import dump_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
@@ -15,6 +15,7 @@ from conftest import (
     PARK_BLOCK,
     PATTERN_EXAMPLES_CORPUS,
     V1_RELATION_MODEL,
+    malformed_phrase_models,
     malformed_relation_models,
     separable_phrase_data,
 )
@@ -122,7 +123,7 @@ class TestTrainPhrase:
         assert lines[1] == "100.00\t100.00\t100.00\t100.00\t100.00"
         assert out.exists()
 
-    def test_too_few_rows_for_folds(self, phrase_setup, tmp_path):
+    def test_too_few_rows_for_folds(self, phrase_setup, tmp_path, capsys):
         _, labeled, vec, _ = phrase_setup
         small = tmp_path / "small.tsv"
         small.write_text(
@@ -131,6 +132,9 @@ class TestTrainPhrase:
         )
         assert main(["train-phrase", "--data", str(small), "--embeddings", str(vec),
                      "--out", str(tmp_path / "m.json")]) == 2
+        assert "small.tsv: dataset of size 3 cannot be split into 4 folds" in (
+            capsys.readouterr().err
+        )
 
     def test_same_seed_identical_model_bytes(self, phrase_setup, tmp_path):
         _, _, vec, data = phrase_setup
@@ -198,6 +202,17 @@ class TestClassify:
                      "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")]) == 2
         assert "phrases.tsv line 3: phrase rows need 2 columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(malformed_phrase_models()))
+    def test_malformed_model_is_data_error(self, case, phrase_setup, tmp_path, capsys):
+        _, labeled, vec, _ = phrase_setup
+        model = tmp_path / "bad.json"
+        model.write_text("# provenance\n" + malformed_phrase_models()[case], encoding="utf-8")
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("\t".join(labeled[0][0]) + "\n", encoding="utf-8")
+        assert main(["classify", "--model", str(model), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")]) == 2
+        assert "bad.json: " in capsys.readouterr().err
+
 
 class TestPaths:
     def test_park_fixture_golden_path(self, tmp_path):
@@ -263,7 +278,7 @@ class TestTrainRelation:
         stdout = capsys.readouterr().out
         assert stdout.count("epoch 4") == 2
 
-    def test_overlapping_seed_files_rejected(self, relation_setup, tmp_path):
+    def test_overlapping_seed_files_rejected(self, relation_setup, tmp_path, capsys):
         pos = tmp_path / "p.pos"
         neg = tmp_path / "n.neg"
         pos.write_text("amod()\nprep_of()\n", encoding="utf-8")
@@ -271,14 +286,18 @@ class TestTrainRelation:
         assert main(["train-relation", "--occurrences", str(relation_setup),
                      "--seeds-pos", str(pos), "--seeds-neg", str(neg),
                      "--out", str(tmp_path / "m.json")]) == 2
+        assert "p.pos, n.neg: overlapping seed sets: ['amod()']" in capsys.readouterr().err
 
-    def test_no_seeded_occurrence_is_data_error(self, tmp_path):
+    def test_no_seeded_occurrence_is_data_error(self, tmp_path, capsys):
         occ = tmp_path / "occ.tsv"
         occ.write_text("park\tc\txcomp()\ts1\n", encoding="utf-8")
         pos, neg = default_seed_files()
         assert main(["train-relation", "--occurrences", str(occ),
                      "--seeds-pos", pos, "--seeds-neg", neg,
                      "--out", str(tmp_path / "m.json")]) == 2
+        assert "occ.tsv: no occurrence matched a seed path in paths.pos or paths.neg" in (
+            capsys.readouterr().err
+        )
 
 
 class TestPredictAndReport:
@@ -395,11 +414,14 @@ class TestPredictAndReport:
         rows = {r.split("\t")[0]: r.split("\t")[1] for r in data_lines(out)}
         assert rows["park"] == "a, b"
 
-    def test_unknown_scene_is_data_error(self, tmp_path):
+    def test_unknown_scene_is_data_error(self, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
         preds.write_text("volcano\tx\tp()\t0.9\n", encoding="utf-8")
         assert main(["report", "--predictions", str(preds),
                      "--out", str(tmp_path / "r.tsv")]) == 2
+        assert "preds.tsv line 1: scene 'volcano' is not in the environment lexicon" in (
+            capsys.readouterr().err
+        )
 
 
 class TestExitCodes:
@@ -448,3 +470,174 @@ class TestDigest:
         assert data.stat().st_size > 2 * cli._DIGEST_CHUNK
         assert cli._digest(data) == hashlib.sha256(payload).hexdigest()[:12]
         assert f"big.bin:{cli._digest(data)}" in cli._provenance("mine", None, [data])
+
+
+def data_error(argv, capsys) -> str:
+    """Run a command that must exit 2; return its stderr."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    return capsys.readouterr().err
+
+
+class TestDataErrorsNameTheirInput:
+    """Each data error exits 2 and names the file (and the line, for rows)."""
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.ann"
+        corpus.write_bytes(b"# header\n1\tcaf\xe9\tNN\t0\troot\n")
+        err = data_error(["mine", "--corpus", str(corpus), "--out", str(tmp_path / "o")],
+                         capsys)
+        assert "latin1.ann line 2: not UTF-8 text" in err
+
+    def test_embedding_format_error(self, phrase_setup, tmp_path, capsys):
+        _, _, _, data = phrase_setup
+        vec = tmp_path / "bad.vec"
+        vec.write_text("cat 1 2\ndog 1\n", encoding="utf-8")
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert "bad.vec line 2: expected 2 components, got 1" in err
+
+    def test_fold_with_one_label(self, phrase_setup, tmp_path, capsys):
+        _, labeled, vec, _ = phrase_setup
+        positives = [b for b, y in labeled if y == +1][:3]
+        negative = next(b for b, y in labeled if y == -1)
+        data = tmp_path / "skewed.tsv"
+        data.write_text("".join(f"{w1}\t{w2}\t+1\n" for w1, w2 in positives)
+                        + f"{negative[0]}\t{negative[1]}\t-1\n", encoding="utf-8")
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert "skewed.tsv: training data must contain both labels" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("a\tb", "labeled phrase rows need 3 columns, got 2"),
+        ("a\tb\t+1\textra", "labeled phrase rows need 3 columns, got 4"),
+    ])
+    def test_labeled_row_columns(self, phrase_setup, tmp_path, capsys, row, message):
+        _, _, vec, _ = phrase_setup
+        data = tmp_path / "rows.tsv"
+        data.write_text(f"# comment\n\n{row}\n", encoding="utf-8")
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert f"rows.tsv line 3: {message}" in err
+
+    def test_model_and_vectors_disagree_in_dimension(self, tmp_path, capsys):
+        vec2 = tmp_path / "two.vec"
+        vec2.write_text("pa 1 0\npb 2 0\nna -1 0\nnb -2 0\nqa 1.5 0\nqb -1.5 0\n"
+                        "ra 0.5 1\nrb -0.5 1\n", encoding="utf-8")
+        data = tmp_path / "labeled.tsv"
+        data.write_text("pa\tpb\t+1\nna\tnb\t-1\nqa\tpb\t+1\nqb\tnb\t-1\n"
+                        "ra\tpa\t+1\nrb\tna\t-1\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec2),
+                     "--folds", "2", "--out", str(model)]) == 0
+        vec3 = tmp_path / "three.vec"
+        vec3.write_text("pa 1 0 0\npb 2 0 0\n", encoding="utf-8")
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("pa\tpb\n", encoding="utf-8")
+        err = data_error(["classify", "--model", str(model), "--embeddings", str(vec3),
+                          "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")],
+                         capsys)
+        assert "model.json, three.vec: feature dimension 3 != model dimension 2" in err
+
+    def test_relation_model_error_names_the_file(self, relation_setup, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text(malformed_relation_models()["duplicate-token"], encoding="utf-8")
+        err = data_error(["predict", "--model", str(model), "--occurrences",
+                          str(relation_setup), "--out", str(tmp_path / "p.tsv")], capsys)
+        assert "bad.json: relation model vocabulary: duplicate vocabulary token" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("park\tc1\t\ts1", "empty path"),
+        ("park\tc1\t   \ts1", "empty path"),
+        ("park\tc1\tamod()", "occurrence rows need 4 columns, got 3"),
+    ])
+    def test_occurrence_rows(self, relation_setup, tmp_path, capsys, row, message):
+        model = tmp_path / "v1.json"
+        model.write_text(V1_RELATION_MODEL, encoding="utf-8")
+        occ = tmp_path / "occ.tsv"
+        occ.write_text(f"park\tc0\tamod()\ts0\n{row}\n", encoding="utf-8")
+        err = data_error(["predict", "--model", str(model), "--occurrences", str(occ),
+                          "--out", str(tmp_path / "p.tsv")], capsys)
+        assert f"occ.tsv line 2: {message}" in err
+
+    def test_one_relation_label(self, tmp_path, capsys):
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("park\tc\tprep_of()\ts1\n", encoding="utf-8")
+        pos, neg = default_seed_files()
+        err = data_error(["train-relation", "--occurrences", str(occ), "--seeds-pos", pos,
+                          "--seeds-neg", neg, "--out", str(tmp_path / "m.json")], capsys)
+        assert "occ.tsv, paths.pos, paths.neg: training data must contain both" in err
+
+    def test_divergence(self, relation_setup, tmp_path, capsys):
+        pos, neg = default_seed_files()
+        err = data_error(["train-relation", "--occurrences", str(relation_setup),
+                          "--seeds-pos", pos, "--seeds-neg", neg, "--dim", "4",
+                          "--hidden", "4", "--lr", "1e18", "--clip", "1e18",
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert "occ.tsv, paths.pos, paths.neg: training diverged at epoch" in err
+
+    @pytest.mark.parametrize("command", ["paths", "report"])
+    def test_empty_environment_lexicon(self, command, tmp_path, capsys):
+        envs = tmp_path / "envs.txt"
+        envs.write_text("# nothing\n\n", encoding="utf-8")
+        inputs = tmp_path / "in.tsv"
+        inputs.write_text("", encoding="utf-8")
+        source = {"paths": ["--corpus", str(inputs), "--concepts", str(inputs)],
+                  "report": ["--predictions", str(inputs)]}[command]
+        err = data_error([command, *source, "--environments", str(envs),
+                          "--out", str(tmp_path / "o.tsv")], capsys)
+        assert "envs.txt: environment lexicon is empty" in err
+
+    @pytest.mark.parametrize("p", ["abc", "nan", "1.5", "-0.1", "inf", ""])
+    def test_report_reads_p_strictly(self, tmp_path, capsys, p):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(f"park\ta\tp()\t0.9\npark\tb\tp()\t{p}\n", encoding="utf-8")
+        out = tmp_path / "r.tsv"
+        err = data_error(["report", "--predictions", str(preds), "--out", str(out)], capsys)
+        assert f"preds.tsv line 2: p must be a number in [0, 1], got {p!r}" in err
+
+    def test_prediction_row_columns(self, tmp_path, capsys):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("park\ta\t0.9\n", encoding="utf-8")
+        err = data_error(["report", "--predictions", str(preds),
+                          "--out", str(tmp_path / "r.tsv")], capsys)
+        assert "preds.tsv line 1: prediction rows need 4 columns, got 3" in err
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("train-phrase", "--epochs", "0", "must be at least 1"),
+        ("train-phrase", "--reg", "0", "must be greater than 0"),
+        ("train-phrase", "--reg", "nan", "must be greater than 0"),
+        ("train-phrase", "--reg", "x", "invalid float value"),
+        ("train-relation", "--epochs", "0", "must be at least 1"),
+        ("train-relation", "--dim", "0", "must be at least 1"),
+        ("train-relation", "--hidden", "0", "must be at least 1"),
+        ("train-relation", "--lr", "-1", "must be at least 0"),
+        ("train-relation", "--lr", "inf", "must be at least 0"),
+        ("train-relation", "--init-scale", "0", "must be greater than 0"),
+        ("train-relation", "--clip", "-5", "must be greater than 0"),
+    ])
+    def test_out_of_range_is_usage_error(self, phrase_setup, relation_setup, tmp_path,
+                                         capsys, command, option, value, message):
+        _, _, vec, data = phrase_setup
+        pos, neg = default_seed_files()
+        inputs = {
+            "train-phrase": ["--data", str(data), "--embeddings", str(vec)],
+            "train-relation": ["--occurrences", str(relation_setup), "--seeds-pos", pos,
+                               "--seeds-neg", neg],
+        }[command]
+        out = tmp_path / "m.json"
+        assert main([command, *inputs, option, value, "--out", str(out)]) == 1
+        assert f"{option}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_learning_rate_is_allowed(self, relation_setup, tmp_path):
+        pos, neg = default_seed_files()
+        assert main(["train-relation", "--occurrences", str(relation_setup),
+                     "--seeds-pos", pos, "--seeds-neg", neg, "--dim", "2", "--hidden", "2",
+                     "--epochs", "1", "--lr", "0", "--out", str(tmp_path / "m.json")]) == 0
+
+
+def test_data_errors_are_data_error_and_os_error():
+    assert cli.DATA_ERRORS == (DataError, OSError)

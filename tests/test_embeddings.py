@@ -5,10 +5,12 @@ import io
 import numpy as np
 import pytest
 
+from soundkb import DataError
 from soundkb.embeddings import (
     EmbeddingFormatError,
     PhraseUnrepresentableError,
     dump_embeddings,
+    featurize,
     featurize_awv,
     featurize_cwv,
     load_embeddings,
@@ -145,3 +147,8 @@ class TestFeatures:
             featurize_awv(store, ("x", "y"))
         with pytest.raises(PhraseUnrepresentableError):
             featurize_cwv(store, ("x", "y"))
+
+    def test_unknown_kind_is_data_error(self):
+        store = make_store({"a": [1.0]})
+        with pytest.raises(DataError, match="unknown feature kind 'xyz'"):
+            featurize(store, ("a", "a"), "xyz")

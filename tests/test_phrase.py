@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from soundkb import DataError
 from soundkb.embeddings import featurize_awv
 from soundkb.phrase import (
     LabeledPhrase,
@@ -17,7 +18,7 @@ from soundkb.phrase import (
     train,
 )
 
-from conftest import separable_phrase_data
+from conftest import malformed_phrase_models, separable_phrase_data
 
 
 def clusters_with_verified_margin(n: int, dim: int, seed: int):
@@ -76,6 +77,10 @@ class TestTrain:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both labels"):
             train([(np.array([1.0]), +1), (np.array([2.0]), +1)])
+
+    def test_no_examples_is_data_error(self):
+        with pytest.raises(DataError, match="no training examples"):
+            train([])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -223,6 +228,11 @@ class TestSerialization:
     def test_rejects_other_documents(self):
         with pytest.raises(ValueError, match="model file"):
             load_model(io.StringIO('{"format": "something-else"}'))
+
+    @pytest.mark.parametrize("case", sorted(malformed_phrase_models()))
+    def test_malformed_documents_raise_data_error(self, case):
+        with pytest.raises(DataError, match="phrase"):
+            load_model(io.StringIO(malformed_phrase_models()[case]))
 
 
 class TestLabeledPhrase:
