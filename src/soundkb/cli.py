@@ -195,36 +195,24 @@ def _read_labeled_phrases(path: Path) -> list[phrase.LabeledPhrase]:
     return rows
 
 
-def _representable(
-    rows: list[phrase.LabeledPhrase], store: embeddings.EmbeddingStore
-) -> list[phrase.LabeledPhrase]:
-    kept = []
-    for row in rows:
-        if row.bigram[0] in store or row.bigram[1] in store:
-            kept.append(row)
-        else:
-            print(
-                f"warning: skipping unrepresentable phrase: {row.bigram[0]} {row.bigram[1]}",
-                file=sys.stderr,
-            )
-    return kept
-
-
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
     store = _load_store(emb_path)
-    rows = _representable(_read_labeled_phrases(data_path), store)
+    examples = []
+    for row in _read_labeled_phrases(data_path):
+        try:
+            feature = embeddings.featurize(store, row.bigram, args.featurizer)
+        except embeddings.PhraseUnrepresentableError:
+            print(f"warning: skipping unrepresentable phrase: {row.bigram[0]} {row.bigram[1]}",
+                  file=sys.stderr)
+            continue
+        examples.append((feature, row.label))
 
     with _naming(data_path):
         report = phrase.cross_validate(
-            rows, store, args.featurizer, k=args.folds, seed=args.seed,
-            reg=args.reg, epochs=args.epochs,
+            examples, k=args.folds, seed=args.seed, reg=args.reg, epochs=args.epochs,
         )
-        examples = [
-            (embeddings.featurize(store, row.bigram, args.featurizer), row.label)
-            for row in rows
-        ]
         model = phrase.train(
             examples, reg=args.reg, epochs=args.epochs, seed=args.seed,
             feature_kind=args.featurizer,
@@ -251,7 +239,6 @@ def cmd_classify(args) -> int:
     with _naming(model_path):
         model = phrase.load_model(lines)
     store = _load_store(emb_path)
-    kind = model.feature_kind or args.featurizer
     bigrams = [(cols[0], cols[1]) for _, cols in _rows(phrases_path, 2, "phrase", exact=False)]
 
     with _open_out(Path(args.out)) as sink, _naming(model_path, emb_path):
@@ -261,7 +248,7 @@ def cmd_classify(args) -> int:
         sink.write("# word1\tword2\tlabel\tmargin\n")
         for bigram in bigrams:
             try:
-                feature = embeddings.featurize(store, bigram, kind)
+                feature = embeddings.featurize(store, bigram, model.feature_kind)
             except embeddings.PhraseUnrepresentableError:
                 sink.write(f"{bigram[0]}\t{bigram[1]}\tunrepresentable\tNA\n")
                 continue
@@ -343,8 +330,7 @@ def cmd_train_relation(args) -> int:
         [lstm.tokenize_path(ex.path) for ex in examples], store=store
     )
     config = lstm.TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-        init_scale=args.init_scale, clip=args.clip,
+        learning_rate=args.lr, epochs=args.epochs, seed=args.seed, clip=args.clip,
     )
     params = lstm.init_params(
         vocab, d, args.hidden, store=store, seed=args.seed,
@@ -509,8 +495,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--phrases", required=True, help="TSV: word1, word2")
-    p.add_argument("--featurizer", choices=[embeddings.AWV, embeddings.CWV],
-                   default=embeddings.AWV)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -546,7 +530,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="per-environment sound report")
     p.add_argument("--predictions", required=True)
     p.add_argument("--environments")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_bounded(float, 0), default=0.5)
     p.add_argument("--top-k", type=_bounded(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)

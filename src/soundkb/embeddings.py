@@ -8,8 +8,8 @@ vectors (AWV) or by concatenating them (CWV).
 
 from __future__ import annotations
 
+import array
 import logging
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -28,12 +28,6 @@ class EmbeddingFormatError(DataError):
 
 class PhraseUnrepresentableError(DataError):
     """Raised when neither word of a bigram has a vector."""
-
-
-@dataclass(frozen=True)
-class PhraseFeature:
-    values: np.ndarray
-    kind: str
 
 
 class EmbeddingStore:
@@ -61,9 +55,13 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
     """Parse a ``.vec`` text stream into a store.
 
     The dimension is fixed by the first vector line; every later line
-    must agree or the load fails, naming the offending line.
+    must agree, and every component must be finite, or the load fails,
+    naming the offending line.  The vectors are the rows of one matrix,
+    checked for non-finite components in one pass.
     """
-    table: dict[str, np.ndarray] = {}
+    table: dict[str, np.ndarray | None] = {}  # word -> row, in row order
+    line_nos = array.array("q")  # row -> line of the file
+    components = array.array("d")  # the rows, end to end
     dimension: int | None = None
     header_dim: int | None = None
     first_content = True
@@ -79,28 +77,37 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
                 continue
         word = fields[0].lower()
         try:
-            vector = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            vector = [float(v) for v in fields[1:]]
         except ValueError:
             raise EmbeddingFormatError(
                 f"line {line_no}: non-numeric vector component"
             ) from None
-        if vector.size == 0:
+        if not vector:
             raise EmbeddingFormatError(f"line {line_no}: no vector components")
         if dimension is None:
-            dimension = vector.size
+            dimension = len(vector)
             if header_dim is not None and header_dim != dimension:
                 raise EmbeddingFormatError(
                     f"line {line_no}: header dimension {header_dim} != {dimension}"
                 )
-        elif vector.size != dimension:
+        elif len(vector) != dimension:
             raise EmbeddingFormatError(
-                f"line {line_no}: expected {dimension} components, got {vector.size}"
+                f"line {line_no}: expected {dimension} components, got {len(vector)}"
             )
         if word in table:
             raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
-        table[word] = vector
+        table[word] = None  # filled in with its row of the matrix below
+        line_nos.append(line_no)
+        components.fromlist(vector)
     if dimension is None:
         raise EmbeddingFormatError("no vector lines in embedding file")
+    matrix = np.frombuffer(components, dtype=np.float64).reshape(len(line_nos), dimension)
+    # nan and inf survive min() and max(), so two reductions check the table
+    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        bad = line_nos[int(np.isfinite(matrix).all(axis=1).argmin())]
+        raise EmbeddingFormatError(f"line {bad}: non-finite vector component")
+    for word, row in zip(table, matrix):
+        table[word] = row
     return EmbeddingStore(dimension, table)
 
 
@@ -120,9 +127,11 @@ def dump_embeddings(store: EmbeddingStore, out: IO[str]) -> None:
         out.write(word + " " + " ".join(f"{v:.9g}" for v in vector) + "\n")
 
 
-def _bigram_vectors(
-    store: EmbeddingStore, bigram: tuple[str, str]
-) -> tuple[np.ndarray, np.ndarray]:
+def featurize(store: EmbeddingStore, bigram: tuple[str, str], kind: str) -> np.ndarray:
+    """AWV (the average) or CWV (the concatenation, length 2d) of a bigram's
+    two word vectors; a word without a vector contributes zeros."""
+    if kind not in (AWV, CWV):
+        raise DataError(f"unknown feature kind {kind!r}")
     w1, w2 = bigram
     v1, v2 = store.get(w1), store.get(w2)
     if v1 is None and v2 is None:
@@ -136,26 +145,4 @@ def _bigram_vectors(
     if v2 is None:
         log.debug("OOV word %r contributes zero vector", w2)
         v2 = zero
-    return v1, v2
-
-
-def featurize_awv(store: EmbeddingStore, bigram: tuple[str, str]) -> PhraseFeature:
-    """Average of the two word vectors."""
-    v1, v2 = _bigram_vectors(store, bigram)
-    return PhraseFeature(values=(v1 + v2) / 2.0, kind=AWV)
-
-
-def featurize_cwv(store: EmbeddingStore, bigram: tuple[str, str]) -> PhraseFeature:
-    """Concatenation of the two word vectors (order-sensitive, length 2d)."""
-    v1, v2 = _bigram_vectors(store, bigram)
-    return PhraseFeature(values=np.concatenate([v1, v2]), kind=CWV)
-
-
-def featurize(
-    store: EmbeddingStore, bigram: tuple[str, str], kind: str
-) -> PhraseFeature:
-    if kind == AWV:
-        return featurize_awv(store, bigram)
-    if kind == CWV:
-        return featurize_cwv(store, bigram)
-    raise DataError(f"unknown feature kind {kind!r}")
+    return (v1 + v2) / 2.0 if kind == AWV else np.concatenate([v1, v2])

@@ -132,7 +132,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 50
     seed: int = 0
-    init_scale: float = 0.1
     clip: float = 5.0
     fine_tune_words: bool = False
 
@@ -141,8 +140,6 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init scale must be positive")
         if self.clip <= 0:
             raise ValueError("clip threshold must be positive")
 

@@ -130,7 +130,6 @@ class DepPath:
 
     nodes: tuple[int, ...]
     labels: tuple[str, ...]
-    directions: tuple[bool, ...]
     words: tuple[str, ...]
 
     @property
@@ -200,7 +199,7 @@ def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | No
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"anchor out of range: {source}, {target}")
     if source == target:
-        return DepPath((source,), (), (), (graph.word(source),))
+        return DepPath((source,), (), (graph.word(source),))
 
     dist = {source: 0}
     queue = deque([source])
@@ -228,20 +227,13 @@ def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | No
 
     best: tuple[str, tuple[int, ...], DepPath] | None = None
     for nodes in sequences:
-        labels = []
-        directions = []
-        for a, b in zip(nodes, nodes[1:]):
-            label, direction = min(
-                (lab, dirflag)
-                for neighbor, lab, dirflag in graph.neighbors(a)
-                if neighbor == b
-            )
-            labels.append(label)
-            directions.append(direction)
+        labels = tuple(
+            min(lab for neighbor, lab, _direction in graph.neighbors(a) if neighbor == b)
+            for a, b in zip(nodes, nodes[1:])
+        )
         path = DepPath(
             nodes=nodes,
-            labels=tuple(labels),
-            directions=tuple(directions),
+            labels=labels,
             words=tuple(graph.word(i) for i in nodes),
         )
         key = (" ".join(path.items()), nodes)

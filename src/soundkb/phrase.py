@@ -16,7 +16,8 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import DataError
-from .embeddings import AWV, CWV, EmbeddingStore, PhraseFeature, featurize
+from .embeddings import AWV, CWV
+from .embeddings import featurize  # unused here; perfbench/spans.py traces phrase.featurize
 
 # With the 1/(reg*t) schedule, convergence needs on the order of 1/reg
 # steps, so very small reg values underfit at desk scale.
@@ -48,12 +49,6 @@ class LinearModel:
         return self.weights.shape[0]
 
 
-def _as_vector(feature) -> np.ndarray:
-    if isinstance(feature, PhraseFeature):
-        return feature.values
-    return np.asarray(feature, dtype=np.float64)
-
-
 def train(
     examples: Sequence[tuple],
     reg: float = DEFAULT_REG,
@@ -61,14 +56,14 @@ def train(
     seed: int = 0,
     feature_kind: str = "",
 ) -> LinearModel:
-    """Fit a linear max-margin model on (feature, label) pairs."""
+    """Fit a linear max-margin model on (feature vector, label) pairs."""
     if reg <= 0:
         raise ValueError("regularization strength must be positive")
     if epochs < 1:
         raise ValueError("epoch count must be positive")
     if not examples:
         raise DataError("no training examples")
-    features = np.stack([_as_vector(f) for f, _ in examples])
+    features = np.array([f for f, _ in examples], dtype=np.float64)
     labels = np.array([y for _, y in examples], dtype=np.float64)
     if not (np.any(labels == 1) and np.any(labels == -1)):
         raise DataError("training data must contain both labels")
@@ -100,7 +95,7 @@ def train(
 
 def predict(model: LinearModel, feature) -> tuple[int, float]:
     """Label and signed margin; a zero margin is classified non-sound."""
-    x = _as_vector(feature)
+    x = np.asarray(feature, dtype=np.float64)
     if x.shape[0] != model.dimension:
         raise DataError(
             f"feature dimension {x.shape[0]} != model dimension {model.dimension}"
@@ -113,7 +108,7 @@ def hinge_objective(
     weights: np.ndarray, bias: float, examples: Sequence[tuple], reg: float
 ) -> float:
     """Regularized hinge loss: reg/2 * ||w||^2 + mean hinge."""
-    features = np.stack([_as_vector(f) for f, _ in examples])
+    features = np.array([f for f, _ in examples], dtype=np.float64)
     labels = np.array([y for _, y in examples], dtype=np.float64)
     margins = labels * (features @ weights + bias)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
@@ -139,13 +134,10 @@ def make_folds(n: int, k: int, seed: int) -> list[list[int]]:
 class CVReport:
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
-    feature_kind: str
 
 
 def cross_validate(
-    dataset: Sequence[LabeledPhrase],
-    store: EmbeddingStore,
-    kind: str,
+    examples: Sequence[tuple],
     k: int = 4,
     seed: int = 0,
     reg: float = DEFAULT_REG,
@@ -154,25 +146,23 @@ def cross_validate(
     """k-fold cross-validation accuracy of the phrase classifier.
 
     The folds are a seeded random partition; each fold is tested once on
-    a model trained on the remaining folds.
+    a model trained on the remaining folds.  ``examples`` are the
+    (feature vector, label) pairs that ``train`` takes.
     """
-    featurized = [
-        (featurize(store, phrase.bigram, kind), phrase.label) for phrase in dataset
-    ]
-    folds = make_folds(len(dataset), k, seed)
+    folds = make_folds(len(examples), k, seed)
     accuracies = []
     for held_out in folds:
         held = set(held_out)
-        train_part = [ex for i, ex in enumerate(featurized) if i not in held]
-        model = train(train_part, reg=reg, epochs=epochs, seed=seed, feature_kind=kind)
+        train_part = [ex for i, ex in enumerate(examples) if i not in held]
+        model = train(train_part, reg=reg, epochs=epochs, seed=seed)
         correct = sum(
             1
             for i in held_out
-            if predict(model, featurized[i][0])[0] == featurized[i][1]
+            if predict(model, examples[i][0])[0] == examples[i][1]
         )
         accuracies.append(correct / len(held_out))
     mean = sum(accuracies) / len(accuracies)
-    return CVReport(tuple(accuracies), mean, kind)
+    return CVReport(tuple(accuracies), mean)
 
 
 def _round9(value: float) -> float:
@@ -205,10 +195,11 @@ def save_model(model: LinearModel, out: IO[str]) -> None:
 def load_model(lines: Iterable[str] | IO[str]) -> LinearModel:
     """Read a model written by ``save_model``.
 
-    Any defect (bad JSON, another document, an unknown version, a
-    missing or non-numeric field, ragged, empty or non-finite weights, a
-    weight count other than ``dimension``, an unknown feature kind)
-    raises ``DataError``.
+    A model written without a feature kind (by ``train`` called without
+    one) is read as an AWV model.  Any defect (bad JSON, another
+    document, an unknown version, a missing or non-numeric field,
+    ragged, empty or non-finite weights, a weight count other than
+    ``dimension``, an unknown feature kind) raises ``DataError``.
     """
     text = lines.read() if hasattr(lines, "read") else "".join(lines)
     try:
@@ -246,5 +237,5 @@ def load_model(lines: Iterable[str] | IO[str]) -> LinearModel:
         reg=float(doc["reg"]),
         epochs=doc["epochs"],
         seed=doc["seed"],
-        feature_kind=kind,
+        feature_kind=kind or AWV,
     )

@@ -15,7 +15,7 @@ import pytest
 from soundkb import lstm
 from soundkb.cli import main
 from soundkb.corpus import build_dep_graph, parse_annotated_corpus
-from soundkb.embeddings import dump_embeddings, featurize_awv
+from soundkb.embeddings import dump_embeddings, featurize
 from soundkb.lstm import (
     ARRAY_FIELDS,
     TrainConfig,
@@ -210,11 +210,10 @@ def test_criterion_7_phrase_classification():
     watch = Stopwatch(30.0)
     store, labeled = separable_phrase_data(24, 8, seed=712)
     dataset = [LabeledPhrase(b, y) for b, y in labeled]
-    margins = [
-        row.label * featurize_awv(store, row.bigram).values[0] for row in dataset
-    ]
+    examples = [(featurize(store, row.bigram, "awv"), row.label) for row in dataset]
+    margins = [label * feature[0] for feature, label in examples]
     assert min(margins) >= 1.0  # verified margin, checked exhaustively
-    report = cross_validate(dataset, store, "awv", k=4, seed=0)
+    report = cross_validate(examples, k=4, seed=0)
     assert report.mean_accuracy == 1.0
 
     rng = np.random.default_rng(0)

@@ -6,9 +6,9 @@ from importlib import resources
 
 import pytest
 
-from soundkb import DataError, cli
+from soundkb import DataError, cli, embeddings, phrase
 from soundkb.cli import main
-from soundkb.embeddings import dump_embeddings
+from soundkb.embeddings import dump_embeddings, featurize, load_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
 
 from conftest import (
@@ -155,6 +155,25 @@ class TestTrainPhrase:
                      "--out", str(tmp_path / "m.json")]) == 0
         assert "unrepresentable" in capsys.readouterr().err
 
+    def test_each_row_featurized_once(self, phrase_setup, tmp_path, monkeypatch, capsys):
+        _, labeled, vec, _ = phrase_setup
+        data = tmp_path / "with_oov.tsv"
+        rows = "".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in labeled)
+        data.write_text(rows + "zz\tqq\t+1\n", encoding="utf-8")
+        calls = []
+
+        def counting(store, bigram, kind):
+            calls.append(bigram)
+            return featurize(store, bigram, kind)
+
+        # both names a layer could reach the featurizer by
+        monkeypatch.setattr(embeddings, "featurize", counting)
+        monkeypatch.setattr(phrase, "featurize", counting)
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert sorted(calls) == sorted([b for b, _ in labeled] + [("zz", "qq")])
+        assert capsys.readouterr().err == "warning: skipping unrepresentable phrase: zz qq\n"
+
     @pytest.mark.parametrize("label", ["x", "2", "0", "+1.0"])
     def test_bad_label_names_file_and_line(self, phrase_setup, tmp_path, capsys, label):
         _, labeled, vec, _ = phrase_setup
@@ -201,6 +220,40 @@ class TestClassify:
         assert main(["classify", "--model", str(model), "--embeddings", str(vec),
                      "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")]) == 2
         assert "phrases.tsv line 3: phrase rows need 2 columns" in capsys.readouterr().err
+
+    def test_cwv_model_classifies_with_cwv_features(self, phrase_setup, tmp_path):
+        _, labeled, vec, data = phrase_setup
+        model_path = tmp_path / "model.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--featurizer", "cwv", "--seed", "3", "--out", str(model_path)]) == 0
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("".join(f"{w1}\t{w2}\n" for (w1, w2), _ in labeled),
+                           encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["classify", "--model", str(model_path), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(out)]) == 0
+        model = phrase.load_model(data_lines(model_path))
+        assert model.feature_kind == "cwv"
+        store = load_embeddings(data_lines(vec))
+        expected = []
+        for bigram, _ in labeled:
+            label, margin = phrase.predict(model, featurize(store, bigram, "cwv"))
+            expected.append(f"{bigram[0]}\t{bigram[1]}\t{label:+d}\t{margin:.9g}")
+        assert data_lines(out) == expected
+
+    def test_featurizer_option_is_usage_error(self, phrase_setup, tmp_path, capsys):
+        _, labeled, vec, data = phrase_setup
+        model = tmp_path / "model.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--out", str(model)]) == 0
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("\t".join(labeled[0][0]) + "\n", encoding="utf-8")
+        out = tmp_path / "p.tsv"
+        assert main(["classify", "--model", str(model), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--featurizer", "awv",
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments: --featurizer awv" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(malformed_phrase_models()))
     def test_malformed_model_is_data_error(self, case, phrase_setup, tmp_path, capsys):
@@ -497,6 +550,24 @@ class TestDataErrorsNameTheirInput:
                           "--out", str(tmp_path / "m.json")], capsys)
         assert "bad.vec line 2: expected 2 components, got 1" in err
 
+    @pytest.mark.parametrize("command", ["train-phrase", "classify"])
+    def test_non_finite_vector_component(self, phrase_setup, tmp_path, capsys, command):
+        store, labeled, vec, data = phrase_setup
+        model = tmp_path / "m.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--out", str(model)]) == 0
+        bad = tmp_path / "nan.vec"
+        zeros = " 0" * (store.dimension - 1)
+        bad.write_text(vec.read_text(encoding="utf-8") + f"zz nan{zeros}\n", encoding="utf-8")
+        line_no = len(bad.read_text(encoding="utf-8").splitlines())
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("zz\taa\n", encoding="utf-8")
+        argv = {"train-phrase": ["--data", str(data)],
+                "classify": ["--model", str(model), "--phrases", str(phrases)]}[command]
+        err = data_error([command, *argv, "--embeddings", str(bad),
+                          "--out", str(tmp_path / "o")], capsys)
+        assert f"nan.vec line {line_no}: non-finite vector component" in err
+
     def test_fold_with_one_label(self, phrase_setup, tmp_path, capsys):
         _, labeled, vec, _ = phrase_setup
         positives = [b for b, y in labeled if y == +1][:3]
@@ -617,18 +688,26 @@ class TestNumericOptions:
         ("train-relation", "--lr", "inf", "must be at least 0"),
         ("train-relation", "--init-scale", "0", "must be greater than 0"),
         ("train-relation", "--clip", "-5", "must be greater than 0"),
+        ("report", "--threshold", "nan", "must be at least 0"),
+        ("report", "--threshold", "inf", "must be at least 0"),
+        ("report", "--threshold", "-inf", "must be at least 0"),
+        ("report", "--threshold", "-0.5", "must be at least 0"),
     ])
     def test_out_of_range_is_usage_error(self, phrase_setup, relation_setup, tmp_path,
                                          capsys, command, option, value, message):
         _, _, vec, data = phrase_setup
         pos, neg = default_seed_files()
+        predictions = tmp_path / "preds.tsv"
+        predictions.write_text("park\tbirds\tp()\t0.9\n", encoding="utf-8")
         inputs = {
             "train-phrase": ["--data", str(data), "--embeddings", str(vec)],
             "train-relation": ["--occurrences", str(relation_setup), "--seeds-pos", pos,
                                "--seeds-neg", neg],
+            "report": ["--predictions", str(predictions)],
         }[command]
         out = tmp_path / "m.json"
-        assert main([command, *inputs, option, value, "--out", str(out)]) == 1
+        # one argument, so that argparse reads "-inf" as a value, not an option
+        assert main([command, *inputs, f"{option}={value}", "--out", str(out)]) == 1
         assert f"{option}: {message}" in capsys.readouterr().err
         assert not out.exists()
 

@@ -11,8 +11,6 @@ from soundkb.embeddings import (
     PhraseUnrepresentableError,
     dump_embeddings,
     featurize,
-    featurize_awv,
-    featurize_cwv,
     load_embeddings,
 )
 
@@ -50,6 +48,15 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match="non-numeric"):
             load_embeddings(["cat 1 x"])
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_names_line(self, component):
+        with pytest.raises(EmbeddingFormatError, match="^line 4: non-finite vector component$"):
+            load_embeddings(["3 2", "cat 1 2", "", f"zz {component} 0", "dog 3 4"])
+
+    def test_first_non_finite_line_is_named(self):
+        with pytest.raises(EmbeddingFormatError, match="^line 2: non-finite"):
+            load_embeddings(["cat 1 2", "dog 1 -inf", "owl nan 1"])
+
     def test_empty_file(self):
         with pytest.raises(EmbeddingFormatError, match="no vector lines"):
             load_embeddings([])
@@ -75,37 +82,35 @@ class TestLoad:
 class TestFeatures:
     def test_awv_idempotent_on_equal_vectors(self):
         store = make_store({"a": [1.0, -2.0], "b": [1.0, -2.0]})
-        feature = featurize_awv(store, ("a", "b"))
-        assert feature.kind == "awv"
-        np.testing.assert_array_equal(feature.values, [1.0, -2.0])
+        feature = featurize(store, ("a", "b"), "awv")
+        np.testing.assert_array_equal(feature, [1.0, -2.0])
 
     def test_awv_opposite_vectors_cancel(self):
         store = make_store({"a": [3.0, -1.0], "b": [-3.0, 1.0]})
         np.testing.assert_array_equal(
-            featurize_awv(store, ("a", "b")).values, [0.0, 0.0]
+            featurize(store, ("a", "b"), "awv"), [0.0, 0.0]
         )
 
     def test_awv_simple_average(self):
         store = make_store({"a": [1.0, 3.0], "b": [3.0, 1.0]})
         np.testing.assert_array_equal(
-            featurize_awv(store, ("a", "b")).values, [2.0, 2.0]
+            featurize(store, ("a", "b"), "awv"), [2.0, 2.0]
         )
 
     def test_cwv_concatenates(self):
         store = make_store({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        feature = featurize_cwv(store, ("a", "b"))
-        assert feature.kind == "cwv"
-        np.testing.assert_array_equal(feature.values, [1.0, 2.0, 3.0, 4.0])
+        feature = featurize(store, ("a", "b"), "cwv")
+        np.testing.assert_array_equal(feature, [1.0, 2.0, 3.0, 4.0])
 
     def test_cwv_doubles_dimension(self):
         rng = np.random.default_rng(1)
         store = make_store({"a": rng.normal(size=300), "b": rng.normal(size=300)})
-        assert featurize_cwv(store, ("a", "b")).values.shape == (600,)
+        assert featurize(store, ("a", "b"), "cwv").shape == (600,)
 
     def test_cwv_swap_swaps_halves(self):
         store = make_store({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        ab = featurize_cwv(store, ("a", "b")).values
-        ba = featurize_cwv(store, ("b", "a")).values
+        ab = featurize(store, ("a", "b"), "cwv")
+        ba = featurize(store, ("b", "a"), "cwv")
         np.testing.assert_array_equal(ab[:2], ba[2:])
         np.testing.assert_array_equal(ab[2:], ba[:2])
 
@@ -116,8 +121,8 @@ class TestFeatures:
         for _ in range(50):
             w1, w2 = rng.choice(words, size=2)
             np.testing.assert_array_equal(
-                featurize_awv(store, (w1, w2)).values,
-                featurize_awv(store, (w2, w1)).values,
+                featurize(store, (w1, w2), "awv"),
+                featurize(store, (w2, w1), "awv"),
             )
 
     def test_awv_sup_norm_bound(self):
@@ -126,7 +131,7 @@ class TestFeatures:
         words = store.words()
         for _ in range(50):
             w1, w2 = rng.choice(words, size=2)
-            awv = featurize_awv(store, (w1, w2)).values
+            awv = featurize(store, (w1, w2), "awv")
             bound = max(
                 np.abs(store.get(w1)).max(), np.abs(store.get(w2)).max()
             )
@@ -135,18 +140,18 @@ class TestFeatures:
     def test_oov_contributes_zero(self):
         store = make_store({"a": [2.0, 4.0]})
         np.testing.assert_array_equal(
-            featurize_awv(store, ("a", "missing")).values, [1.0, 2.0]
+            featurize(store, ("a", "missing"), "awv"), [1.0, 2.0]
         )
         np.testing.assert_array_equal(
-            featurize_cwv(store, ("missing", "a")).values, [0.0, 0.0, 2.0, 4.0]
+            featurize(store, ("missing", "a"), "cwv"), [0.0, 0.0, 2.0, 4.0]
         )
 
     def test_both_oov_unrepresentable(self):
         store = make_store({"a": [1.0]})
         with pytest.raises(PhraseUnrepresentableError, match="unrepresentable"):
-            featurize_awv(store, ("x", "y"))
+            featurize(store, ("x", "y"), "awv")
         with pytest.raises(PhraseUnrepresentableError):
-            featurize_cwv(store, ("x", "y"))
+            featurize(store, ("x", "y"), "cwv")
 
     def test_unknown_kind_is_data_error(self):
         store = make_store({"a": [1.0]})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from soundkb import DataError
-from soundkb.embeddings import featurize_awv
+from soundkb.embeddings import featurize
 from soundkb.phrase import (
     LabeledPhrase,
     cross_validate,
@@ -176,31 +176,31 @@ class TestCrossValidate:
         store, labeled = separable_phrase_data(24, 8, seed=21)
         dataset = [LabeledPhrase(b, y) for b, y in labeled]
         # exhaustive margin check on the actual AWV features
-        for row in dataset:
-            feat = featurize_awv(store, row.bigram).values
-            assert row.label * feat[0] >= 1.0
-        report = cross_validate(dataset, store, "awv", k=4, seed=0)
+        examples = [(featurize(store, row.bigram, "awv"), row.label) for row in dataset]
+        for feat, label in examples:
+            assert label * feat[0] >= 1.0
+        report = cross_validate(examples, k=4, seed=0)
         assert report.mean_accuracy == 1.0
         assert report.fold_accuracies == (1.0, 1.0, 1.0, 1.0)
 
     def test_cwv_also_separates(self):
         store, labeled = separable_phrase_data(16, 6, seed=22)
-        dataset = [LabeledPhrase(b, y) for b, y in labeled]
-        report = cross_validate(dataset, store, "cwv", k=4, seed=3)
+        examples = [(featurize(store, b, "cwv"), y) for b, y in labeled]
+        report = cross_validate(examples, k=4, seed=3)
         assert report.mean_accuracy == 1.0
 
     def test_deterministic_report(self):
         store, labeled = separable_phrase_data(10, 5, seed=23)
-        dataset = [LabeledPhrase(b, y) for b, y in labeled]
-        r1 = cross_validate(dataset, store, "awv", k=4, seed=9)
-        r2 = cross_validate(dataset, store, "awv", k=4, seed=9)
+        examples = [(featurize(store, b, "awv"), y) for b, y in labeled]
+        r1 = cross_validate(examples, k=4, seed=9)
+        r2 = cross_validate(examples, k=4, seed=9)
         assert r1 == r2
 
     def test_dataset_smaller_than_k(self):
         store, labeled = separable_phrase_data(1, 4, seed=24)
-        dataset = [LabeledPhrase(b, y) for b, y in labeled][:2]
+        examples = [(featurize(store, b, "awv"), y) for b, y in labeled][:2]
         with pytest.raises(ValueError):
-            cross_validate(dataset, store, "awv", k=4, seed=0)
+            cross_validate(examples, k=4, seed=0)
 
 
 class TestSerialization:
@@ -214,6 +214,14 @@ class TestSerialization:
         assert again.bias == pytest.approx(model.bias, rel=1e-8)
         assert (again.reg, again.epochs, again.seed) == (1e-3, 5, 4)
         assert again.feature_kind == "awv"
+
+    def test_model_without_kind_is_read_as_awv(self):
+        examples = clusters_with_verified_margin(20, 4, seed=32)
+        model = train(examples, reg=1e-3, epochs=5, seed=4)
+        buf = io.StringIO()
+        save_model(model, buf)
+        assert '"feature_kind": ""' in buf.getvalue()
+        assert load_model(io.StringIO(buf.getvalue())).feature_kind == "awv"
 
     def test_serialization_is_deterministic(self):
         examples = clusters_with_verified_margin(20, 4, seed=31)
