@@ -301,6 +301,8 @@ def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
 
 # ---------------------------------------------------------- train-relation
 
+DEFAULT_DIM = 32  # embedding width when --embeddings does not set it
+
 
 def cmd_train_relation(args) -> int:
     occ_path = Path(args.occurrences)
@@ -319,11 +321,16 @@ def cmd_train_relation(args) -> int:
 
     store = None
     inputs = [occ_path, pos_path, neg_path]
-    d = args.dim
+    d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
         store = _load_store(emb_path)
         inputs.append(emb_path)
+        if args.dim not in (None, store.dimension):
+            raise UsageError(
+                f"--dim {args.dim} disagrees with {emb_path.name}, whose vectors have "
+                f"{store.dimension} dimensions"
+            )
         d = store.dimension
 
     vocab = lstm.build_vocab(
@@ -512,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds-neg", required=True)
     p.add_argument("--embeddings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=_bounded(int, 1), default=32)
+    p.add_argument("--dim", type=_bounded(int, 1))
     p.add_argument("--hidden", type=_bounded(int, 1), default=64)
     p.add_argument("--lr", type=_bounded(float, 0), default=0.05)
     p.add_argument("--epochs", type=_bounded(int, 1), default=50)

@@ -14,7 +14,9 @@ with ``#`` are comments.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Callable, Iterable, Iterator
 
 from . import DataError
@@ -22,6 +24,8 @@ from . import DataError
 log = logging.getLogger(__name__)
 
 SENTENCE_FINAL_PUNCT = {".", "!", "?"}
+
+_WHITESPACE = re.compile(r"\s").search
 
 
 class CorpusFormatError(DataError):
@@ -32,39 +36,23 @@ class CorpusFormatError(DataError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
-    index: int
-    surface: str
-    pos: str
-
-    @property
-    def lower(self) -> str:
-        return self.surface.lower()
-
-
-@dataclass(frozen=True)
-class DepEdge:
-    label: str
-    head: int
-    dependent: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
-    tokens: tuple[Token, ...]
-    edges: tuple[DepEdge, ...]
+    """A parsed sentence as parallel columns; position ``i - 1`` is token ``i``.
+
+    ``heads[i - 1]`` is the head of token ``i``: ``0`` for the root and
+    ``None`` for a token with no dependency edge, whose label is ``None``
+    too.
+    """
+
+    words: tuple[str, ...]
+    tags: tuple[str, ...]
+    heads: tuple[int | None, ...]
+    labels: tuple[str | None, ...]
     sent_id: str = field(default="", compare=False)
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def root_index(self) -> int:
-        for edge in self.edges:
-            if edge.head == 0:
-                return edge.dependent
-        raise ValueError("sentence has no root edge")
+        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -97,112 +85,117 @@ class DepGraph:
         return sum(len(adj) for adj in self.adjacency) // 2
 
 
-def _parse_token_line(line: str, line_no: int) -> tuple[Token, int | None, str | None]:
-    cols = line.split("\t")
-    if len(cols) != 5:
-        raise CorpusFormatError(
-            f"expected 5 TAB-separated columns, got {len(cols)}", line_no
-        )
-    raw_index, surface, pos, raw_head, label = cols
-    try:
-        index = int(raw_index)
-    except ValueError:
-        raise CorpusFormatError(f"non-integer index {raw_index!r}", line_no) from None
-    if index < 1:
-        raise CorpusFormatError(f"token index must be >= 1, got {index}", line_no)
-    if not surface:
-        raise CorpusFormatError("empty surface form", line_no)
-    if not pos:
-        raise CorpusFormatError("empty POS tag", line_no)
-    if raw_head == "_":
-        if label != "_":
-            raise CorpusFormatError(
-                "unattached token (head '_') must have label '_'", line_no
-            )
-        return Token(index, surface, pos), None, None
-    try:
-        head = int(raw_head)
-    except ValueError:
-        raise CorpusFormatError(f"non-integer head {raw_head!r}", line_no) from None
-    if not label or label == "_":
-        raise CorpusFormatError("empty dependency label", line_no)
-    return Token(index, surface, pos), head, label
-
-
 def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sentence:
     """Parse one blank-line-delimited block into a validated Sentence.
 
     ``numbered_lines`` pairs each raw line with its 1-based line number
-    so errors can point at the offending line.
+    so errors can point at the offending line.  Every line is read
+    before the indices, then the heads (in line order), the root and
+    the reachability are checked.
     """
     if not numbered_lines:
         raise CorpusFormatError("empty block", 0)
-    first_line = numbered_lines[0][0]
-    tokens: list[Token] = []
-    attachments: list[tuple[int, int | None, str | None, int]] = []
-    seen: set[int] = set()
+    n = len(numbered_lines)
+    words: list[str | None] = [None] * n
+    tags: list[str | None] = [None] * n
+    heads: list[int | None] = [None] * n
+    labels: list[str | None] = [None] * n
+    beyond: set[int] = set()  # indices above n, which leave a gap
+    head_error: tuple[str, int] | None = None
     for line_no, line in numbered_lines:
-        token, head, label = _parse_token_line(line, line_no)
-        if token.index in seen:
-            raise CorpusFormatError(f"duplicate index {token.index}", line_no)
-        seen.add(token.index)
-        tokens.append(token)
-        attachments.append((token.index, head, label, line_no))
-
-    n = len(tokens)
-    if seen != set(range(1, n + 1)):
-        raise CorpusFormatError(
-            f"token indices must be 1..{n} with no gaps", first_line
-        )
-    tokens.sort(key=lambda t: t.index)
-
-    edges: list[DepEdge] = []
-    root_count = 0
-    for index, head, label, line_no in attachments:
-        if head is None:
+        cols = line.split("\t")
+        if len(cols) != 5:
+            raise CorpusFormatError(
+                f"expected 5 TAB-separated columns, got {len(cols)}", line_no
+            )
+        raw_index, surface, pos, raw_head, label = cols
+        try:
+            index = int(raw_index)
+        except ValueError:
+            raise CorpusFormatError(f"non-integer index {raw_index!r}", line_no) from None
+        if index < 1:
+            raise CorpusFormatError(f"token index must be >= 1, got {index}", line_no)
+        if not surface:
+            raise CorpusFormatError("empty surface form", line_no)
+        # path tokens are whitespace-separated and "()" marks an edge label
+        if _WHITESPACE(surface):
+            raise CorpusFormatError(f"surface form contains whitespace: {surface!r}", line_no)
+        if surface.endswith("()"):
+            raise CorpusFormatError(f"surface form ends in '()': {surface!r}", line_no)
+        if not pos:
+            raise CorpusFormatError("empty POS tag", line_no)
+        if raw_head == "_":
+            if label != "_":
+                raise CorpusFormatError(
+                    "unattached token (head '_') must have label '_'", line_no
+                )
+            head = label = None
+        else:
+            try:
+                head = int(raw_head)
+            except ValueError:
+                raise CorpusFormatError(f"non-integer head {raw_head!r}", line_no) from None
+            if not label or label == "_":
+                raise CorpusFormatError("empty dependency label", line_no)
+            if _WHITESPACE(label):
+                raise CorpusFormatError(
+                    f"dependency label contains whitespace: {label!r}", line_no
+                )
+        if index > n:
+            if index in beyond:
+                raise CorpusFormatError(f"duplicate index {index}", line_no)
+            beyond.add(index)
             continue
-        if head < 0 or head > n:
-            raise CorpusFormatError(f"head out of range: {head}", line_no)
-        if head == index:
-            raise CorpusFormatError(f"token {index} is its own head", line_no)
-        if head == 0:
-            root_count += 1
-        edges.append(DepEdge(label=label, head=head, dependent=index))
-    if root_count == 0:
+        if words[index - 1] is not None:
+            raise CorpusFormatError(f"duplicate index {index}", line_no)
+        # tags and labels come from small sets, so sentences share them
+        words[index - 1] = surface
+        tags[index - 1] = intern(pos)
+        heads[index - 1] = head
+        labels[index - 1] = label and intern(label)
+        if head_error is None and head is not None:
+            if head < 0 or head > n:
+                head_error = (f"head out of range: {head}", line_no)
+            elif head == index:
+                head_error = (f"token {index} is its own head", line_no)
+
+    first_line = numbered_lines[0][0]
+    if beyond:
+        raise CorpusFormatError(f"token indices must be 1..{n} with no gaps", first_line)
+    if head_error is not None:
+        raise CorpusFormatError(*head_error)
+    roots = heads.count(0)
+    if roots == 0:
         raise CorpusFormatError("no root edge (head 0)", first_line)
-    if root_count > 1:
+    if roots > 1:
         raise CorpusFormatError("multiple root edges", first_line)
-
-    sentence = Sentence(tuple(tokens), tuple(edges), sent_id=sent_id)
-    _check_reachability(sentence, first_line)
-    return sentence
+    _check_reachability(heads, first_line)
+    return Sentence(tuple(words), tuple(tags), tuple(heads), tuple(labels), sent_id)
 
 
-def _check_reachability(sentence: Sentence, first_line: int) -> None:
+def _check_reachability(heads: list[int | None], first_line: int) -> None:
     # Tokens without any edge (collapsed prepositions) are exempt; every
     # attached token must connect to the root token through non-root edges.
-    attached: set[int] = set()
-    adj: dict[int, list[int]] = {}
-    for edge in sentence.edges:
-        if edge.head == 0:
-            attached.add(edge.dependent)
-            continue
-        attached.update((edge.head, edge.dependent))
-        adj.setdefault(edge.head, []).append(edge.dependent)
-        adj.setdefault(edge.dependent, []).append(edge.head)
-    reachable = {sentence.root_index}
-    stack = [sentence.root_index]
+    # Each token has at most one head, so the tokens connected to the root
+    # token are exactly those below it.
+    children: list[list[int]] = [[] for _ in heads]
+    for dependent, head in enumerate(heads, 1):
+        if head:
+            children[head - 1].append(dependent)
+    root = heads.index(0) + 1
+    reachable = {root}
+    stack = [root]
     while stack:
-        node = stack.pop()
-        for nb in adj.get(node, ()):
-            if nb not in reachable:
-                reachable.add(nb)
-                stack.append(nb)
-    stranded = attached - reachable
+        for child in children[stack.pop() - 1]:
+            reachable.add(child)
+            stack.append(child)
+    stranded = [
+        index
+        for index, (head, below) in enumerate(zip(heads, children), 1)
+        if (head is not None or below) and index not in reachable
+    ]
     if stranded:
-        raise CorpusFormatError(
-            f"tokens not reachable from root: {sorted(stranded)}", first_line
-        )
+        raise CorpusFormatError(f"tokens not reachable from root: {stranded}", first_line)
 
 
 def parse_annotated_corpus(
@@ -251,14 +244,12 @@ def parse_annotated_corpus(
 
 def to_block(sentence: Sentence) -> str:
     """Serialize a sentence back to its 5-column block form."""
-    by_dependent = {e.dependent: e for e in sentence.edges}
-    lines = []
-    for token in sentence.tokens:
-        edge = by_dependent.get(token.index)
-        head = str(edge.head) if edge else "_"
-        label = edge.label if edge else "_"
-        lines.append(f"{token.index}\t{token.surface}\t{token.pos}\t{head}\t{label}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{index}\t{word}\t{tag}\t{'_' if head is None else head}\t{label or '_'}"
+        for index, (word, tag, head, label) in enumerate(
+            zip(sentence.words, sentence.tags, sentence.heads, sentence.labels), 1
+        )
+    )
 
 
 def build_dep_graph(sentence: Sentence) -> DepGraph:
@@ -267,12 +258,10 @@ def build_dep_graph(sentence: Sentence) -> DepGraph:
     The root edge is excluded: paths through the root pseudo-node are
     linguistically meaningless.
     """
-    n = len(sentence.tokens)
-    adjacency: list[list[tuple[int, str, bool]]] = [[] for _ in range(n)]
-    for edge in sentence.edges:
-        if edge.head == 0:
-            continue
-        adjacency[edge.head - 1].append((edge.dependent, edge.label, True))
-        adjacency[edge.dependent - 1].append((edge.head, edge.label, False))
-    words = tuple(t.lower for t in sentence.tokens)
+    adjacency: list[list[tuple[int, str, bool]]] = [[] for _ in sentence.words]
+    for dependent, (head, label) in enumerate(zip(sentence.heads, sentence.labels), 1):
+        if head:
+            adjacency[head - 1].append((dependent, label, True))
+            adjacency[dependent - 1].append((head, label, False))
+    words = tuple(word.lower() for word in sentence.words)
     return DepGraph(words=words, adjacency=tuple(tuple(a) for a in adjacency))

@@ -133,7 +133,6 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     clip: float = 5.0
-    fine_tune_words: bool = False
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -280,13 +279,13 @@ def label_index(label: str) -> int:
     return 0 if label == POSITIVE else 1
 
 
-def loss_and_gradients(params: LstmParams, vocab: PathVocab, example: RelationExample,
-                       fine_tune_words: bool = False) -> tuple[float, LstmGrads]:
+def loss_and_gradients(params: LstmParams, vocab: PathVocab,
+                       example: RelationExample) -> tuple[float, LstmGrads]:
     """Cross-entropy loss and its gradients via backpropagation through time.
 
-    Embedding gradients flow only into learned rows unless word
-    fine-tuning is enabled; frozen rows stay exactly zero.  The weight
-    gradients are one matmul each over the (T x 4h) gate deltas.
+    Embedding gradients flow only into learned rows; pretrained rows
+    stay exactly zero.  The weight gradients are one matmul each over
+    the (T x 4h) gate deltas.
     """
     target = label_index(example.label)
     ids = np.array(_ids_for(vocab, tokenize_path(example.path)))
@@ -319,7 +318,7 @@ def loss_and_gradients(params: LstmParams, vocab: PathVocab, example: RelationEx
 
     DA = deltas.reshape(len(ids), 4 * h)
     gE = np.zeros_like(params.E)
-    trained = np.array([fine_tune_words or vocab.is_learned(i) for i in ids])
+    trained = np.array([vocab.is_learned(i) for i in ids])
     np.add.at(gE, ids[trained], (DA @ params.W)[trained])
     grads = LstmParams(
         E=gE, W=DA.T @ params.E[ids], U=DA.T @ H_prev, b=DA.sum(axis=0),
@@ -362,8 +361,7 @@ def train(
         for idx in rng.permutation(n):
             example = examples[int(idx)]
             try:
-                loss, grads = loss_and_gradients(
-                    params, vocab, example, fine_tune_words=config.fine_tune_words)
+                loss, grads = loss_and_gradients(params, vocab, example)
             except ArithmeticError as err:
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}: {err}") from err
             total += loss

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .corpus import SENTENCE_FINAL_PUNCT, Sentence, Token
+from .corpus import SENTENCE_FINAL_PUNCT, Sentence
 
 log = logging.getLogger(__name__)
 
@@ -54,22 +54,22 @@ class CandidateMention:
 
     sentence_ref: str
     trigger_span: tuple[int, int]
-    y_tokens: tuple[Token, ...]
-
-    @property
-    def pos_signature(self) -> tuple[str, ...]:
-        return tuple(t.pos for t in self.y_tokens)
+    words: tuple[str, ...]
+    tags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class PatternMatch:
+    """The concept a pattern accepted: its words and tags, determiner dropped."""
+
     pattern: str
-    concept_tokens: tuple[Token, ...]
+    words: tuple[str, ...]
+    tags: tuple[str, ...]
     consumed: int
 
     @property
     def text(self) -> str:
-        return " ".join(t.lower for t in self.concept_tokens)
+        return " ".join(word.lower() for word in self.words)
 
 
 @dataclass
@@ -85,21 +85,22 @@ def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
     The window stops at the sentence end or at the first sentence-final
     punctuation token; an empty window yields no candidate.
     """
-    tokens = sentence.tokens
+    words, tags = sentence.words, sentence.tags
+    lowers = [word.lower() for word in words]
     found = []
-    for i in range(len(tokens) - 1):
-        if tokens[i].lower in TRIGGER_WORDS and tokens[i + 1].lower == "of":
-            window: list[Token] = []
-            for tok in tokens[i + 2 : i + 2 + MAX_PHRASE_TOKENS]:
-                if tok.lower in SENTENCE_FINAL_PUNCT:
-                    break
-                window.append(tok)
-            if window:
+    for i in range(len(lowers) - 1):
+        if lowers[i] in TRIGGER_WORDS and lowers[i + 1] == "of":
+            start = end = i + 2
+            stop = min(len(lowers), start + MAX_PHRASE_TOKENS)
+            while end < stop and lowers[end] not in SENTENCE_FINAL_PUNCT:
+                end += 1
+            if end > start:
                 found.append(
                     CandidateMention(
                         sentence_ref=sentence.sent_id,
-                        trigger_span=(tokens[i].index, tokens[i + 1].index),
-                        y_tokens=tuple(window),
+                        trigger_span=(i + 1, i + 2),
+                        words=words[start:end],
+                        tags=tags[start:end],
                     )
                 )
     return found
@@ -107,7 +108,7 @@ def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
 
 def generalize_pos(mention: CandidateMention) -> str:
     """Space-joined POS tags of the phrase window, e.g. "VBG NNS"."""
-    return " ".join(mention.pos_signature)
+    return " ".join(mention.tags)
 
 
 def match_valid_pattern(mention: CandidateMention) -> PatternMatch | None:
@@ -118,21 +119,20 @@ def match_valid_pattern(mention: CandidateMention) -> PatternMatch | None:
     becomes part of the concept.  The longest consumed prefix wins and
     equal lengths go to the lowest pattern id.
     """
-    tokens = mention.y_tokens
+    tags = mention.tags
     best: PatternMatch | None = None
     for pattern in PATTERNS:
         start = 0
-        if pattern.allows_determiner and tokens and tokens[0].pos == "DT":
+        if pattern.allows_determiner and tags and tags[0] == "DT":
             start = 1
         end = start + len(pattern.elements)
-        if end > len(tokens):
+        if end > len(tags):
             continue
-        if all(
-            tokens[start + k].pos in wanted
-            for k, wanted in enumerate(pattern.elements)
-        ):
+        if all(tags[start + k] in wanted for k, wanted in enumerate(pattern.elements)):
             if best is None or end > best.consumed:
-                best = PatternMatch(pattern.id, tuple(tokens[start:end]), end)
+                best = PatternMatch(
+                    pattern.id, mention.words[start:end], tags[start:end], end
+                )
     return best
 
 

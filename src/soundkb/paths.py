@@ -159,7 +159,7 @@ def find_mention_pairs(
     of its span (rightmost token if none is a noun); the environment
     anchor is the last token of its span.
     """
-    lowers = [t.lower for t in sentence.tokens]
+    lowers = [word.lower() for word in sentence.words]
     concept_spans = concepts.scan(lowers)
     if not concept_spans:
         return []
@@ -168,7 +168,7 @@ def find_mention_pairs(
     for c_start, c_end, c_text in concept_spans:
         anchor = c_end
         for idx in range(c_end, c_start - 1, -1):
-            if sentence.tokens[idx - 1].pos.startswith("NN"):
+            if sentence.tags[idx - 1].startswith("NN"):
                 anchor = idx
                 break
         for e_start, e_end, scene in env_spans:

@@ -353,6 +353,36 @@ class TestTrainRelation:
         )
 
 
+    @pytest.mark.parametrize("dim, code, d", [("6", 1, None), ("4", 0, 4), (None, 0, 4)],
+                             ids=["disagrees", "agrees", "omitted"])
+    def test_dim_must_match_the_embeddings(self, relation_setup, tmp_path, capsys,
+                                           dim, code, d):
+        vec = tmp_path / "four.vec"
+        vec.write_text("park 1 0 0 0\nbeach 0 1 0 0\n", encoding="utf-8")
+        pos, neg = default_seed_files()
+        out = tmp_path / "m.json"
+        argv = ["train-relation", "--occurrences", str(relation_setup), "--seeds-pos", pos,
+                "--seeds-neg", neg, "--embeddings", str(vec), "--hidden", "2",
+                "--epochs", "1", "--out", str(out)]
+        assert main(argv + (["--dim", dim] if dim else [])) == code
+        if code:
+            assert ("error: --dim 6 disagrees with four.vec, whose vectors have 4 dimensions"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+        else:
+            params, _vocab = load_relation_model(data_lines(out))
+            assert params.E.shape[1] == d
+
+    def test_dim_defaults_to_32_without_embeddings(self, relation_setup, tmp_path):
+        pos, neg = default_seed_files()
+        out = tmp_path / "m.json"
+        assert main(["train-relation", "--occurrences", str(relation_setup),
+                     "--seeds-pos", pos, "--seeds-neg", neg, "--hidden", "2",
+                     "--epochs", "1", "--out", str(out)]) == 0
+        params, _vocab = load_relation_model(data_lines(out))
+        assert params.E.shape[1] == 32
+
+
 class TestPredictAndReport:
     @pytest.fixture
     def trained_model(self, relation_setup, tmp_path):

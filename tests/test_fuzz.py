@@ -195,6 +195,30 @@ def test_parse_block_raises_only_corpus_format_error():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def space_in_surface(data, rng):
+    """Put a space somewhere inside the surface column of one token row."""
+    lines = data.split(b"\n")
+    row = rng.choice([i for i in data_lines(data) if lines[i].count(b"\t") == 4])
+    fields = lines[row].split(b"\t")
+    at = rng.randrange(len(fields[1]) + 1)
+    fields[1] = fields[1][:at] + b" " + fields[1][at:]
+    lines[row] = b"\t".join(fields)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("command", ["mine", "paths"])
+def test_space_in_surface_skips_the_sentence(workspace, tmp_path, capsys, command):
+    for seed in range(5):
+        rng = random.Random(f"{command}/space-in-surface/{seed}")
+        mutated = tmp_path / "corpus.ann"
+        mutated.write_bytes(space_in_surface((workspace / "corpus.ann").read_bytes(), rng))
+        capsys.readouterr()
+        assert main(argv(command, workspace, mutated, tmp_path / "out")) == 0
+        err = capsys.readouterr().err
+        assert "corpus.ann: skipping sentence: line " in err
+        assert "surface form contains whitespace" in err
+
+
 # A layer that each command calls through its module, so a patch reaches it.
 LAYERS = [
     ("mine", mining, "mine_corpus"),

@@ -341,14 +341,6 @@ class TestGradients:
         assert np.all(grads.E[vocab.id_of("park")] == 0.0)
         assert np.any(grads.E[vocab.id_of("amod()")] != 0.0)
 
-    def test_fine_tune_flag_unfreezes(self):
-        store = make_store({"children": [0.1] * 4})
-        vocab = small_vocab(store)
-        params = init_params(vocab, d=4, h=4, store=store, seed=4)
-        example = RelationExample("amod() children", "park", "x", NEGATIVE)
-        _, grads = loss_and_gradients(params, vocab, example, fine_tune_words=True)
-        assert np.any(grads.E[vocab.id_of("children")] != 0.0)
-
     def test_matches_finite_differences(self):
         rng = random.Random(2025)
         store = make_store({"children": [0.05] * 6, "park": [-0.05] * 6})

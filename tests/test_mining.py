@@ -2,7 +2,7 @@
 
 import random
 
-from soundkb.corpus import Sentence, Token, DepEdge, parse_annotated_corpus
+from soundkb.corpus import Sentence, parse_annotated_corpus
 from soundkb.mining import (
     PATTERNS,
     CandidateMention,
@@ -23,18 +23,14 @@ from conftest import PATTERN_EXAMPLES_CORPUS, CANONICAL_CONCEPTS
 
 
 def sentence_from(words_tags: list[tuple[str, str]]) -> Sentence:
-    tokens = tuple(
-        Token(i, w, p) for i, (w, p) in enumerate(words_tags, 1)
-    )
-    edges = (DepEdge("root", 0, 1),) + tuple(
-        DepEdge("dep", 1, i) for i in range(2, len(tokens) + 1)
-    )
-    return Sentence(tokens, edges, sent_id="t")
+    words, tags = zip(*words_tags)
+    rest = len(words) - 1
+    return Sentence(words, tags, (0,) + (1,) * rest, ("root",) + ("dep",) * rest, sent_id="t")
 
 
 def mention_of(words_tags: list[tuple[str, str]]) -> CandidateMention:
-    tokens = tuple(Token(i + 10, w, p) for i, (w, p) in enumerate(words_tags, 1))
-    return CandidateMention(sentence_ref="t", trigger_span=(9, 10), y_tokens=tokens)
+    words, tags = zip(*words_tags)
+    return CandidateMention(sentence_ref="t", trigger_span=(9, 10), words=words, tags=tags)
 
 
 class TestCandidates:
@@ -44,8 +40,9 @@ class TestCandidates:
              ("cars", "NNS"), ("filled", "VBD"), ("the", "DT"), ("street", "NN")]
         )
         (mention,) = find_candidate_mentions(sent)
-        assert [t.surface for t in mention.y_tokens][:2] == ["honking", "cars"]
-        assert len(mention.y_tokens) == 4
+        assert mention.words[:2] == ("honking", "cars")
+        assert mention.tags == ("VBG", "NNS", "VBD", "DT")
+        assert len(mention.words) == 4
         assert mention.trigger_span == (2, 3)
 
     def test_plural_trigger_and_final_punct(self):
@@ -53,7 +50,7 @@ class TestCandidates:
             [("sounds", "NNS"), ("of", "IN"), ("gunshots", "NNS"), (".", ".")]
         )
         (mention,) = find_candidate_mentions(sent)
-        assert [t.surface for t in mention.y_tokens] == ["gunshots"]
+        assert mention.words == ("gunshots",)
 
     def test_no_trigger(self):
         sent = sentence_from([("a", "DT"), ("quiet", "JJ"), ("park", "NN")])
@@ -69,7 +66,7 @@ class TestCandidates:
             + [(f"w{i}", "NN") for i in range(6)]
         )
         (mention,) = find_candidate_mentions(sent)
-        assert len(mention.y_tokens) == 4
+        assert len(mention.words) == 4
 
     def test_two_triggers_two_candidates(self):
         sent = sentence_from(
@@ -156,9 +153,9 @@ class TestPatternMatch:
             match = match_valid_pattern(mention_of(window))
             if match is None:
                 continue
-            assert match.concept_tokens[0].pos != "DT"
+            assert match.tags[0] != "DT"
             rematch = match_valid_pattern(
-                CandidateMention("t", (0, 1), match.concept_tokens)
+                CandidateMention("t", (0, 1), match.words, match.tags)
             )
             assert rematch is not None and rematch.pattern == match.pattern
 
@@ -173,7 +170,7 @@ class TestAggregate:
             from soundkb.mining import PatternMatch
 
             out.append(
-                (m, PatternMatch(pattern, m.y_tokens, len(words)))
+                (m, PatternMatch(pattern, m.words, m.tags, len(words)))
             )
         return out
 
@@ -234,7 +231,7 @@ class TestCorpusMining:
         sentences = parse_annotated_corpus(PATTERN_EXAMPLES_CORPUS.splitlines())
         for mention_match in map(mine_sentence, sentences):
             for _mention, match in mention_match:
-                assert match.concept_tokens[0].pos != "DT"
+                assert match.tags[0] != "DT"
 
 
 class TestTopK:
