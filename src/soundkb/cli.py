@@ -239,9 +239,13 @@ def cmd_classify(args) -> int:
     with _naming(model_path):
         model = phrase.load_model(lines)
     store = _load_store(emb_path)
+    width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
+    if width != model.dimension:  # checked before the output file is opened
+        with _naming(model_path, emb_path):
+            raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
     bigrams = [(cols[0], cols[1]) for _, cols in _rows(phrases_path, 2, "phrase", exact=False)]
 
-    with _open_out(Path(args.out)) as sink, _naming(model_path, emb_path):
+    with _open_out(Path(args.out)) as sink:
         sink.write(
             f"# {_provenance('classify', None, [model_path, emb_path, phrases_path])}\n"
         )

@@ -9,6 +9,7 @@ vectors (AWV) or by concatenating them (CWV).
 from __future__ import annotations
 
 import array
+import itertools
 import logging
 from typing import IO, Iterable
 
@@ -56,9 +57,69 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
 
     The dimension is fixed by the first vector line; every later line
     must agree, and every component must be finite, or the load fails,
-    naming the offending line.  The vectors are the rows of one matrix,
-    checked for non-finite components in one pass.
+    naming the offending line.  Components are whitespace-separated
+    numbers in Python ``float`` syntax.
+
+    numpy's C text reader parses a file of plain rows in one pass.  A
+    file it cannot prove valid is read again by the per-row reader,
+    which names the bad line, or accepts the number forms that ``float``
+    reads and numpy does not (``1_0``, ``１``).
     """
+    lines = list(lines)  # read twice when the fast pass gives up
+    store = _load_plain(lines)
+    return store if store is not None else _load_per_row(lines)
+
+
+class _NotPlain(Exception):
+    """A row that the fast pass leaves to the per-row reader."""
+
+
+def _load_plain(lines: list[str]) -> EmbeddingStore | None:
+    """The store, if numpy reads every row and every check passes; else None."""
+    table: dict[str, np.ndarray | None] = {}  # word -> row, in row order
+    header_dim: int | None = None
+
+    def components():
+        nonlocal header_dim
+        first_content = True
+        for raw in lines:
+            parts = raw.split(None, 1)
+            if not parts:
+                continue
+            if first_content:
+                first_content = False
+                header_dim = _header_dim(raw.split())
+                if header_dim is not None:
+                    continue
+            word = parts[0].lower()
+            if len(parts) == 1 or word in table:
+                raise _NotPlain
+            table[word] = None
+            yield parts[1]
+
+    rows = components()
+    try:
+        # with no row at all, loadtxt would warn and return an empty matrix
+        first = next(rows)
+        # Given an upper bound on the rows, numpy allocates the matrix once
+        # (as wide as the first row) instead of growing it, which keeps the
+        # peak memory at the per-row reader's.  If a first row much wider
+        # than the rest makes that allocation fail, the per-row reader
+        # names the first short row.
+        matrix = np.loadtxt(itertools.chain([first], rows), comments=None,
+                            dtype=np.float64, ndmin=2, max_rows=len(lines))
+    except (StopIteration, _NotPlain, ValueError, MemoryError):
+        return None
+    n, dimension = matrix.shape
+    # n != len(table) if numpy skipped a row it took for blank: the words would shift
+    if n != len(table) or header_dim not in (None, dimension) or not _all_finite(matrix):
+        return None
+    return _store(table, matrix)
+
+
+def _load_per_row(lines: Iterable[str]) -> EmbeddingStore:
+    """The reference reader: parse and check one row at a time, naming the
+    first bad line."""
     table: dict[str, np.ndarray | None] = {}  # word -> row, in row order
     line_nos = array.array("q")  # row -> line of the file
     components = array.array("d")  # the rows, end to end
@@ -72,8 +133,8 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
         fields = line.split()
         if first_content:
             first_content = False
-            if len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
-                header_dim = int(fields[1])
+            header_dim = _header_dim(fields)
+            if header_dim is not None:
                 continue
         word = fields[0].lower()
         try:
@@ -102,13 +163,18 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
     if dimension is None:
         raise EmbeddingFormatError("no vector lines in embedding file")
     matrix = np.frombuffer(components, dtype=np.float64).reshape(len(line_nos), dimension)
-    # nan and inf survive min() and max(), so two reductions check the table
-    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+    if not _all_finite(matrix):
         bad = line_nos[int(np.isfinite(matrix).all(axis=1).argmin())]
         raise EmbeddingFormatError(f"line {bad}: non-finite vector component")
-    for word, row in zip(table, matrix):
-        table[word] = row
-    return EmbeddingStore(dimension, table)
+    return _store(table, matrix)
+
+
+def _header_dim(fields: list[str]) -> int | None:
+    """The dimension a ``count dim`` header line declares, or None for a
+    line that is no header."""
+    if len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
+        return int(fields[1])
+    return None
 
 
 def _is_int(text: str) -> bool:
@@ -117,6 +183,18 @@ def _is_int(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _all_finite(matrix: np.ndarray) -> bool:
+    # nan and inf survive min() and max(), so two reductions check the table
+    return bool(np.isfinite(matrix.min()) and np.isfinite(matrix.max()))
+
+
+def _store(table: dict[str, np.ndarray | None], matrix: np.ndarray) -> EmbeddingStore:
+    """The store whose words, in order, name the rows of ``matrix``."""
+    for word, row in zip(table, matrix):
+        table[word] = row
+    return EmbeddingStore(matrix.shape[1], table)
 
 
 def dump_embeddings(store: EmbeddingStore, out: IO[str]) -> None:

@@ -621,7 +621,10 @@ class TestDataErrorsNameTheirInput:
                           "--out", str(tmp_path / "m.json")], capsys)
         assert f"rows.tsv line 3: {message}" in err
 
-    def test_model_and_vectors_disagree_in_dimension(self, tmp_path, capsys):
+    @staticmethod
+    def _classify_with_three_dims(tmp_path, capsys, phrases_text: str):
+        """Train on 2-d vectors, classify with 3-d ones; the command's stderr
+        and the --out path."""
         vec2 = tmp_path / "two.vec"
         vec2.write_text("pa 1 0\npb 2 0\nna -1 0\nnb -2 0\nqa 1.5 0\nqb -1.5 0\n"
                         "ra 0.5 1\nrb -0.5 1\n", encoding="utf-8")
@@ -634,11 +637,21 @@ class TestDataErrorsNameTheirInput:
         vec3 = tmp_path / "three.vec"
         vec3.write_text("pa 1 0 0\npb 2 0 0\n", encoding="utf-8")
         phrases = tmp_path / "phrases.tsv"
-        phrases.write_text("pa\tpb\n", encoding="utf-8")
+        phrases.write_text(phrases_text, encoding="utf-8")
+        out = tmp_path / "p.tsv"
         err = data_error(["classify", "--model", str(model), "--embeddings", str(vec3),
-                          "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")],
-                         capsys)
+                          "--phrases", str(phrases), "--out", str(out)], capsys)
+        return err, out
+
+    def test_model_and_vectors_disagree_in_dimension(self, tmp_path, capsys):
+        err, out = self._classify_with_three_dims(tmp_path, capsys, "pa\tpb\n")
         assert "model.json, three.vec: feature dimension 3 != model dimension 2" in err
+        assert not out.exists()
+
+    def test_dimension_mismatch_with_only_oov_phrases(self, tmp_path, capsys):
+        err, out = self._classify_with_three_dims(tmp_path, capsys, "oov\tunseen\n")
+        assert "model.json, three.vec: feature dimension 3 != model dimension 2" in err
+        assert not out.exists()
 
     def test_relation_model_error_names_the_file(self, relation_setup, tmp_path, capsys):
         model = tmp_path / "bad.json"

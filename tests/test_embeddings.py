@@ -1,11 +1,13 @@
 """Embedding store loading and AWV/CWV phrase features."""
 
 import io
+import random
+import warnings
 
 import numpy as np
 import pytest
 
-from soundkb import DataError
+from soundkb import DataError, embeddings
 from soundkb.embeddings import (
     EmbeddingFormatError,
     PhraseUnrepresentableError,
@@ -15,6 +17,13 @@ from soundkb.embeddings import (
 )
 
 from conftest import make_store
+
+
+def _assert_no_vector_lines(lines):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it reads no row
+        with pytest.raises(EmbeddingFormatError, match="^no vector lines in embedding file$"):
+            load_embeddings(lines)
 
 
 class TestLoad:
@@ -29,6 +38,18 @@ class TestLoad:
     def test_dimension_error_names_line(self):
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(["cat 1 2 3 4", "dog 1 2 3"])
+
+    def test_extra_column_is_rejected(self):
+        with pytest.raises(EmbeddingFormatError, match="^line 2: expected 4 components, got 5$"):
+            load_embeddings(["cat 1 2 3 4", "dog 1 2 3 4 5", "owl 1 2 3 4"])
+
+    def test_one_row(self):
+        store = load_embeddings(["cat 0.5 -2"])
+        assert store.dimension == 2 and store.words() == ["cat"]
+
+    def test_word_alone_has_no_components(self):
+        with pytest.raises(EmbeddingFormatError, match="^line 1: no vector components$"):
+            load_embeddings(["cat"])
 
     def test_header_line(self):
         rows = [f"w{i} " + " ".join(["0.25"] * 300) for i in range(2)]
@@ -58,8 +79,11 @@ class TestLoad:
             load_embeddings(["cat 1 2", "dog 1 -inf", "owl nan 1"])
 
     def test_empty_file(self):
-        with pytest.raises(EmbeddingFormatError, match="no vector lines"):
-            load_embeddings([])
+        _assert_no_vector_lines([])
+
+    @pytest.mark.parametrize("lines", [["", "  \t "], ["2 3"], ["", "2 3", " "]])
+    def test_no_vector_lines_without_warning(self, lines):
+        _assert_no_vector_lines(lines)
 
     def test_lookup_is_lowercased(self):
         store = load_embeddings(["Cat 1 2"])
@@ -77,6 +101,102 @@ class TestLoad:
             np.testing.assert_allclose(
                 again.get(word), store.get(word), rtol=1e-8, atol=0
             )
+
+
+# Atoms where numpy's text reader and Python's float() may part ways, or
+# that the per-row reader rejects: overflow, non-finite values, forms only
+# float() reads (underscores, non-ASCII digits), forms neither reads, and
+# numpy's default comment and quote characters.
+FUZZ_ATOMS = ["1e5", "1e999", "nan", "Infinity", "-inf", "1_0", "\uff11", ".", "1.2.3",
+              "9" * 320, "1e-400", "-0", "1.", ".5", "+1", "0x10", "#2", '"3"']
+FUZZ_SEPARATORS = [" ", "\t", "  ", "\xa0", "\x0b", "\x1c", "\x85", "\r", "\n"]
+FUZZ_WORDS = ["cat", "Cat", "CAT", "dog", "#owl", '"owl', "'bee", "1", "2", "Stra\u00dfe"]
+
+
+def _fuzz_number(rng: random.Random) -> str:
+    if rng.random() < 0.08:
+        return rng.choice(FUZZ_ATOMS)
+    kind = rng.random()
+    if kind < 0.4:
+        return repr(rng.uniform(-5, 5))
+    if kind < 0.7:
+        return f"{rng.gauss(0, 3):.{rng.randint(0, 9)}g}"
+    return str(rng.randint(-20, 20))
+
+
+def _fuzz_vec(rng: random.Random) -> list[str]:
+    """A small ``.vec`` text, mostly plain rows, sometimes a hard one."""
+    dim, n = rng.randint(1, 4), rng.randint(0, 6)
+    lines = []
+    header = rng.random()
+    if header < 0.3:
+        lines.append(f"{n} {dim}")
+    elif header < 0.4:
+        lines.append(rng.choice([f"{n} {dim + 1}", "3", "2 2 2", f" {n}\t{dim} ", "x 2",
+                                 f"{n} 1_0", "0 0"]))
+    for _ in range(n):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "\t", "\xa0"]))
+            continue
+        width = dim if rng.random() < 0.9 else rng.choice([0, dim - 1, dim + 1])
+        word = rng.choice(FUZZ_WORDS) if rng.random() < 0.4 else f"w{rng.randint(0, 10**6)}"
+        odd = rng.random() < 0.2
+        row = word + "".join((rng.choice(FUZZ_SEPARATORS) if odd else " ") + _fuzz_number(rng)
+                             for _ in range(width))
+        if rng.random() < 0.1:
+            row = rng.choice([" ", "\t", "\xa0"]) + row
+        if rng.random() < 0.1:
+            row += rng.choice([" ", "\t", "\xa0", "\n", "\r"])
+        lines.append(row)
+    return lines
+
+
+def _outcome(load, lines):
+    try:
+        store = load(lines)
+    except EmbeddingFormatError as err:
+        return type(err), str(err)
+    words = store.words()
+    return store.dimension, words, [store.get(w).tobytes() for w in words]
+
+
+class TestFastPass:
+    """numpy's reader against the per-row reference reader."""
+
+    def test_differential_fuzz(self):
+        rng = random.Random(7)
+        fast = 0
+        for _ in range(20_000):
+            lines = _fuzz_vec(rng)
+            want = _outcome(embeddings._load_per_row, lines)
+            assert _outcome(load_embeddings, lines) == want, lines
+            plain = embeddings._load_plain(lines)
+            if plain is not None:
+                fast += 1
+                assert _outcome(lambda _: plain, lines) == want, lines
+        assert fast > 5_000  # the fuzz reaches the fast pass, not only the fallback
+
+    def test_plain_file_never_falls_back(self, monkeypatch):
+        def per_row(lines):
+            raise AssertionError("a plain file reached the per-row reader")
+
+        monkeypatch.setattr(embeddings, "_load_per_row", per_row)
+        lines = ["4 3", "", "Cat 1 -2.5 3e-3", "dog\t0 0 0 ", "  #owl +1 1e5 .5", "\"bee -0 1. 2"]
+        store = load_embeddings(lines)
+        assert store.dimension == 3 and store.words() == ["cat", "dog", "#owl", '"bee']
+        assert np.array_equal(store.get("#OWL"), [1, 1e5, 0.5])
+
+    def test_wide_first_row_is_named_not_allocated(self):
+        # numpy sizes its matrix from the first row: 100,001 x 20,000 floats
+        lines = ["wide " + "1 " * 20_000] + [f"w{i} 1" for i in range(100_000)]
+        with pytest.raises(EmbeddingFormatError,
+                           match="^line 2: expected 20000 components, got 1$"):
+            load_embeddings(lines)
+
+    @pytest.mark.parametrize("component, value", [("1_0", 10.0), ("\uff11", 1.0)])
+    def test_float_syntax_numpy_rejects_still_loads(self, component, value):
+        assert embeddings._load_plain([f"cat {component} 2"]) is None
+        assert np.array_equal(load_embeddings([f"cat {component} 2"]).get("cat"), [value, 2])
 
 
 class TestFeatures:
