@@ -22,7 +22,6 @@ import hashlib
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import DataError, __version__, corpus, embeddings, lstm, mining, paths, phrase
@@ -381,19 +380,6 @@ def cmd_predict(args) -> int:
 # ------------------------------------------------------------------ report
 
 
-@dataclass(frozen=True)
-class Relation:
-    scene: str
-    concept: str
-    p_positive: float
-    decision: str
-
-
-@dataclass
-class KnowledgeBase:
-    relations: list[Relation]
-
-
 def _read_predictions(
     path: Path, lexicon: paths.EnvironmentLexicon
 ) -> list[tuple[str, str, float]]:
@@ -417,32 +403,30 @@ def _read_predictions(
     return rows
 
 
-def build_kb(predictions: list[tuple[str, str, float]], threshold: float) -> KnowledgeBase:
-    """Aggregate per-path predictions into one relation per scene-sound pair.
+def build_kb(
+    predictions: list[tuple[str, str, float]], threshold: float
+) -> dict[str, list[str]]:
+    """The sounds of each scene whose probability reaches ``threshold``.
 
-    A pair seen along several paths keeps its highest probability.
+    A pair seen along several paths keeps its highest probability; each
+    scene's sounds are ordered by descending probability, then by name.
     """
     best: dict[tuple[str, str], float] = {}
     for scene, concept, p in predictions:
         key = (scene, concept)
         if p > best.get(key, -1.0):
             best[key] = p
-    relations = [
-        Relation(scene, concept, p, "yes" if p >= threshold else "no")
-        for (scene, concept), p in sorted(best.items())
-    ]
-    return KnowledgeBase(relations=relations)
+    by_scene: dict[str, list[str]] = {}
+    for (scene, concept), p in sorted(best.items(), key=lambda item: (-item[1], item[0])):
+        if p >= threshold:
+            by_scene.setdefault(scene, []).append(concept)
+    return by_scene
 
 
 def cmd_report(args) -> int:
     pred_path = Path(args.predictions)
     lexicon = _lexicon(args)
-    kb = build_kb(_read_predictions(pred_path, lexicon), args.threshold)
-
-    by_scene: dict[str, list[Relation]] = {}
-    for rel in kb.relations:
-        if rel.decision == "yes":
-            by_scene.setdefault(rel.scene, []).append(rel)
+    by_scene = build_kb(_read_predictions(pred_path, lexicon), args.threshold)
 
     with _open_out(Path(args.out)) as sink:
         sink.write(
@@ -450,12 +434,10 @@ def cmd_report(args) -> int:
         )
         sink.write("# environment\tsounds\n")
         for scene in lexicon.entries:
-            chosen = sorted(
-                by_scene.get(scene, ()), key=lambda r: (-r.p_positive, r.concept)
-            )
+            chosen = by_scene.get(scene, [])
             if args.top_k:
                 chosen = chosen[: args.top_k]
-            sink.write(f"{scene}\t{', '.join(r.concept for r in chosen)}\n")
+            sink.write(f"{scene}\t{', '.join(chosen)}\n")
     return EXIT_OK
 
 

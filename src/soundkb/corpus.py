@@ -59,14 +59,12 @@ class Sentence:
 class DepGraph:
     """Undirected view of a sentence's dependencies.
 
-    ``adjacency[i]`` lists ``(neighbor, label, head_to_dep)`` for every
-    non-root edge touching token ``i``; ``head_to_dep`` is True when the
-    edge points from ``i`` to the neighbor.  The root pseudo-node is not
-    part of the graph.
+    ``adjacency[i]`` lists ``(neighbor, label)`` for every non-root edge
+    touching token ``i``.  The root pseudo-node is not part of the graph.
     """
 
     words: tuple[str, ...]
-    adjacency: tuple[tuple[tuple[int, str, bool], ...], ...]
+    adjacency: tuple[tuple[tuple[int, str], ...], ...]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -74,15 +72,8 @@ class DepGraph:
     def word(self, index: int) -> str:
         return self.words[index - 1]
 
-    def neighbors(self, index: int) -> tuple[tuple[int, str, bool], ...]:
+    def neighbors(self, index: int) -> tuple[tuple[int, str], ...]:
         return self.adjacency[index - 1]
-
-    def degree(self, index: int) -> int:
-        return len(self.adjacency[index - 1])
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(adj) for adj in self.adjacency) // 2
 
 
 def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sentence:
@@ -258,10 +249,10 @@ def build_dep_graph(sentence: Sentence) -> DepGraph:
     The root edge is excluded: paths through the root pseudo-node are
     linguistically meaningless.
     """
-    adjacency: list[list[tuple[int, str, bool]]] = [[] for _ in sentence.words]
+    adjacency: list[list[tuple[int, str]]] = [[] for _ in sentence.words]
     for dependent, (head, label) in enumerate(zip(sentence.heads, sentence.labels), 1):
         if head:
-            adjacency[head - 1].append((dependent, label, True))
-            adjacency[dependent - 1].append((head, label, False))
+            adjacency[head - 1].append((dependent, label))
+            adjacency[dependent - 1].append((head, label))
     words = tuple(word.lower() for word in sentence.words)
     return DepGraph(words=words, adjacency=tuple(tuple(a) for a in adjacency))

@@ -406,10 +406,6 @@ def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> N
     out.write("\n")
 
 
-# version 1 stored one array per gate: W_xi ... W_xu, U_hi ... U_hu, b_i ... b_u
-_V1_PREFIXES = {"W": "W_x", "U": "U_h", "b": "b_"}
-
-
 def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
     try:
         array = np.array(doc[name], dtype=np.float64)
@@ -427,7 +423,7 @@ def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, PathVocab]:
-    """Read a version 2 model, or a version 1 one with per-gate arrays.
+    """Read a version 2 relation model; older versions are not read.
 
     Any defect (bad JSON, unknown version, missing, mis-shaped or
     non-finite arrays, a malformed vocabulary) raises ``DataError``.
@@ -440,7 +436,7 @@ def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, Pa
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError("not a relation model file")
     version, d, h, entries = (doc.get(key) for key in ("version", "d", "h", "vocab"))
-    if type(version) is not int or version not in (1, MODEL_VERSION):
+    if type(version) is not int or version != MODEL_VERSION:
         raise DataError(f"unsupported relation model version {version!r}")
     if not all(type(v) is int and v > 0 for v in (d, h)):
         raise DataError("relation model dimensions d and h must be positive integers")
@@ -456,13 +452,5 @@ def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, Pa
 
     shapes = {"E": (len(vocab), d), "W": (4 * h, d), "U": (4 * h, h), "b": (4 * h,),
               "W_r": (2, h)}
-    arrays = {}
-    for name, shape in shapes.items():
-        if version == 1 and name in _V1_PREFIXES:
-            arrays[name] = np.concatenate([
-                _model_array(doc, _V1_PREFIXES[name] + gate, (h,) + shape[1:])
-                for gate in "ifou"
-            ])
-        else:
-            arrays[name] = _model_array(doc, name, shape)
+    arrays = {name: _model_array(doc, name, shape) for name, shape in shapes.items()}
     return LstmParams(**arrays), vocab

@@ -50,10 +50,8 @@ PATTERN_IDS = tuple(p.id for p in PATTERNS)
 
 @dataclass(frozen=True)
 class CandidateMention:
-    """One occurrence of the trigger with its following phrase window."""
+    """The phrase window that follows one occurrence of the trigger."""
 
-    sentence_ref: str
-    trigger_span: tuple[int, int]
     words: tuple[str, ...]
     tags: tuple[str, ...]
 
@@ -96,12 +94,7 @@ def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
                 end += 1
             if end > start:
                 found.append(
-                    CandidateMention(
-                        sentence_ref=sentence.sent_id,
-                        trigger_span=(i + 1, i + 2),
-                        words=words[start:end],
-                        tags=tags[start:end],
-                    )
+                    CandidateMention(words=words[start:end], tags=tags[start:end])
                 )
     return found
 

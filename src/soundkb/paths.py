@@ -89,9 +89,14 @@ class EnvironmentLexicon:
     def __post_init__(self):
         if not self.entries:
             raise DataError("environment lexicon is empty")
+        seen = set()
         for entry in self.entries:
             if entry != entry.lower() or not entry.strip():
                 raise DataError(f"lexicon entries must be lowercase: {entry!r}")
+            words = tuple(entry.split())
+            if words in seen:
+                raise DataError(f"duplicate lexicon entry: {entry!r}")
+            seen.add(words)
         object.__setattr__(self, "index", PhraseIndex(self.entries))
 
     @classmethod
@@ -110,13 +115,16 @@ class EnvironmentLexicon:
 
 @dataclass(frozen=True)
 class MentionPair:
-    sentence_ref: str
     concept_text: str
     concept_span: tuple[int, int]
     concept_anchor: int
     scene: str
     env_span: tuple[int, int]
-    env_anchor: int
+
+    @property
+    def env_anchor(self) -> int:
+        """An environment anchors on the last token of its span."""
+        return self.env_span[1]
 
     def in_mention(self, index: int) -> bool:
         return (self.concept_span[0] <= index <= self.concept_span[1]) or (
@@ -176,13 +184,11 @@ def find_mention_pairs(
                 continue
             pairs.append(
                 MentionPair(
-                    sentence_ref=sentence.sent_id,
                     concept_text=c_text,
                     concept_span=(c_start, c_end),
                     concept_anchor=anchor,
                     scene=scene,
                     env_span=(e_start, e_end),
-                    env_anchor=e_end,
                 )
             )
     return pairs
@@ -205,7 +211,7 @@ def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | No
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for neighbor, _label, _direction in graph.neighbors(node):
+        for neighbor, _label in graph.neighbors(node):
             if neighbor not in dist:
                 dist[neighbor] = dist[node] + 1
                 queue.append(neighbor)
@@ -221,14 +227,14 @@ def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | No
         if node == source:
             sequences.append(tail)
             continue
-        for neighbor, _label, _direction in graph.neighbors(node):
+        for neighbor, _label in graph.neighbors(node):
             if dist.get(neighbor) == dist[node] - 1:
                 stack.append((neighbor, (neighbor,) + tail))
 
     best: tuple[str, tuple[int, ...], DepPath] | None = None
     for nodes in sequences:
         labels = tuple(
-            min(lab for neighbor, lab, _direction in graph.neighbors(a) if neighbor == b)
+            min(lab for neighbor, lab in graph.neighbors(a) if neighbor == b)
             for a, b in zip(nodes, nodes[1:])
         )
         path = DepPath(
@@ -281,14 +287,12 @@ def occurrences_for_sentence(
     sentence: Sentence,
     concepts: PhraseIndex,
     lexicon: EnvironmentLexicon,
-    graph: DepGraph | None = None,
 ) -> list[PathOccurrence]:
     """Rendered-path occurrences for every connected mention pair."""
     pairs = find_mention_pairs(sentence, concepts, lexicon)
     if not pairs:
         return []
-    if graph is None:
-        graph = build_dep_graph(sentence)
+    graph = build_dep_graph(sentence)
     occurrences = []
     for pair in pairs:
         path = shortest_dep_path(graph, pair.env_anchor, pair.concept_anchor)
@@ -299,7 +303,7 @@ def occurrences_for_sentence(
                 scene=pair.scene,
                 concept=pair.concept_text,
                 path=render_path(path, pair),
-                sentence_ref=pair.sentence_ref,
+                sentence_ref=sentence.sent_id,
             )
         )
     return occurrences
@@ -362,14 +366,10 @@ def generate_training_examples(
 
 
 def load_seed_paths(lines: Iterable[str]) -> list[str]:
-    """One rendered path per line; blanks and comments ignored."""
-    paths = []
-    for raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            if line not in paths:
-                paths.append(line)
-    return paths
+    """One rendered path per line, each kept once in first-seen order;
+    blanks and comments ignored."""
+    stripped = (raw.strip() for raw in lines)
+    return list(dict.fromkeys(line for line in stripped if line and not line.startswith("#")))
 
 
 def default_seed_paths() -> tuple[list[str], list[str]]:

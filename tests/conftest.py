@@ -160,8 +160,22 @@ def separable_phrase_data(n_per_class: int, dim: int, seed: int, margin: float =
     return make_store(vectors), labeled
 
 
-# A version 1 relation model, written by hand: one array per gate.
-V1_RELATION_MODEL = """\
+# A relation model written by hand; W, U and b stack the gates in the
+# order i, f, o, u.
+RELATION_MODEL = """\
+{"format": "soundkb-relation-model", "version": 2, "d": 2, "h": 2,
+ "vocab": [["<unk>", "learned"], ["amod()", "learned"], ["park", "learned"]],
+ "E": [[0.1, -0.2], [0.3, 0.05], [-0.4, 0.2]],
+ "W": [[0.1, 0.2], [-0.3, 0.4], [0.5, -0.1], [0.2, 0.2],
+       [-0.2, 0.3], [0.1, -0.5], [0.4, 0.1], [-0.1, 0.3]],
+ "U": [[0.2, -0.1], [0.1, 0.3], [-0.3, 0.2], [0.4, 0.1],
+       [0.1, 0.1], [-0.2, 0.2], [0.3, -0.4], [0.2, 0.1]],
+ "b": [0.0, 0.1, 1.0, 1.0, -0.1, 0.0, 0.2, -0.2],
+ "W_r": [[0.5, -0.5], [-0.3, 0.7]]}
+"""
+
+# The same model in the retired version 1 format, one array per gate.
+_VERSION_1_MODEL = """\
 {"format": "soundkb-relation-model", "version": 1, "d": 2, "h": 2,
  "vocab": [["<unk>", "learned"], ["amod()", "learned"], ["park", "learned"]],
  "E": [[0.1, -0.2], [0.3, 0.05], [-0.4, 0.2]],
@@ -177,9 +191,9 @@ V1_RELATION_MODEL = """\
 def malformed_relation_models() -> dict[str, str]:
     """Broken relation model documents, each a copy of a good one with one defect."""
     buf = io.StringIO()
-    save_relation_model(*load_relation_model(io.StringIO(V1_RELATION_MODEL)), buf)
+    save_relation_model(*load_relation_model(io.StringIO(RELATION_MODEL)), buf)
     v2 = buf.getvalue()
-    cases = {"truncated-json": v2[: len(v2) // 2]}
+    cases = {"truncated-json": v2[: len(v2) // 2], "version-1": _VERSION_1_MODEL}
 
     def variant(name, text, mutate):
         doc = json.loads(text)
@@ -200,8 +214,8 @@ def malformed_relation_models() -> dict[str, str]:
     variant("bad-flag", v2, lambda doc: doc["vocab"].__setitem__(2, ["park", "frozen"]))
     variant("pretrained-edge-label", v2,
             lambda doc: doc["vocab"].__setitem__(1, ["amod()", "pretrained"]))
-    variant("v1-missing-gate", V1_RELATION_MODEL, lambda doc: doc.pop("U_hf"))
-    variant("v1-mis-shaped-gate", V1_RELATION_MODEL, lambda doc: doc["W_xo"].pop())
+    variant("v1-missing-gate", _VERSION_1_MODEL, lambda doc: doc.pop("U_hf"))
+    variant("v1-mis-shaped-gate", _VERSION_1_MODEL, lambda doc: doc["W_xo"].pop())
     return cases
 
 

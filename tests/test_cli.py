@@ -1,7 +1,6 @@
 """CLI subcommands: outputs, diagnostics, exit codes."""
 
 import hashlib
-import io
 from importlib import resources
 
 import pytest
@@ -10,11 +9,12 @@ from soundkb import DataError, cli, embeddings, phrase
 from soundkb.cli import main
 from soundkb.embeddings import dump_embeddings, featurize, load_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
+from soundkb.paths import EnvironmentLexicon
 
 from conftest import (
     PARK_BLOCK,
     PATTERN_EXAMPLES_CORPUS,
-    V1_RELATION_MODEL,
+    RELATION_MODEL,
     malformed_phrase_models,
     malformed_relation_models,
     separable_phrase_data,
@@ -428,18 +428,6 @@ class TestPredictAndReport:
         for row in rows:
             assert by_path.setdefault(row[2], row[3]) == row[3]
 
-    def test_predict_reads_version_1_model(self, relation_setup, tmp_path):
-        model = tmp_path / "v1.json"
-        model.write_text("# hand-written\n" + V1_RELATION_MODEL, encoding="utf-8")
-        out = tmp_path / "preds.tsv"
-        assert main(["predict", "--model", str(model),
-                     "--occurrences", str(relation_setup), "--out", str(out)]) == 0
-        params, vocab = load_relation_model(io.StringIO(V1_RELATION_MODEL))
-        p_amod, _ = predict_relation(params, vocab, ["amod()"])
-        rows = [row.split("\t") for row in data_lines(out)]
-        assert len(rows) == 40
-        assert {row[3] for row in rows if row[2] == "amod()"} == {f"{p_amod:.9g}"}
-
     @pytest.mark.parametrize("case", sorted(malformed_relation_models()))
     def test_malformed_model_is_data_error(self, case, relation_setup, tmp_path, capsys):
         model = tmp_path / "bad.json"
@@ -496,6 +484,31 @@ class TestPredictAndReport:
                      "--top-k", "2", "--out", str(out)]) == 0
         rows = {r.split("\t")[0]: r.split("\t")[1] for r in data_lines(out)}
         assert rows["park"] == "a, b"
+
+    @pytest.mark.parametrize("top_k, park", [
+        ("0", "dogs, gulls, wind"),
+        ("2", "dogs, gulls"),
+        ("1", "dogs"),
+    ])
+    def test_report_pins_pair_maximum_threshold_and_order(self, tmp_path, top_k, park):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text(
+            "park\tgulls\tp1()\t0.4\n"     # lower p first ...
+            "park\tgulls\tp2()\t0.8\n"     # ... then the higher one, which is kept
+            "park\tdogs\tp3()\t0.8\n"      # ties with gulls: ordered by name
+            "park\twind\tp4()\t0.5\n"      # exactly the threshold: kept
+            "park\twind\tp5()\t0.1\n"      # a lower p later does not replace it
+            "park\tbells\tp6()\t0.45\n"    # below the threshold
+            "beach\twaves\tp1()\t0.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "report.tsv"
+        assert main(["report", "--predictions", str(preds), "--threshold", "0.5",
+                     "--top-k", top_k, "--out", str(out)]) == 0
+        rows = [r.split("\t") for r in data_lines(out)]
+        assert [scene for scene, _ in rows] == list(EnvironmentLexicon.default().entries)
+        listed = {scene: sounds for scene, sounds in rows if sounds}
+        assert listed == {"park": park, "beach": "waves"}
 
     def test_unknown_scene_is_data_error(self, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
@@ -653,6 +666,13 @@ class TestDataErrorsNameTheirInput:
         assert "model.json, three.vec: feature dimension 3 != model dimension 2" in err
         assert not out.exists()
 
+    def test_version_1_model_names_the_file(self, relation_setup, tmp_path, capsys):
+        model = tmp_path / "old.json"
+        model.write_text(malformed_relation_models()["version-1"], encoding="utf-8")
+        err = data_error(["predict", "--model", str(model), "--occurrences",
+                          str(relation_setup), "--out", str(tmp_path / "p.tsv")], capsys)
+        assert "old.json: unsupported relation model version 1" in err
+
     def test_relation_model_error_names_the_file(self, relation_setup, tmp_path, capsys):
         model = tmp_path / "bad.json"
         model.write_text(malformed_relation_models()["duplicate-token"], encoding="utf-8")
@@ -666,8 +686,8 @@ class TestDataErrorsNameTheirInput:
         ("park\tc1\tamod()", "occurrence rows need 4 columns, got 3"),
     ])
     def test_occurrence_rows(self, relation_setup, tmp_path, capsys, row, message):
-        model = tmp_path / "v1.json"
-        model.write_text(V1_RELATION_MODEL, encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(RELATION_MODEL, encoding="utf-8")
         occ = tmp_path / "occ.tsv"
         occ.write_text(f"park\tc0\tamod()\ts0\n{row}\n", encoding="utf-8")
         err = data_error(["predict", "--model", str(model), "--occurrences", str(occ),
@@ -690,17 +710,31 @@ class TestDataErrorsNameTheirInput:
                           "--out", str(tmp_path / "m.json")], capsys)
         assert "occ.tsv, paths.pos, paths.neg: training diverged at epoch" in err
 
-    @pytest.mark.parametrize("command", ["paths", "report"])
-    def test_empty_environment_lexicon(self, command, tmp_path, capsys):
+    @staticmethod
+    def _with_lexicon(command, envs_text, tmp_path, capsys) -> str:
+        """Run ``command`` on empty inputs with ``envs_text`` as the lexicon; it
+        must exit 2 without writing its output.  Returns stderr."""
         envs = tmp_path / "envs.txt"
-        envs.write_text("# nothing\n\n", encoding="utf-8")
+        envs.write_text(envs_text, encoding="utf-8")
         inputs = tmp_path / "in.tsv"
         inputs.write_text("", encoding="utf-8")
         source = {"paths": ["--corpus", str(inputs), "--concepts", str(inputs)],
                   "report": ["--predictions", str(inputs)]}[command]
+        out = tmp_path / "o.tsv"
         err = data_error([command, *source, "--environments", str(envs),
-                          "--out", str(tmp_path / "o.tsv")], capsys)
+                          "--out", str(out)], capsys)
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["paths", "report"])
+    def test_empty_environment_lexicon(self, command, tmp_path, capsys):
+        err = self._with_lexicon(command, "# nothing\n\n", tmp_path, capsys)
         assert "envs.txt: environment lexicon is empty" in err
+
+    @pytest.mark.parametrize("command", ["paths", "report"])
+    def test_repeated_environment_entry(self, command, tmp_path, capsys):
+        err = self._with_lexicon(command, "park\nbeach\npark\n", tmp_path, capsys)
+        assert "envs.txt: duplicate lexicon entry: 'park'" in err
 
     @pytest.mark.parametrize("p", ["abc", "nan", "1.5", "-0.1", "inf", ""])
     def test_report_reads_p_strictly(self, tmp_path, capsys, p):

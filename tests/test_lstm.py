@@ -34,7 +34,7 @@ from soundkb.lstm import (
 )
 from soundkb.paths import NEGATIVE, POSITIVE, RelationExample
 
-from conftest import V1_RELATION_MODEL, make_store, malformed_relation_models
+from conftest import make_store, malformed_relation_models
 
 EDGE_LABELS = ["amod()", "det()", "prep_of()", "nsubj()", "conj_and()", "dobj()"]
 WORDS = ["children", "music", "dogs", "park", "noise", "heard", "came"]
@@ -558,27 +558,6 @@ class TestSerialization:
                              "b", "W_r"]
         assert (doc["format"], doc["version"], doc["d"], doc["h"]) == (
             "soundkb-relation-model", 2, 3, 4)
-
-    def test_version_1_stacks_gates_in_order(self):
-        params, vocab = load_relation_model(io.StringIO(V1_RELATION_MODEL))
-        doc = json.loads(V1_RELATION_MODEL)
-        assert vocab.tokens == ["<unk>", "amod()", "park"]
-        for name in "ifou":
-            np.testing.assert_array_equal(gate(params.W, name, 2), doc[f"W_x{name}"])
-            np.testing.assert_array_equal(gate(params.U, name, 2), doc[f"U_h{name}"])
-            np.testing.assert_array_equal(gate(params.b, name, 2), doc[f"b_{name}"])
-        np.testing.assert_array_equal(params.E, doc["E"])
-        np.testing.assert_array_equal(params.W_r, doc["W_r"])
-
-    def test_version_1_predicts_like_its_version_2_resave(self):
-        params, vocab = load_relation_model(io.StringIO(V1_RELATION_MODEL))
-        buf = io.StringIO()
-        save_relation_model(params, vocab, buf)
-        params2, vocab2 = load_relation_model(io.StringIO(buf.getvalue()))
-        assert vocab2.tokens == vocab.tokens
-        for tokens in (["amod()"], ["park", "amod()", "park"], ["neverseen"]):
-            assert predict_relation(params, vocab, tokens) == predict_relation(
-                params2, vocab2, tokens)
 
     @pytest.mark.parametrize("case", sorted(malformed_relation_models()))
     def test_malformed_documents_raise_value_error(self, case):

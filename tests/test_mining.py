@@ -30,7 +30,7 @@ def sentence_from(words_tags: list[tuple[str, str]]) -> Sentence:
 
 def mention_of(words_tags: list[tuple[str, str]]) -> CandidateMention:
     words, tags = zip(*words_tags)
-    return CandidateMention(sentence_ref="t", trigger_span=(9, 10), words=words, tags=tags)
+    return CandidateMention(words=words, tags=tags)
 
 
 class TestCandidates:
@@ -43,7 +43,6 @@ class TestCandidates:
         assert mention.words[:2] == ("honking", "cars")
         assert mention.tags == ("VBG", "NNS", "VBD", "DT")
         assert len(mention.words) == 4
-        assert mention.trigger_span == (2, 3)
 
     def test_plural_trigger_and_final_punct(self):
         sent = sentence_from(
@@ -154,9 +153,7 @@ class TestPatternMatch:
             if match is None:
                 continue
             assert match.tags[0] != "DT"
-            rematch = match_valid_pattern(
-                CandidateMention("t", (0, 1), match.words, match.tags)
-            )
+            rematch = match_valid_pattern(CandidateMention(match.words, match.tags))
             assert rematch is not None and rematch.pattern == match.pattern
 
 

@@ -29,13 +29,11 @@ PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
 
 def trivial_pair(env_anchor: int, concept_anchor: int) -> MentionPair:
     return MentionPair(
-        sentence_ref="t",
         concept_text="c",
         concept_span=(concept_anchor, concept_anchor),
         concept_anchor=concept_anchor,
         scene="s",
         env_span=(env_anchor, env_anchor),
-        env_anchor=env_anchor,
     )
 
 
@@ -53,13 +51,13 @@ def random_graph(rng: random.Random, max_nodes: int = 12) -> DepGraph:
             edges.add((min(a, b), max(a, b)))
     multi = []
     for a, b in sorted(edges):
-        multi.append((a, b, rng.choice(labels), True))
+        multi.append((a, b, rng.choice(labels)))
         if rng.random() < 0.1:
-            multi.append((a, b, rng.choice(labels), False))
+            multi.append((a, b, rng.choice(labels)))
     adjacency = [[] for _ in range(n)]
-    for a, b, label, head_to_dep in multi:
-        adjacency[a - 1].append((b, label, head_to_dep))
-        adjacency[b - 1].append((a, label, not head_to_dep))
+    for a, b, label in multi:
+        adjacency[a - 1].append((b, label))
+        adjacency[b - 1].append((a, label))
     words = tuple(f"w{i}" for i in range(1, n + 1))
     return DepGraph(words=words, adjacency=tuple(tuple(x) for x in adjacency))
 
@@ -115,7 +113,7 @@ def floyd_warshall(graph: DepGraph) -> list[list[float]]:
     inf = float("inf")
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
     for i in range(1, n + 1):
-        for neighbor, _, _ in graph.neighbors(i):
+        for neighbor, _ in graph.neighbors(i):
             dist[i - 1][neighbor - 1] = 1
     for k in range(n):
         for i in range(n):
@@ -141,6 +139,14 @@ class TestLexicon:
     def test_rejects_uppercase(self):
         with pytest.raises(ValueError):
             EnvironmentLexicon(("Park",))
+
+    @pytest.mark.parametrize("lines, repeated", [
+        (["park", "beach", "park"], "park"),
+        (["grocery store", "park", "Grocery  Store "], "grocery  store"),
+    ], ids=["exact", "inner-spacing"])
+    def test_rejects_repeated_entry(self, lines, repeated):
+        with pytest.raises(ValueError, match=f"duplicate lexicon entry: '{repeated}'"):
+            EnvironmentLexicon.from_lines(lines)
 
 
 class TestPhraseIndex:
@@ -343,7 +349,7 @@ class TestShortestPath:
             while frontier:
                 nxt = []
                 for node in frontier:
-                    for nb, _, _ in graph.neighbors(node):
+                    for nb, _ in graph.neighbors(node):
                         if nb not in dist:
                             dist[nb] = dist[node] + 1
                             nxt.append(nb)
@@ -365,7 +371,7 @@ class TestShortestPath:
                             items.append(graph.word(inner[k]))
                     strings.append(" ".join(items))
                     return
-                for nb, label, _ in graph.neighbors(node):
+                for nb, label in graph.neighbors(node):
                     if nb not in visited:
                         walk(nb, visited + [nb], labels + [label])
 
@@ -423,13 +429,11 @@ class TestRender:
         )
         graph = build_dep_graph(block_to_sentence(block))
         pair = MentionPair(
-            sentence_ref="t",
             concept_text="loud music",
             concept_span=(3, 4),
             concept_anchor=4,
             scene="park",
             env_span=(1, 1),
-            env_anchor=1,
         )
         path = shortest_dep_path(graph, 1, 4)
         assert path.nodes == (1, 2, 3, 4)
@@ -445,17 +449,16 @@ class TestRender:
             if path is None:
                 continue
             spans = sorted(rng.sample(range(1, n + 1), 2))
+            if not (spans[0] <= src <= spans[1]):
+                continue
+            # the environment span ends at its anchor, the path's source
             pair = MentionPair(
-                sentence_ref="t",
                 concept_text="c",
                 concept_span=(dst, dst),
                 concept_anchor=dst,
                 scene="s",
-                env_span=(spans[0], spans[1]),
-                env_anchor=src,
+                env_span=(spans[0], src),
             )
-            if not (spans[0] <= src <= spans[1]):
-                continue
             rendered = render_path(path, pair)
             items = rendered.split()
             assert items[-1].endswith("()")
