@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import DataError, __version__, corpus, embeddings, lstm, mining, paths, phrase
+from . import DataError, __version__, content_lines, corpus, embeddings, lstm, mining, paths, phrase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,25 +65,45 @@ def _open_out(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], rows) -> None:
+    """Write the ``#`` provenance line, the ``#`` column line (if there are
+    column names), then one TAB-joined line per row of strings."""
+    with _open_out(path) as sink:
+        sink.write(f"# {provenance}\n")
+        if columns:
+            sink.write("# " + "\t".join(columns) + "\n")
+        sink.writelines("\t".join(row) + "\n" for row in rows)
+
+
 def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file without their line ends.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, so line
+    numbers are the file's.  A leading byte-order mark is dropped.
+    """
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8-sig") as source:
+            lines = source.read().split("\n")
     except UnicodeDecodeError as err:
-        line_no = path.read_bytes().count(b"\n", 0, err.start) + 1
+        data = path.read_bytes()
+        # the decoder saw the file without its byte-order mark
+        head = data[: err.start + len(data) - len(err.object)]
+        line_no = head.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise DataError(f"{path.name} line {line_no}: not UTF-8 text ({err.reason})") from None
+    if not lines[-1]:
+        lines.pop()  # the empty text after the last line end
+    return lines
 
 
 def _rows(path: Path, columns: int, kind: str, exact: bool = True):
     """Yield ``(line number, fields)`` for each TAB-separated row of a file.
 
-    Blank lines and lines starting with ``#`` are skipped.  A row needs
+    Blank and ``#`` lines are skipped (``content_lines``).  A row needs
     ``columns`` fields (at least that many if not ``exact``).
     """
-    for line_no, line in enumerate(_read_lines(path), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(_read_lines(path)):
         fields = line.split("\t")
         if len(fields) < columns or (exact and len(fields) > columns):
             raise DataError(
@@ -92,9 +112,13 @@ def _rows(path: Path, columns: int, kind: str, exact: bool = True):
         yield line_no, fields
 
 
-def _model_lines(path: Path) -> list[str]:
-    """A model file without its ``#`` provenance lines."""
-    return [line for line in _read_lines(path) if not line.startswith("#")]
+def _load_model(path: Path, load):
+    """``load`` applied to a model file's lines, line ends kept and ``#`` lines
+    blanked, so that a JSON error names the file's line and column."""
+    lines = _read_lines(path)
+    with _naming(path):
+        return load([(" " * len(line) if line.startswith("#") else line) + "\n"
+                     for line in lines])
 
 
 @contextmanager
@@ -153,17 +177,11 @@ def _chunk(items: list, shards: int) -> list[list]:
 def cmd_mine(args) -> int:
     corpus_path = Path(args.corpus)
     sentences = _load_sentences(corpus_path)
-    if args.shards > 1:
-        tables = [mining.mine_corpus(chunk) for chunk in _chunk(sentences, args.shards)]
-        table = mining.merge_tables(*tables)
-    else:
-        table = mining.mine_corpus(sentences)
+    tables = [mining.mine_corpus(chunk) for chunk in _chunk(sentences, args.shards)]
+    table = mining.merge_tables(*tables)
 
-    out = Path(args.out)
-    with _open_out(out) as sink:
-        mining.write_concepts_tsv(
-            table, sink, header_lines=[_provenance("mine", None, [corpus_path])]
-        )
+    _write_tsv(Path(args.out), _provenance("mine", None, [corpus_path]), (),
+               ((e.text, e.pattern, str(e.frequency)) for e in mining.sorted_entries(table)))
 
     counts = mining.pattern_counts(table)
     print("Pattern\tTemplate\t# Concept")
@@ -234,9 +252,7 @@ def cmd_classify(args) -> int:
     model_path = Path(args.model)
     emb_path = Path(args.embeddings)
     phrases_path = Path(args.phrases)
-    lines = _model_lines(model_path)
-    with _naming(model_path):
-        model = phrase.load_model(lines)
+    model = _load_model(model_path, phrase.load_model)
     store = _load_store(emb_path)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:  # checked before the output file is opened
@@ -244,19 +260,18 @@ def cmd_classify(args) -> int:
             raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
     bigrams = [(cols[0], cols[1]) for _, cols in _rows(phrases_path, 2, "phrase", exact=False)]
 
-    with _open_out(Path(args.out)) as sink:
-        sink.write(
-            f"# {_provenance('classify', None, [model_path, emb_path, phrases_path])}\n"
-        )
-        sink.write("# word1\tword2\tlabel\tmargin\n")
+    def rows():
         for bigram in bigrams:
             try:
                 feature = embeddings.featurize(store, bigram, model.feature_kind)
             except embeddings.PhraseUnrepresentableError:
-                sink.write(f"{bigram[0]}\t{bigram[1]}\tunrepresentable\tNA\n")
+                yield (*bigram, "unrepresentable", "NA")
                 continue
             label, margin = phrase.predict(model, feature)
-            sink.write(f"{bigram[0]}\t{bigram[1]}\t{label:+d}\t{margin:.9g}\n")
+            yield (*bigram, f"{label:+d}", f"{margin:.9g}")
+
+    _write_tsv(Path(args.out), _provenance("classify", None, [model_path, emb_path, phrases_path]),
+               ("word1", "word2", "label", "margin"), rows())
     return EXIT_OK
 
 
@@ -267,29 +282,22 @@ def cmd_paths(args) -> int:
     corpus_path = Path(args.corpus)
     concepts_path = Path(args.concepts)
     sentences = _load_sentences(corpus_path)
-    concepts = paths.PhraseIndex(mining.read_concept_texts(_read_lines(concepts_path)))
+    concepts = paths.PhraseIndex(
+        cols[0].strip().lower() for _, cols in _rows(concepts_path, 1, "concept", exact=False)
+    )
     lexicon = _lexicon(args)
 
     occurrences = []
     for sentence in sentences:
         occurrences.extend(paths.occurrences_for_sentence(sentence, concepts, lexicon))
 
-    with _open_out(Path(args.out)) as sink:
-        sink.write(
-            f"# {_provenance('paths', None, [corpus_path, concepts_path])}\n"
-        )
-        sink.write("# scene\tconcept\tpath\tsentence\n")
-        for occ in occurrences:
-            sink.write(f"{occ.scene}\t{occ.concept}\t{occ.path}\t{occ.sentence_ref}\n")
-
+    provenance = _provenance("paths", None, [corpus_path, concepts_path])
+    _write_tsv(Path(args.out), provenance, ("scene", "concept", "path", "sentence"),
+               ((o.scene, o.concept, o.path, o.sentence_ref) for o in occurrences))
     freq_out = Path(args.freq_out) if args.freq_out else Path(args.out).with_suffix(".freq.tsv")
-    with _open_out(freq_out) as sink:
-        sink.write(
-            f"# {_provenance('paths', None, [corpus_path, concepts_path])}\n"
-        )
-        sink.write("# path\tdistinct_pairs\n")
-        for path_str, count in paths.rank_paths_by_frequency(occurrences):
-            sink.write(f"{path_str}\t{count}\n")
+    _write_tsv(freq_out, provenance, ("path", "distinct_pairs"),
+               ((rendered, str(count))
+                for rendered, count in paths.rank_paths_by_frequency(occurrences)))
     return EXIT_OK
 
 
@@ -363,17 +371,14 @@ def cmd_train_relation(args) -> int:
 def cmd_predict(args) -> int:
     model_path = Path(args.model)
     occ_path = Path(args.occurrences)
-    lines = _model_lines(model_path)
-    with _naming(model_path):
-        params, vocab = lstm.load_relation_model(lines)
+    params, vocab = _load_model(model_path, lstm.load_relation_model)
     occurrences = _read_occurrences(occ_path)
     probs = lstm.predict_paths(params, vocab, [occ.path for occ in occurrences])
 
-    with _open_out(Path(args.out)) as sink:
-        sink.write(f"# {_provenance('predict', None, [model_path, occ_path])}\n")
-        sink.write("# scene\tconcept\tpath\tp_positive\n")
-        for occ, (p_pos, _p_neg) in zip(occurrences, probs):
-            sink.write(f"{occ.scene}\t{occ.concept}\t{occ.path}\t{p_pos:.9g}\n")
+    _write_tsv(Path(args.out), _provenance("predict", None, [model_path, occ_path]),
+               ("scene", "concept", "path", "p_positive"),
+               ((o.scene, o.concept, o.path, f"{p_pos:.9g}")
+                for o, (p_pos, _p_neg) in zip(occurrences, probs)))
     return EXIT_OK
 
 
@@ -428,16 +433,11 @@ def cmd_report(args) -> int:
     lexicon = _lexicon(args)
     by_scene = build_kb(_read_predictions(pred_path, lexicon), args.threshold)
 
-    with _open_out(Path(args.out)) as sink:
-        sink.write(
-            f"# {_provenance('report', None, [pred_path])} threshold={args.threshold:g}\n"
-        )
-        sink.write("# environment\tsounds\n")
-        for scene in lexicon.entries:
-            chosen = by_scene.get(scene, [])
-            if args.top_k:
-                chosen = chosen[: args.top_k]
-            sink.write(f"{scene}\t{', '.join(chosen)}\n")
+    top_k = args.top_k or None
+    _write_tsv(Path(args.out),
+               f"{_provenance('report', None, [pred_path])} threshold={args.threshold:g}",
+               ("environment", "sounds"),
+               ((scene, ", ".join(by_scene.get(scene, [])[:top_k])) for scene in lexicon.entries))
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 from .corpus import SENTENCE_FINAL_PUNCT, Sentence
 
@@ -205,24 +205,3 @@ def pattern_counts(table: ConceptTable) -> dict[str, int]:
     for entry in table.values():
         counts[entry.pattern] += 1
     return counts
-
-
-def write_concepts_tsv(
-    table: ConceptTable, out: IO[str], header_lines: Iterable[str] = ()
-) -> None:
-    """Write ``text<TAB>pattern<TAB>frequency`` rows, most frequent first."""
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    for entry in sorted_entries(table):
-        out.write(f"{entry.text}\t{entry.pattern}\t{entry.frequency}\n")
-
-
-def read_concept_texts(lines: Iterable[str]) -> list[str]:
-    """Concept texts from either a concepts.tsv or a bare one-per-line list."""
-    texts = []
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        texts.append(line.split("\t")[0].strip().lower())
-    return texts

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
-from . import DataError
+from . import DataError, content_lines
 from .corpus import DepGraph, Sentence, build_dep_graph
 
 POSITIVE = "positive"
@@ -105,12 +105,7 @@ class EnvironmentLexicon:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "EnvironmentLexicon":
-        entries = []
-        for raw in lines:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                entries.append(line.lower())
-        return cls(tuple(entries))
+        return cls(tuple(line.strip().lower() for _, line in content_lines(lines)))
 
 
 @dataclass(frozen=True)
@@ -367,9 +362,8 @@ def generate_training_examples(
 
 def load_seed_paths(lines: Iterable[str]) -> list[str]:
     """One rendered path per line, each kept once in first-seen order;
-    blanks and comments ignored."""
-    stripped = (raw.strip() for raw in lines)
-    return list(dict.fromkeys(line for line in stripped if line and not line.startswith("#")))
+    blank and ``#`` lines (``content_lines``) ignored."""
+    return list(dict.fromkeys(line.strip() for _, line in content_lines(lines)))
 
 
 def default_seed_paths() -> tuple[list[str], list[str]]:

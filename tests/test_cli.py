@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, diagnostics, exit codes."""
 
+import argparse
 import hashlib
+import json
 from importlib import resources
 
 import pytest
@@ -750,6 +752,149 @@ class TestDataErrorsNameTheirInput:
         err = data_error(["report", "--predictions", str(preds),
                           "--out", str(tmp_path / "r.tsv")], capsys)
         assert "preds.tsv line 1: prediction rows need 4 columns, got 3" in err
+
+
+BOM = "\ufeff"
+
+
+class TestTextFiles:
+    """One reader for every input: lines end at LF, CRLF or CR only, a
+    byte-order mark is dropped, and blank and # lines are not data."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_give_the_rows_and_lines_of_lf(self, tmp_path, end):
+        text = "# labels\na\tb\t+1\n\nb\ta\t-1\nb\tb\t7\n"
+        lf, other = tmp_path / "lf.tsv", tmp_path / "other.tsv"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", end).encode())
+        assert cli._read_lines(other) == cli._read_lines(lf)
+        assert cli._read_lines(lf) == ["# labels", "a\tb\t+1", "", "b\ta\t-1", "b\tb\t7"]
+        with pytest.raises(DataError, match="line 5: label must be"):
+            cli._read_labeled_phrases(other)
+
+    def test_form_feed_inside_a_field_does_not_split_the_row(self, phrase_setup,
+                                                               tmp_path, capsys):
+        data = tmp_path / "ff.tsv"
+        data.write_text("a\fb\tb\t+1\nb\ta\t7\n", encoding="utf-8")
+        assert list(cli._rows(data, 3, "labeled phrase")) == [
+            (1, ["a\fb", "b", "+1"]), (2, ["b", "a", "7"])]
+        _, _, vec, _ = phrase_setup
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert "ff.tsv line 2: label must be +1 or -1, got '7'" in err
+
+    def test_line_separator_inside_a_surface_keeps_the_line_numbers(self, tmp_path, capsys):
+        corpus = tmp_path / "ls.ann"
+        corpus.write_text("1\tsea\u2028gull\tNN\t0\troot\n\n"
+                          "1\tsounds\tNNS\t0\troot\n2\tof\tIN\t_\t_\n3\tgunshots\tNNS\t1\tprep_of\n"
+                          "\n1\tbroken\tNN\t9\tdep\n", encoding="utf-8")
+        out = tmp_path / "c.tsv"
+        assert main(["mine", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert data_lines(out) == ["gunshots\tP4\t1"]
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings == [
+            "warning: ls.ann: skipping sentence: "
+            "line 1: surface form contains whitespace: 'sea\\u2028gull'",
+            "warning: ls.ann: skipping sentence: line 7: head out of range: 9",
+        ]
+
+    @pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, end, bom):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(bom + end.join([b"# one", b"a\tb\t+1", b"\xe9t\tb\t+1", b"x"]))
+        with pytest.raises(DataError, match=r"^bad.tsv line 3: not UTF-8 text"):
+            cli._read_lines(path)
+
+    def test_byte_order_mark_before_a_vec_header(self, tmp_path):
+        vec = tmp_path / "bom.vec"
+        vec.write_text(BOM + "4 2\na 1 0\nb 2 0\nc -1 0\nd -2 0\n", encoding="utf-8")
+        store = cli._load_store(vec)
+        assert store.words() == ["a", "b", "c", "d"] and store.dimension == 2
+
+    def test_byte_order_mark_before_a_corpus(self, pattern_corpus_file, tmp_path, capsys):
+        corpus = tmp_path / "bom.ann"
+        corpus.write_text(BOM + PATTERN_EXAMPLES_CORPUS, encoding="utf-8")
+        assert cli._load_sentences(corpus) == cli._load_sentences(pattern_corpus_file)
+        assert capsys.readouterr().err == ""
+
+    def test_byte_order_mark_before_a_lexicon_comment(self, tmp_path):
+        envs = tmp_path / "envs.txt"
+        envs.write_text(BOM + "# scenes\npark\n", encoding="utf-8")
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("park\tbirds\tp()\t0.9\n", encoding="utf-8")
+        out = tmp_path / "r.tsv"
+        assert main(["report", "--predictions", str(preds), "--environments", str(envs),
+                     "--out", str(out)]) == 0
+        assert data_lines(out) == ["park\tbirds"]
+
+    @pytest.mark.parametrize("reader, kept", [
+        ("rows", ["park", "  # indented", "beach"]),
+        ("concepts", ["park", "# indented", "beach"]),
+        ("seeds", ["park", "# indented", "beach"]),
+        ("lexicon", ["park", "# indented", "beach"]),
+    ])
+    def test_one_comment_rule(self, tmp_path, monkeypatch, reader, kept):
+        """Blank and # lines are not data; a line with spaces before its # is."""
+        source = tmp_path / "in.txt"
+        source.write_text("park\n\n \t \n# comment\n  # indented\nbeach\n", encoding="utf-8")
+        if reader == "rows":
+            found = [cols[0] for _, cols in cli._rows(source, 1, "row", exact=False)]
+        elif reader == "concepts":
+            built = []  # the phrases of each index: the concepts', then the lexicon's
+            real_index = cli.paths.PhraseIndex
+
+            def index(phrases):
+                built.append(list(phrases))
+                return real_index(built[-1])
+
+            monkeypatch.setattr(cli.paths, "PhraseIndex", index)
+            corpus = tmp_path / "c.ann"
+            corpus.write_text("", encoding="utf-8")
+            assert main(["paths", "--corpus", str(corpus), "--concepts", str(source),
+                         "--out", str(tmp_path / "occ.tsv")]) == 0
+            found = built[0]
+        elif reader == "seeds":
+            found = cli.paths.load_seed_paths(cli._read_lines(source))
+        else:
+            found = list(cli._lexicon(argparse.Namespace(environments=str(source))).entries)
+        assert found == kept
+
+    def test_phrase_model_json_error_names_the_file_line(self, phrase_setup, tmp_path,
+                                                          capsys):
+        _, _, vec, data = phrase_setup
+        model = tmp_path / "m.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--out", str(model)]) == 0
+        lines = model.read_text(encoding="utf-8").split("\n")
+        lines[11] += " x"
+        text = "\n".join(lines)
+        model.write_text(text, encoding="utf-8")
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("a\tb\n", encoding="utf-8")
+        err = data_error(["classify", "--model", str(model), "--embeddings", str(vec),
+                          "--phrases", str(phrases), "--out", str(tmp_path / "p.tsv")],
+                         capsys)
+        assert "m.json: phrase model is not valid JSON: " in err
+        assert f"line 12 column {len(lines[11])} (char {text.index(' x') + 1})" in err
+
+    def test_relation_model_json_error_names_the_file_line(self, relation_setup,
+                                                            tmp_path, capsys):
+        model = tmp_path / "m.json"
+        document = json.dumps(json.loads(RELATION_MODEL)).replace(', "h"', ' "h"')
+        model.write_text(f"# provenance\n{document}\n", encoding="utf-8")
+        err = data_error(["predict", "--model", str(model), "--occurrences",
+                          str(relation_setup), "--out", str(tmp_path / "p.tsv")], capsys)
+        assert "m.json: relation model is not valid JSON: Expecting ',' delimiter: line 2" in err
+
+    @pytest.mark.parametrize("columns, text", [
+        ((), "# prov\nb\t1\na\t2\n"),
+        (("word", "n"), "# prov\n# word\tn\nb\t1\na\t2\n"),
+    ], ids=["no-column-line", "column-line"])
+    def test_write_tsv(self, tmp_path, columns, text):
+        out = tmp_path / "o.tsv"
+        cli._write_tsv(out, "prov", columns, iter([("b", "1"), ("a", "2")]))
+        assert out.read_bytes() == text.encode()
 
 
 class TestNumericOptions:

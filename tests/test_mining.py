@@ -16,7 +16,6 @@ from soundkb.mining import (
     mine_sentence,
     sorted_entries,
     top_k_by_frequency,
-    write_concepts_tsv,
 )
 
 from conftest import PATTERN_EXAMPLES_CORPUS, CANONICAL_CONCEPTS
@@ -254,21 +253,6 @@ class TestTopK:
 
 
 class TestTsv:
-    def test_write_read_round_trip(self, tmp_path):
-        table = {
-            "dogs barking": ConceptEntry("dogs barking", "P3", 7),
-            "gunshots": ConceptEntry("gunshots", "P4", 7),
-            "yelling": ConceptEntry("yelling", "P2", 1),
-        }
-        out = tmp_path / "concepts.tsv"
-        with open(out, "w", encoding="utf-8") as sink:
-            write_concepts_tsv(table, sink, header_lines=["provenance"])
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "# provenance"
-        assert lines[1] == "dogs barking\tP3\t7"
-        assert lines[2] == "gunshots\tP4\t7"
-        assert lines[3:] == ["yelling\tP2\t1"]
-
     def test_sorted_entries_key(self):
         table = {
             "b": ConceptEntry("b", "P4", 2),
