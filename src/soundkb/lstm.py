@@ -29,6 +29,7 @@ UNK_TOKEN = "<unk>"
 MODEL_FORMAT = "soundkb-relation-model"
 MODEL_VERSION = 2
 BATCH_SIZE = 64  # sequences per batched inference step
+TRAIN_BATCH_SIZE = 16  # same-length examples per clipped training step
 
 
 class TrainingDivergedError(DataError, RuntimeError):
@@ -68,9 +69,6 @@ class PathVocab:
     def id_of(self, token: str) -> int:
         """Id of a token; unseen tokens map to the learned unknown row."""
         return self.ids.get(token, self.ids[UNK_TOKEN])
-
-    def is_learned(self, token_id: int) -> bool:
-        return self.flags[token_id] == LEARNED
 
     @property
     def learned_ids(self) -> list[int]:
@@ -238,15 +236,13 @@ def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
     return [vocab.id_of(t) for t in tokens]
 
 
-def _encode(params: LstmParams, ids: Sequence[int], steps=None) -> np.ndarray:
-    """Final hidden state of one path, its inputs projected in one matmul."""
-    return _run(params, params.E[ids] @ params.W.T + params.b, (), steps)[0]
-
-
 def predict_relation(params: LstmParams, vocab: PathVocab,
                      tokens: Sequence[str]) -> tuple[float, float]:
-    """Probabilities (positive, negative) for a path."""
-    p = softmax(params.W_r @ _encode(params, _ids_for(vocab, tokens)))
+    """Probabilities (positive, negative) for a path, its inputs projected in
+    one matmul."""
+    ids = _ids_for(vocab, tokens)
+    h_final, _c = _run(params, params.E[ids] @ params.W.T + params.b, ())
+    p = softmax(params.W_r @ h_final)
     return float(p[0]), float(p[1])
 
 
@@ -281,50 +277,72 @@ def label_index(label: str) -> int:
 
 def loss_and_gradients(params: LstmParams, vocab: PathVocab,
                        example: RelationExample) -> tuple[float, LstmGrads]:
-    """Cross-entropy loss and its gradients via backpropagation through time.
+    """Cross-entropy loss of one example and its gradients: a batch of one."""
+    ids = np.array([_ids_for(vocab, tokenize_path(example.path))])
+    targets = np.array([label_index(example.label)])
+    return _batch_loss_and_gradients(params, _learned_mask(vocab), ids, targets,
+                                     [example.path])
 
-    Embedding gradients flow only into learned rows; pretrained rows
-    stay exactly zero.  The weight gradients are one matmul each over
-    the (T x 4h) gate deltas.
+
+def _learned_mask(vocab: PathVocab) -> np.ndarray:
+    return np.array([flag == LEARNED for flag in vocab.flags])
+
+
+def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.ndarray,
+                              targets: np.ndarray, paths: Sequence[str]
+                              ) -> tuple[float, LstmGrads]:
+    """Summed cross-entropy loss of a batch of same-length paths and its
+    gradients via backpropagation through time.
+
+    ``ids`` (B x T) holds each path's token ids, ``targets`` (B) their label
+    indices and ``paths`` their text, for the error message.  Embedding
+    gradients flow only into the rows that ``learned`` marks; pretrained
+    rows stay exactly zero.  The weight gradients are one matmul each over
+    the (T*B x 4h) gate deltas, ordered step by step.
     """
-    target = label_index(example.label)
-    ids = np.array(_ids_for(vocab, tokenize_path(example.path)))
-    steps: list = []
-    h_final = _encode(params, ids, steps)
-    p = softmax(params.W_r @ h_final)
-    loss = -np.log(p[target]) if p[target] > 0 else np.inf
-    if not np.isfinite(loss):
-        raise ArithmeticError(f"non-finite loss for path {example.path!r}")
-
+    batch, length = ids.shape
     h = params.h
-    H_prev, C_prev, IFO, Uc, TanhC = (np.array(column) for column in zip(*steps))
-    # a step's gate deltas (i, f, o, u) are coef * (dc, dc, dh, dc)
-    coef = (np.concatenate([Uc, C_prev, TanhC, IFO[:, :h]], axis=1)
-            * np.concatenate([IFO * (1.0 - IFO), 1.0 - Uc * Uc], axis=1)).reshape(-1, 4, h)
-    dc_from_h = IFO[:, 2 * h :] * (1.0 - TanhC * TanhC)
+    flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
+    X = params.E[flat_ids]
+    steps: list = []
+    h_final, _c = _run(params, (X @ params.W.T + params.b).reshape(length, batch, 4 * h),
+                       (batch,), steps)
+    p = softmax(h_final @ params.W_r.T)
+    p_target = p[np.arange(batch), targets]
+    bad = np.flatnonzero(~(p_target > 0))
+    if bad.size:
+        raise ArithmeticError(f"non-finite loss for path {paths[bad[0]]!r}")
+    loss = -np.log(p_target)
 
-    dz = p.copy()
-    dz[target] -= 1.0
-    dh = params.W_r.T @ dz
-    dc = np.zeros(h)
-    deltas = np.empty_like(coef)
-    carry = np.empty((4, h))
-    for t in range(len(ids) - 1, -1, -1):
-        dc = dc + dh * dc_from_h[t]
-        carry[:] = dc
-        carry[2] = dh
-        dh = np.multiply(coef[t], carry, out=deltas[t]).reshape(4 * h) @ params.U
-        dc = dc * IFO[t, h : 2 * h]
+    # each step's arrays are dropped once its gate deltas (i, f, o, u) are
+    # known: (u, c_prev, tanh_c, i) * gate slopes * (dc, dc, dh, dc)
+    dz = p
+    dz[np.arange(batch), targets] -= 1.0
+    dh = dz @ params.W_r
+    dc = np.zeros((batch, h))
+    deltas = np.empty((length, batch, 4, h))
+    H_prev = np.empty((length, batch, h))
+    for t in range(length - 1, -1, -1):
+        H_prev[t], c_prev, ifo, u, tanh_c = steps.pop()
+        dc = dc + dh * (ifo[:, 2 * h :] * (1.0 - tanh_c * tanh_c))
+        slope = ifo * (1.0 - ifo)
+        delta = deltas[t]
+        delta[:, 0] = u * slope[:, :h] * dc
+        delta[:, 1] = c_prev * slope[:, h : 2 * h] * dc
+        delta[:, 2] = tanh_c * slope[:, 2 * h :] * dh
+        delta[:, 3] = ifo[:, :h] * (1.0 - u * u) * dc
+        dh = delta.reshape(batch, 4 * h) @ params.U
+        dc = dc * ifo[:, h : 2 * h]
 
-    DA = deltas.reshape(len(ids), 4 * h)
+    DA = deltas.reshape(length * batch, 4 * h)
     gE = np.zeros_like(params.E)
-    trained = np.array([vocab.is_learned(i) for i in ids])
-    np.add.at(gE, ids[trained], (DA @ params.W)[trained])
+    trained = learned[flat_ids]
+    np.add.at(gE, flat_ids[trained], (DA @ params.W)[trained])
     grads = LstmParams(
-        E=gE, W=DA.T @ params.E[ids], U=DA.T @ H_prev, b=DA.sum(axis=0),
-        W_r=np.outer(dz, h_final),
+        E=gE, W=DA.T @ X, U=DA.T @ H_prev.reshape(length * batch, h), b=DA.sum(axis=0),
+        W_r=dz.T @ h_final,
     )
-    return float(loss), grads
+    return float(loss.sum()), grads
 
 
 def _global_norm(grads: LstmGrads) -> float:
@@ -344,7 +362,14 @@ def train(
     examples: Sequence[RelationExample],
     config: TrainConfig,
 ) -> tuple[LstmParams, list[EpochStats]]:
-    """Seeded per-example gradient descent with global-norm clipping.
+    """Seeded minibatch gradient descent with global-norm clipping.
+
+    Each epoch walks a fresh permutation of the examples and drops each one
+    into the bucket for its path length; a bucket that holds
+    ``TRAIN_BATCH_SIZE`` examples is the next batch, and the part-filled
+    buckets follow at the end of the epoch, in the order their lengths were
+    first seen.  A batch makes one clipped step on its summed gradients, so
+    a batch size of 1 steps once per example, in permutation order.
 
     Mutates ``params`` in place and returns it with the per-epoch
     loss/accuracy trace.  Identical data, config, and initial parameters
@@ -353,15 +378,19 @@ def train(
     labels = {ex.label for ex in examples}
     if len(labels) < 2:
         raise DataError("training data must contain both relation labels")
+    ids = [_ids_for(vocab, tokenize_path(ex.path)) for ex in examples]
+    targets = np.array([label_index(ex.label) for ex in examples])
+    learned = _learned_mask(vocab)
     rng = np.random.default_rng(config.seed)
     n = len(examples)
     trace = []
     for epoch in range(1, config.epochs + 1):
         total = 0.0
-        for idx in rng.permutation(n):
-            example = examples[int(idx)]
+        for batch in _length_batches(rng.permutation(n).tolist(), ids, TRAIN_BATCH_SIZE):
             try:
-                loss, grads = loss_and_gradients(params, vocab, example)
+                loss, grads = _batch_loss_and_gradients(
+                    params, learned, np.array([ids[i] for i in batch]), targets[batch],
+                    [examples[i].path for i in batch])
             except ArithmeticError as err:
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}: {err}") from err
             total += loss
@@ -375,6 +404,19 @@ def train(
         accuracy = evaluate(params, vocab, examples)
         trace.append(EpochStats(epoch, total / n, accuracy))
     return params, trace
+
+
+def _length_batches(order: list[int], ids: Sequence[Sequence[int]], batch_size: int):
+    """Lists of example indices taken in ``order``, one path length per list:
+    each bucket as it fills up, then the part-filled ones in first-seen order."""
+    buckets: dict[int, list[int]] = {}
+    for i in order:
+        bucket = buckets.setdefault(len(ids[i]), [])
+        bucket.append(i)
+        if len(bucket) == batch_size:
+            yield bucket
+            buckets[len(ids[i])] = []
+    yield from (bucket for bucket in buckets.values() if bucket)
 
 
 def evaluate(

@@ -93,6 +93,9 @@ class EnvironmentLexicon:
         for entry in self.entries:
             if entry != entry.lower() or not entry.strip():
                 raise DataError(f"lexicon entries must be lowercase: {entry!r}")
+            if entry.startswith("#"):
+                # a report row for it would read back as a comment
+                raise DataError(f"lexicon entries must not begin with '#': {entry!r}")
             words = tuple(entry.split())
             if words in seen:
                 raise DataError(f"duplicate lexicon entry: {entry!r}")

@@ -47,7 +47,12 @@ from conftest import (
     block_to_sentence,
     separable_phrase_data,
 )
-from test_lstm import fd_gradients, max_relative_error
+from test_lstm import (
+    fd_gradients,
+    max_batch_error,
+    max_relative_error,
+    same_length_batch,
+)
 from test_paths import floyd_warshall, random_graph, trivial_pair
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
@@ -144,6 +149,15 @@ def test_criterion_4_gradient_check():
                 learned = vocab.learned_ids
                 a, n = a[learned], n[learned]
             worst_overall = max(worst_overall, max_relative_error(a, n))
+    # batches of 2-5 same-length examples: their gradient is the sum of the
+    # examples' gradients, and so the sum of their finite differences
+    for trial in range(5):
+        vocab = build_vocab([edge_labels, words])
+        params = init_params(vocab, d=6, h=[4, 8][trial % 2], seed=100 + trial)
+        batch = same_length_batch(rng, edge_labels + words, rng.randint(2, 5))
+        worst_sum, worst_fd = max_batch_error(params, vocab, batch)
+        assert worst_sum < 1e-12
+        worst_overall = max(worst_overall, worst_fd)
     assert worst_overall < 1e-4
     announce(4, "gradient-check", watch.check())
 

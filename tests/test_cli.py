@@ -704,9 +704,15 @@ class TestDataErrorsNameTheirInput:
                           "--seeds-neg", neg, "--out", str(tmp_path / "m.json")], capsys)
         assert "occ.tsv, paths.pos, paths.neg: training data must contain both" in err
 
-    def test_divergence(self, relation_setup, tmp_path, capsys):
+    def test_divergence(self, tmp_path, capsys):
+        # the labels' paths differ in length, so every batch holds one label and
+        # a step at lr 1e18 makes the next batch's loss infinite
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("".join(f"park\tc{i}\tprep_of()\ts{i}\n"
+                               f"beach\tc{i}\tnn() sound prep_of()\ts{i}\n"
+                               for i in range(20)), encoding="utf-8")
         pos, neg = default_seed_files()
-        err = data_error(["train-relation", "--occurrences", str(relation_setup),
+        err = data_error(["train-relation", "--occurrences", str(occ),
                           "--seeds-pos", pos, "--seeds-neg", neg, "--dim", "4",
                           "--hidden", "4", "--lr", "1e18", "--clip", "1e18",
                           "--out", str(tmp_path / "m.json")], capsys)
@@ -737,6 +743,13 @@ class TestDataErrorsNameTheirInput:
     def test_repeated_environment_entry(self, command, tmp_path, capsys):
         err = self._with_lexicon(command, "park\nbeach\npark\n", tmp_path, capsys)
         assert "envs.txt: duplicate lexicon entry: 'park'" in err
+
+    @pytest.mark.parametrize("command", ["paths", "report"])
+    def test_environment_entry_starting_with_hash(self, command, tmp_path, capsys):
+        # spaces before the '#' make the line data, but its report row would
+        # read back as a comment
+        err = self._with_lexicon(command, "  # scenes\npark\n", tmp_path, capsys)
+        assert "envs.txt: lexicon entries must not begin with '#': '# scenes'" in err
 
     @pytest.mark.parametrize("p", ["abc", "nan", "1.5", "-0.1", "inf", ""])
     def test_report_reads_p_strictly(self, tmp_path, capsys, p):
@@ -856,8 +869,11 @@ class TestTextFiles:
             found = built[0]
         elif reader == "seeds":
             found = cli.paths.load_seed_paths(cli._read_lines(source))
-        else:
-            found = list(cli._lexicon(argparse.Namespace(environments=str(source))).entries)
+        else:  # the lexicon reads the same lines, then refuses the one that begins with #
+            with pytest.raises(DataError, match=f"in.txt: lexicon entries must not begin "
+                                                f"with '#': {kept[1]!r}$"):
+                cli._lexicon(argparse.Namespace(environments=str(source)))
+            return
         assert found == kept
 
     def test_phrase_model_json_error_names_the_file_line(self, phrase_setup, tmp_path,

@@ -129,6 +129,59 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def batch_gradients(params, vocab, examples):
+    """Summed loss and gradients of same-length examples as one batch."""
+    ids = np.array([[vocab.id_of(t) for t in tokenize_path(ex.path)] for ex in examples])
+    targets = np.array([label_index(ex.label) for ex in examples])
+    return lstm._batch_loss_and_gradients(params, lstm._learned_mask(vocab), ids, targets,
+                                          [ex.path for ex in examples])
+
+
+def same_length_batch(rng: random.Random, tokens, size: int) -> list[RelationExample]:
+    length = rng.randint(1, 7)
+    return [RelationExample(" ".join(rng.choice(tokens) for _ in range(length)), "park",
+                            "x", rng.choice([POSITIVE, NEGATIVE])) for _ in range(size)]
+
+
+def max_batch_error(params, vocab, examples) -> tuple[float, float]:
+    """Largest differences of the batch gradients from the sum of the
+    one-example gradients (absolute) and from finite differences (relative,
+    learned embedding rows only)."""
+    loss, batch = batch_gradients(params, vocab, examples)
+    singles = [loss_and_gradients(params, vocab, ex) for ex in examples]
+    assert loss == pytest.approx(sum(single_loss for single_loss, _ in singles), rel=1e-14)
+    numeric = [fd_gradients(params, vocab, ex) for ex in examples]
+    worst_sum = worst_fd = 0.0
+    for name in ARRAY_FIELDS:
+        a = getattr(batch, name)
+        summed = sum(getattr(grads, name) for _, grads in singles)
+        n = sum(fd[name] for fd in numeric)
+        worst_sum = max(worst_sum, float(np.abs(a - summed).max()))
+        if name == "E":
+            rows = vocab.learned_ids
+            a, n = a[rows], n[rows]
+        worst_fd = max(worst_fd, max_relative_error(a, n))
+    return worst_sum, worst_fd
+
+
+def reference_train(params, vocab, examples, config):
+    """Per-example training as it was before batches: one clipped step per
+    example, in the order of each epoch's permutation."""
+    rng = np.random.default_rng(config.seed)
+    trace = []
+    for epoch in range(1, config.epochs + 1):
+        total = 0.0
+        for idx in rng.permutation(len(examples)):
+            loss, grads = loss_and_gradients(params, vocab, examples[int(idx)])
+            total += loss
+            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.arrays()))
+            scale = config.learning_rate * min(1.0, config.clip / norm)
+            for array, grad in zip(params.arrays(), grads.arrays()):
+                array -= scale * grad
+        trace.append((epoch, total / len(examples), evaluate(params, vocab, examples)))
+    return trace
+
+
 class TestCell:
     def test_zero_params_zero_state(self):
         params = zero_params(3, 2, 4)
@@ -361,6 +414,38 @@ class TestGradients:
                 worst = max(worst, max_relative_error(a, n))
             assert worst < 1e-4
 
+    def test_batch_is_the_sum_of_its_examples(self):
+        rng = random.Random(2026)
+        store = make_store({"children": [0.05] * 6, "park": [-0.05] * 6})
+        vocab = small_vocab(store)
+        for trial in range(4):
+            params = init_params(vocab, d=6, h=[4, 8][trial % 2], store=store, seed=trial)
+            examples = same_length_batch(rng, EDGE_LABELS + WORDS, rng.randint(2, 5))
+            worst_sum, worst_fd = max_batch_error(params, vocab, examples)
+            assert worst_sum < 1e-12
+            assert worst_fd < 1e-4
+
+    def test_batch_pretrained_row_gradient_zero(self):
+        store = make_store({"children": [0.1] * 4})
+        vocab = small_vocab(store)
+        params = init_params(vocab, d=4, h=4, store=store, seed=5)
+        examples = [RelationExample(path, "park", "x", label) for path, label in [
+            ("amod() children", POSITIVE), ("children children", NEGATIVE),
+            ("det() noise", NEGATIVE)]]
+        _, grads = batch_gradients(params, vocab, examples)
+        assert np.all(grads.E[vocab.id_of("children")] == 0.0)
+        assert np.all(grads.E[vocab.id_of("noise")] != 0.0)
+
+    def test_non_finite_loss_names_the_first_such_path(self):
+        vocab = small_vocab()
+        params = zero_params(len(vocab), 3, 4)
+        params.b[12:] = 1.0  # candidate block: every path ends in the same h > 0
+        params.W_r[0] = 1e6  # so p(negative) underflows to 0
+        examples = [RelationExample(path, "park", "x", label) for path, label in [
+            ("amod() park", POSITIVE), ("det() park", NEGATIVE), ("det() noise", NEGATIVE)]]
+        with pytest.raises(ArithmeticError, match=r"non-finite loss for path 'det\(\) park'$"):
+            batch_gradients(params, vocab, examples)
+
 
 class TestTrain:
     def _task(self, n, seed):
@@ -415,6 +500,41 @@ class TestTrain:
         positives = [e for e in examples if e.label == POSITIVE]
         with pytest.raises(ValueError, match="both relation labels"):
             train(params, vocab, positives, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("clip", [5.0, 0.5])  # 0.5 clips most steps
+    def test_batch_size_one_is_per_example_training(self, clip, monkeypatch):
+        monkeypatch.setattr(lstm, "TRAIN_BATCH_SIZE", 1)
+        examples, vocab, params = self._setup(n=50, seed=4)
+        reference = LstmParams(*(a.copy() for a in params.arrays()))
+        config = TrainConfig(epochs=3, seed=4, clip=clip)
+        _, trace = train(params, vocab, examples, config)
+        expected = reference_train(reference, vocab, examples, config)
+        assert [s.epoch for s in trace] == [epoch for epoch, _, _ in expected]
+        for stats, (_, mean_loss, accuracy) in zip(trace, expected):
+            assert abs(stats.mean_loss - mean_loss) <= 1e-15
+            assert stats.accuracy == accuracy
+        for name in ARRAY_FIELDS:
+            assert np.abs(getattr(params, name) - getattr(reference, name)).max() <= 1e-15
+
+    def test_batches_group_by_length(self):
+        ids = [[1], [1, 2], [3], [4], [1, 2], [5, 6, 7], [8]]
+        order = [6, 0, 1, 2, 3, 4, 5]
+        assert list(lstm._length_batches(order, ids, 2)) == [[6, 0], [2, 3], [1, 4], [5]]
+        assert list(lstm._length_batches(order, ids, 3)) == [[6, 0, 2], [3], [1, 4], [5]]
+        assert list(lstm._length_batches(order, ids, 1)) == [[i] for i in order]
+
+    def test_larger_batches_take_fewer_steps(self, monkeypatch):
+        monkeypatch.setattr(lstm, "TRAIN_BATCH_SIZE", 16)
+        examples, vocab, params = self._setup(n=60, seed=5)
+        steps = []
+        real = lstm._batch_loss_and_gradients
+        monkeypatch.setattr(lstm, "_batch_loss_and_gradients",
+                            lambda *args: steps.append(len(args[2])) or real(*args))
+        train(params, vocab, examples, TrainConfig(epochs=2, seed=5))
+        lengths = {len(tokenize_path(ex.path)) for ex in examples}
+        assert sum(steps) == 2 * len(examples)
+        assert max(steps) == 16
+        assert len(steps) <= 2 * (len(examples) // 16 + len(lengths))
 
     def test_divergence_aborts(self):
         examples, vocab, params = self._setup()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from soundkb import DataError
 from soundkb.corpus import DepGraph, build_dep_graph
 from soundkb.paths import (
     NEGATIVE,
@@ -139,6 +140,12 @@ class TestLexicon:
     def test_rejects_uppercase(self):
         with pytest.raises(ValueError):
             EnvironmentLexicon(("Park",))
+
+    def test_rejects_entry_starting_with_hash(self):
+        with pytest.raises(DataError, match="must not begin with '#': '# scenes'"):
+            EnvironmentLexicon.from_lines(["park", "  # scenes"])
+        with pytest.raises(DataError, match="must not begin with '#'"):
+            EnvironmentLexicon(("park", "#park"))
 
     @pytest.mark.parametrize("lines, repeated", [
         (["park", "beach", "park"], "park"),
