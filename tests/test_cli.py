@@ -624,6 +624,15 @@ class TestDataErrorsNameTheirInput:
                           "--out", str(tmp_path / "m.json")], capsys)
         assert "skewed.tsv: training data must contain both labels" in err
 
+    def test_reg_too_small_for_finite_weights(self, phrase_setup, tmp_path, capsys):
+        _, _, vec, data = phrase_setup
+        model = tmp_path / "m.json"
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--reg", "1e-320", "--out", str(model)], capsys)
+        assert "labeled.tsv: training diverged: the weights or bias are not finite at --reg" in err
+        assert "Warning" not in err
+        assert not model.exists()
+
     @pytest.mark.parametrize("row, message", [
         ("a\tb", "labeled phrase rows need 3 columns, got 2"),
         ("a\tb\t+1\textra", "labeled phrase rows need 3 columns, got 4"),

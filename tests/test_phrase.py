@@ -1,11 +1,12 @@
 """Linear max-margin phrase classifier and its cross-validation harness."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from soundkb import DataError
+from soundkb import DataError, phrase
 from soundkb.embeddings import featurize
 from soundkb.phrase import (
     LabeledPhrase,
@@ -86,12 +87,130 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([(np.array([1.0]), +1), (np.array([1.0, 2.0]), -1)])
 
+    @pytest.mark.parametrize("examples, reg", [
+        # 1/(reg*n) overflows
+        ([(np.array([1.0, 0.0]), +1), (np.array([-1.0, 0.0]), -1)], 1e-320),
+        # the first violation adds an infinite step to the weights
+        ([(np.array([1e308]), +1), (np.array([-1e308]), -1)], 1e-2),
+    ])
+    def test_non_finite_fit_is_data_error(self, examples, reg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="not finite at --reg"):
+                train(examples, reg=reg, epochs=3, seed=0)
+
     def test_bad_hyperparams(self):
         examples = [(np.array([1.0]), +1), (np.array([-1.0]), -1)]
         with pytest.raises(ValueError):
             train(examples, reg=0.0)
         with pytest.raises(ValueError):
             train(examples, epochs=0)
+
+
+def per_step_train(examples, reg, epochs, seed):
+    """The trainer as one plain step per example: rescale the whole weight
+    vector every step, add to it on a margin violation.  Returns weights,
+    bias, the number of violations and the longest run of steps without
+    one."""
+    features = np.array([f for f, _ in examples], dtype=np.float64)
+    labels = np.array([y for _, y in examples], dtype=np.float64)
+    n, dim = features.shape
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(dim)
+    bias = 0.0
+    violations = streak = longest = 0
+    t = n
+    for _ in range(epochs):
+        for idx in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (reg * t)
+            x = features[idx]
+            y = labels[idx]
+            margin = y * (weights @ x + bias)
+            weights *= 1.0 - eta * reg
+            if margin < 1.0:
+                weights += eta * y * x
+                bias += eta * y
+                violations += 1
+                streak = 0
+            else:
+                streak += 1
+                longest = max(longest, streak)
+    return weights, bias, violations, longest
+
+
+def noisy_clusters(n: int, dim: int, seed: int, flip: float = 0.0):
+    """Two Gaussian blobs around +/-2 e1 with a share ``flip`` of the
+    labels flipped, so no hyperplane separates them."""
+    rng = np.random.default_rng(seed)
+    labels = np.where(np.arange(n) % 2 == 0, 1, -1)
+    features = rng.normal(0.0, 0.5, size=(n, dim))
+    features[:, 0] += 2.0 * labels
+    flipped = rng.random(n) < flip
+    labels = np.where(flipped, -labels, labels)
+    return [(features[i], int(labels[i])) for i in range(n)]
+
+
+def always_violating(n: int, dim: int, seed: int):
+    """Tiny feature vectors with alternating labels: with a large reg no
+    step ever reaches margin 1."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(0.0, 1e-3, size=(n, dim))
+    return [(features[i], 1 if i % 2 else -1) for i in range(n)]
+
+
+class TestTrainMatchesPerStepLoop:
+    """``train`` keeps scaled weights and checks runs of steps in one
+    product; it must fit what the per-step loop fits."""
+
+    @staticmethod
+    def _check(examples, reg, epochs, seed):
+        model = train(examples, reg=reg, epochs=epochs, seed=seed)
+        weights, bias, violations, longest = per_step_train(examples, reg, epochs, seed)
+        assert model.bias == bias
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-12)
+        return violations, longest
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim, reg, epochs", [
+        (1, 1e-2, 3), (5, 1e-3, 10), (20, 1e-2, 4), (50, 1e-1, 2), (200, 1e-2, 5),
+    ])
+    def test_separable(self, seed, dim, reg, epochs):
+        examples = clusters_with_verified_margin(120, dim, seed=seed + 10)
+        self._check(examples, reg, epochs, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim, reg, epochs", [(3, 1e-2, 5), (30, 1e-3, 3), (100, 1e-1, 8)])
+    def test_labels_flipped(self, seed, dim, reg, epochs):
+        examples = noisy_clusters(150, dim, seed=seed + 20, flip=0.2)
+        violations, _ = self._check(examples, reg, epochs, seed)
+        assert violations > 150 * epochs // 10
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_step_violates(self, seed):
+        examples = always_violating(60, 4, seed=seed)
+        violations, _ = self._check(examples, reg=1.0, epochs=5, seed=seed)
+        assert violations == 60 * 5
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("flip", [0.0, 0.02])
+    def test_long_runs_hit_the_look_ahead_cap(self, seed, flip):
+        n = 3 * phrase.LOOKAHEAD
+        examples = noisy_clusters(n, 8, seed=seed + 30, flip=flip)
+        violations, longest = self._check(examples, reg=1e-3, epochs=3, seed=seed)
+        assert violations > 0
+        if not flip:
+            assert longest > 2 * phrase.LOOKAHEAD
+
+    @pytest.mark.parametrize("skip_after, lookahead", [(1, 1), (1, 3), (2, 7), (4, 64)])
+    @pytest.mark.parametrize("flip", [0.0, 0.2])
+    def test_any_look_ahead_rule(self, monkeypatch, skip_after, lookahead, flip):
+        # short streaks and windows put violations at every position of a
+        # window, and windows cut short by every epoch's end
+        monkeypatch.setattr(phrase, "SKIP_AFTER", skip_after)
+        monkeypatch.setattr(phrase, "LOOKAHEAD", lookahead)
+        examples = noisy_clusters(90, 6, seed=40, flip=flip)
+        self._check(examples, reg=1e-2, epochs=6, seed=5)
 
 
 class TestPredict:
