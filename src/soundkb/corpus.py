@@ -233,16 +233,6 @@ def parse_annotated_corpus(
             yield sentence
 
 
-def to_block(sentence: Sentence) -> str:
-    """Serialize a sentence back to its 5-column block form."""
-    return "\n".join(
-        f"{index}\t{word}\t{tag}\t{'_' if head is None else head}\t{label or '_'}"
-        for index, (word, tag, head, label) in enumerate(
-            zip(sentence.words, sentence.tags, sentence.heads, sentence.labels), 1
-        )
-    )
-
-
 def build_dep_graph(sentence: Sentence) -> DepGraph:
     """Symmetric adjacency over the sentence's dependencies.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import array
 import itertools
 import logging
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -195,14 +195,6 @@ def _store(table: dict[str, np.ndarray | None], matrix: np.ndarray) -> Embedding
     for word, row in zip(table, matrix):
         table[word] = row
     return EmbeddingStore(matrix.shape[1], table)
-
-
-def dump_embeddings(store: EmbeddingStore, out: IO[str]) -> None:
-    """Write the store back out at 9 significant digits."""
-    out.write(f"{len(store)} {store.dimension}\n")
-    for word in store.words():
-        vector = store.get(word)
-        out.write(word + " " + " ".join(f"{v:.9g}" for v in vector) + "\n")
 
 
 def featurize(store: EmbeddingStore, bigram: tuple[str, str], kind: str) -> np.ndarray:

@@ -70,10 +70,6 @@ class PathVocab:
         """Id of a token; unseen tokens map to the learned unknown row."""
         return self.ids.get(token, self.ids[UNK_TOKEN])
 
-    @property
-    def learned_ids(self) -> list[int]:
-        return [i for i, flag in enumerate(self.flags) if flag == LEARNED]
-
 
 def build_vocab(
     paths: Iterable[Sequence[str]], store: EmbeddingStore | None = None
@@ -178,12 +174,6 @@ def init_params(
     return LstmParams(E=E, W=W, U=U, b=b, W_r=W_r)
 
 
-def zero_params(vocab_size: int, d: int, h: int) -> LstmParams:
-    """All-zero parameters, handy for analytic checks."""
-    return LstmParams(E=np.zeros((vocab_size, d)), W=np.zeros((4 * h, d)),
-                      U=np.zeros((4 * h, h)), b=np.zeros(4 * h), W_r=np.zeros((2, h)))
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     shifted = np.exp(z - z.max(axis=-1, keepdims=True))
@@ -198,22 +188,6 @@ def _cell(a: np.ndarray, c_prev: np.ndarray, h: int):
     c = ifo[..., :h] * u + ifo[..., h : 2 * h] * c_prev
     tanh_c = np.tanh(c)
     return ifo, u, c, tanh_c, ifo[..., 2 * h :] * tanh_c
-
-
-def lstm_cell(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One gated memory-cell update; returns (h_t, c_t)."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    d, h = params.d, params.h
-    if x.shape != (d,) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValueError(f"shape mismatch: x{x.shape}, h{h_prev.shape}, "
-                         f"c{c_prev.shape} for d={d}, h={h}")
-    if not (np.isfinite(x).all() and np.isfinite(h_prev).all() and np.isfinite(c_prev).all()):
-        raise ValueError("non-finite input to lstm_cell")
-    *_, c, _tanh_c, h_new = _cell(params.W @ x + params.b + params.U @ h_prev, c_prev, h)
-    return h_new, c
 
 
 def _run(params: LstmParams, inputs: Iterable[np.ndarray], shape: tuple, steps=None):
@@ -249,25 +223,20 @@ def predict_relation(params: LstmParams, vocab: PathVocab,
 def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) -> np.ndarray:
     """Probabilities (positive, negative) for each rendered path, as (n, 2).
 
-    Each distinct path is scored once.  Paths of one length run together,
-    at most ``BATCH_SIZE`` at a time, one (n x 4h) matmul per step; inputs
-    are projected step by step and no per-step state is kept, so memory
-    stays O(BATCH_SIZE x 4h).
+    Each distinct path is scored once.  ``_length_batches`` groups them by
+    length, at most ``BATCH_SIZE`` at a time, one (n x 4h) matmul per step;
+    inputs are projected step by step and no per-step state is kept, so
+    memory stays O(BATCH_SIZE x 4h).
     """
     rows: dict[str, int] = {}
     index = [rows.setdefault(path, len(rows)) for path in paths]
-    by_length: dict[int, list[tuple[int, list[int]]]] = {}
-    for path, row in rows.items():
-        ids = _ids_for(vocab, tokenize_path(path))
-        by_length.setdefault(len(ids), []).append((row, ids))
+    ids = [_ids_for(vocab, tokenize_path(path)) for path in rows]
     probs = np.empty((len(rows), 2))
-    for group in by_length.values():
-        for start in range(0, len(group), BATCH_SIZE):
-            chunk = group[start : start + BATCH_SIZE]
-            columns = np.array([ids for _, ids in chunk]).T  # one row of ids per step
-            inputs = (params.E[ids] @ params.W.T + params.b for ids in columns)
-            h, _c = _run(params, inputs, (len(chunk),))
-            probs[[row for row, _ in chunk]] = softmax(h @ params.W_r.T)
+    for batch in _length_batches(range(len(ids)), ids, BATCH_SIZE):
+        columns = np.array([ids[i] for i in batch]).T  # one row of ids per step
+        inputs = (params.E[step] @ params.W.T + params.b for step in columns)
+        h, _c = _run(params, inputs, (len(batch),))
+        probs[batch] = softmax(h @ params.W_r.T)
     return probs[index]
 
 
@@ -304,9 +273,9 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     h = params.h
     flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
     X = params.E[flat_ids]
+    projected = (X @ params.W.T + params.b).reshape(length, batch, 4 * h)
     steps: list = []
-    h_final, _c = _run(params, (X @ params.W.T + params.b).reshape(length, batch, 4 * h),
-                       (batch,), steps)
+    h_final, _c = _run(params, projected, (batch,), steps)
     p = softmax(h_final @ params.W_r.T)
     p_target = p[np.arange(batch), targets]
     bad = np.flatnonzero(~(p_target > 0))
@@ -320,7 +289,7 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     dz[np.arange(batch), targets] -= 1.0
     dh = dz @ params.W_r
     dc = np.zeros((batch, h))
-    deltas = np.empty((length, batch, 4, h))
+    deltas = projected.reshape(length, batch, 4, h)  # the forward pass is done with it
     H_prev = np.empty((length, batch, h))
     for t in range(length - 1, -1, -1):
         H_prev[t], c_prev, ifo, u, tanh_c = steps.pop()
@@ -406,7 +375,7 @@ def train(
     return params, trace
 
 
-def _length_batches(order: list[int], ids: Sequence[Sequence[int]], batch_size: int):
+def _length_batches(order: Iterable[int], ids: Sequence[Sequence[int]], batch_size: int):
     """Lists of example indices taken in ``order``, one path length per list:
     each bucket as it fills up, then the part-filled ones in first-seen order."""
     buckets: dict[int, list[int]] = {}

@@ -99,11 +99,6 @@ def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
     return found
 
 
-def generalize_pos(mention: CandidateMention) -> str:
-    """Space-joined POS tags of the phrase window, e.g. "VBG NNS"."""
-    return " ".join(mention.tags)
-
-
 def match_valid_pattern(mention: CandidateMention) -> PatternMatch | None:
     """Longest pattern prefix match over the mention's phrase window.
 

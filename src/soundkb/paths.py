@@ -368,10 +368,3 @@ def load_seed_paths(lines: Iterable[str]) -> list[str]:
     blank and ``#`` lines (``content_lines``) ignored."""
     return list(dict.fromkeys(line.strip() for _, line in content_lines(lines)))
 
-
-def default_seed_paths() -> tuple[list[str], list[str]]:
-    """The positive and negative seed path lists shipped with the package."""
-    return (
-        load_seed_paths(_data_text("paths.pos").splitlines()),
-        load_seed_paths(_data_text("paths.neg").splitlines()),
-    )

@@ -159,17 +159,6 @@ def predict(model: LinearModel, feature) -> tuple[int, float]:
     return (+1 if margin > 0 else -1), margin
 
 
-def hinge_objective(
-    weights: np.ndarray, bias: float, examples: Sequence[tuple], reg: float
-) -> float:
-    """Regularized hinge loss: reg/2 * ||w||^2 + mean hinge."""
-    features = np.array([f for f, _ in examples], dtype=np.float64)
-    labels = np.array([y for _, y in examples], dtype=np.float64)
-    margins = labels * (features @ weights + bias)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return float(0.5 * reg * weights @ weights + hinge)
-
-
 def make_folds(n: int, k: int, seed: int) -> list[list[int]]:
     """Seeded partition of range(n) into k folds with sizes differing <= 1."""
     if n < k:

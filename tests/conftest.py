@@ -1,4 +1,6 @@
-"""Shared fixtures: hand-annotated sentences and small embedding stores."""
+"""Shared fixtures: hand-annotated sentences and small embedding stores, and
+the test oracles: thin wrappers over the production code they check, for
+the tests that need a form no command uses."""
 
 import io
 import json
@@ -7,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from soundkb import lstm
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
-from soundkb.lstm import load_relation_model, save_relation_model
+from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
+from soundkb.paths import _data_text, load_seed_paths
 from soundkb.phrase import LinearModel, save_model
 
 # "The park was filled with the sound of children playing", with its
@@ -114,6 +118,16 @@ CANONICAL_CONCEPTS = {
 }
 
 
+def to_block(sentence) -> str:
+    """Serialize a sentence back to its 5-column block form."""
+    return "\n".join(
+        f"{index}\t{word}\t{tag}\t{'_' if head is None else head}\t{label or '_'}"
+        for index, (word, tag, head, label) in enumerate(
+            zip(sentence.words, sentence.tags, sentence.heads, sentence.labels), 1
+        )
+    )
+
+
 def block_to_sentence(block: str, sent_id: str = "test"):
     lines = list(enumerate(block.splitlines(), 1))
     return parse_block(lines, sent_id=sent_id)
@@ -138,6 +152,23 @@ def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
     return EmbeddingStore(dims.pop(), arrays)
 
 
+def dump_embeddings(store: EmbeddingStore, out) -> None:
+    """Write the store as a ``.vec`` file at 9 significant digits."""
+    out.write(f"{len(store)} {store.dimension}\n")
+    for word in store.words():
+        vector = store.get(word)
+        out.write(word + " " + " ".join(f"{v:.9g}" for v in vector) + "\n")
+
+
+def hinge_objective(weights: np.ndarray, bias: float, examples, reg: float) -> float:
+    """Regularized hinge loss: reg/2 * ||w||^2 + mean hinge."""
+    features = np.array([f for f, _ in examples], dtype=np.float64)
+    labels = np.array([y for _, y in examples], dtype=np.float64)
+    margins = labels * (features @ weights + bias)
+    hinge = np.maximum(0.0, 1.0 - margins).mean()
+    return float(0.5 * reg * weights @ weights + hinge)
+
+
 def separable_phrase_data(n_per_class: int, dim: int, seed: int, margin: float = 2.0):
     """Bigram dataset that a known hyperplane separates with the given margin.
 
@@ -158,6 +189,33 @@ def separable_phrase_data(n_per_class: int, dim: int, seed: int, margin: float =
                 vectors[w] = vec
             labeled.append(((w1, w2), label))
     return make_store(vectors), labeled
+
+
+def default_seed_paths() -> tuple[list[str], list[str]]:
+    """The positive and negative seed path lists shipped with the package."""
+    return (
+        load_seed_paths(_data_text("paths.pos").splitlines()),
+        load_seed_paths(_data_text("paths.neg").splitlines()),
+    )
+
+
+def zero_params(vocab_size: int, d: int, h: int) -> LstmParams:
+    """All-zero parameters, handy for analytic checks."""
+    return LstmParams(E=np.zeros((vocab_size, d)), W=np.zeros((4 * h, d)),
+                      U=np.zeros((4 * h, h)), b=np.zeros(4 * h), W_r=np.zeros((2, h)))
+
+
+def lstm_cell(params: LstmParams, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
+    """One memory-cell update through the cell step every command runs;
+    returns (h_t, c_t)."""
+    *_, c, _tanh_c, h_new = lstm._cell(params.W @ x + params.b + params.U @ h_prev,
+                                       c_prev, params.h)
+    return h_new, c
+
+
+def learned_ids(vocab) -> np.ndarray:
+    """Ids of the learned vocabulary rows, by the mask that training uses."""
+    return np.flatnonzero(lstm._learned_mask(vocab))
 
 
 # A relation model written by hand; W, U and b stack the gates in the

@@ -15,17 +15,15 @@ import pytest
 from soundkb import lstm
 from soundkb.cli import main
 from soundkb.corpus import build_dep_graph, parse_annotated_corpus
-from soundkb.embeddings import dump_embeddings, featurize
+from soundkb.embeddings import featurize
 from soundkb.lstm import (
     ARRAY_FIELDS,
     TrainConfig,
     build_vocab,
     init_params,
-    lstm_cell,
     softmax,
     tokenize_path,
     train,
-    zero_params,
 )
 from soundkb.mining import mine_corpus
 from soundkb.paths import (
@@ -45,7 +43,11 @@ from conftest import (
     CANONICAL_CONCEPTS,
     PATTERN_EXAMPLES_CORPUS,
     block_to_sentence,
+    dump_embeddings,
+    learned_ids,
+    lstm_cell,
     separable_phrase_data,
+    zero_params,
 )
 from test_lstm import (
     fd_gradients,
@@ -146,7 +148,7 @@ def test_criterion_4_gradient_check():
             a = getattr(analytic, name)
             n = numeric[name]
             if name == "E":
-                learned = vocab.learned_ids
+                learned = learned_ids(vocab)
                 a, n = a[learned], n[learned]
             worst_overall = max(worst_overall, max_relative_error(a, n))
     # batches of 2-5 same-length examples: their gradient is the sum of the

@@ -9,7 +9,7 @@ import pytest
 
 from soundkb import DataError, cli, embeddings, phrase
 from soundkb.cli import main
-from soundkb.embeddings import dump_embeddings, featurize, load_embeddings
+from soundkb.embeddings import featurize, load_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
 from soundkb.paths import EnvironmentLexicon
 
@@ -17,6 +17,7 @@ from conftest import (
     PARK_BLOCK,
     PATTERN_EXAMPLES_CORPUS,
     RELATION_MODEL,
+    dump_embeddings,
     malformed_phrase_models,
     malformed_relation_models,
     separable_phrase_data,

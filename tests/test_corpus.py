@@ -10,10 +10,9 @@ from soundkb.corpus import (
     build_dep_graph,
     parse_annotated_corpus,
     parse_block,
-    to_block,
 )
 
-from conftest import PARK_BLOCK, PARK_EDGES, block_to_sentence
+from conftest import PARK_BLOCK, PARK_EDGES, block_to_sentence, to_block
 
 
 def numbered(text):

@@ -11,12 +11,11 @@ from soundkb import DataError, embeddings
 from soundkb.embeddings import (
     EmbeddingFormatError,
     PhraseUnrepresentableError,
-    dump_embeddings,
     featurize,
     load_embeddings,
 )
 
-from conftest import make_store
+from conftest import dump_embeddings, make_store
 
 
 def _assert_no_vector_lines(lines):

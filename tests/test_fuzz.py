@@ -8,9 +8,12 @@ import pytest
 from soundkb import cli, lstm, mining, paths, phrase
 from soundkb.cli import main
 from soundkb.corpus import CorpusFormatError, parse_block
-from soundkb.embeddings import dump_embeddings
-
-from conftest import PARK_BLOCK, PATTERN_EXAMPLES_CORPUS, separable_phrase_data
+from conftest import (
+    PARK_BLOCK,
+    PATTERN_EXAMPLES_CORPUS,
+    dump_embeddings,
+    separable_phrase_data,
+)
 
 # Each command with its arguments; an argument naming a workspace file is
 # an input.  Sizes are kept small so one run takes milliseconds.

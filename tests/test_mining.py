@@ -9,7 +9,6 @@ from soundkb.mining import (
     ConceptEntry,
     aggregate_concepts,
     find_candidate_mentions,
-    generalize_pos,
     match_valid_pattern,
     merge_tables,
     mine_corpus,
@@ -75,16 +74,24 @@ class TestCandidates:
 
 
 class TestGeneralize:
+    """The POS signature of a phrase window is its ``tags``."""
+
+    @staticmethod
+    def window(words_tags):
+        sent = sentence_from([("sound", "NN"), ("of", "IN")] + words_tags + [(".", ".")])
+        (mention,) = find_candidate_mentions(sent)
+        return mention
+
     def test_vbg_nns(self):
-        m = mention_of([("honking", "VBG"), ("cars", "NNS")])
-        assert generalize_pos(m) == "VBG NNS"
+        m = self.window([("honking", "VBG"), ("cars", "NNS")])
+        assert m.tags == ("VBG", "NNS")
 
     def test_single(self):
-        assert generalize_pos(mention_of([("gunshots", "NNS")])) == "NNS"
+        assert self.window([("gunshots", "NNS")]).tags == ("NNS",)
 
     def test_with_determiner(self):
-        m = mention_of([("the", "DT"), ("dogs", "NNS"), ("barking", "VBG")])
-        assert generalize_pos(m) == "DT NNS VBG"
+        m = self.window([("the", "DT"), ("dogs", "NNS"), ("barking", "VBG")])
+        assert m.tags == ("DT", "NNS", "VBG")
 
 
 class TestPatternMatch:

@@ -13,7 +13,6 @@ from soundkb.paths import (
     MentionPair,
     PathOccurrence,
     PhraseIndex,
-    default_seed_paths,
     find_mention_pairs,
     generate_training_examples,
     load_seed_paths,
@@ -23,7 +22,7 @@ from soundkb.paths import (
     shortest_dep_path,
 )
 
-from conftest import block_to_sentence
+from conftest import block_to_sentence, default_seed_paths
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
 

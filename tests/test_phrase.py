@@ -11,7 +11,6 @@ from soundkb.embeddings import featurize
 from soundkb.phrase import (
     LabeledPhrase,
     cross_validate,
-    hinge_objective,
     load_model,
     make_folds,
     predict,
@@ -19,7 +18,7 @@ from soundkb.phrase import (
     train,
 )
 
-from conftest import malformed_phrase_models, separable_phrase_data
+from conftest import hinge_objective, malformed_phrase_models, separable_phrase_data
 
 
 def clusters_with_verified_margin(n: int, dim: int, seed: int):
