@@ -112,15 +112,6 @@ def _rows(path: Path, columns: int, kind: str, exact: bool = True):
         yield line_no, fields
 
 
-def _load_model(path: Path, load):
-    """``load`` applied to a model file's lines, line ends kept and ``#`` lines
-    blanked, so that a JSON error names the file's line and column."""
-    lines = _read_lines(path)
-    with _naming(path):
-        return load([(" " * len(line) if line.startswith("#") else line) + "\n"
-                     for line in lines])
-
-
 @contextmanager
 def _naming(*inputs: Path):
     """Put the names of the input files in front of a DataError raised inside."""
@@ -134,10 +125,18 @@ def _naming(*inputs: Path):
         ) from err
 
 
-def _load_store(path: Path) -> embeddings.EmbeddingStore:
+def _load(path: Path, parse):
+    """``parse`` applied to the lines of a file, a DataError named after it."""
     lines = _read_lines(path)
     with _naming(path):
-        return embeddings.load_embeddings(lines)
+        return parse(lines)
+
+
+def _load_model(path: Path, load):
+    """``load`` applied to a model file's lines, line ends kept and ``#`` lines
+    blanked, so that a JSON error names the file's line and column."""
+    return _load(path, lambda lines: load(
+        [(" " * len(line) if line.startswith("#") else line) + "\n" for line in lines]))
 
 
 def _load_sentences(path: Path) -> list[corpus.Sentence]:
@@ -154,21 +153,7 @@ def _load_sentences(path: Path) -> list[corpus.Sentence]:
 def _lexicon(args) -> paths.EnvironmentLexicon:
     if not args.environments:
         return paths.EnvironmentLexicon.default()
-    path = Path(args.environments)
-    lines = _read_lines(path)
-    with _naming(path):
-        return paths.EnvironmentLexicon.from_lines(lines)
-
-
-def _chunk(items: list, shards: int) -> list[list]:
-    base, extra = divmod(len(items), shards)
-    out = []
-    pos = 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        out.append(items[pos : pos + size])
-        pos += size
-    return out
+    return _load(Path(args.environments), paths.EnvironmentLexicon.from_lines)
 
 
 # ----------------------------------------------------------------- mine
@@ -177,7 +162,7 @@ def _chunk(items: list, shards: int) -> list[list]:
 def cmd_mine(args) -> int:
     corpus_path = Path(args.corpus)
     sentences = _load_sentences(corpus_path)
-    tables = [mining.mine_corpus(chunk) for chunk in _chunk(sentences, args.shards)]
+    tables = [mining.mine_corpus(sentences[i :: args.shards]) for i in range(args.shards)]
     table = mining.merge_tables(*tables)
 
     _write_tsv(Path(args.out), _provenance("mine", None, [corpus_path]), (),
@@ -215,7 +200,7 @@ def _read_labeled_phrases(path: Path) -> list[phrase.LabeledPhrase]:
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
-    store = _load_store(emb_path)
+    store = _load(emb_path, embeddings.load_embeddings)
     examples = []
     for row in _read_labeled_phrases(data_path):
         try:
@@ -253,7 +238,7 @@ def cmd_classify(args) -> int:
     emb_path = Path(args.embeddings)
     phrases_path = Path(args.phrases)
     model = _load_model(model_path, phrase.load_model)
-    store = _load_store(emb_path)
+    store = _load(emb_path, embeddings.load_embeddings)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:  # checked before the output file is opened
         with _naming(model_path, emb_path):
@@ -320,8 +305,8 @@ def cmd_train_relation(args) -> int:
     pos_path = Path(args.seeds_pos)
     neg_path = Path(args.seeds_neg)
     occurrences = _read_occurrences(occ_path)
-    seed_pos = paths.load_seed_paths(_read_lines(pos_path))
-    seed_neg = paths.load_seed_paths(_read_lines(neg_path))
+    seed_pos = _load(pos_path, paths.load_seed_paths)
+    seed_neg = _load(neg_path, paths.load_seed_paths)
     with _naming(pos_path, neg_path):
         examples = paths.generate_training_examples(occurrences, seed_pos, seed_neg)
     if not examples:
@@ -335,7 +320,7 @@ def cmd_train_relation(args) -> int:
     d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
-        store = _load_store(emb_path)
+        store = _load(emb_path, embeddings.load_embeddings)
         inputs.append(emb_path)
         if args.dim not in (None, store.dimension):
             raise UsageError(

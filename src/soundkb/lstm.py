@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import DataError
+from . import DataError, read_model, round9
 from .embeddings import EmbeddingStore
 from .paths import POSITIVE, RelationExample
 
@@ -190,18 +190,25 @@ def _cell(a: np.ndarray, c_prev: np.ndarray, h: int):
     return ifo, u, c, tanh_c, ifo[..., 2 * h :] * tanh_c
 
 
-def _run(params: LstmParams, inputs: Iterable[np.ndarray], shape: tuple, steps=None):
-    """Final (h, c) of the cell run from zero state of shape ``shape + (h,)``
-    over ``inputs``, one projection ``W @ x + b`` per step.  Each step costs
-    one matmul with ``U`` and, if ``steps`` is a list, appends (h_prev,
-    c_prev, ifo, u, tanh_c) to it for backpropagation."""
-    h = c = np.zeros(shape + (params.h,))
-    for xa in inputs:
+def _forward(params: LstmParams, ids: np.ndarray, steps=None):
+    """The forward pass over a batch of same-length paths, ``ids`` (B x T).
+
+    Returns the projected inputs ``W @ x + b`` (T x B x 4h), all made in one
+    (T*B x d) matmul, and the final (h, c), each (B x h), of the cell run from
+    zero state.  Each step costs one matmul with ``U`` and, if ``steps`` is a
+    list, appends (h_prev, c_prev, ifo, u, tanh_c) to it for backpropagation.
+    """
+    batch, length = ids.shape
+    projected = params.E[ids.T.reshape(-1)] @ params.W.T  # step-major
+    projected += params.b  # in place: a second (T*B x 4h) array raises the peak RSS
+    projected = projected.reshape(length, batch, 4 * params.h)
+    h = c = np.zeros((batch, params.h))
+    for xa in projected:
         ifo, u, c_new, tanh_c, h_new = _cell(xa + h @ params.U.T, c, params.h)
         if steps is not None:
             steps.append((h, c, ifo, u, tanh_c))
         h, c = h_new, c_new
-    return h, c
+    return projected, h, c
 
 
 def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
@@ -212,11 +219,9 @@ def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
 
 def predict_relation(params: LstmParams, vocab: PathVocab,
                      tokens: Sequence[str]) -> tuple[float, float]:
-    """Probabilities (positive, negative) for a path, its inputs projected in
-    one matmul."""
-    ids = _ids_for(vocab, tokens)
-    h_final, _c = _run(params, params.E[ids] @ params.W.T + params.b, ())
-    p = softmax(params.W_r @ h_final)
+    """Probabilities (positive, negative) for a path: a batch of one."""
+    h = _forward(params, np.array([_ids_for(vocab, tokens)]))[1]
+    p = softmax(h @ params.W_r.T)[0]
     return float(p[0]), float(p[1])
 
 
@@ -224,18 +229,15 @@ def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) ->
     """Probabilities (positive, negative) for each rendered path, as (n, 2).
 
     Each distinct path is scored once.  ``_length_batches`` groups them by
-    length, at most ``BATCH_SIZE`` at a time, one (n x 4h) matmul per step;
-    inputs are projected step by step and no per-step state is kept, so
-    memory stays O(BATCH_SIZE x 4h).
+    length, at most ``BATCH_SIZE`` at a time, for one forward pass each; no
+    per-step state is kept, so memory stays O(BATCH_SIZE x length x 4h).
     """
     rows: dict[str, int] = {}
     index = [rows.setdefault(path, len(rows)) for path in paths]
     ids = [_ids_for(vocab, tokenize_path(path)) for path in rows]
     probs = np.empty((len(rows), 2))
     for batch in _length_batches(range(len(ids)), ids, BATCH_SIZE):
-        columns = np.array([ids[i] for i in batch]).T  # one row of ids per step
-        inputs = (params.E[step] @ params.W.T + params.b for step in columns)
-        h, _c = _run(params, inputs, (len(batch),))
+        h = _forward(params, np.array([ids[i] for i in batch]))[1]  # h only: a kept projection doubles the peak
         probs[batch] = softmax(h @ params.W_r.T)
     return probs[index]
 
@@ -271,11 +273,8 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     """
     batch, length = ids.shape
     h = params.h
-    flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
-    X = params.E[flat_ids]
-    projected = (X @ params.W.T + params.b).reshape(length, batch, 4 * h)
     steps: list = []
-    h_final, _c = _run(params, projected, (batch,), steps)
+    projected, h_final, _c = _forward(params, ids, steps)
     p = softmax(h_final @ params.W_r.T)
     p_target = p[np.arange(batch), targets]
     bad = np.flatnonzero(~(p_target > 0))
@@ -304,12 +303,13 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
         dc = dc * ifo[:, h : 2 * h]
 
     DA = deltas.reshape(length * batch, 4 * h)
+    flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
     gE = np.zeros_like(params.E)
     trained = learned[flat_ids]
     np.add.at(gE, flat_ids[trained], (DA @ params.W)[trained])
     grads = LstmParams(
-        E=gE, W=DA.T @ X, U=DA.T @ H_prev.reshape(length * batch, h), b=DA.sum(axis=0),
-        W_r=dz.T @ h_final,
+        E=gE, W=DA.T @ params.E[flat_ids], U=DA.T @ H_prev.reshape(length * batch, h),
+        b=DA.sum(axis=0), W_r=dz.T @ h_final,
     )
     return float(loss.sum()), grads
 
@@ -400,9 +400,6 @@ def evaluate(
     return correct / len(examples)
 
 
-_round9 = np.vectorize(lambda value: float(f"{value:.9g}"), otypes=[np.float64])
-
-
 def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -411,18 +408,24 @@ def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> N
         "h": params.h,
         "vocab": [[tok, flag] for tok, flag in zip(vocab.tokens, vocab.flags)],
     }
+    rounded = np.vectorize(round9, otypes=[np.float64])
     for name in ARRAY_FIELDS:
-        doc[name] = _round9(getattr(params, name)).tolist()
+        doc[name] = rounded(getattr(params, name)).tolist()
     json.dump(doc, out)
     out.write("\n")
 
 
 def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    if name not in doc:
+        raise DataError(f"relation model has no {name!r} array")
+    value = doc[name]
+    rows = value if len(shape) == 2 and isinstance(value, list) else [value]
+    if not all(isinstance(row, list) and set(map(type, row)) <= {int, float} for row in rows):
+        raise DataError(f"relation model array {name!r} is not a {len(shape)}-d array "
+                        f"of JSON numbers")
     try:
-        array = np.array(doc[name], dtype=np.float64)
-    except KeyError:
-        raise DataError(f"relation model has no {name!r} array") from None
-    except (TypeError, ValueError) as err:
+        array = np.array(value, dtype=np.float64)
+    except ValueError as err:  # rows of different lengths
         raise DataError(f"relation model array {name!r} is not a numeric array: {err}") from None
     if array.shape != shape:
         raise DataError(
@@ -437,18 +440,11 @@ def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, Pa
     """Read a version 2 relation model; older versions are not read.
 
     Any defect (bad JSON, unknown version, missing, mis-shaped or
-    non-finite arrays, a malformed vocabulary) raises ``DataError``.
+    non-finite arrays, an entry that is not a JSON number, a malformed
+    vocabulary) raises ``DataError``.
     """
-    text = source.read() if hasattr(source, "read") else "".join(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DataError(f"relation model is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise DataError("not a relation model file")
-    version, d, h, entries = (doc.get(key) for key in ("version", "d", "h", "vocab"))
-    if type(version) is not int or version != MODEL_VERSION:
-        raise DataError(f"unsupported relation model version {version!r}")
+    doc = read_model(source, MODEL_FORMAT, MODEL_VERSION, "relation model")
+    d, h, entries = (doc.get(key) for key in ("d", "h", "vocab"))
     if not all(type(v) is int and v > 0 for v in (d, h)):
         raise DataError("relation model dimensions d and h must be positive integers")
     if not isinstance(entries, list) or not all(

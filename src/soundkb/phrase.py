@@ -26,7 +26,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import DataError
+from . import DataError, read_model, round9
 from .embeddings import AWV, CWV
 from .embeddings import featurize  # unused here; perfbench/spans.py traces phrase.featurize
 
@@ -163,15 +163,8 @@ def make_folds(n: int, k: int, seed: int) -> list[list[int]]:
     """Seeded partition of range(n) into k folds with sizes differing <= 1."""
     if n < k:
         raise DataError(f"dataset of size {n} cannot be split into {k} folds")
-    order = list(np.random.default_rng(seed).permutation(n))
-    base, extra = divmod(n, k)
-    folds = []
-    pos = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append([int(j) for j in order[pos : pos + size]])
-        pos += size
-    return folds
+    order = np.random.default_rng(seed).permutation(n)
+    return [fold.tolist() for fold in np.array_split(order, k)]
 
 
 @dataclass(frozen=True)
@@ -209,10 +202,6 @@ def cross_validate(
     return CVReport(tuple(accuracies), mean)
 
 
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
-
-
 MODEL_FORMAT = "soundkb-linear-model"
 MODEL_VERSION = 1
 # the numeric fields of a model file and the JSON types each may take
@@ -226,8 +215,8 @@ def save_model(model: LinearModel, out: IO[str]) -> None:
         "version": MODEL_VERSION,
         "dimension": model.dimension,
         "feature_kind": model.feature_kind,
-        "weights": [_round9(w) for w in model.weights],
-        "bias": _round9(model.bias),
+        "weights": [round9(w) for w in model.weights],
+        "bias": round9(model.bias),
         "reg": model.reg,
         "epochs": model.epochs,
         "seed": model.seed,
@@ -243,18 +232,10 @@ def load_model(lines: Iterable[str] | IO[str]) -> LinearModel:
     one) is read as an AWV model.  Any defect (bad JSON, another
     document, an unknown version, a missing or non-numeric field,
     ragged, empty or non-finite weights, a weight count other than
-    ``dimension``, an unknown feature kind) raises ``DataError``.
+    ``dimension``, an unknown feature kind, an integer too large for a
+    float) raises ``DataError``.
     """
-    text = lines.read() if hasattr(lines, "read") else "".join(lines)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DataError(f"phrase model is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise DataError("not a phrase classifier model file")
-    version = doc.get("version")
-    if type(version) is not int or version != MODEL_VERSION:
-        raise DataError(f"unsupported phrase model version {version!r}")
+    doc = read_model(lines, MODEL_FORMAT, MODEL_VERSION, "phrase model")
     for key, types in _NUMBERS.items():
         value = doc.get(key)
         if type(value) not in types or not math.isfinite(value):

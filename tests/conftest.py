@@ -265,6 +265,9 @@ def malformed_relation_models() -> dict[str, str]:
     variant("non-numeric-array", v2, lambda doc: doc.update(W_r="weights"))
     variant("non-finite-weight", v2, lambda doc: doc["W"][0].__setitem__(0, math.inf))
     variant("nan-weight", v2, lambda doc: doc["b"].__setitem__(1, math.nan))
+    variant("string-weight", v2, lambda doc: doc["b"].__setitem__(0, "0.5"))
+    variant("boolean-weight", v2, lambda doc: doc["E"][1].__setitem__(0, True))
+    variant("huge-integer-weight", v2, lambda doc: doc["W"][0].__setitem__(0, 10**400))
     variant("bad-dimension", v2, lambda doc: doc.update(h="2"))
     variant("bad-vocab", v2, lambda doc: doc.update(vocab=["<unk>"]))
     variant("duplicate-token", v2, lambda doc: doc["vocab"].__setitem__(2, ["amod()", "learned"]))
@@ -302,6 +305,8 @@ def malformed_phrase_models() -> dict[str, str]:
     variant("weights-not-a-list", lambda doc: doc.update(weights="weights"))
     variant("non-finite-weight", lambda doc: doc["weights"].__setitem__(0, math.inf))
     variant("nan-weight", lambda doc: doc["weights"].__setitem__(1, math.nan))
+    variant("huge-integer-weight", lambda doc: doc["weights"].__setitem__(0, 10**400))
+    variant("huge-integer-bias", lambda doc: doc.update(bias=-(10**400)))
     variant("non-finite-bias", lambda doc: doc.update(bias=math.inf))
     variant("count-mismatch", lambda doc: doc.update(dimension=3))
     variant("no-weights", lambda doc: doc.update(weights=[], dimension=0))

@@ -832,7 +832,7 @@ class TestTextFiles:
     def test_byte_order_mark_before_a_vec_header(self, tmp_path):
         vec = tmp_path / "bom.vec"
         vec.write_text(BOM + "4 2\na 1 0\nb 2 0\nc -1 0\nd -2 0\n", encoding="utf-8")
-        store = cli._load_store(vec)
+        store = cli._load(vec, cli.embeddings.load_embeddings)
         assert store.words() == ["a", "b", "c", "d"] and store.dimension == 2
 
     def test_byte_order_mark_before_a_corpus(self, pattern_corpus_file, tmp_path, capsys):

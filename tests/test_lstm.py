@@ -59,10 +59,10 @@ def gate(array: np.ndarray, name: str, h: int) -> np.ndarray:
 
 def run_path(params: LstmParams, vocab: PathVocab, tokens):
     """Final (h, c) of the shared forward pass over a path, and its steps."""
-    ids = [vocab.id_of(t) for t in tokens]
+    ids = np.array([[vocab.id_of(t) for t in tokens]])
     steps = []
-    h, c = lstm._run(params, params.E[ids] @ params.W.T + params.b, (), steps)
-    return h, c, steps
+    _projected, h, c = lstm._forward(params, ids, steps)
+    return h[0], c[0], steps
 
 
 def scalar_cell_oracle(params: LstmParams, x, h_prev, c_prev):
@@ -248,7 +248,7 @@ class TestEncode:
             h, c = lstm_cell(params, params.E[vocab.id_of(tok)], h, c)
         np.testing.assert_allclose(h_path, h, rtol=1e-15)
         np.testing.assert_allclose(c_path, c, rtol=1e-15)
-        assert len(steps) == 3 and steps[-1][0].shape == (4,)
+        assert len(steps) == 3 and steps[-1][0].shape == (1, 4)
 
     def test_predict_relation_decodes_chained_cells(self):
         vocab = small_vocab()
@@ -290,6 +290,14 @@ class TestBatchedPredict:
         assert probs.shape == (len(paths), 2)
         expected = [predict_relation(params, vocab, tokenize_path(p)) for p in paths]
         np.testing.assert_allclose(probs, expected, rtol=1e-12)
+
+    def test_single_path_equals_predict_relation_bit_for_bit(self):
+        """One path alone is a batch of one through the same forward pass."""
+        vocab = small_vocab()
+        params = init_params(vocab, d=5, h=6, seed=26)
+        for path in self._paths(40, seed=26):
+            probs = predict_paths(params, vocab, [path])
+            assert tuple(probs[0]) == predict_relation(params, vocab, tokenize_path(path))
 
     def test_unknown_tokens_score_as_unk(self):
         vocab = small_vocab()

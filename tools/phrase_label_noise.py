@@ -33,7 +33,7 @@ import random, sys, time
 from pathlib import Path
 from soundkb import cli, embeddings, phrase
 data, vec, featurizer, epochs, seed, flip = sys.argv[1:]
-store = cli._load_store(Path(vec))
+store = embeddings.load_embeddings(cli._read_lines(Path(vec)))
 rnd = random.Random(int(seed))
 examples = [(embeddings.featurize(store, row.bigram, featurizer),
              -row.label if rnd.random() < float(flip) else row.label)
