@@ -18,11 +18,14 @@ identical inputs reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import array
 import hashlib
 import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import DataError, __version__, content_lines, corpus, embeddings, lstm, mining, paths, phrase
 
@@ -233,6 +236,11 @@ def cmd_train_phrase(args) -> int:
 # -------------------------------------------------------------- classify
 
 
+# classify gathers the word rows of its phrases in chunks of at most this
+# many floats: one indexing step and one matrix product per chunk
+CLASSIFY_CHUNK_FLOATS = 1 << 14
+
+
 def cmd_classify(args) -> int:
     model_path = Path(args.model)
     emb_path = Path(args.embeddings)
@@ -243,17 +251,35 @@ def cmd_classify(args) -> int:
     if width != model.dimension:  # checked before the output file is opened
         with _naming(model_path, emb_path):
             raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
-    bigrams = [(cols[0], cols[1]) for _, cols in _rows(phrases_path, 2, "phrase", exact=False)]
+    line_nos, bigrams = array.array("q"), []  # an array holds the numbers in 8 bytes each
+    for line_no, cols in _rows(phrases_path, 2, "phrase", exact=False):
+        line_nos.append(line_no)
+        bigrams.append((cols[0], cols[1]))
+
+    # every margin is known before the output file is opened
+    n = len(bigrams)
+    margins = np.empty(n)
+    representable = np.empty(n, dtype=bool)
+    step = max(1, CLASSIFY_CHUNK_FLOATS // (2 * store.dimension))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by line
+        for start in range(0, n, step):
+            chunk = slice(start, start + step)
+            features, representable[chunk] = embeddings.featurize_many(
+                store, bigrams[chunk], model.feature_kind)
+            margins[chunk] = phrase.margins(model, features)
+    bad = np.flatnonzero(representable & ~np.isfinite(margins))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{phrases_path.name} line {line_nos[i]}: the margin of "
+                        f"{' '.join(bigrams[i])!r} is not finite (its features or the "
+                        "model's weights are too large)")
 
     def rows():
-        for bigram in bigrams:
-            try:
-                feature = embeddings.featurize(store, bigram, model.feature_kind)
-            except embeddings.PhraseUnrepresentableError:
+        for bigram, known, margin in zip(bigrams, representable.tolist(), margins.tolist()):
+            if not known:
                 yield (*bigram, "unrepresentable", "NA")
-                continue
-            label, margin = phrase.predict(model, feature)
-            yield (*bigram, f"{label:+d}", f"{margin:.9g}")
+            else:
+                yield (*bigram, "+1" if margin > 0 else "-1", f"{margin:.9g}")
 
     _write_tsv(Path(args.out), _provenance("classify", None, [model_path, emb_path, phrases_path]),
                ("word1", "word2", "label", "margin"), rows())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import array
 import itertools
 import logging
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,24 +32,27 @@ class PhraseUnrepresentableError(DataError):
 
 
 class EmbeddingStore:
-    """Immutable word -> vector table with a fixed dimension."""
+    """Immutable word -> vector table with a fixed dimension: one (n x d)
+    matrix and the row of each lowercased word, in row order."""
 
-    def __init__(self, dimension: int, table: dict[str, np.ndarray]):
-        self.dimension = dimension
-        self._table = table
+    def __init__(self, matrix: np.ndarray, index: dict[str, int]):
+        self.dimension = matrix.shape[1]
+        self.matrix = matrix
+        self.index = index
 
     def __contains__(self, word: str) -> bool:
-        return word.lower() in self._table
+        return word.lower() in self.index
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.index)
 
     def get(self, word: str) -> np.ndarray | None:
         """Vector for a word, matched exactly on its lowercased form."""
-        return self._table.get(word.lower())
+        row = self.index.get(word.lower())
+        return None if row is None else self.matrix[row]
 
     def words(self) -> list[str]:
-        return list(self._table)
+        return list(self.index)
 
 
 def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
@@ -76,7 +79,7 @@ class _NotPlain(Exception):
 
 def _load_plain(lines: list[str]) -> EmbeddingStore | None:
     """The store, if numpy reads every row and every check passes; else None."""
-    table: dict[str, np.ndarray | None] = {}  # word -> row, in row order
+    index: dict[str, int] = {}  # word -> row, in row order
     header_dim: int | None = None
 
     def components():
@@ -92,9 +95,9 @@ def _load_plain(lines: list[str]) -> EmbeddingStore | None:
                 if header_dim is not None:
                     continue
             word = parts[0].lower()
-            if len(parts) == 1 or word in table:
+            if len(parts) == 1 or word in index:
                 raise _NotPlain
-            table[word] = None
+            index[word] = len(index)
             yield parts[1]
 
     rows = components()
@@ -111,16 +114,16 @@ def _load_plain(lines: list[str]) -> EmbeddingStore | None:
     except (StopIteration, _NotPlain, ValueError, MemoryError):
         return None
     n, dimension = matrix.shape
-    # n != len(table) if numpy skipped a row it took for blank: the words would shift
-    if n != len(table) or header_dim not in (None, dimension) or not _all_finite(matrix):
+    # n != len(index) if numpy skipped a row it took for blank: the words would shift
+    if n != len(index) or header_dim not in (None, dimension) or not _all_finite(matrix):
         return None
-    return _store(table, matrix)
+    return EmbeddingStore(matrix, index)
 
 
 def _load_per_row(lines: Iterable[str]) -> EmbeddingStore:
     """The reference reader: parse and check one row at a time, naming the
     first bad line."""
-    table: dict[str, np.ndarray | None] = {}  # word -> row, in row order
+    index: dict[str, int] = {}  # word -> row, in row order
     line_nos = array.array("q")  # row -> line of the file
     components = array.array("d")  # the rows, end to end
     dimension: int | None = None
@@ -155,9 +158,9 @@ def _load_per_row(lines: Iterable[str]) -> EmbeddingStore:
             raise EmbeddingFormatError(
                 f"line {line_no}: expected {dimension} components, got {len(vector)}"
             )
-        if word in table:
+        if word in index:
             raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
-        table[word] = None  # filled in with its row of the matrix below
+        index[word] = len(index)
         line_nos.append(line_no)
         components.fromlist(vector)
     if dimension is None:
@@ -166,7 +169,7 @@ def _load_per_row(lines: Iterable[str]) -> EmbeddingStore:
     if not _all_finite(matrix):
         bad = line_nos[int(np.isfinite(matrix).all(axis=1).argmin())]
         raise EmbeddingFormatError(f"line {bad}: non-finite vector component")
-    return _store(table, matrix)
+    return EmbeddingStore(matrix, index)
 
 
 def _header_dim(fields: list[str]) -> int | None:
@@ -190,18 +193,21 @@ def _all_finite(matrix: np.ndarray) -> bool:
     return bool(np.isfinite(matrix.min()) and np.isfinite(matrix.max()))
 
 
-def _store(table: dict[str, np.ndarray | None], matrix: np.ndarray) -> EmbeddingStore:
-    """The store whose words, in order, name the rows of ``matrix``."""
-    for word, row in zip(table, matrix):
-        table[word] = row
-    return EmbeddingStore(matrix.shape[1], table)
+def _check_kind(kind: str) -> None:
+    if kind not in (AWV, CWV):
+        raise DataError(f"unknown feature kind {kind!r}")
+
+
+def _combine(v1: np.ndarray, v2: np.ndarray, kind: str) -> np.ndarray:
+    """AWV (the average) or CWV (the concatenation) of the word vectors in
+    the last axis; elementwise, so one row comes out as it does in a stack."""
+    return (v1 + v2) / 2.0 if kind == AWV else np.concatenate([v1, v2], axis=-1)
 
 
 def featurize(store: EmbeddingStore, bigram: tuple[str, str], kind: str) -> np.ndarray:
     """AWV (the average) or CWV (the concatenation, length 2d) of a bigram's
     two word vectors; a word without a vector contributes zeros."""
-    if kind not in (AWV, CWV):
-        raise DataError(f"unknown feature kind {kind!r}")
+    _check_kind(kind)
     w1, w2 = bigram
     v1, v2 = store.get(w1), store.get(w2)
     if v1 is None and v2 is None:
@@ -215,4 +221,26 @@ def featurize(store: EmbeddingStore, bigram: tuple[str, str], kind: str) -> np.n
     if v2 is None:
         log.debug("OOV word %r contributes zero vector", w2)
         v2 = zero
-    return (v1 + v2) / 2.0 if kind == AWV else np.concatenate([v1, v2])
+    return _combine(v1, v2, kind)
+
+
+def featurize_many(
+    store: EmbeddingStore, bigrams: Sequence[tuple[str, str]], kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``featurize`` rows of many bigrams, stacked, and which of them are
+    representable.
+
+    Row i equals ``featurize(store, bigrams[i], kind)`` bit for bit where
+    ``representable[i]``; the row of a bigram with both words unknown is
+    zeros.  Both words' rows are gathered from the store's matrix in one
+    indexing step, and the rows of unknown words are zeroed in the gathered
+    copy, never in the store.
+    """
+    _check_kind(kind)
+    get = store.index.get
+    ids = np.array([(get(w1.lower(), -1), get(w2.lower(), -1)) for w1, w2 in bigrams],
+                   dtype=np.intp).reshape(-1, 2)
+    known = ids >= 0
+    rows = store.matrix[ids]  # (n x 2 x d); an unknown word gathers the last row
+    rows[~known] = 0.0
+    return _combine(rows[:, 0], rows[:, 1], kind), known.any(axis=1)

@@ -148,14 +148,21 @@ def train(
     )
 
 
-def predict(model: LinearModel, feature) -> tuple[int, float]:
-    """Label and signed margin; a zero margin is classified non-sound."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.shape[0] != model.dimension:
+def margins(model: LinearModel, features) -> np.ndarray:
+    """Signed margins ``features @ weights + bias`` of a feature vector or
+    of the rows of a feature matrix."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.shape[-1] != model.dimension:
         raise DataError(
-            f"feature dimension {x.shape[0]} != model dimension {model.dimension}"
+            f"feature dimension {x.shape[-1]} != model dimension {model.dimension}"
         )
-    margin = float(model.weights @ x + model.bias)
+    return x @ model.weights + model.bias
+
+
+def predict(model: LinearModel, feature) -> tuple[int, float]:
+    """Label and signed margin of one feature vector; a zero margin is
+    classified non-sound."""
+    margin = float(margins(model, feature))
     return (+1 if margin > 0 else -1), margin
 
 
@@ -187,17 +194,15 @@ def cross_validate(
     (feature vector, label) pairs that ``train`` takes.
     """
     folds = make_folds(len(examples), k, seed)
+    features = np.array([f for f, _ in examples], dtype=np.float64)
+    labels = np.array([y for _, y in examples])
     accuracies = []
     for held_out in folds:
         held = set(held_out)
         train_part = [ex for i, ex in enumerate(examples) if i not in held]
         model = train(train_part, reg=reg, epochs=epochs, seed=seed)
-        correct = sum(
-            1
-            for i in held_out
-            if predict(model, examples[i][0])[0] == examples[i][1]
-        )
-        accuracies.append(correct / len(held_out))
+        predicted = np.where(margins(model, features[held_out]) > 0, 1, -1)
+        accuracies.append(int((predicted == labels[held_out]).sum()) / len(held_out))
     mean = sum(accuracies) / len(accuracies)
     return CVReport(tuple(accuracies), mean)
 

@@ -146,10 +146,10 @@ def pattern_corpus_file(tmp_path):
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
-    arrays = {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
-    dims = {a.shape[0] for a in arrays.values()}
-    assert len(dims) == 1
-    return EmbeddingStore(dims.pop(), arrays)
+    """The store whose rows, in order, are ``vectors``' values."""
+    matrix = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()])
+    assert matrix.ndim == 2
+    return EmbeddingStore(matrix, {w: row for row, w in enumerate(vectors)})
 
 
 def dump_embeddings(store: EmbeddingStore, out) -> None:

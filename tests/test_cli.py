@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 from importlib import resources
 
 import pytest
@@ -243,6 +244,81 @@ class TestClassify:
             label, margin = phrase.predict(model, featurize(store, bigram, "cwv"))
             expected.append(f"{bigram[0]}\t{bigram[1]}\t{label:+d}\t{margin:.9g}")
         assert data_lines(out) == expected
+
+    @staticmethod
+    def _train(data, vec, tmp_path, kind):
+        model = tmp_path / f"{kind}_model.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--featurizer", kind, "--seed", "3", "--out", str(model)]) == 0
+        return model
+
+    @pytest.mark.parametrize("per_chunk", [1, 3, 4, None])
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_chunks_equal_per_phrase_predict(self, phrase_setup, tmp_path, monkeypatch,
+                                             kind, per_chunk):
+        store, labeled, vec, data = phrase_setup
+        model_path = self._train(data, vec, tmp_path, kind)
+        if per_chunk is not None:
+            monkeypatch.setattr(cli, "CLASSIFY_CHUNK_FLOATS", per_chunk * 2 * store.dimension)
+        known = [b for b, _ in labeled]
+        unknown = ("zz", "qq")
+        # with three phrases a chunk, the unrepresentable rows open and close
+        # chunks, and the last chunk is a short one
+        bigrams = [unknown, known[0], unknown, unknown, known[1], (known[2][0].upper(), "oov"),
+                   ("OOV", known[3][1].title()), known[4], unknown, *known[5:], unknown]
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("".join(f"{w1}\t{w2}\n" for w1, w2 in bigrams), encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["classify", "--model", str(model_path), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(out)]) == 0
+        model = phrase.load_model(data_lines(model_path))
+        loaded = load_embeddings(data_lines(vec))
+        expected = []
+        for w1, w2 in bigrams:
+            try:
+                label, margin = phrase.predict(model, featurize(loaded, (w1, w2), kind))
+            except embeddings.PhraseUnrepresentableError:
+                expected.append(f"{w1}\t{w2}\tunrepresentable\tNA")
+            else:
+                expected.append(f"{w1}\t{w2}\t{label:+d}\t{margin:.9g}")
+        assert data_lines(out) == expected
+
+    @pytest.mark.parametrize("text", ["", "# no phrases\n\n"])
+    def test_no_phrases_writes_the_two_header_lines(self, phrase_setup, tmp_path, text):
+        _, _, vec, data = phrase_setup
+        model = self._train(data, vec, tmp_path, "awv")
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text(text, encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["classify", "--model", str(model), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# soundkb ")
+        assert lines[1] == "# word1\tword2\tlabel\tmargin"
+
+    @pytest.mark.parametrize("per_chunk", [2, None])
+    def test_non_finite_margin_names_the_first_line(self, phrase_setup, tmp_path, capsys,
+                                                    monkeypatch, per_chunk):
+        store, labeled, vec, data = phrase_setup
+        model = self._train(data, vec, tmp_path, "awv")
+        if per_chunk is not None:
+            monkeypatch.setattr(cli, "CLASSIFY_CHUNK_FLOATS", per_chunk * 2 * store.dimension)
+        big = tmp_path / "big.vec"
+        big.write_text(vec.read_text(encoding="utf-8")
+                       + "big " + " ".join(["1e308"] * store.dimension) + "\n", encoding="utf-8")
+        (w1, w2), _ = labeled[0]
+        phrases = tmp_path / "phrases.tsv"
+        # line 5 is the first whose average overflows; big with an unknown
+        # word (line 4) halves to a finite feature
+        phrases.write_text(f"# phrases\n{w1}\t{w2}\nzz\tqq\nbig\toov\nbig\tbig\n"
+                           f"{w1}\tbig\nbig\tbig\n", encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+            err = data_error(["classify", "--model", str(model), "--embeddings", str(big),
+                              "--phrases", str(phrases), "--out", str(out)], capsys)
+        assert err.startswith("error: phrases.tsv line 5: the margin of 'big big' is not finite")
+        assert "Warning" not in err and not out.exists()
 
     def test_featurizer_option_is_usage_error(self, phrase_setup, tmp_path, capsys):
         _, labeled, vec, data = phrase_setup

@@ -12,6 +12,7 @@ from soundkb.embeddings import (
     EmbeddingFormatError,
     PhraseUnrepresentableError,
     featurize,
+    featurize_many,
     load_embeddings,
 )
 
@@ -276,3 +277,94 @@ class TestFeatures:
         store = make_store({"a": [1.0]})
         with pytest.raises(DataError, match="unknown feature kind 'xyz'"):
             featurize(store, ("a", "a"), "xyz")
+
+
+def _stacked_featurize(store, bigrams, kind):
+    """``featurize`` row by row; zeros for an unrepresentable bigram."""
+    width = store.dimension * (2 if kind == "cwv" else 1)
+    rows, representable = [], []
+    for bigram in bigrams:
+        try:
+            rows.append(featurize(store, bigram, kind))
+            representable.append(True)
+        except PhraseUnrepresentableError:
+            rows.append(np.zeros(width))
+            representable.append(False)
+    return np.array(rows).reshape(-1, width), np.array(representable, dtype=bool)
+
+
+class TestFeaturizeMany:
+    @staticmethod
+    def _store(seed=6, n=12, dim=7):
+        rng = np.random.default_rng(seed)
+        vectors = {f"w{i}": rng.normal(size=dim) for i in range(n)}
+        vectors["neg"] = -np.abs(rng.normal(size=dim))
+        vectors["negzero"] = np.full(dim, -0.0)  # -0.0 + 0.0 is +0.0 in either path
+        return load_embeddings(
+            [f"{w} " + " ".join(repr(float(v)) for v in vec) for w, vec in vectors.items()])
+
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_equals_stacked_featurize_bitwise(self, kind):
+        store = self._store()
+        rng = random.Random(3)
+        vocab = store.words() + ["W3", "Neg", "NEGZERO", "oov", "Missing"]
+        bigrams = [(rng.choice(vocab), rng.choice(vocab)) for _ in range(400)]
+        bigrams += [("w1", "oov"), ("oov", "w1"), ("negzero", "oov"), ("oov", "negzero"),
+                    ("W1", "w1"), ("oov", "missing")]
+        features, representable = featurize_many(store, bigrams, kind)
+        want, want_representable = _stacked_featurize(store, bigrams, kind)
+        assert features.shape == want.shape
+        assert features.tobytes() == want.tobytes()
+        assert representable.tolist() == want_representable.tolist()
+        assert not representable.all() and representable.any()
+
+    @pytest.mark.parametrize("kind, width", [("awv", 2), ("cwv", 4)])
+    def test_unknown_word_on_either_side(self, kind, width):
+        store = make_store({"a": [2.0, 4.0], "b": [-1.0, 3.0]})
+        features, representable = featurize_many(
+            store, [("a", "x"), ("x", "B"), ("x", "y"), ("A", "b")], kind)
+        assert features.shape == (4, width)
+        assert representable.tolist() == [True, True, False, True]
+        if kind == "awv":
+            np.testing.assert_array_equal(features, [[1, 2], [-0.5, 1.5], [0, 0], [0.5, 3.5]])
+        else:
+            np.testing.assert_array_equal(
+                features, [[2, 4, 0, 0], [0, 0, -1, 3], [0, 0, 0, 0], [2, 4, -1, 3]])
+
+    def test_the_store_matrix_is_not_changed(self):
+        store = make_store({"a": [2.0, 4.0], "b": [-1.0, 3.0]})
+        before = store.matrix.copy()
+        featurize_many(store, [("x", "y"), ("a", "x"), ("y", "b")], "cwv")
+        np.testing.assert_array_equal(store.matrix, before)
+
+    @pytest.mark.parametrize("kind, width", [("awv", 3), ("cwv", 6)])
+    def test_no_bigrams(self, kind, width):
+        features, representable = featurize_many(make_store({"a": [1.0, 2.0, 3.0]}), [], kind)
+        assert features.shape == (0, width) and representable.shape == (0,)
+
+    def test_unknown_kind_is_data_error(self):
+        with pytest.raises(DataError, match="unknown feature kind 'xyz'"):
+            featurize_many(make_store({"a": [1.0]}), [("a", "a")], "xyz")
+
+
+class TestMatrixStore:
+    """The store keeps one matrix and a word -> row index."""
+
+    def test_api_on_a_loaded_store(self):
+        store = load_embeddings(["3 2", "Owl 1 2", "cat 3 4", "bee 5 6"])
+        assert store.words() == ["owl", "cat", "bee"]
+        assert len(store) == 3 and store.dimension == 2
+        assert "OWL" in store and "dog" not in store
+        assert store.get("dog") is None
+        np.testing.assert_array_equal(store.get("Cat"), [3.0, 4.0])
+        assert store.matrix.shape == (3, 2)
+        for row, word in enumerate(store.words()):
+            assert store.index[word] == row
+            assert np.shares_memory(store.get(word), store.matrix)
+            np.testing.assert_array_equal(store.get(word), store.matrix[row])
+
+    def test_make_store_keeps_the_insertion_order(self):
+        store = make_store({"zeta": [1.0, 0.0], "alpha": [0.0, 1.0], "mid": [2.0, 2.0]})
+        assert store.words() == ["zeta", "alpha", "mid"]
+        np.testing.assert_array_equal(store.matrix, [[1, 0], [0, 1], [2, 2]])
+        np.testing.assert_array_equal(store.get("ALPHA"), [0.0, 1.0])

@@ -227,7 +227,7 @@ LAYERS = [
     ("mine", mining, "mine_corpus"),
     ("paths", paths, "occurrences_for_sentence"),
     ("train-phrase", phrase, "cross_validate"),
-    ("classify", phrase, "predict"),
+    ("classify", phrase, "margins"),
     ("train-relation", lstm, "train"),
     ("predict", lstm, "predict_paths"),
     ("report", cli, "build_kb"),

@@ -13,6 +13,7 @@ from soundkb.phrase import (
     cross_validate,
     load_model,
     make_folds,
+    margins,
     predict,
     save_model,
     train,
@@ -266,6 +267,34 @@ class TestPredict:
             predict(model, np.array([1.0, 2.0, 3.0]))
 
 
+class TestMargins:
+    @staticmethod
+    def _model(dim=6):
+        return train(noisy_clusters(80, dim, seed=50, flip=0.1), reg=1e-2, epochs=4, seed=1)
+
+    def test_one_vector_is_predicts_margin(self):
+        model = self._model()
+        x = np.random.default_rng(51).normal(size=6)
+        assert float(margins(model, x)) == predict(model, x)[1]
+
+    def test_rows_match_predict(self):
+        model = self._model()
+        features = np.random.default_rng(52).normal(size=(300, 6))
+        got = margins(model, features)
+        assert got.shape == (300,)
+        for x, margin in zip(features, got):
+            want = predict(model, x)[1]
+            assert margin == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert f"{margin:.9g}" == f"{want:.9g}"
+
+    def test_no_rows(self):
+        assert margins(self._model(), np.zeros((0, 6))).shape == (0,)
+
+    def test_dimension_mismatch_in_a_matrix(self):
+        with pytest.raises(DataError, match="^feature dimension 5 != model dimension 6$"):
+            margins(self._model(), np.zeros((3, 5)))
+
+
 class TestFolds:
     def test_eight_examples_four_even_folds(self):
         folds = make_folds(8, 4, seed=0)
@@ -313,6 +342,19 @@ class TestCrossValidate:
         r1 = cross_validate(examples, k=4, seed=9)
         r2 = cross_validate(examples, k=4, seed=9)
         assert r1 == r2
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_fold_accuracies_match_per_example_predict(self, seed):
+        examples = noisy_clusters(90, 5, seed=60 + seed, flip=0.25)
+        report = cross_validate(examples, k=4, seed=seed, reg=1e-2, epochs=3)
+        want = []
+        for held_out in make_folds(len(examples), 4, seed):
+            rest = [ex for i, ex in enumerate(examples) if i not in held_out]
+            model = train(rest, reg=1e-2, epochs=3, seed=seed)
+            correct = sum(predict(model, examples[i][0])[0] == examples[i][1] for i in held_out)
+            want.append(correct / len(held_out))
+        assert report.fold_accuracies == tuple(want)
+        assert min(want) < 1.0  # the flipped labels make some held-out rows wrong
 
     def test_dataset_smaller_than_k(self):
         store, labeled = separable_phrase_data(1, 4, seed=24)
