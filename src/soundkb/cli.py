@@ -185,7 +185,8 @@ def cmd_mine(args) -> int:
 # --------------------------------------------------------- train-phrase
 
 
-def _read_labeled_phrases(path: Path) -> list[phrase.LabeledPhrase]:
+def _read_labeled_phrases(path: Path) -> list[tuple[int, phrase.LabeledPhrase]]:
+    """Each labeled phrase with the number of its line."""
     rows = []
     for line_no, (w1, w2, label) in _rows(path, 3, "labeled phrase"):
         try:
@@ -196,25 +197,43 @@ def _read_labeled_phrases(path: Path) -> list[phrase.LabeledPhrase]:
             raise DataError(
                 f"{path.name} line {line_no}: label must be +1 or -1, got {label!r}"
             )
-        rows.append(phrase.LabeledPhrase(bigram=(w1, w2), label=value))
+        rows.append((line_no, phrase.LabeledPhrase(bigram=(w1, w2), label=value)))
     return rows
+
+
+def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
+    """The error for a phrase whose margin overflows, to be named by its file."""
+    return DataError(f"line {line_no}: the margin of {' '.join(bigram)!r} is not finite "
+                     "(its features or the model's weights are too large)")
 
 
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
     store = _load(emb_path, embeddings.load_embeddings)
-    examples = []
-    for row in _read_labeled_phrases(data_path):
-        try:
-            feature = embeddings.featurize(store, row.bigram, args.featurizer)
-        except embeddings.PhraseUnrepresentableError:
-            print(f"warning: skipping unrepresentable phrase: {row.bigram[0]} {row.bigram[1]}",
-                  file=sys.stderr)
-            continue
-        examples.append((feature, row.label))
+    rows = _read_labeled_phrases(data_path)
+    examples, named = [], []
 
-    with _naming(data_path):
+    def check(finite: np.ndarray) -> None:
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            raise _margin_not_finite(*named[bad[0]])
+
+    # an overflow is reported by check, naming the phrase's line
+    with _naming(data_path), np.errstate(over="ignore", invalid="ignore"):
+        for line_no, row in rows:
+            try:
+                feature = embeddings.featurize(store, row.bigram, args.featurizer)
+            except embeddings.PhraseUnrepresentableError:
+                print(f"warning: skipping unrepresentable phrase: {row.bigram[0]} {row.bigram[1]}",
+                      file=sys.stderr)
+                continue
+            examples.append((feature, row.label))
+            named.append((line_no, row.bigram))
+        width = store.dimension * (2 if args.featurizer == embeddings.CWV else 1)
+        features = np.array([x for x, _ in examples]).reshape(-1, width)
+        # a non-finite feature has a non-finite margin under any weights
+        check(np.isfinite(features).all(axis=1))
         report = phrase.cross_validate(
             examples, k=args.folds, seed=args.seed, reg=args.reg, epochs=args.epochs,
         )
@@ -222,6 +241,7 @@ def cmd_train_phrase(args) -> int:
             examples, reg=args.reg, epochs=args.epochs, seed=args.seed,
             feature_kind=args.featurizer,
         )
+        check(np.isfinite(phrase.margins(model, features)))
     header = "\t".join(f"Fold {i + 1}" for i in range(args.folds)) + "\tAvg"
     values = "\t".join(f"{100 * acc:.2f}" for acc in report.fold_accuracies)
     print(header)
@@ -270,9 +290,8 @@ def cmd_classify(args) -> int:
     bad = np.flatnonzero(representable & ~np.isfinite(margins))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"{phrases_path.name} line {line_nos[i]}: the margin of "
-                        f"{' '.join(bigrams[i])!r} is not finite (its features or the "
-                        "model's weights are too large)")
+        with _naming(phrases_path):
+            raise _margin_not_finite(line_nos[i], bigrams[i])
 
     def rows():
         for bigram, known, margin in zip(bigrams, representable.tolist(), margins.tolist()):
@@ -298,9 +317,13 @@ def cmd_paths(args) -> int:
     )
     lexicon = _lexicon(args)
 
-    occurrences = []
+    occurrences, unconnected = [], []
     for sentence in sentences:
-        occurrences.extend(paths.occurrences_for_sentence(sentence, concepts, lexicon))
+        occurrences.extend(paths.occurrences_for_sentence(
+            sentence, concepts, lexicon, on_unconnected=unconnected.append))
+    if unconnected:
+        print(f"warning: {corpus_path.name}: dropped {len(unconnected)} mention pairs "
+              "with an anchor that has no dependency edge", file=sys.stderr)
 
     provenance = _provenance("paths", None, [corpus_path, concepts_path])
     _write_tsv(Path(args.out), provenance, ("scene", "concept", "path", "sentence"),

@@ -57,23 +57,23 @@ class Sentence:
 
 @dataclass(frozen=True)
 class DepGraph:
-    """Undirected view of a sentence's dependencies.
+    """Parent-pointer view of a sentence's dependency forest.
 
-    ``adjacency[i]`` lists ``(neighbor, label)`` for every non-root edge
-    touching token ``i``.  The root pseudo-node is not part of the graph.
+    ``heads`` and ``labels`` are the sentence's columns: ``heads[i - 1]``
+    is the head of token ``i`` (``0`` for the root, ``None`` for an
+    unattached token) and ``labels[i - 1]`` the label of that edge.
+    ``words`` are the sentence's words, lowercased.
     """
 
     words: tuple[str, ...]
-    adjacency: tuple[tuple[tuple[int, str], ...], ...]
+    heads: tuple[int | None, ...]
+    labels: tuple[str | None, ...]
 
     def __len__(self) -> int:
         return len(self.words)
 
     def word(self, index: int) -> str:
         return self.words[index - 1]
-
-    def neighbors(self, index: int) -> tuple[tuple[int, str], ...]:
-        return self.adjacency[index - 1]
 
 
 def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sentence:
@@ -234,15 +234,6 @@ def parse_annotated_corpus(
 
 
 def build_dep_graph(sentence: Sentence) -> DepGraph:
-    """Symmetric adjacency over the sentence's dependencies.
-
-    The root edge is excluded: paths through the root pseudo-node are
-    linguistically meaningless.
-    """
-    adjacency: list[list[tuple[int, str]]] = [[] for _ in sentence.words]
-    for dependent, (head, label) in enumerate(zip(sentence.heads, sentence.labels), 1):
-        if head:
-            adjacency[head - 1].append((dependent, label))
-            adjacency[dependent - 1].append((head, label))
+    """The sentence's heads and labels, with its words lowercased."""
     words = tuple(word.lower() for word in sentence.words)
-    return DepGraph(words=words, adjacency=tuple(tuple(a) for a in adjacency))
+    return DepGraph(words=words, heads=sentence.heads, labels=sentence.labels)

@@ -2,18 +2,19 @@
 
 A sentence that mentions both a mined concept and an acoustic
 environment yields one occurrence per mention pair: the shortest path
-between the two anchors in the dependency graph, rendered as an
-alternating string of edge labels (with a ``()`` suffix) and
-intermediate words.  Rendered paths matched against seed path lists
-become labeled relation examples.
+between the two anchors in the sentence's dependency forest, rendered
+as an alternating string of edge labels (with a ``()`` suffix) and
+intermediate words.  Each token has at most one head, so that path runs
+through the anchors' lowest common ancestor and a parsed sentence has
+exactly one; no tie-break between paths is needed.  Rendered paths
+matched against seed path lists become labeled relation examples.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import DataError, content_lines
 from .corpus import DepGraph, Sentence, build_dep_graph
@@ -192,58 +193,49 @@ def find_mention_pairs(
     return pairs
 
 
-def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | None:
-    """Breadth-first shortest path on the undirected dependency view.
+def _up_from(heads: tuple[int | None, ...], node: int) -> list[int]:
+    """``node`` and its ancestors, nearest first, up to the top of its tree:
+    the root token, or a token with no head."""
+    chain = [node]
+    while head := heads[node - 1]:
+        if len(chain) == len(heads):
+            raise ValueError(f"head cycle above token {chain[0]}")
+        chain.append(head)
+        node = head
+    return chain
 
-    Returns None when the anchors are disconnected.  Among equal-length
-    paths the one whose plain rendered string (no suppression) sorts
-    lowest wins, which keeps extraction deterministic.
+
+def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | None:
+    """The path between two anchors through their lowest common ancestor.
+
+    A parsed sentence's dependencies form a forest (each token has at
+    most one head), so the path that climbs from each anchor to the
+    first ancestor they share is the one shortest path between them.
+    The root edge is not part of the forest.  Returns None when the
+    anchors lie in different trees, as an unattached anchor always does.
+    Raises ``ValueError`` for an anchor out of range, and for a head
+    cycle above either anchor, which a parsed sentence never has.
     """
     n = len(graph)
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"anchor out of range: {source}, {target}")
-    if source == target:
-        return DepPath((source,), (), (graph.word(source),))
-
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor, _label in graph.neighbors(node):
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                queue.append(neighbor)
-    if target not in dist:
+    up = _up_from(graph.heads, source)
+    down = _up_from(graph.heads, target)
+    for below, top in enumerate(down):
+        if top in up:  # chains are a few tokens long: a list beats a set
+            break
+    else:
         return None
-
-    # Walk the predecessor DAG from the target back to the source,
-    # enumerating every shortest node sequence.
-    sequences: list[tuple[int, ...]] = []
-    stack = [(target, (target,))]
-    while stack:
-        node, tail = stack.pop()
-        if node == source:
-            sequences.append(tail)
-            continue
-        for neighbor, _label in graph.neighbors(node):
-            if dist.get(neighbor) == dist[node] - 1:
-                stack.append((neighbor, (neighbor,) + tail))
-
-    best: tuple[str, tuple[int, ...], DepPath] | None = None
-    for nodes in sequences:
-        labels = tuple(
-            min(lab for neighbor, lab in graph.neighbors(a) if neighbor == b)
-            for a, b in zip(nodes, nodes[1:])
-        )
-        path = DepPath(
-            nodes=nodes,
-            labels=labels,
-            words=tuple(graph.word(i) for i in nodes),
-        )
-        key = (" ".join(path.items()), nodes)
-        if best is None or key < best[:2]:
-            best = (key[0], nodes, path)
-    return best[2] if best else None
+    rising = up[: up.index(top)]  # from the source up to the ancestor
+    falling = down[:below][::-1]  # from below the ancestor down to the target
+    nodes = (*rising, top, *falling)
+    labels, words = graph.labels, graph.words
+    return DepPath(
+        nodes=nodes,
+        # an edge carries the label of its dependent, the end away from the ancestor
+        labels=tuple([labels[i - 1] for i in rising + falling]),
+        words=tuple([words[i - 1] for i in nodes]),
+    )
 
 
 def render_path(path: DepPath, pair: MentionPair) -> str:
@@ -285,8 +277,13 @@ def occurrences_for_sentence(
     sentence: Sentence,
     concepts: PhraseIndex,
     lexicon: EnvironmentLexicon,
+    on_unconnected: Callable[[MentionPair], None] | None = None,
 ) -> list[PathOccurrence]:
-    """Rendered-path occurrences for every connected mention pair."""
+    """Rendered-path occurrences for every connected mention pair.
+
+    A pair whose anchors no path connects is dropped and, if given,
+    passed to ``on_unconnected``.
+    """
     pairs = find_mention_pairs(sentence, concepts, lexicon)
     if not pairs:
         return []
@@ -295,6 +292,8 @@ def occurrences_for_sentence(
     for pair in pairs:
         path = shortest_dep_path(graph, pair.env_anchor, pair.concept_anchor)
         if path is None:
+            if on_unconnected is not None:
+                on_unconnected(pair)
             continue
         occurrences.append(
             PathOccurrence(

@@ -1,10 +1,13 @@
 """Shared fixtures: hand-annotated sentences and small embedding stores, and
 the test oracles: thin wrappers over the production code they check, for
-the tests that need a form no command uses."""
+the tests that need a form no command uses, and the general-graph shortest
+path search that the dependency path walk is checked against."""
 
 import io
 import json
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from soundkb import lstm
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
-from soundkb.paths import _data_text, load_seed_paths
+from soundkb.paths import DepPath, _data_text, load_seed_paths
 from soundkb.phrase import LinearModel, save_model
 
 # "The park was filled with the sound of children playing", with its
@@ -143,6 +146,96 @@ def pattern_corpus_file(tmp_path):
     path = tmp_path / "table1.ann"
     path.write_text(PATTERN_EXAMPLES_CORPUS, encoding="utf-8")
     return path
+
+
+@dataclass(frozen=True)
+class AdjacencyGraph:
+    """Undirected view of a sentence's dependencies.
+
+    ``adjacency[i]`` lists ``(neighbor, label)`` for every non-root edge
+    touching token ``i``.  The root pseudo-node is not part of the graph.
+    """
+
+    words: tuple[str, ...]
+    adjacency: tuple[tuple[tuple[int, str], ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def word(self, index: int) -> str:
+        return self.words[index - 1]
+
+    def neighbors(self, index: int) -> tuple[tuple[int, str], ...]:
+        return self.adjacency[index - 1]
+
+
+def adjacency_graph(sentence) -> AdjacencyGraph:
+    """Symmetric adjacency over the sentence's dependencies.
+
+    The root edge is excluded: paths through the root pseudo-node are
+    linguistically meaningless.
+    """
+    adjacency: list[list[tuple[int, str]]] = [[] for _ in sentence.words]
+    for dependent, (head, label) in enumerate(zip(sentence.heads, sentence.labels), 1):
+        if head:
+            adjacency[head - 1].append((dependent, label))
+            adjacency[dependent - 1].append((head, label))
+    words = tuple(word.lower() for word in sentence.words)
+    return AdjacencyGraph(words=words, adjacency=tuple(tuple(a) for a in adjacency))
+
+
+def bfs_shortest_path(graph: AdjacencyGraph, source: int, target: int) -> DepPath | None:
+    """Breadth-first shortest path on the undirected dependency view.
+
+    Returns None when the anchors are disconnected.  Among equal-length
+    paths the one whose plain rendered string (no suppression) sorts
+    lowest wins, which keeps extraction deterministic.
+    """
+    n = len(graph)
+    if not (1 <= source <= n and 1 <= target <= n):
+        raise ValueError(f"anchor out of range: {source}, {target}")
+    if source == target:
+        return DepPath((source,), (), (graph.word(source),))
+
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor, _label in graph.neighbors(node):
+            if neighbor not in dist:
+                dist[neighbor] = dist[node] + 1
+                queue.append(neighbor)
+    if target not in dist:
+        return None
+
+    # Walk the predecessor DAG from the target back to the source,
+    # enumerating every shortest node sequence.
+    sequences: list[tuple[int, ...]] = []
+    stack = [(target, (target,))]
+    while stack:
+        node, tail = stack.pop()
+        if node == source:
+            sequences.append(tail)
+            continue
+        for neighbor, _label in graph.neighbors(node):
+            if dist.get(neighbor) == dist[node] - 1:
+                stack.append((neighbor, (neighbor,) + tail))
+
+    best: tuple[str, tuple[int, ...], DepPath] | None = None
+    for nodes in sequences:
+        labels = tuple(
+            min(lab for neighbor, lab in graph.neighbors(a) if neighbor == b)
+            for a, b in zip(nodes, nodes[1:])
+        )
+        path = DepPath(
+            nodes=nodes,
+            labels=labels,
+            words=tuple(graph.word(i) for i in nodes),
+        )
+        key = (" ".join(path.items()), nodes)
+        if best is None or key < best[:2]:
+            best = (key[0], nodes, path)
+    return best[2] if best else None
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:

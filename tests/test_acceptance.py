@@ -42,6 +42,8 @@ from conftest import (
     PARK_BLOCK,
     CANONICAL_CONCEPTS,
     PATTERN_EXAMPLES_CORPUS,
+    adjacency_graph,
+    bfs_shortest_path,
     block_to_sentence,
     dump_embeddings,
     learned_ids,
@@ -55,7 +57,7 @@ from test_lstm import (
     max_relative_error,
     same_length_batch,
 )
-from test_paths import floyd_warshall, random_graph, trivial_pair
+from test_paths import floyd_warshall, random_graph, random_parsed_sentence, trivial_pair
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
 
@@ -104,6 +106,7 @@ def test_criterion_2_path_golden():
 def test_criterion_3_shortest_path_oracle():
     watch = Stopwatch(10.0)
     rng = random.Random(333)
+    # the breadth-first oracle on general graphs: cycles and parallel edges
     graphs = 0
     while graphs < 200:
         graph = random_graph(rng, max_nodes=12)
@@ -112,7 +115,7 @@ def test_criterion_3_shortest_path_oracle():
         n = len(graph)
         for src in range(1, n + 1):
             for dst in range(1, n + 1):
-                path = shortest_dep_path(graph, src, dst)
+                path = bfs_shortest_path(graph, src, dst)
                 expected = oracle[src - 1][dst - 1]
                 if expected == float("inf"):
                     assert path is None
@@ -122,9 +125,32 @@ def test_criterion_3_shortest_path_oracle():
                     pair = trivial_pair(src, dst)
                     first = render_path(path, pair)
                     again = render_path(
-                        shortest_dep_path(graph, src, dst), pair
+                        bfs_shortest_path(graph, src, dst), pair
                     )
                     assert first == again
+    # the walk that paths runs, on parsed sentences (unattached tokens, single
+    # tokens, the root token as an anchor): the oracle's path, or None, and
+    # the Floyd-Warshall length on the undirected view of the heads
+    single = unattached = connected = 0
+    for _ in range(200):
+        sentence = random_parsed_sentence(rng, max_tokens=12)
+        single += len(sentence) == 1
+        unattached += None in sentence.heads
+        graph = build_dep_graph(sentence)
+        undirected = adjacency_graph(sentence)
+        oracle = floyd_warshall(undirected)
+        n = len(sentence)
+        for src in range(1, n + 1):
+            for dst in range(1, n + 1):
+                path = shortest_dep_path(graph, src, dst)
+                assert path == bfs_shortest_path(undirected, src, dst)
+                expected = oracle[src - 1][dst - 1]
+                if expected == float("inf"):
+                    assert path is None
+                    continue
+                assert path.length == expected
+                connected += src != dst
+    assert single > 5 and unattached > 50 and connected > 2000
     announce(3, "shortest-path-oracle", watch.check())
 
 

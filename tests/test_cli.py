@@ -178,6 +178,23 @@ class TestTrainPhrase:
         assert sorted(calls) == sorted([b for b, _ in labeled] + [("zz", "qq")])
         assert capsys.readouterr().err == "warning: skipping unrepresentable phrase: zz qq\n"
 
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_non_finite_margin_names_the_line(self, tmp_path, capsys, kind):
+        vec = tmp_path / "big.vec"
+        vec.write_text("a 1 0\nb 2 0\nc -1 0\nd -2 0\nbig 1e308 1e308\n", encoding="utf-8")
+        data = tmp_path / "labeled.tsv"
+        # the average of the two big rows overflows; their concatenation is
+        # finite, but its margin under the trained weights overflows
+        data.write_text("a\tb\t+1\nb\ta\t+1\na\ta\t+1\nb\tb\t+1\nc\td\t-1\nd\tc\t-1\n"
+                        "c\tc\t-1\nd\td\t-1\nbig\tbig\t+1\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+            err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                              "--featurizer", kind, "--folds", "2", "--out", str(out)], capsys)
+        assert err.startswith("error: labeled.tsv line 9: the margin of 'big big' is not finite")
+        assert "Warning" not in err and not out.exists()
+
     @pytest.mark.parametrize("label", ["x", "2", "0", "+1.0"])
     def test_bad_label_names_file_and_line(self, phrase_setup, tmp_path, capsys, label):
         _, labeled, vec, _ = phrase_setup
@@ -347,7 +364,7 @@ class TestClassify:
 
 
 class TestPaths:
-    def test_park_fixture_golden_path(self, tmp_path):
+    def test_park_fixture_golden_path(self, tmp_path, capsys):
         corpus = tmp_path / "park.ann"
         corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
         concepts = tmp_path / "concepts.tsv"
@@ -359,6 +376,23 @@ class TestPaths:
         assert rows == [f"park\tchildren playing\t{PARK_GOLDEN}\tpark.ann:1"]
         freq = data_lines(out.with_suffix(".freq.tsv"))
         assert freq == [f"{PARK_GOLDEN}\t1"]
+        assert capsys.readouterr().err == ""
+
+    def test_unconnected_pairs_counted_in_one_warning(self, tmp_path, capsys):
+        # the environment word carries no dependency edge, so no path reaches it
+        stranded = ("1\tgunshots\tNNS\t2\tnsubj\n2\techoed\tVBD\t0\troot\n"
+                    "3\tin\tIN\t_\t_\n4\tpark\tNN\t_\t_\n")
+        corpus = tmp_path / "c.ann"
+        corpus.write_text(f"{stranded}\n{PARK_BLOCK}\n\n{stranded}", encoding="utf-8")
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text("children playing\tP3\t1\ngunshots\tP4\t1\n", encoding="utf-8")
+        out = tmp_path / "occ.tsv"
+        assert main(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
+                     "--out", str(out)]) == 0
+        assert data_lines(out) == [f"park\tchildren playing\t{PARK_GOLDEN}\tc.ann:2"]
+        assert capsys.readouterr().err == (
+            "warning: c.ann: dropped 2 mention pairs with an anchor that has no "
+            "dependency edge\n")
 
     def test_no_mentions_empty_outputs(self, tmp_path):
         corpus = tmp_path / "c.ann"

@@ -313,27 +313,29 @@ class TestRoundTrip:
 
 
 class TestDepGraph:
+    """The parent-pointer view: each token's head and label, words lowercased."""
+
     def test_park_degrees(self):
         sent = block_to_sentence(PARK_BLOCK)
         graph = build_dep_graph(sent)
         # four edges of the sentence touch "filled" (incl. root)...
         incident = [e for e in edges(sent) if 4 in e[1:]]
         assert len(incident) == 4
-        # ...but the root edge is excluded from traversal adjacency
-        assert sorted(nb for nb, _ in graph.neighbors(4)) == [2, 3, 10]
+        # ...the root edge, whose head 0 ends a walk up, and three dependents
+        assert graph.heads[4 - 1] == 0
+        assert [i for i, head in enumerate(graph.heads, 1) if head == 4] == [2, 3, 10]
 
     def test_single_token_sentence(self):
         sent = parse_block(numbered("1\tHello\tUH\t0\troot"))
         graph = build_dep_graph(sent)
         assert len(graph) == 1
-        assert graph.neighbors(1) == ()
+        assert (graph.words, graph.heads, graph.labels) == (("hello",), (0,), ("root",))
 
     def test_chain_adjacency(self):
         block = "1\ta\tNN\t2\tdep\n2\tb\tNN\t3\tdep\n3\tc\tNN\t0\troot"
         graph = build_dep_graph(parse_block(numbered(block)))
-        assert graph.neighbors(1) == ((2, "dep"),)
-        assert sorted(graph.neighbors(2)) == [(1, "dep"), (3, "dep")]
-        assert graph.neighbors(3) == ((2, "dep"),)
+        assert graph.heads == (2, 3, 0)
+        assert graph.labels == ("dep", "dep", "root")
 
     def test_non_root_edges_preserved_with_direction(self):
         rng = random.Random(7)
@@ -344,19 +346,17 @@ class TestDepGraph:
             except CorpusFormatError:
                 continue
             graph = build_dep_graph(sent)
-            # every non-root edge, with its label, in both directions
+            # every non-root edge as (dependent, head, label)
             listed = sorted(
-                (i, nb, lab)
-                for i in range(1, len(sent) + 1)
-                for nb, lab in graph.neighbors(i)
+                (dependent, head, label)
+                for dependent, (head, label) in enumerate(zip(graph.heads, graph.labels), 1)
+                if head
             )
             expected = sorted(
-                edge
-                for label, head, dep in edges(sent)
-                if head != 0
-                for edge in ((head, dep, label), (dep, head, label))
+                (dep, head, label) for label, head, dep in edges(sent) if head != 0
             )
             assert listed == expected
+            assert graph.words == tuple(word.lower() for word in sent.words)
 
     def test_lower_words_exposed(self):
         sent = block_to_sentence(PARK_BLOCK)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from soundkb import DataError
-from soundkb.corpus import DepGraph, build_dep_graph
+from soundkb.corpus import Sentence, build_dep_graph
 from soundkb.paths import (
     NEGATIVE,
     POSITIVE,
@@ -22,7 +22,12 @@ from soundkb.paths import (
     shortest_dep_path,
 )
 
-from conftest import block_to_sentence, default_seed_paths
+from conftest import (
+    AdjacencyGraph,
+    bfs_shortest_path,
+    block_to_sentence,
+    default_seed_paths,
+)
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
 
@@ -37,7 +42,7 @@ def trivial_pair(env_anchor: int, concept_anchor: int) -> MentionPair:
     )
 
 
-def random_graph(rng: random.Random, max_nodes: int = 12) -> DepGraph:
+def random_graph(rng: random.Random, max_nodes: int = 12) -> AdjacencyGraph:
     """Random connected labeled graph: a spanning tree, extra edges, and
     the occasional parallel edge pair as produced by mutual heads."""
     n = rng.randint(2, max_nodes)
@@ -59,7 +64,29 @@ def random_graph(rng: random.Random, max_nodes: int = 12) -> DepGraph:
         adjacency[a - 1].append((b, label))
         adjacency[b - 1].append((a, label))
     words = tuple(f"w{i}" for i in range(1, n + 1))
-    return DepGraph(words=words, adjacency=tuple(tuple(x) for x in adjacency))
+    return AdjacencyGraph(words=words, adjacency=tuple(tuple(x) for x in adjacency))
+
+
+def random_parsed_sentence(rng: random.Random, max_tokens: int = 12) -> Sentence:
+    """A random sentence that passes ``parse_block``: a dependency tree
+    under the root token, plus unattached tokens, which head nothing.
+    One sentence in ``max_tokens`` has a single token."""
+    n = rng.randint(1, max_tokens)
+    labels = ["amod", "nsubj", "prep_of", "det", "dobj", "nn", "conj_and"]
+    order = rng.sample(range(1, n + 1), n)
+    rows = {order[0]: ("0", "root")}
+    attached = [order[0]]
+    for token in order[1:]:
+        if rng.random() < 0.2:
+            rows[token] = ("_", "_")
+        else:
+            rows[token] = (str(rng.choice(attached)), rng.choice(labels))
+            attached.append(token)
+    block = "\n".join(
+        f"{i}\t{rng.choice(['Park', 'sound', 'of', 'DOGS', 'x'])}\tNN\t{head}\t{label}"
+        for i, (head, label) in sorted(rows.items())
+    )
+    return block_to_sentence(block)
 
 
 def scan_phrases_oracle(lowers, phrases):
@@ -108,7 +135,7 @@ def random_phrase_table(rng: random.Random, vocab: list[str]) -> list[str]:
     return table
 
 
-def floyd_warshall(graph: DepGraph) -> list[list[float]]:
+def floyd_warshall(graph: AdjacencyGraph) -> list[list[float]]:
     n = len(graph)
     inf = float("inf")
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
@@ -309,6 +336,8 @@ class TestShortestPath:
         assert shortest_dep_path(graph, 1, 3) is None
 
     def test_matches_floyd_warshall_oracle(self):
+        # the breadth-first oracle, on general graphs with cycles and
+        # parallel edges, which no parsed sentence has
         rng = random.Random(2024)
         for _ in range(60):
             graph = random_graph(rng)
@@ -316,7 +345,7 @@ class TestShortestPath:
             n = len(graph)
             for src in range(1, n + 1):
                 for dst in range(1, n + 1):
-                    path = shortest_dep_path(graph, src, dst)
+                    path = bfs_shortest_path(graph, src, dst)
                     expected = oracle[src - 1][dst - 1]
                     if expected == float("inf"):
                         assert path is None
@@ -329,8 +358,8 @@ class TestShortestPath:
             graph = random_graph(rng)
             n = len(graph)
             src, dst = rng.randint(1, n), rng.randint(1, n)
-            first = shortest_dep_path(graph, src, dst)
-            second = shortest_dep_path(graph, src, dst)
+            first = bfs_shortest_path(graph, src, dst)
+            second = bfs_shortest_path(graph, src, dst)
             if first is None:
                 assert second is None
             else:
@@ -344,6 +373,15 @@ class TestShortestPath:
         graph = build_dep_graph(block_to_sentence(block))
         with pytest.raises(ValueError, match="anchor"):
             shortest_dep_path(graph, 1, 2)
+
+    def test_head_cycle_raises(self):
+        # parse_block rejects this sentence; one built by hand must not loop
+        sentence = Sentence(words=("a", "b", "c", "d"), tags=("NN",) * 4,
+                            heads=(0, 3, 4, 2), labels=("root", "amod", "amod", "amod"))
+        graph = build_dep_graph(sentence)
+        for src, dst in ((2, 1), (1, 3), (2, 4)):
+            with pytest.raises(ValueError, match="head cycle"):
+                shortest_dep_path(graph, src, dst)
 
     def test_tie_break_minimizes_rendered_string(self):
         # brute-force oracle: enumerate every simple path of minimal length
@@ -391,7 +429,7 @@ class TestShortestPath:
             n = len(graph)
             src, dst = rng.sample(range(1, n + 1), 2)
             expected = oracle_min_string(graph, src, dst)
-            path = shortest_dep_path(graph, src, dst)
+            path = bfs_shortest_path(graph, src, dst)
             if expected is None:
                 assert path is None
                 continue
@@ -447,9 +485,12 @@ class TestRender:
 
     def test_rendered_always_ends_with_edge_label_and_odd_parity(self):
         rng = random.Random(77)
+        rendered_paths = 0
         for _ in range(200):
-            graph = random_graph(rng)
+            graph = build_dep_graph(random_parsed_sentence(rng))
             n = len(graph)
+            if n < 2:
+                continue
             src, dst = rng.sample(range(1, n + 1), 2)
             path = shortest_dep_path(graph, src, dst)
             if path is None:
@@ -471,6 +512,8 @@ class TestRender:
             assert items[0].endswith("()")
             # suppression removes word+edge pairs, so parity stays odd
             assert len(items) % 2 == 1
+            rendered_paths += 1
+        assert rendered_paths > 40
 
     def test_endpoint_mismatch_rejected(self, park_sentence):
         graph = build_dep_graph(park_sentence)
