@@ -212,33 +212,31 @@ def cmd_train_phrase(args) -> int:
     emb_path = Path(args.embeddings)
     store = _load(emb_path, embeddings.load_embeddings)
     rows = _read_labeled_phrases(data_path)
-    examples, named = [], []
 
     def check(finite: np.ndarray) -> None:
         bad = np.flatnonzero(~finite)
         if bad.size:
-            raise _margin_not_finite(*named[bad[0]])
+            line_no, row = rows[keep[bad[0]]]
+            raise _margin_not_finite(line_no, row.bigram)
 
     # an overflow is reported by check, naming the phrase's line
     with _naming(data_path), np.errstate(over="ignore", invalid="ignore"):
-        for line_no, row in rows:
-            try:
-                feature = embeddings.featurize(store, row.bigram, args.featurizer)
-            except embeddings.PhraseUnrepresentableError:
+        features, representable = embeddings.featurize_many(
+            store, [row.bigram for _, row in rows], args.featurizer)
+        for (_, row), known in zip(rows, representable.tolist()):
+            if not known:
                 print(f"warning: skipping unrepresentable phrase: {row.bigram[0]} {row.bigram[1]}",
                       file=sys.stderr)
-                continue
-            examples.append((feature, row.label))
-            named.append((line_no, row.bigram))
-        width = store.dimension * (2 if args.featurizer == embeddings.CWV else 1)
-        features = np.array([x for x, _ in examples]).reshape(-1, width)
+        keep = np.flatnonzero(representable)  # the labeled row of each kept feature
+        features = features[keep]
+        labels = np.array([row.label for _, row in rows], dtype=np.float64)[keep]
         # a non-finite feature has a non-finite margin under any weights
         check(np.isfinite(features).all(axis=1))
         report = phrase.cross_validate(
-            examples, k=args.folds, seed=args.seed, reg=args.reg, epochs=args.epochs,
+            features, labels, k=args.folds, seed=args.seed, reg=args.reg, epochs=args.epochs,
         )
         model = phrase.train(
-            examples, reg=args.reg, epochs=args.epochs, seed=args.seed,
+            features, labels, reg=args.reg, epochs=args.epochs, seed=args.seed,
             feature_kind=args.featurizer,
         )
         check(np.isfinite(phrase.margins(model, features)))

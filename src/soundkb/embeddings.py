@@ -51,9 +51,6 @@ class EmbeddingStore:
         row = self.index.get(word.lower())
         return None if row is None else self.matrix[row]
 
-    def words(self) -> list[str]:
-        return list(self.index)
-
 
 def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
     """Parse a ``.vec`` text stream into a store.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -65,13 +65,15 @@ class LinearModel:
 
 
 def train(
-    examples: Sequence[tuple],
+    features: np.ndarray,
+    labels: np.ndarray,
     reg: float = DEFAULT_REG,
     epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
     feature_kind: str = "",
 ) -> LinearModel:
-    """Fit a linear max-margin model on (feature vector, label) pairs.
+    """Fit a linear max-margin model on the rows of an (n x d) feature
+    matrix and their +1/-1 labels.
 
     Raises ``DataError`` if the fit ends with weights or a bias that are
     not finite (a ``reg`` so small that ``1/(reg*n)`` overflows, or
@@ -81,10 +83,8 @@ def train(
         raise ValueError("regularization strength must be positive")
     if epochs < 1:
         raise ValueError("epoch count must be positive")
-    if not examples:
+    if len(features) == 0:
         raise DataError("no training examples")
-    features = np.array([f for f, _ in examples], dtype=np.float64)
-    labels = np.array([y for _, y in examples], dtype=np.float64)
     if not (np.any(labels == 1) and np.any(labels == -1)):
         raise DataError("training data must contain both labels")
     n, dim = features.shape
@@ -181,7 +181,8 @@ class CVReport:
 
 
 def cross_validate(
-    examples: Sequence[tuple],
+    features: np.ndarray,
+    labels: np.ndarray,
     k: int = 4,
     seed: int = 0,
     reg: float = DEFAULT_REG,
@@ -190,17 +191,16 @@ def cross_validate(
     """k-fold cross-validation accuracy of the phrase classifier.
 
     The folds are a seeded random partition; each fold is tested once on
-    a model trained on the remaining folds.  ``examples`` are the
-    (feature vector, label) pairs that ``train`` takes.
+    a model trained on the remaining folds.  ``features`` and ``labels``
+    are the arrays that ``train`` takes.
     """
-    folds = make_folds(len(examples), k, seed)
-    features = np.array([f for f, _ in examples], dtype=np.float64)
-    labels = np.array([y for _, y in examples])
+    folds = make_folds(len(features), k, seed)
     accuracies = []
     for held_out in folds:
-        held = set(held_out)
-        train_part = [ex for i, ex in enumerate(examples) if i not in held]
-        model = train(train_part, reg=reg, epochs=epochs, seed=seed)
+        # a mask keeps the remaining rows in their order
+        rest = np.ones(len(features), dtype=bool)
+        rest[held_out] = False
+        model = train(features[rest], labels[rest], reg=reg, epochs=epochs, seed=seed)
         predicted = np.where(margins(model, features[held_out]) > 0, 1, -1)
         accuracies.append(int((predicted == labels[held_out]).sum()) / len(held_out))
     mean = sum(accuracies) / len(accuracies)

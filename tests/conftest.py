@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from soundkb import lstm
+from soundkb import lstm, phrase
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
@@ -245,18 +245,39 @@ def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
     return EmbeddingStore(matrix, {w: row for row, w in enumerate(vectors)})
 
 
+def words(store: EmbeddingStore) -> list[str]:
+    """The store's words in row order."""
+    return list(store.index)
+
+
 def dump_embeddings(store: EmbeddingStore, out) -> None:
     """Write the store as a ``.vec`` file at 9 significant digits."""
     out.write(f"{len(store)} {store.dimension}\n")
-    for word in store.words():
+    for word in words(store):
         vector = store.get(word)
         out.write(word + " " + " ".join(f"{v:.9g}" for v in vector) + "\n")
 
 
-def hinge_objective(weights: np.ndarray, bias: float, examples, reg: float) -> float:
-    """Regularized hinge loss: reg/2 * ||w||^2 + mean hinge."""
+def stack(examples) -> tuple[np.ndarray, np.ndarray]:
+    """The (features, labels) arrays of (feature vector, label) pairs."""
     features = np.array([f for f, _ in examples], dtype=np.float64)
     labels = np.array([y for _, y in examples], dtype=np.float64)
+    return features, labels
+
+
+def train(examples, **kwargs) -> LinearModel:
+    """``phrase.train`` on (feature vector, label) pairs."""
+    return phrase.train(*stack(examples), **kwargs)
+
+
+def cross_validate(examples, **kwargs) -> phrase.CVReport:
+    """``phrase.cross_validate`` on (feature vector, label) pairs."""
+    return phrase.cross_validate(*stack(examples), **kwargs)
+
+
+def hinge_objective(weights: np.ndarray, bias: float, examples, reg: float) -> float:
+    """Regularized hinge loss: reg/2 * ||w||^2 + mean hinge."""
+    features, labels = stack(examples)
     margins = labels * (features @ weights + bias)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
     return float(0.5 * reg * weights @ weights + hinge)

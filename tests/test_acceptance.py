@@ -36,7 +36,7 @@ from soundkb.paths import (
     render_path,
     shortest_dep_path,
 )
-from soundkb.phrase import LabeledPhrase, cross_validate, make_folds
+from soundkb.phrase import LabeledPhrase, make_folds
 
 from conftest import (
     PARK_BLOCK,
@@ -45,6 +45,7 @@ from conftest import (
     adjacency_graph,
     bfs_shortest_path,
     block_to_sentence,
+    cross_validate,
     dump_embeddings,
     learned_ids,
     lstm_cell,

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import warnings
 from importlib import resources
@@ -10,7 +11,7 @@ import pytest
 
 from soundkb import DataError, cli, embeddings, phrase
 from soundkb.cli import main
-from soundkb.embeddings import featurize, load_embeddings
+from soundkb.embeddings import featurize, featurize_many, load_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
 from soundkb.paths import EnvironmentLexicon
 
@@ -22,6 +23,8 @@ from conftest import (
     malformed_phrase_models,
     malformed_relation_models,
     separable_phrase_data,
+    stack,
+    words,
 )
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
@@ -166,17 +169,52 @@ class TestTrainPhrase:
         data.write_text(rows + "zz\tqq\t+1\n", encoding="utf-8")
         calls = []
 
-        def counting(store, bigram, kind):
-            calls.append(bigram)
-            return featurize(store, bigram, kind)
+        def counting(store, bigrams, kind):
+            calls.append(list(bigrams))
+            return featurize_many(store, bigrams, kind)
 
-        # both names a layer could reach the featurizer by
-        monkeypatch.setattr(embeddings, "featurize", counting)
-        monkeypatch.setattr(phrase, "featurize", counting)
+        def one_row(store, bigram, kind):
+            raise AssertionError(f"featurized {bigram} alone")
+
+        monkeypatch.setattr(embeddings, "featurize_many", counting)
+        # both names a layer could reach the one-row featurizer by
+        monkeypatch.setattr(embeddings, "featurize", one_row)
+        monkeypatch.setattr(phrase, "featurize", one_row)
         assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
                      "--out", str(tmp_path / "m.json")]) == 0
-        assert sorted(calls) == sorted([b for b, _ in labeled] + [("zz", "qq")])
+        assert calls == [[b for b, _ in labeled] + [("zz", "qq")]]
         assert capsys.readouterr().err == "warning: skipping unrepresentable phrase: zz qq\n"
+
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_kept_rows_keep_their_labels(self, phrase_setup, tmp_path, capsys, kind):
+        _, labeled, vec, _ = phrase_setup
+        # every third label flipped, so no fold is separable and a label
+        # paired with the wrong row changes the fit; unrepresentable rows
+        # first, inside and last
+        noisy = [(b, -y if i % 3 == 0 else y) for i, (b, y) in enumerate(labeled)]
+        rows = ([(("zz", "qq"), +1)] + noisy[:7] + [(("yy", "xx"), -1)] + noisy[7:]
+                + [(("ww", "vv"), +1)])
+        data = tmp_path / "noisy.tsv"
+        data.write_text("".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in rows),
+                        encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--featurizer", kind, "--seed", "2", "--epochs", "5",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == "".join(f"warning: skipping unrepresentable phrase: {w1} {w2}\n"
+                                      for w1, w2 in (("zz", "qq"), ("yy", "xx"), ("ww", "vv")))
+
+        store = load_embeddings(vec.read_text(encoding="utf-8").splitlines())
+        features, labels = stack([(featurize(store, b, kind), y) for b, y in noisy])
+        report = phrase.cross_validate(features, labels, k=4, seed=2, epochs=5)
+        model = phrase.train(features, labels, epochs=5, seed=2, feature_kind=kind)
+        assert min(report.fold_accuracies) < 1.0
+        accuracies = [*report.fold_accuracies, report.mean_accuracy]
+        assert printed.out.splitlines()[1] == "\t".join(f"{100 * a:.2f}" for a in accuracies)
+        want = io.StringIO()
+        phrase.save_model(model, want)
+        assert out.read_text(encoding="utf-8").split("\n", 1)[1] == want.getvalue()
 
     @pytest.mark.parametrize("kind", ["awv", "cwv"])
     def test_non_finite_margin_names_the_line(self, tmp_path, capsys, kind):
@@ -194,6 +232,19 @@ class TestTrainPhrase:
                               "--featurizer", kind, "--folds", "2", "--out", str(out)], capsys)
         assert err.startswith("error: labeled.tsv line 9: the margin of 'big big' is not finite")
         assert "Warning" not in err and not out.exists()
+
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_non_finite_margin_after_a_skipped_row_names_its_line(self, tmp_path, capsys, kind):
+        vec = tmp_path / "big.vec"
+        vec.write_text("a 1 0\nb 2 0\nc -1 0\nd -2 0\nbig 1e308 1e308\n", encoding="utf-8")
+        data = tmp_path / "labeled.tsv"
+        data.write_text("zz\tqq\t+1\na\tb\t+1\nb\ta\t+1\na\ta\t+1\nb\tb\t+1\nc\td\t-1\n"
+                        "d\tc\t-1\nc\tc\t-1\nd\td\t-1\nbig\tbig\t+1\n", encoding="utf-8")
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--featurizer", kind, "--folds", "2", "--out", str(tmp_path / "m.json")],
+                         capsys)
+        assert err.startswith("warning: skipping unrepresentable phrase: zz qq\n"
+                              "error: labeled.tsv line 10: the margin of 'big big' is not finite")
 
     @pytest.mark.parametrize("label", ["x", "2", "0", "+1.0"])
     def test_bad_label_names_file_and_line(self, phrase_setup, tmp_path, capsys, label):
@@ -943,7 +994,7 @@ class TestTextFiles:
         vec = tmp_path / "bom.vec"
         vec.write_text(BOM + "4 2\na 1 0\nb 2 0\nc -1 0\nd -2 0\n", encoding="utf-8")
         store = cli._load(vec, cli.embeddings.load_embeddings)
-        assert store.words() == ["a", "b", "c", "d"] and store.dimension == 2
+        assert words(store) == ["a", "b", "c", "d"] and store.dimension == 2
 
     def test_byte_order_mark_before_a_corpus(self, pattern_corpus_file, tmp_path, capsys):
         corpus = tmp_path / "bom.ann"

@@ -16,7 +16,7 @@ from soundkb.embeddings import (
     load_embeddings,
 )
 
-from conftest import dump_embeddings, make_store
+from conftest import dump_embeddings, make_store, words
 
 
 def _assert_no_vector_lines(lines):
@@ -45,7 +45,7 @@ class TestLoad:
 
     def test_one_row(self):
         store = load_embeddings(["cat 0.5 -2"])
-        assert store.dimension == 2 and store.words() == ["cat"]
+        assert store.dimension == 2 and words(store) == ["cat"]
 
     def test_word_alone_has_no_components(self):
         with pytest.raises(EmbeddingFormatError, match="^line 1: no vector components$"):
@@ -97,7 +97,7 @@ class TestLoad:
         dump_embeddings(store, buf)
         again = load_embeddings(buf.getvalue().splitlines())
         assert again.dimension == store.dimension and len(again) == len(store)
-        for word in store.words():
+        for word in words(store):
             np.testing.assert_allclose(
                 again.get(word), store.get(word), rtol=1e-8, atol=0
             )
@@ -156,8 +156,8 @@ def _outcome(load, lines):
         store = load(lines)
     except EmbeddingFormatError as err:
         return type(err), str(err)
-    words = store.words()
-    return store.dimension, words, [store.get(w).tobytes() for w in words]
+    vocab = words(store)
+    return store.dimension, vocab, [store.get(w).tobytes() for w in vocab]
 
 
 class TestFastPass:
@@ -183,7 +183,7 @@ class TestFastPass:
         monkeypatch.setattr(embeddings, "_load_per_row", per_row)
         lines = ["4 3", "", "Cat 1 -2.5 3e-3", "dog\t0 0 0 ", "  #owl +1 1e5 .5", "\"bee -0 1. 2"]
         store = load_embeddings(lines)
-        assert store.dimension == 3 and store.words() == ["cat", "dog", "#owl", '"bee']
+        assert store.dimension == 3 and words(store) == ["cat", "dog", "#owl", '"bee']
         assert np.array_equal(store.get("#OWL"), [1, 1e5, 0.5])
 
     def test_wide_first_row_is_named_not_allocated(self):
@@ -237,9 +237,9 @@ class TestFeatures:
     def test_awv_symmetric_property(self):
         rng = np.random.default_rng(2)
         store = make_store({f"w{i}": rng.normal(size=6) for i in range(10)})
-        words = store.words()
+        vocab = words(store)
         for _ in range(50):
-            w1, w2 = rng.choice(words, size=2)
+            w1, w2 = rng.choice(vocab, size=2)
             np.testing.assert_array_equal(
                 featurize(store, (w1, w2), "awv"),
                 featurize(store, (w2, w1), "awv"),
@@ -248,9 +248,9 @@ class TestFeatures:
     def test_awv_sup_norm_bound(self):
         rng = np.random.default_rng(4)
         store = make_store({f"w{i}": rng.normal(size=8) for i in range(10)})
-        words = store.words()
+        vocab = words(store)
         for _ in range(50):
-            w1, w2 = rng.choice(words, size=2)
+            w1, w2 = rng.choice(vocab, size=2)
             awv = featurize(store, (w1, w2), "awv")
             bound = max(
                 np.abs(store.get(w1)).max(), np.abs(store.get(w2)).max()
@@ -307,7 +307,7 @@ class TestFeaturizeMany:
     def test_equals_stacked_featurize_bitwise(self, kind):
         store = self._store()
         rng = random.Random(3)
-        vocab = store.words() + ["W3", "Neg", "NEGZERO", "oov", "Missing"]
+        vocab = words(store) + ["W3", "Neg", "NEGZERO", "oov", "Missing"]
         bigrams = [(rng.choice(vocab), rng.choice(vocab)) for _ in range(400)]
         bigrams += [("w1", "oov"), ("oov", "w1"), ("negzero", "oov"), ("oov", "negzero"),
                     ("W1", "w1"), ("oov", "missing")]
@@ -352,19 +352,19 @@ class TestMatrixStore:
 
     def test_api_on_a_loaded_store(self):
         store = load_embeddings(["3 2", "Owl 1 2", "cat 3 4", "bee 5 6"])
-        assert store.words() == ["owl", "cat", "bee"]
+        assert words(store) == ["owl", "cat", "bee"]
         assert len(store) == 3 and store.dimension == 2
         assert "OWL" in store and "dog" not in store
         assert store.get("dog") is None
         np.testing.assert_array_equal(store.get("Cat"), [3.0, 4.0])
         assert store.matrix.shape == (3, 2)
-        for row, word in enumerate(store.words()):
+        for row, word in enumerate(words(store)):
             assert store.index[word] == row
             assert np.shares_memory(store.get(word), store.matrix)
             np.testing.assert_array_equal(store.get(word), store.matrix[row])
 
     def test_make_store_keeps_the_insertion_order(self):
         store = make_store({"zeta": [1.0, 0.0], "alpha": [0.0, 1.0], "mid": [2.0, 2.0]})
-        assert store.words() == ["zeta", "alpha", "mid"]
+        assert words(store) == ["zeta", "alpha", "mid"]
         np.testing.assert_array_equal(store.matrix, [[1, 0], [0, 1], [2, 2]])
         np.testing.assert_array_equal(store.get("ALPHA"), [0.0, 1.0])

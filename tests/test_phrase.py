@@ -8,18 +8,16 @@ import pytest
 
 from soundkb import DataError, phrase
 from soundkb.embeddings import featurize
-from soundkb.phrase import (
-    LabeledPhrase,
+from soundkb.phrase import LabeledPhrase, load_model, make_folds, margins, predict, save_model
+
+from conftest import (
     cross_validate,
-    load_model,
-    make_folds,
-    margins,
-    predict,
-    save_model,
+    hinge_objective,
+    malformed_phrase_models,
+    separable_phrase_data,
+    stack,
     train,
 )
-
-from conftest import hinge_objective, malformed_phrase_models, separable_phrase_data
 
 
 def clusters_with_verified_margin(n: int, dim: int, seed: int):
@@ -112,8 +110,7 @@ def per_step_train(examples, reg, epochs, seed):
     vector every step, add to it on a margin violation.  Returns weights,
     bias, the number of violations and the longest run of steps without
     one."""
-    features = np.array([f for f, _ in examples], dtype=np.float64)
-    labels = np.array([y for _, y in examples], dtype=np.float64)
+    features, labels = stack(examples)
     n, dim = features.shape
     rng = np.random.default_rng(seed)
     weights = np.zeros(dim)

@@ -13,6 +13,10 @@ quartiles in raw seconds:
 
 ``--record`` adds the result to a ``BENCH_*.json`` record under
 ``label_noise``.
+
+Both checkouts must be recent enough that ``phrase.train`` and
+``phrase.cross_validate`` take a feature matrix and a label array; an
+older ``--parent`` fails in its first run.
 """
 
 from __future__ import annotations
@@ -31,16 +35,20 @@ SIDES = ("parent", "change")
 CHILD = """
 import random, sys, time
 from pathlib import Path
+import numpy as np
 from soundkb import cli, embeddings, phrase
 data, vec, featurizer, epochs, seed, flip = sys.argv[1:]
 store = embeddings.load_embeddings(cli._read_lines(Path(vec)))
 rnd = random.Random(int(seed))
-examples = [(embeddings.featurize(store, row.bigram, featurizer),
-             -row.label if rnd.random() < float(flip) else row.label)
-            for row in cli._read_labeled_phrases(Path(data))]
+rows = [row for _, row in cli._read_labeled_phrases(Path(data))]
+features, representable = embeddings.featurize_many(
+    store, [row.bigram for row in rows], featurizer)
+labels = np.array([-row.label if rnd.random() < float(flip) else row.label for row in rows],
+                  dtype=np.float64)
+features, labels = features[representable], labels[representable]
 start = time.perf_counter()
-phrase.cross_validate(examples, k=4, seed=int(seed), epochs=int(epochs))
-phrase.train(examples, epochs=int(epochs), seed=int(seed))
+phrase.cross_validate(features, labels, k=4, seed=int(seed), epochs=int(epochs))
+phrase.train(features, labels, epochs=int(epochs), seed=int(seed))
 print(time.perf_counter() - start)
 """
 
