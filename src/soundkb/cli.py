@@ -376,9 +376,8 @@ def cmd_train_relation(args) -> int:
             )
         d = store.dimension
 
-    vocab = lstm.build_vocab(
-        [lstm.tokenize_path(ex.path) for ex in examples], store=store
-    )
+    distinct = dict.fromkeys(ex.path for ex in examples)  # first-seen order
+    vocab = lstm.build_vocab([lstm.tokenize_path(path) for path in distinct], store=store)
     config = lstm.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed, clip=args.clip,
     )

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import DataError, read_model, round9
+from . import DataError, read_model
 from .embeddings import EmbeddingStore
 from .paths import POSITIVE, RelationExample
 
@@ -306,7 +306,7 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
     gE = np.zeros_like(params.E)
     trained = learned[flat_ids]
-    np.add.at(gE, flat_ids[trained], (DA @ params.W)[trained])
+    np.add.at(gE, flat_ids[trained], DA[trained] @ params.W)
     grads = LstmParams(
         E=gE, W=DA.T @ params.E[flat_ids], U=DA.T @ H_prev.reshape(length * batch, h),
         b=DA.sum(axis=0), W_r=dz.T @ h_final,
@@ -347,7 +347,9 @@ def train(
     labels = {ex.label for ex in examples}
     if len(labels) < 2:
         raise DataError("training data must contain both relation labels")
-    ids = [_ids_for(vocab, tokenize_path(ex.path)) for ex in examples]
+    encoded = {path: _ids_for(vocab, tokenize_path(path))
+               for path in dict.fromkeys(ex.path for ex in examples)}
+    ids = [encoded[ex.path] for ex in examples]
     targets = np.array([label_index(ex.label) for ex in examples])
     learned = _learned_mask(vocab)
     rng = np.random.default_rng(config.seed)
@@ -393,14 +395,19 @@ def evaluate(
 ) -> float:
     """Fraction of examples whose higher-probability label is correct."""
     probs = predict_paths(params, vocab, [ex.path for ex in examples])
-    correct = sum(
-        (0 if p_pos > p_neg else 1) == label_index(example.label)
-        for (p_pos, p_neg), example in zip(probs, examples)
-    )
-    return correct / len(examples)
+    predicted = np.where(probs[:, 0] > probs[:, 1], 0, 1)  # a tie or NaN predicts negative
+    targets = np.array([label_index(ex.label) for ex in examples])
+    return np.count_nonzero(predicted == targets) / len(examples)
 
 
 def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> None:
+    """Write the model as one JSON line, every weight rounded to 9
+    significant digits as ``round9`` rounds it.
+
+    Each array is rounded in one pass, a ``'%.9g'`` format over its flattened
+    values, and the document goes out in one ``json.dumps`` (the C encoder,
+    which ``json.dump`` never uses) and one write.
+    """
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -408,11 +415,19 @@ def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> N
         "h": params.h,
         "vocab": [[tok, flag] for tok, flag in zip(vocab.tokens, vocab.flags)],
     }
-    rounded = np.vectorize(round9, otypes=[np.float64])
     for name in ARRAY_FIELDS:
-        doc[name] = rounded(getattr(params, name)).tolist()
-    json.dump(doc, out)
-    out.write("\n")
+        doc[name] = _rounded_lists(getattr(params, name))
+    out.write(json.dumps(doc) + "\n")
+
+
+def _rounded_lists(array: np.ndarray) -> list:
+    """A 1-d or 2-d array as (nested) lists of floats at 9 significant digits."""
+    flat = array.ravel().tolist()
+    values = list(map(float, (("%.9g " * len(flat)) % tuple(flat)).split()))
+    if array.ndim == 1:
+        return values
+    width = array.shape[1]
+    return [values[row * width : (row + 1) * width] for row in range(array.shape[0])]
 
 
 def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared fixtures: hand-annotated sentences and small embedding stores, and
 the test oracles: thin wrappers over the production code they check, for
-the tests that need a form no command uses, and the general-graph shortest
-path search that the dependency path walk is checked against."""
+the tests that need a form no command uses, the general-graph shortest
+path search that the dependency path walk is checked against, and the
+per-value relation model writer and per-example accuracy count that the
+model writer and ``lstm.evaluate`` are checked against."""
 
 import io
 import json
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from soundkb import lstm, phrase
+from soundkb import lstm, phrase, round9
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
@@ -330,6 +332,29 @@ def lstm_cell(params: LstmParams, x, h_prev, c_prev) -> tuple[np.ndarray, np.nda
 def learned_ids(vocab) -> np.ndarray:
     """Ids of the learned vocabulary rows, by the mask that training uses."""
     return np.flatnonzero(lstm._learned_mask(vocab))
+
+
+def save_relation_model_per_value(params: LstmParams, vocab, out) -> None:
+    """The relation model writer in its per-value form: ``round9`` on each
+    value, then ``json.dump``, which streams through the pure-Python encoder."""
+    doc = {"format": lstm.MODEL_FORMAT, "version": lstm.MODEL_VERSION,
+           "d": params.d, "h": params.h,
+           "vocab": [[tok, flag] for tok, flag in zip(vocab.tokens, vocab.flags)]}
+    rounded = np.vectorize(round9, otypes=[np.float64])
+    for name in lstm.ARRAY_FIELDS:
+        doc[name] = rounded(getattr(params, name)).tolist()
+    json.dump(doc, out)
+    out.write("\n")
+
+
+def evaluate_per_example(params: LstmParams, vocab, examples) -> float:
+    """``lstm.evaluate`` as a per-example loop over ``predict_paths``' rows:
+    the label with the higher probability is predicted, a tie (or NaN)
+    predicts the negative one."""
+    probs = lstm.predict_paths(params, vocab, [ex.path for ex in examples])
+    correct = sum((0 if p_pos > p_neg else 1) == lstm.label_index(ex.label)
+                  for (p_pos, p_neg), ex in zip(probs, examples))
+    return correct / len(examples)
 
 
 # A relation model written by hand; W, U and b stack the gates in the

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from soundkb import DataError, cli, embeddings, phrase
+from soundkb import DataError, cli, embeddings, lstm, phrase
 from soundkb.cli import main
 from soundkb.embeddings import featurize, featurize_many, load_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
@@ -536,6 +536,22 @@ class TestTrainRelation:
         else:
             params, _vocab = load_relation_model(data_lines(out))
             assert params.E.shape[1] == d
+
+    def test_each_distinct_path_is_encoded_once(self, relation_setup, tmp_path,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(lstm, "tokenize_path", lambda path: calls.append(path) or
+                            path.split())
+        pos, neg = default_seed_files()
+        out = tmp_path / "m.json"
+        assert main(["train-relation", "--occurrences", str(relation_setup),
+                     "--seeds-pos", pos, "--seeds-neg", neg, "--hidden", "2", "--dim", "2",
+                     "--epochs", "3", "--out", str(out)]) == 0
+        # 40 examples over two paths: the vocabulary, training and each of the three
+        # epochs' evaluations encode each path once, in first-seen order
+        assert calls == ["prep_of()", "amod()"] * 5
+        _params, vocab = load_relation_model(data_lines(out))
+        assert vocab.tokens == ["<unk>", "prep_of()", "amod()"]
 
     def test_dim_defaults_to_32_without_embeddings(self, relation_setup, tmp_path):
         pos, neg = default_seed_files()

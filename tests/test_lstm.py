@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from soundkb import lstm
+from soundkb import lstm, round9
 from soundkb.lstm import (
     ARRAY_FIELDS,
     LEARNED,
@@ -32,7 +32,15 @@ from soundkb.lstm import (
 )
 from soundkb.paths import NEGATIVE, POSITIVE, RelationExample
 
-from conftest import learned_ids, lstm_cell, make_store, malformed_relation_models, zero_params
+from conftest import (
+    evaluate_per_example,
+    learned_ids,
+    lstm_cell,
+    make_store,
+    malformed_relation_models,
+    save_relation_model_per_value,
+    zero_params,
+)
 
 EDGE_LABELS = ["amod()", "det()", "prep_of()", "nsubj()", "conj_and()", "dobj()"]
 WORDS = ["children", "music", "dogs", "park", "noise", "heard", "came"]
@@ -333,6 +341,20 @@ class TestBatchedPredict:
         negatives = sum(ex.label == NEGATIVE for ex in examples)
         assert evaluate(params, vocab, examples) == negatives / len(examples)
 
+    @pytest.mark.parametrize("rows, accuracy", [
+        ([(0.7, 0.3), (0.3, 0.7), (0.5, 0.5), (math.nan, math.nan)], 5 / 8),
+        ([(0.5, 0.5)] * 4, 3 / 8),
+        ([(math.nan, 0.2), (0.2, math.nan), (0.9, 0.1), (0.1, 0.9)], 3 / 8),
+    ], ids=["mixed", "all-ties", "half-nan"])
+    def test_evaluate_counts_ties_and_nan_as_negative(self, rows, accuracy, monkeypatch):
+        probs = np.array(rows * 2)
+        monkeypatch.setattr(lstm, "predict_paths", lambda params, vocab, paths: probs)
+        labels = [POSITIVE, NEGATIVE, NEGATIVE, NEGATIVE] + [POSITIVE] * 4
+        examples = [RelationExample(f"p{i}", "park", "x", label)
+                    for i, label in enumerate(labels)]
+        assert evaluate(None, None, examples) == accuracy
+        assert evaluate_per_example(None, None, examples) == accuracy
+
 
 class TestPredict:
     def test_zero_output_projection_gives_uniform(self):
@@ -512,6 +534,18 @@ class TestTrain:
         for name in ARRAY_FIELDS:
             assert np.abs(getattr(params, name) - getattr(reference, name)).max() <= 1e-15
 
+    def test_each_distinct_path_is_encoded_once(self, monkeypatch):
+        examples, vocab, params = self._setup(n=40, seed=9)
+        examples = examples + examples[::2]  # every other path twice
+        calls = []
+        monkeypatch.setattr(lstm, "tokenize_path", lambda path: calls.append(path) or
+                            path.split())
+        config = TrainConfig(epochs=2, seed=9)
+        train(params, vocab, examples, config)
+        distinct = list(dict.fromkeys(ex.path for ex in examples))
+        # train encodes once; each epoch's evaluate scores each distinct path once
+        assert calls == distinct * (1 + config.epochs)
+
     def test_batches_group_by_length(self):
         ids = [[1], [1, 2], [3], [4], [1, 2], [5, 6, 7], [8]]
         order = [6, 0, 1, 2, 3, 4, 5]
@@ -659,6 +693,38 @@ class TestSerialization:
         p1 = predict_relation(params, vocab, tokens)
         p2 = predict_relation(params2, vocab2, tokens)
         assert p1 == pytest.approx(p2, rel=1e-7)
+
+    def test_bytes_equal_per_value_writer_on_trained_params(self):
+        examples = [random_example(random.Random(k), max_len=6) for k in range(30)]
+        examples[0] = RelationExample("amod()", "park", "x", POSITIVE)
+        examples[1] = RelationExample("det()", "park", "x", NEGATIVE)
+        store = make_store({"children": [0.25, -0.5, 0.125, 1.0]})
+        vocab = small_vocab(store)
+        params = init_params(vocab, d=4, h=5, store=store, seed=15)
+        train(params, vocab, examples, TrainConfig(epochs=3, seed=15))
+        ours, oracle = io.StringIO(), io.StringIO()
+        save_relation_model(params, vocab, ours)
+        save_relation_model_per_value(params, vocab, oracle)
+        assert ours.getvalue() == oracle.getvalue()
+        assert ours.getvalue().count("\n") == 1
+
+    def test_bytes_equal_per_value_writer_on_edge_values(self):
+        vocab = small_vocab()
+        params = init_params(vocab, d=3, h=4, seed=16)
+        edges = [-0.0, 5e-324, 1e308, 1e16, 1.0, 0.1, 123456789.5, 0.99999999995]
+        rng = np.random.default_rng(16)
+        for k, array in enumerate(params.arrays()):
+            flat = array.reshape(-1)
+            flat[:] = rng.normal(size=flat.size) * 10.0 ** rng.integers(-20, 20, flat.size)
+            flat[: len(edges)] = np.roll(edges, k)[: flat.size]
+            flat[len(edges) : 2 * len(edges)] = np.negative(edges)[: flat.size - len(edges)]
+        ours, oracle = io.StringIO(), io.StringIO()
+        save_relation_model(params, vocab, ours)
+        save_relation_model_per_value(params, vocab, oracle)
+        assert ours.getvalue() == oracle.getvalue()
+        written = [value for row in json.loads(ours.getvalue())["E"] for value in row]
+        assert written[: len(edges)] == [round9(value) for value in edges]
+        assert math.copysign(1.0, written[0]) == -1.0  # -0.0 keeps its sign
 
     def test_rejects_other_documents(self):
         with pytest.raises(ValueError, match="relation model"):
