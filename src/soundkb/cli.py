@@ -167,18 +167,25 @@ def cmd_mine(args) -> int:
     sentences = _load_sentences(corpus_path)
     tables = [mining.mine_corpus(sentences[i :: args.shards]) for i in range(args.shards)]
     table = mining.merge_tables(*tables)
+    # a row that begins with '#' would read back as a comment
+    hashed = [text for text in table if text.startswith("#")]
+    if hashed:
+        print(f"warning: {corpus_path.name}: dropped {len(hashed)} concepts "
+              "that begin with '#'", file=sys.stderr)
+        for text in hashed:
+            del table[text]
+    entries = mining.sorted_entries(table)
 
     _write_tsv(Path(args.out), _provenance("mine", None, [corpus_path]), (),
-               ((e.text, e.pattern, str(e.frequency)) for e in mining.sorted_entries(table)))
+               ((e.text, e.pattern, str(e.frequency)) for e in entries))
 
     counts = mining.pattern_counts(table)
     print("Pattern\tTemplate\t# Concept")
     for pattern in mining.PATTERNS:
         print(f"{pattern.id}\t{pattern.template}\t{counts[pattern.id]}")
     print(f"total\t\t{len(table)}")
-    if args.top_k:
-        for entry in mining.top_k_by_frequency(table, args.top_k):
-            print(f"{entry.text}\t{entry.pattern}\t{entry.frequency}")
+    for entry in entries[: args.top_k]:
+        print(f"{entry.text}\t{entry.pattern}\t{entry.frequency}")
     return EXIT_OK
 
 

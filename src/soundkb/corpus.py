@@ -72,9 +72,6 @@ class DepGraph:
     def __len__(self) -> int:
         return len(self.words)
 
-    def word(self, index: int) -> str:
-        return self.words[index - 1]
-
 
 def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sentence:
     """Parse one blank-line-delimited block into a validated Sentence.

@@ -2,15 +2,24 @@
 
 Candidate mentions are occurrences of the trigger bigram "sound of" /
 "sounds of".  The phrase after the trigger is generalized to its POS
-signature and kept only when a prefix of it matches one of the six
-valid patterns; the matched tokens (minus any determiner) become the
-concept text.
+signature, its tags.  The six valid patterns are expanded once into
+``SIGNATURES``, every concrete tag sequence they accept mapped to a
+pattern id:
+
+- the longest window prefix in the table wins, so a rejected signature
+  is a lookup miss;
+- a signature that two patterns accept belongs to the lower id;
+- a leading determiner is consumed but never kept: the concept text is
+  the lowercased words after it;
+- ``cli.cmd_mine`` drops concepts that begin with ``#``, which every
+  reader of a TSV file takes for a comment.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .corpus import SENTENCE_FINAL_PUNCT, Sentence
@@ -48,26 +57,27 @@ PATTERNS: tuple[PosPattern, ...] = (
 PATTERN_IDS = tuple(p.id for p in PATTERNS)
 
 
+def _signatures(patterns: Iterable[PosPattern]) -> dict[tuple[str, ...], str]:
+    """Each tag sequence a pattern accepts, mapped to the first such pattern."""
+    table: dict[tuple[str, ...], str] = {}
+    for pattern in patterns:
+        for tags in product(*map(sorted, pattern.elements)):
+            table.setdefault(tags, pattern.id)
+            if pattern.allows_determiner:
+                table.setdefault(("DT",) + tags, pattern.id)
+    return table
+
+
+SIGNATURES = _signatures(PATTERNS)
+_WIDEST = max(map(len, SIGNATURES))
+
+
 @dataclass(frozen=True)
 class CandidateMention:
     """The phrase window that follows one occurrence of the trigger."""
 
     words: tuple[str, ...]
     tags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PatternMatch:
-    """The concept a pattern accepted: its words and tags, determiner dropped."""
-
-    pattern: str
-    words: tuple[str, ...]
-    tags: tuple[str, ...]
-    consumed: int
-
-    @property
-    def text(self) -> str:
-        return " ".join(word.lower() for word in self.words)
 
 
 @dataclass
@@ -99,56 +109,39 @@ def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
     return found
 
 
-def match_valid_pattern(mention: CandidateMention) -> PatternMatch | None:
-    """Longest pattern prefix match over the mention's phrase window.
+def match_valid_pattern(mention: CandidateMention) -> tuple[str, str] | None:
+    """(pattern id, concept text) of the longest window prefix in ``SIGNATURES``.
 
-    Each pattern is tried against a prefix of the window, consuming an
-    optional leading determiner where permitted; the determiner never
-    becomes part of the concept.  The longest consumed prefix wins and
-    equal lengths go to the lowest pattern id.
+    A leading determiner is part of the signature but not of the text.
     """
     tags = mention.tags
-    best: PatternMatch | None = None
-    for pattern in PATTERNS:
-        start = 0
-        if pattern.allows_determiner and tags and tags[0] == "DT":
-            start = 1
-        end = start + len(pattern.elements)
-        if end > len(tags):
-            continue
-        if all(tags[start + k] in wanted for k, wanted in enumerate(pattern.elements)):
-            if best is None or end > best.consumed:
-                best = PatternMatch(
-                    pattern.id, mention.words[start:end], tags[start:end], end
-                )
-    return best
+    for end in range(min(len(tags), _WIDEST), 0, -1):
+        pattern = SIGNATURES.get(tags[:end])
+        if pattern is not None:
+            start = 1 if tags[0] == "DT" else 0
+            return pattern, " ".join(word.lower() for word in mention.words[start:end])
+    return None
 
 
-def mine_sentence(sentence: Sentence) -> list[tuple[CandidateMention, PatternMatch]]:
-    """Pattern-accepted mentions of one sentence."""
-    accepted = []
-    for mention in find_candidate_mentions(sentence):
-        match = match_valid_pattern(mention)
-        if match is not None:
-            accepted.append((mention, match))
-    return accepted
+def mine_sentence(sentence: Sentence) -> list[tuple[str, str]]:
+    """(pattern id, concept text) of each pattern-accepted mention of one sentence."""
+    matches = map(match_valid_pattern, find_candidate_mentions(sentence))
+    return [match for match in matches if match is not None]
 
 
 ConceptTable = dict[str, ConceptEntry]
 
 
-def aggregate_concepts(
-    accepted: Iterable[tuple[CandidateMention, PatternMatch]]
-) -> ConceptTable:
-    """Fold accepted mentions into a frequency table keyed by concept text.
+def aggregate_concepts(accepted: Iterable[tuple[str, str]]) -> ConceptTable:
+    """Fold (pattern id, concept text) pairs into a frequency table keyed by text.
 
     A concept seen under two different pattern ids keeps the lowest id,
     which makes the table independent of stream order; the conflict is
     logged.
     """
     table: ConceptTable = {}
-    for _mention, match in accepted:
-        _add(table, match.text, match.pattern, 1)
+    for pattern, text in accepted:
+        _add(table, text, pattern, 1)
     return table
 
 
@@ -179,19 +172,13 @@ def merge_tables(*tables: ConceptTable) -> ConceptTable:
 def mine_corpus(sentences: Iterable[Sentence]) -> ConceptTable:
     """Concept table of every pattern-accepted mention in ``sentences``."""
     return aggregate_concepts(
-        accepted for sentence in sentences for accepted in mine_sentence(sentence)
+        match for sentence in sentences for match in mine_sentence(sentence)
     )
 
 
 def sorted_entries(table: ConceptTable) -> list[ConceptEntry]:
     """Entries by descending frequency, ties by ascending text."""
     return sorted(table.values(), key=lambda e: (-e.frequency, e.text))
-
-
-def top_k_by_frequency(table: ConceptTable, k: int) -> list[ConceptEntry]:
-    if k < 1:
-        raise ValueError("k must be positive")
-    return sorted_entries(table)[:k]
 
 
 def pattern_counts(table: ConceptTable) -> dict[str, int]:

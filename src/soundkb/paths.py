@@ -143,15 +143,6 @@ class DepPath:
     def length(self) -> int:
         return len(self.labels)
 
-    def items(self) -> tuple[str, ...]:
-        """Alternating edge/word items, starting and ending with an edge label."""
-        out = []
-        for step, label in enumerate(self.labels):
-            out.append(label + "()")
-            if step + 1 < len(self.labels):
-                out.append(self.words[step + 1])
-        return tuple(out)
-
 
 def find_mention_pairs(
     sentence: Sentence,

@@ -1,7 +1,8 @@
 """Shared fixtures: hand-annotated sentences and small embedding stores, and
 the test oracles: thin wrappers over the production code they check, for
-the tests that need a form no command uses, the general-graph shortest
-path search that the dependency path walk is checked against, and the
+the tests that need a form no command uses, the per-pattern matcher that
+the signature table is checked against, the general-graph shortest path
+search that the dependency path walk is checked against, and the
 per-value relation model writer and per-example accuracy count that the
 model writer and ``lstm.evaluate`` are checked against."""
 
@@ -18,6 +19,7 @@ from soundkb import lstm, phrase, round9
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingStore
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
+from soundkb.mining import PATTERNS, CandidateMention
 from soundkb.paths import DepPath, _data_text, load_seed_paths
 from soundkb.phrase import LinearModel, save_model
 
@@ -150,6 +152,27 @@ def pattern_corpus_file(tmp_path):
     return path
 
 
+def match_per_pattern(mention: CandidateMention) -> tuple[str, str] | None:
+    """Each pattern tried against a prefix of the window, consuming a
+    leading determiner where the pattern permits one; the longest consumed
+    prefix wins and equal lengths go to the lowest pattern id."""
+    tags = mention.tags
+    best: tuple[int, str, tuple[str, ...]] | None = None
+    for pattern in PATTERNS:
+        start = 0
+        if pattern.allows_determiner and tags and tags[0] == "DT":
+            start = 1
+        end = start + len(pattern.elements)
+        if end > len(tags):
+            continue
+        if all(tags[start + k] in wanted for k, wanted in enumerate(pattern.elements)):
+            if best is None or end > best[0]:
+                best = (end, pattern.id, mention.words[start:end])
+    if best is None:
+        return None
+    return best[1], " ".join(word.lower() for word in best[2])
+
+
 @dataclass(frozen=True)
 class AdjacencyGraph:
     """Undirected view of a sentence's dependencies.
@@ -234,10 +257,18 @@ def bfs_shortest_path(graph: AdjacencyGraph, source: int, target: int) -> DepPat
             labels=labels,
             words=tuple(graph.word(i) for i in nodes),
         )
-        key = (" ".join(path.items()), nodes)
+        key = (plain_string(path), nodes)
         if best is None or key < best[:2]:
             best = (key[0], nodes, path)
     return best[2] if best else None
+
+
+def plain_string(path: DepPath) -> str:
+    """Edge labels alternating with the path's inner words, none suppressed."""
+    items = []
+    for label, word in zip(path.labels, path.words[1:]):
+        items += [label + "()", word]
+    return " ".join(items[:-1])
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:

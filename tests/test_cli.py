@@ -118,6 +118,27 @@ class TestMine:
         assert main(["mine", "--corpus", str(tmp_path / "nope.ann"),
                      "--out", str(tmp_path / "o.tsv")]) == 2
 
+    def test_concept_beginning_with_hash_is_dropped_and_counted(self, tmp_path, capsys):
+        # a "#rain" row would read back as a comment, so paths would skip it
+        rain = ("1\tThe\tDT\t2\tdet\n2\tsound\tNN\t5\tnsubj\n3\tof\tIN\t_\t_\n"
+                "4\t{}\tNN\t2\tprep_of\n5\tfilled\tVBD\t0\troot\n6\tthe\tDT\t7\tdet\n"
+                "7\tpark\tNN\t5\tdobj\n8\t.\t.\t5\tpunct\n")
+        corpus = tmp_path / "c.ann"
+        corpus.write_text(rain.format("#rain") + "\n" + rain.format("rain"), encoding="utf-8")
+        concepts = tmp_path / "concepts.tsv"
+        assert main(["mine", "--corpus", str(corpus), "--out", str(concepts)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: c.ann: dropped 1 concepts that begin with '#'\n"
+        assert data_lines(concepts) == ["rain\tP4\t1"]
+        assert "P4\t<X> of (DT) NN(S)\t1\n" in captured.out
+        assert "total\t\t1\n" in captured.out
+
+        out = tmp_path / "occ.tsv"
+        assert main(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
+                     "--out", str(out)]) == 0
+        assert data_lines(out) == [
+            "park\train\tdobj() filled nsubj() sound prep_of()\tc.ann:2"]
+
 
 class TestTrainPhrase:
     def test_separable_dataset_reports_100(self, phrase_setup, tmp_path, capsys):

@@ -361,5 +361,5 @@ class TestDepGraph:
     def test_lower_words_exposed(self):
         sent = block_to_sentence(PARK_BLOCK)
         graph = build_dep_graph(sent)
-        assert graph.word(1) == "the"
-        assert graph.word(4) == "filled"
+        assert graph.words[0] == "the"
+        assert graph.words[3] == "filled"

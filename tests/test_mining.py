@@ -1,12 +1,15 @@
 """Pattern mining: triggers, POS signatures, the six patterns, aggregation."""
 
 import random
+from itertools import product
 
 from soundkb.corpus import Sentence, parse_annotated_corpus
 from soundkb.mining import (
-    PATTERNS,
+    NOUN,
     CandidateMention,
     ConceptEntry,
+    PosPattern,
+    _signatures,
     aggregate_concepts,
     find_candidate_mentions,
     match_valid_pattern,
@@ -14,10 +17,9 @@ from soundkb.mining import (
     mine_corpus,
     mine_sentence,
     sorted_entries,
-    top_k_by_frequency,
 )
 
-from conftest import PATTERN_EXAMPLES_CORPUS, CANONICAL_CONCEPTS
+from conftest import PATTERN_EXAMPLES_CORPUS, CANONICAL_CONCEPTS, match_per_pattern
 
 
 def sentence_from(words_tags: list[tuple[str, str]]) -> Sentence:
@@ -97,18 +99,14 @@ class TestGeneralize:
 class TestPatternMatch:
     def test_p1_honking_cars(self):
         m = mention_of([("honking", "VBG"), ("cars", "NNS")])
-        match = match_valid_pattern(m)
-        assert match.pattern == "P1"
-        assert match.text == "honking cars"
+        assert match_valid_pattern(m) == ("P1", "honking cars")
 
     def test_bare_adjective_rejected(self):
         assert match_valid_pattern(mention_of([("beautiful", "JJ")])) is None
 
     def test_determiner_consumed_not_kept(self):
         m = mention_of([("the", "DT"), ("dogs", "NNS"), ("barking", "VBG")])
-        match = match_valid_pattern(m)
-        assert match.pattern == "P3"
-        assert match.text == "dogs barking"
+        assert match_valid_pattern(m) == ("P3", "dogs barking")
 
     def test_longest_match_beats_lower_id(self):
         # hand enumeration for the signature "NNS VBG":
@@ -120,62 +118,54 @@ class TestPatternMatch:
         #   P6 <X> of (DT) JJ NN(S)  : no match
         # longest prefix -> P3
         m = mention_of([("dogs", "NNS"), ("barking", "VBG")])
-        match = match_valid_pattern(m)
-        assert match.pattern == "P3"
-        assert match.consumed == 2
+        assert match_valid_pattern(m) == ("P3", "dogs barking")
 
     def test_p5_needs_singular_first_noun(self):
         m = mention_of([("drums", "NNS"), ("beat", "NN")])
-        match = match_valid_pattern(m)
-        assert match.pattern == "P4"
-        assert match.text == "drums"
+        assert match_valid_pattern(m) == ("P4", "drums")
 
     def test_p5_string_quartet_with_determiner(self):
         m = mention_of([("a", "DT"), ("string", "NN"), ("quartet", "NN")])
-        match = match_valid_pattern(m)
-        assert match.pattern == "P5"
-        assert match.text == "string quartet"
+        assert match_valid_pattern(m) == ("P5", "string quartet")
 
     def test_p6_classical_music(self):
         m = mention_of([("classical", "JJ"), ("music", "NN")])
-        assert match_valid_pattern(m).pattern == "P6"
+        assert match_valid_pattern(m) == ("P6", "classical music")
 
     def test_p2_without_determiner_only(self):
-        assert match_valid_pattern(mention_of([("yelling", "VBG")])).pattern == "P2"
+        assert match_valid_pattern(mention_of([("yelling", "VBG")])) == ("P2", "yelling")
         assert match_valid_pattern(mention_of([("the", "DT"), ("yelling", "VBG")])) is None
 
     def test_concept_text_lowercased(self):
         m = mention_of([("Honking", "VBG"), ("Cars", "NNS")])
-        assert match_valid_pattern(m).text == "honking cars"
+        assert match_valid_pattern(m) == ("P1", "honking cars")
 
-    def test_accepted_signature_rederives_to_same_pattern(self):
-        # property: re-deriving the signature of the stored concept tokens and
-        # rematching yields the stored pattern id
-        rng = random.Random(5)
-        tags = ["DT", "VBG", "NN", "NNS", "JJ", "IN", "PRP"]
-        for _ in range(500):
-            window = [(f"w{i}", rng.choice(tags)) for i in range(rng.randint(1, 4))]
-            match = match_valid_pattern(mention_of(window))
-            if match is None:
-                continue
-            assert match.tags[0] != "DT"
-            rematch = match_valid_pattern(CandidateMention(match.words, match.tags))
-            assert rematch is not None and rematch.pattern == match.pattern
+    def test_agrees_with_per_pattern_matcher_on_every_window(self):
+        # every window of 1-4 tags over the tags the patterns name, plus IN,
+        # which none accepts; the words are mixed case and differ by position
+        words = ("The", "hONKING", "Cars", "QUARTET")
+        tags = ("DT", "VBG", "NN", "NNS", "JJ", "IN")
+        windows = [w for n in range(1, 5) for w in product(tags, repeat=n)]
+        assert len(windows) == 1554
+        accepted = 0
+        for window in windows:
+            mention = CandidateMention(words[: len(window)], window)
+            expected = match_per_pattern(mention)
+            assert match_valid_pattern(mention) == expected, window
+            accepted += expected is not None
+        assert 0 < accepted < len(windows)
+
+    def test_shared_signature_goes_to_the_first_pattern(self):
+        # the six patterns share no signature, so two made-up ones that do
+        table = _signatures((PosPattern("P1", "", False, (NOUN,)),
+                             PosPattern("P2", "", True, (NOUN,))))
+        assert table == {("NN",): "P1", ("NNS",): "P1",
+                         ("DT", "NN"): "P2", ("DT", "NNS"): "P2"}
 
 
 class TestAggregate:
     def accepted(self, *texts_patterns):
-        out = []
-        for text, pattern in texts_patterns:
-            words = text.split()
-            tags = ["NN"] * len(words)
-            m = mention_of(list(zip(words, tags)))
-            from soundkb.mining import PatternMatch
-
-            out.append(
-                (m, PatternMatch(pattern, m.words, m.tags, len(words)))
-            )
-        return out
+        return [(pattern, text) for text, pattern in texts_patterns]
 
     def test_counting(self):
         table = aggregate_concepts(
@@ -232,9 +222,10 @@ class TestCorpusMining:
 
     def test_no_concept_starts_with_determiner(self):
         sentences = parse_annotated_corpus(PATTERN_EXAMPLES_CORPUS.splitlines())
-        for mention_match in map(mine_sentence, sentences):
-            for _mention, match in mention_match:
-                assert match.tags[0] != "DT"
+        for sentence in sentences:
+            determiners = {w.lower() for w, t in zip(sentence.words, sentence.tags) if t == "DT"}
+            for _pattern, text in mine_sentence(sentence):
+                assert text.split()[0] not in determiners
 
 
 class TestTopK:
@@ -242,11 +233,11 @@ class TestTopK:
         return {t: ConceptEntry(t, "P4", f) for t, f in freqs.items()}
 
     def test_tie_broken_by_text(self):
-        top = top_k_by_frequency(self.table({"a": 3, "b": 1, "c": 3}), 2)
+        top = sorted_entries(self.table({"a": 3, "b": 1, "c": 3}))[:2]
         assert [e.text for e in top] == ["a", "c"]
 
     def test_k_larger_than_table(self):
-        top = top_k_by_frequency(self.table({"a": 3, "b": 1}), 10)
+        top = sorted_entries(self.table({"a": 3, "b": 1}))[:10]
         assert [e.text for e in top] == ["a", "b"]
 
     def test_matches_full_sort_oracle(self):
@@ -255,7 +246,7 @@ class TestTopK:
         while len(set(freqs.values())) != len(freqs):
             freqs = {f"w{i}": rng.randint(1, 10_000) for i in range(100)}
         oracle = sorted(freqs.items(), key=lambda kv: -kv[1])
-        top = top_k_by_frequency(self.table(freqs), 100)
+        top = sorted_entries(self.table(freqs))[:100]
         assert [(e.text, e.frequency) for e in top] == oracle
 
 

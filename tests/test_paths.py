@@ -27,6 +27,7 @@ from conftest import (
     bfs_shortest_path,
     block_to_sentence,
     default_seed_paths,
+    plain_string,
 )
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
@@ -433,7 +434,7 @@ class TestShortestPath:
             if expected is None:
                 assert path is None
                 continue
-            assert " ".join(path.items()) == expected
+            assert plain_string(path) == expected
             checked += 1
         assert checked > 30
 
@@ -462,7 +463,8 @@ class TestRender:
         graph = build_dep_graph(block_to_sentence(block))
         path = shortest_dep_path(graph, 1, 4)
         assert render_path(path, trivial_pair(1, 4)) == "amod() b nsubj() c dobj()"
-        assert path.items() == ("amod()", "b", "nsubj()", "c", "dobj()")
+        assert path.labels == ("amod", "nsubj", "dobj")
+        assert path.words[1:-1] == ("b", "c")
 
     def test_mention_internal_node_suppressed_with_next_edge(self):
         # concept span covers nodes 3..4; node 3 sits on the path, so
