@@ -21,6 +21,7 @@ import argparse
 import array
 import hashlib
 import math
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -78,26 +79,62 @@ def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], rows) -> N
         sink.writelines("\t".join(row) + "\n" for row in rows)
 
 
+def _must_exist(path: Path) -> None:
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+
+
+_UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogates an undecodable byte becomes
+
+
+def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataError:
+    """The error for a file that is not UTF-8 text: the line of its first
+    undecodable byte, and the reason ``err`` gives.
+
+    The file is read again, line by line, with each undecodable byte read
+    as a lone surrogate, which UTF-8 text never holds.  Lines end where
+    ``_read_lines``' do, so the number is the file's, however the reader
+    that failed had split the file into chunks.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as source:
+        for line_no, line in enumerate(source, 1):
+            if _UNDECODED.search(line):
+                break
+    return DataError(f"{path.name} line {line_no}: not UTF-8 text ({err.reason})")
+
+
 def _read_lines(path: Path) -> list[str]:
     """The lines of a UTF-8 text file without their line ends.
 
     A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, so line
     numbers are the file's.  A leading byte-order mark is dropped.
     """
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
+    _must_exist(path)
     try:
         with open(path, encoding="utf-8-sig") as source:
             lines = source.read().split("\n")
     except UnicodeDecodeError as err:
-        data = path.read_bytes()
-        # the decoder saw the file without its byte-order mark
-        head = data[: err.start + len(data) - len(err.object)]
-        line_no = head.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-        raise DataError(f"{path.name} line {line_no}: not UTF-8 text ({err.reason})") from None
+        raise _not_utf8(path, err) from None
     if not lines[-1]:
         lines.pop()  # the empty text after the last line end
     return lines
+
+
+class _StreamedLines:
+    """The lines ``_read_lines`` gives, read from the file on each walk:
+    a walk holds one line at a time, never the file's text or a list of
+    its lines.  An undecodable byte raises ``UnicodeDecodeError``."""
+
+    def __init__(self, path: Path):
+        _must_exist(path)
+        self.path = path
+
+    def __iter__(self):
+        # universal newlines turn CRLF and CR into LF, and a text file's
+        # lines end at LF only
+        with open(self.path, encoding="utf-8-sig") as source:
+            for line in source:
+                yield line[:-1] if line.endswith("\n") else line
 
 
 def _rows(path: Path, columns: int, kind: str, exact: bool = True):
@@ -140,6 +177,15 @@ def _load_model(path: Path, load):
     blanked, so that a JSON error names the file's line and column."""
     return _load(path, lambda lines: load(
         [(" " * len(line) if line.startswith("#") else line) + "\n" for line in lines]))
+
+
+def _load_store(path: Path) -> embeddings.EmbeddingStore:
+    """The embedding store of a ``.vec`` file, parsed as the file is read."""
+    try:
+        with _naming(path):
+            return embeddings.load_embeddings(_StreamedLines(path))
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
 
 
 def _load_sentences(path: Path) -> list[corpus.Sentence]:
@@ -217,7 +263,7 @@ def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
-    store = _load(emb_path, embeddings.load_embeddings)
+    store = _load_store(emb_path)
     rows = _read_labeled_phrases(data_path)
 
     def check(finite: np.ndarray) -> None:
@@ -271,7 +317,7 @@ def cmd_classify(args) -> int:
     emb_path = Path(args.embeddings)
     phrases_path = Path(args.phrases)
     model = _load_model(model_path, phrase.load_model)
-    store = _load(emb_path, embeddings.load_embeddings)
+    store = _load_store(emb_path)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:  # checked before the output file is opened
         with _naming(model_path, emb_path):
@@ -374,7 +420,7 @@ def cmd_train_relation(args) -> int:
     d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
-        store = _load(emb_path, embeddings.load_embeddings)
+        store = _load_store(emb_path)
         inputs.append(emb_path)
         if args.dim not in (None, store.dimension):
             raise UsageError(

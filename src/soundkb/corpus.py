@@ -230,7 +230,14 @@ def parse_annotated_corpus(
             yield sentence
 
 
-def build_dep_graph(sentence: Sentence) -> DepGraph:
-    """The sentence's heads and labels, with its words lowercased."""
-    words = tuple(word.lower() for word in sentence.words)
-    return DepGraph(words=words, heads=sentence.heads, labels=sentence.labels)
+def lowered_words(sentence: Sentence) -> tuple[str, ...]:
+    """The sentence's words, lowercased."""
+    return tuple([word.lower() for word in sentence.words])
+
+
+def build_dep_graph(sentence: Sentence, lowers: tuple[str, ...] | None = None) -> DepGraph:
+    """The sentence's heads and labels, with its words lowercased
+    (``lowers``, if the caller has them)."""
+    if lowers is None:
+        lowers = lowered_words(sentence)
+    return DepGraph(words=lowers, heads=sentence.heads, labels=sentence.labels)

@@ -53,11 +53,18 @@ class EmbeddingStore:
 
 
 def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
-    """Parse a ``.vec`` text stream into a store.
+    """Parse the lines of a ``.vec`` file into a store.
 
-    The dimension is fixed by the first vector line; every later line
-    must agree, and every component must be finite, or the load fails,
-    naming the offending line.  Components are whitespace-separated
+    ``lines`` is walked once, and a second time only if the fast pass
+    gives up, so a re-iterable that reads the file on each walk keeps
+    neither the file's text nor a list of its lines: memory is the
+    (n x d) float64 matrix plus the words.  A one-shot iterator is listed
+    first.
+
+    The dimension is fixed by the first vector line (and by a ``count
+    dim`` header, if there is one); every later line must agree, no word
+    may come twice, and every component must be finite, or the load
+    fails, naming the offending line.  Components are whitespace-separated
     numbers in Python ``float`` syntax.
 
     numpy's C text reader parses a file of plain rows in one pass.  A
@@ -65,7 +72,8 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
     which names the bad line, or accepts the number forms that ``float``
     reads and numpy does not (``1_0``, ``１``).
     """
-    lines = list(lines)  # read twice when the fast pass gives up
+    if iter(lines) is lines:
+        lines = list(lines)  # a one-shot iterator: the per-row reader may need a second walk
     store = _load_plain(lines)
     return store if store is not None else _load_per_row(lines)
 
@@ -74,7 +82,7 @@ class _NotPlain(Exception):
     """A row that the fast pass leaves to the per-row reader."""
 
 
-def _load_plain(lines: list[str]) -> EmbeddingStore | None:
+def _load_plain(lines: Iterable[str]) -> EmbeddingStore | None:
     """The store, if numpy reads every row and every check passes; else None."""
     index: dict[str, int] = {}  # word -> row, in row order
     header_dim: int | None = None
@@ -101,13 +109,13 @@ def _load_plain(lines: list[str]) -> EmbeddingStore | None:
     try:
         # with no row at all, loadtxt would warn and return an empty matrix
         first = next(rows)
-        # Given an upper bound on the rows, numpy allocates the matrix once
-        # (as wide as the first row) instead of growing it, which keeps the
-        # peak memory at the per-row reader's.  If a first row much wider
-        # than the rest makes that allocation fail, the per-row reader
-        # names the first short row.
+        # No row count is given: it would cost a pass over the file.  numpy
+        # grows the matrix by about a quarter at a time and trims it at the
+        # end; if an allocation fails, the per-row reader tries the file.
         matrix = np.loadtxt(itertools.chain([first], rows), comments=None,
-                            dtype=np.float64, ndmin=2, max_rows=len(lines))
+                            dtype=np.float64, ndmin=2)
+    except UnicodeDecodeError:
+        raise  # a ValueError, but the file's, not a row's: the per-row reader would read it again
     except (StopIteration, _NotPlain, ValueError, MemoryError):
         return None
     n, dimension = matrix.shape

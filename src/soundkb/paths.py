@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Callable, Iterable, Sequence
 
 from . import DataError, content_lines
-from .corpus import DepGraph, Sentence, build_dep_graph
+from .corpus import DepGraph, Sentence, build_dep_graph, lowered_words
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -148,6 +148,7 @@ def find_mention_pairs(
     sentence: Sentence,
     concepts: PhraseIndex,
     lexicon: EnvironmentLexicon,
+    lowers: Sequence[str] | None = None,
 ) -> list[MentionPair]:
     """All (concept, environment) mention pairs with non-overlapping spans.
 
@@ -155,9 +156,11 @@ def find_mention_pairs(
     that overlaps an environment is still found; the overlapping pair is
     then dropped.  The concept anchor is the rightmost noun-tagged token
     of its span (rightmost token if none is a noun); the environment
-    anchor is the last token of its span.
+    anchor is the last token of its span.  ``lowers`` are the sentence's
+    words lowercased, if the caller has them.
     """
-    lowers = [word.lower() for word in sentence.words]
+    if lowers is None:
+        lowers = lowered_words(sentence)
     concept_spans = concepts.scan(lowers)
     if not concept_spans:
         return []
@@ -275,10 +278,11 @@ def occurrences_for_sentence(
     A pair whose anchors no path connects is dropped and, if given,
     passed to ``on_unconnected``.
     """
-    pairs = find_mention_pairs(sentence, concepts, lexicon)
+    lowers = lowered_words(sentence)  # once, for the scan and for the path words
+    pairs = find_mention_pairs(sentence, concepts, lexicon, lowers)
     if not pairs:
         return []
-    graph = build_dep_graph(sentence)
+    graph = build_dep_graph(sentence, lowers)
     occurrences = []
     for pair in pairs:
         path = shortest_dep_path(graph, pair.env_anchor, pair.concept_anchor)

@@ -4,9 +4,11 @@ import argparse
 import hashlib
 import io
 import json
+import tracemalloc
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from soundkb import DataError, cli, embeddings, lstm, phrase
@@ -1030,7 +1032,7 @@ class TestTextFiles:
     def test_byte_order_mark_before_a_vec_header(self, tmp_path):
         vec = tmp_path / "bom.vec"
         vec.write_text(BOM + "4 2\na 1 0\nb 2 0\nc -1 0\nd -2 0\n", encoding="utf-8")
-        store = cli._load(vec, cli.embeddings.load_embeddings)
+        store = cli._load_store(vec)
         assert words(store) == ["a", "b", "c", "d"] and store.dimension == 2
 
     def test_byte_order_mark_before_a_corpus(self, pattern_corpus_file, tmp_path, capsys):
@@ -1119,6 +1121,111 @@ class TestTextFiles:
         out = tmp_path / "o.tsv"
         cli._write_tsv(out, "prov", columns, iter([("b", "1"), ("a", "2")]))
         assert out.read_bytes() == text.encode()
+
+
+# the lines of a .vec file, each case written with every line end, with and
+# without a byte-order mark and a final line end
+STREAMED_VECS = {
+    "plain": ["cat 1 2", "Dog 0.5 -3", "owl 1e-3 4"],
+    "header": ["3 2", "cat 1 2", "Dog 0.5 -3", "owl 1e-3 4"],
+    "blank-lines": ["", "cat 1 2", "   ", "Dog 0.5 -3", "", "owl 1e-3 4", ""],
+    # numpy's reader gives up on 1_0 and the per-row reader accepts it
+    "underscore": ["2 2", "cat 1_0 2", "dog 0.5 -3"],
+}
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+def write_vec(path, lines, end=b"\n", bom=b"", final=True):
+    path.write_bytes(bom + end.join(line.encode() for line in lines) + (end if final else b""))
+
+
+class TestStreamedStore:
+    """Commands read a .vec file as a stream; the store is the one its list
+    of lines gives, and so are the errors."""
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+    @pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+    @pytest.mark.parametrize("case", STREAMED_VECS)
+    def test_store_equals_the_list_loaded(self, tmp_path, case, end, bom, final):
+        lines = STREAMED_VECS[case]
+        vec = tmp_path / "emb.vec"
+        write_vec(vec, lines, end, bom, final)
+        streamed, listed = cli._load_store(vec), load_embeddings(lines)
+        assert streamed.matrix.shape == listed.matrix.shape
+        assert streamed.matrix.tobytes() == listed.matrix.tobytes()
+        assert list(streamed.index.items()) == list(listed.index.items())
+
+    @pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+    def test_bad_row_is_named_by_its_line(self, tmp_path, end, bom):
+        lines = ["cat 1 2", "", "dog 1", "owl 1 2"]
+        vec = tmp_path / "bad.vec"
+        write_vec(vec, lines, end, bom)
+        with pytest.raises(DataError) as listed:
+            load_embeddings(lines)
+        assert str(listed.value) == "line 3: expected 2 components, got 1"
+        with pytest.raises(DataError, match=f"^bad.vec {listed.value}$"):
+            cli._load_store(vec)
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The path of each walk over a streamed file, in order."""
+        walked = []
+        walk = cli._StreamedLines.__iter__
+
+        def counted(lines):
+            walked.append(lines.path)  # on the first line asked for, not on iter()
+            yield from walk(lines)
+
+        monkeypatch.setattr(cli._StreamedLines, "__iter__", counted)
+        return walked
+
+    @pytest.mark.parametrize("case, n", [("plain", 1), ("underscore", 2)])
+    def test_file_is_read_again_only_when_the_fast_pass_gives_up(self, tmp_path, walks,
+                                                                   case, n):
+        vec = tmp_path / "emb.vec"
+        write_vec(vec, STREAMED_VECS[case])
+        cli._load_store(vec)
+        assert walks == [vec] * n
+
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "past-first-read"])
+    @pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+    def test_non_utf8_byte_exits_2_and_names_its_line(self, phrase_setup, tmp_path, walks,
+                                                        capsys, end, bom, far):
+        _, _, _, data = phrase_setup
+        zeros = " 0" * (3000 if far else 1)  # far: line 3 starts past the first 8 KiB read
+        vec = tmp_path / "emb.vec"
+        vec.write_bytes(bom + end.join([f"cat 1{zeros}".encode(), f"dog 2{zeros}".encode(),
+                                        f"\xe9t 3{zeros}".encode("latin-1"),
+                                        f"owl 4{zeros}".encode()]) + end)
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert err == "error: emb.vec line 3: not UTF-8 text (invalid continuation byte)\n"
+        assert walks == [vec]  # the decode error is not taken for a row the fast pass gives up on
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="^no such file: "):
+            cli._load_store(tmp_path / "none.vec")
+
+    def test_peak_memory_is_the_matrix_not_the_text(self, tmp_path):
+        """Reading the text and a list of its lines next to the matrix
+        would take about 2.5 times the matrix."""
+        rng = np.random.default_rng(5)
+        vec = tmp_path / "emb.vec"
+        with open(vec, "w", encoding="utf-8") as sink:
+            for i, row in enumerate(rng.standard_normal((5000, 50))):
+                sink.write(f"w{i} " + " ".join(f"{x:.6f}" for x in row) + "\n")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            store = cli._load_store(vec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert store.matrix.shape == (5000, 50)
+        assert peak < 1.5 * store.matrix.nbytes + (1 << 20)
 
 
 class TestNumericOptions:
