@@ -388,10 +388,10 @@ def cmd_paths(args) -> int:
 
 def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
     rows = []
-    for line_no, (scene, concept, rendered, ref) in _rows(path, 4, "occurrence"):
-        if not rendered.strip():
+    for line_no, fields in _rows(path, 4, "occurrence"):
+        if not fields[2].strip():
             raise DataError(f"{path.name} line {line_no}: empty path")
-        rows.append(paths.PathOccurrence(scene, concept, rendered, ref))
+        rows.append(paths.PathOccurrence._make(fields))
     return rows
 
 
@@ -462,7 +462,7 @@ def cmd_predict(args) -> int:
     _write_tsv(Path(args.out), _provenance("predict", None, [model_path, occ_path]),
                ("scene", "concept", "path", "p_positive"),
                ((o.scene, o.concept, o.path, f"{p_pos:.9g}")
-                for o, (p_pos, _p_neg) in zip(occurrences, probs)))
+                for o, p_pos in zip(occurrences, probs[:, 0].tolist())))
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from sys import intern
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import DataError
 
@@ -55,8 +55,7 @@ class Sentence:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(NamedTuple):
     """Parent-pointer view of a sentence's dependency forest.
 
     ``heads`` and ``labels`` are the sentence's columns: ``heads[i - 1]``
@@ -240,4 +239,4 @@ def build_dep_graph(sentence: Sentence, lowers: tuple[str, ...] | None = None) -
     (``lowers``, if the caller has them)."""
     if lowers is None:
         lowers = lowered_words(sentence)
-    return DepGraph(words=lowers, heads=sentence.heads, labels=sentence.labels)
+    return DepGraph(lowers, sentence.heads, sentence.labels)

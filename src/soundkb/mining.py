@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import SENTENCE_FINAL_PUNCT, Sentence
 
@@ -35,8 +35,7 @@ _GERUND = frozenset({"VBG"})
 _ADJ = frozenset({"JJ"})
 
 
-@dataclass(frozen=True)
-class PosPattern:
+class PosPattern(NamedTuple):
     id: str
     template: str
     allows_determiner: bool
@@ -72,8 +71,7 @@ SIGNATURES = _signatures(PATTERNS)
 _WIDEST = max(map(len, SIGNATURES))
 
 
-@dataclass(frozen=True)
-class CandidateMention:
+class CandidateMention(NamedTuple):
     """The phrase window that follows one occurrence of the trigger."""
 
     words: tuple[str, ...]
@@ -103,9 +101,7 @@ def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
             while end < stop and lowers[end] not in SENTENCE_FINAL_PUNCT:
                 end += 1
             if end > start:
-                found.append(
-                    CandidateMention(words=words[start:end], tags=tags[start:end])
-                )
+                found.append(CandidateMention(words[start:end], tags[start:end]))
     return found
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import DataError, content_lines
 from .corpus import DepGraph, Sentence, build_dep_graph, lowered_words
@@ -112,8 +112,13 @@ class EnvironmentLexicon:
         return cls(tuple(line.strip().lower() for _, line in content_lines(lines)))
 
 
-@dataclass(frozen=True)
-class MentionPair:
+class MentionPair(NamedTuple):
+    """A concept mention and an environment mention in one sentence.
+
+    This and the other per-row records are NamedTuples, which cost a
+    fraction of a frozen dataclass to build.
+    """
+
     concept_text: str
     concept_span: tuple[int, int]
     concept_anchor: int
@@ -131,8 +136,7 @@ class MentionPair:
         )
 
 
-@dataclass(frozen=True)
-class DepPath:
+class DepPath(NamedTuple):
     """Shortest path between two anchors, root pseudo-node excluded."""
 
     nodes: tuple[int, ...]
@@ -175,15 +179,7 @@ def find_mention_pairs(
         for e_start, e_end, scene in env_spans:
             if c_start <= e_end and e_start <= c_end:
                 continue
-            pairs.append(
-                MentionPair(
-                    concept_text=c_text,
-                    concept_span=(c_start, c_end),
-                    concept_anchor=anchor,
-                    scene=scene,
-                    env_span=(e_start, e_end),
-                )
-            )
+            pairs.append(MentionPair(c_text, (c_start, c_end), anchor, scene, (e_start, e_end)))
     return pairs
 
 
@@ -225,10 +221,10 @@ def shortest_dep_path(graph: DepGraph, source: int, target: int) -> DepPath | No
     nodes = (*rising, top, *falling)
     labels, words = graph.labels, graph.words
     return DepPath(
-        nodes=nodes,
+        nodes,
         # an edge carries the label of its dependent, the end away from the ancestor
-        labels=tuple([labels[i - 1] for i in rising + falling]),
-        words=tuple([words[i - 1] for i in nodes]),
+        tuple([labels[i - 1] for i in rising + falling]),
+        tuple([words[i - 1] for i in nodes]),
     )
 
 
@@ -259,8 +255,7 @@ def render_path(path: DepPath, pair: MentionPair) -> str:
     return " ".join(items)
 
 
-@dataclass(frozen=True)
-class PathOccurrence:
+class PathOccurrence(NamedTuple):
     scene: str
     concept: str
     path: str
@@ -290,14 +285,8 @@ def occurrences_for_sentence(
             if on_unconnected is not None:
                 on_unconnected(pair)
             continue
-        occurrences.append(
-            PathOccurrence(
-                scene=pair.scene,
-                concept=pair.concept_text,
-                path=render_path(path, pair),
-                sentence_ref=sentence.sent_id,
-            )
-        )
+        occurrences.append(PathOccurrence(
+            pair.scene, pair.concept_text, render_path(path, pair), sentence.sent_id))
     return occurrences
 
 
@@ -318,16 +307,14 @@ def rank_paths_by_frequency(
     )
 
 
-@dataclass(frozen=True)
-class RelationExample:
+class RelationExample(NamedTuple):
+    """An occurrence's path with its relation label, ``POSITIVE`` or
+    ``NEGATIVE``; ``lstm.label_index`` rejects any other label."""
+
     path: str
     scene: str
     concept: str
     label: str
-
-    def __post_init__(self):
-        if self.label not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"label must be positive or negative: {self.label!r}")
 
 
 def generate_training_examples(
@@ -349,11 +336,7 @@ def generate_training_examples(
             label = NEGATIVE
         else:
             continue
-        examples.append(
-            RelationExample(
-                path=occ.path, scene=occ.scene, concept=occ.concept, label=label
-            )
-        )
+        examples.append(RelationExample(occ.path, occ.scene, occ.concept, label))
     return examples
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -174,8 +174,7 @@ def make_folds(n: int, k: int, seed: int) -> list[list[int]]:
     return [fold.tolist() for fold in np.array_split(order, k)]
 
 
-@dataclass(frozen=True)
-class CVReport:
+class CVReport(NamedTuple):
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
 

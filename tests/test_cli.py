@@ -570,9 +570,10 @@ class TestTrainRelation:
         assert main(["train-relation", "--occurrences", str(relation_setup),
                      "--seeds-pos", pos, "--seeds-neg", neg, "--hidden", "2", "--dim", "2",
                      "--epochs", "3", "--out", str(out)]) == 0
-        # 40 examples over two paths: the vocabulary, training and each of the three
-        # epochs' evaluations encode each path once, in first-seen order
-        assert calls == ["prep_of()", "amod()"] * 5
+        # 40 examples over two paths: the vocabulary splits each path once and
+        # training encodes it once, in first-seen order; the three epochs'
+        # evaluations reuse those ids
+        assert calls == ["prep_of()", "amod()"] * 2
         _params, vocab = load_relation_model(data_lines(out))
         assert vocab.tokens == ["<unk>", "prep_of()", "amod()"]
 
@@ -627,9 +628,28 @@ class TestPredictAndReport:
         for row in rows:
             p_pos, _ = predict_relation(params, vocab, tokenize_path(row[2]))
             assert float(row[3]) == pytest.approx(p_pos, rel=1e-8)
+        # the p column is each float64 at 9 significant digits
+        assert [row[3] for row in rows] == [
+            f"{np.float64(p):.9g}" for p in lstm.predict_paths(params, vocab, paths)[:, 0]]
         by_path = {}
         for row in rows:
             assert by_path.setdefault(row[2], row[3]) == row[3]
+
+    def test_p_column_formats_edge_values(self, tmp_path, monkeypatch):
+        values = [0.5, 1e-10, 0.99999999995, 5e-324, 1.0]
+        model = tmp_path / "model.json"
+        model.write_text(RELATION_MODEL, encoding="utf-8")
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("".join(f"park\tc{k}\tamod()\tref{k}\n" for k in range(len(values))),
+                       encoding="utf-8")
+        probs = np.array([[p, 1.0 - p] for p in values])
+        monkeypatch.setattr(lstm, "predict_paths", lambda *args: probs)
+        out = tmp_path / "preds.tsv"
+        assert main(["predict", "--model", str(model), "--occurrences", str(occ),
+                     "--out", str(out)]) == 0
+        column = [row.split("\t")[3] for row in data_lines(out)]
+        assert column == [f"{np.float64(p):.9g}" for p in values]
+        assert column == ["0.5", "1e-10", "1", "4.94065646e-324", "1"]
 
     @pytest.mark.parametrize("case", sorted(malformed_relation_models()))
     def test_malformed_model_is_data_error(self, case, relation_setup, tmp_path, capsys):
@@ -896,6 +916,7 @@ class TestDataErrorsNameTheirInput:
         ("park\tc1\t\ts1", "empty path"),
         ("park\tc1\t   \ts1", "empty path"),
         ("park\tc1\tamod()", "occurrence rows need 4 columns, got 3"),
+        ("park\tc1\tamod()\ts1\tx", "occurrence rows need 4 columns, got 5"),
     ])
     def test_occurrence_rows(self, relation_setup, tmp_path, capsys, row, message):
         model = tmp_path / "model.json"

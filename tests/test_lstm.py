@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from soundkb import lstm, round9
+from soundkb import DataError, lstm, round9
 from soundkb.lstm import (
     ARRAY_FIELDS,
     LEARNED,
@@ -519,6 +519,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="both relation labels"):
             train(params, vocab, positives, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("label", ["neutral", "Positive", ""])
+    def test_other_label_rejected(self, label):
+        examples, vocab, params = self._setup(n=20, seed=2)
+        examples[7] = examples[7]._replace(label=label)
+        before = [a.copy() for a in params.arrays()]
+        message = f"relation label must be 'positive' or 'negative', got {label!r}"
+        with pytest.raises(DataError, match=message):
+            train(params, vocab, examples, TrainConfig(epochs=1))
+        assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), before))
+        with pytest.raises(DataError, match=message):
+            evaluate(params, vocab, examples)
+
     @pytest.mark.parametrize("clip", [5.0, 0.5])  # 0.5 clips most steps
     def test_batch_size_one_is_per_example_training(self, clip, monkeypatch):
         monkeypatch.setattr(lstm, "TRAIN_BATCH_SIZE", 1)
@@ -543,8 +555,8 @@ class TestTrain:
         config = TrainConfig(epochs=2, seed=9)
         train(params, vocab, examples, config)
         distinct = list(dict.fromkeys(ex.path for ex in examples))
-        # train encodes once; each epoch's evaluate scores each distinct path once
-        assert calls == distinct * (1 + config.epochs)
+        # train encodes each distinct path; every epoch's evaluate reuses its ids
+        assert calls == distinct
 
     def test_batches_group_by_length(self):
         ids = [[1], [1, 2], [3], [4], [1, 2], [5, 6, 7], [8]]
