@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-_DIGEST_CHUNK = 1 << 20
+_DIGEST_CHUNK = 1 << 16  # a larger read buffer sets the peak RSS of small commands
 
 
 def _digest(path: Path) -> str:
@@ -400,10 +400,10 @@ def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
 DEFAULT_DIM = 32  # embedding width when --embeddings does not set it
 
 
-def cmd_train_relation(args) -> int:
-    occ_path = Path(args.occurrences)
-    pos_path = Path(args.seeds_pos)
-    neg_path = Path(args.seeds_neg)
+def _training_examples(occ_path: Path, pos_path: Path, neg_path: Path
+                       ) -> list[paths.RelationExample]:
+    """The occurrences whose path is a seed path, labeled; the occurrence
+    rows are dropped once the examples exist."""
     occurrences = _read_occurrences(occ_path)
     seed_pos = _load(pos_path, paths.load_seed_paths)
     seed_neg = _load(neg_path, paths.load_seed_paths)
@@ -414,14 +414,18 @@ def cmd_train_relation(args) -> int:
             f"{occ_path.name}: no occurrence matched a seed path in {pos_path.name} "
             f"or {neg_path.name}; nothing to train on"
         )
+    return examples
 
+
+def _initial_model(args, examples: list[paths.RelationExample]
+                   ) -> tuple[lstm.PathVocab, lstm.LstmParams]:
+    """The vocabulary of the examples' paths and the seeded parameters; the
+    embedding store is dropped once ``init_params`` has copied its rows."""
     store = None
-    inputs = [occ_path, pos_path, neg_path]
     d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
         store = _load_store(emb_path)
-        inputs.append(emb_path)
         if args.dim not in (None, store.dimension):
             raise UsageError(
                 f"--dim {args.dim} disagrees with {emb_path.name}, whose vectors have "
@@ -431,12 +435,21 @@ def cmd_train_relation(args) -> int:
 
     distinct = dict.fromkeys(ex.path for ex in examples)  # first-seen order
     vocab = lstm.build_vocab([lstm.tokenize_path(path) for path in distinct], store=store)
-    config = lstm.TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, seed=args.seed, clip=args.clip,
-    )
     params = lstm.init_params(
         vocab, d, args.hidden, store=store, seed=args.seed,
         init_scale=args.init_scale,
+    )
+    return vocab, params
+
+
+def cmd_train_relation(args) -> int:
+    inputs = [Path(args.occurrences), Path(args.seeds_pos), Path(args.seeds_neg)]
+    examples = _training_examples(*inputs)
+    if args.embeddings:
+        inputs.append(Path(args.embeddings))
+    vocab, params = _initial_model(args, examples)
+    config = lstm.TrainConfig(
+        learning_rate=args.lr, epochs=args.epochs, seed=args.seed, clip=args.clip,
     )
     with _naming(*inputs):
         params, trace = lstm.train(params, vocab, examples, config)

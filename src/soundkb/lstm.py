@@ -206,22 +206,21 @@ def _cell(a: np.ndarray, c_prev: np.ndarray, h: int):
 def _forward(params: LstmParams, ids: np.ndarray, steps=None):
     """The forward pass over a batch of same-length paths, ``ids`` (B x T).
 
-    Returns the projected inputs ``W @ x + b`` (T x B x 4h), all made in one
-    (T*B x d) matmul, and the final (h, c), each (B x h), of the cell run from
-    zero state.  Each step costs one matmul with ``U`` and, if ``steps`` is a
-    list, appends (h_prev, c_prev, ifo, u, tanh_c) to it for backpropagation.
+    Returns the final (h, c), each (B x h), of the cell run from zero state.
+    Each step projects its own inputs, ``E[ids[:, t]] @ W.T + b`` (B x 4h),
+    and adds one matmul with ``U``, so the pass holds O(B x 4h) floats beyond
+    ``steps``: if ``steps`` is a list, each step appends (h_prev, c_prev, ifo,
+    u, tanh_c) to it for backpropagation.
     """
-    batch, length = ids.shape
-    projected = params.E[ids.T.reshape(-1)] @ params.W.T  # step-major
-    projected += params.b  # in place: a second (T*B x 4h) array raises the peak RSS
-    projected = projected.reshape(length, batch, 4 * params.h)
-    h = c = np.zeros((batch, params.h))
-    for xa in projected:
+    h = c = np.zeros((ids.shape[0], params.h))
+    for column in ids.T:
+        xa = params.E[column] @ params.W.T
+        xa += params.b
         ifo, u, c_new, tanh_c, h_new = _cell(xa + h @ params.U.T, c, params.h)
         if steps is not None:
             steps.append((h, c, ifo, u, tanh_c))
         h, c = h_new, c_new
-    return projected, h, c
+    return h, c
 
 
 def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
@@ -233,7 +232,7 @@ def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
 def predict_relation(params: LstmParams, vocab: PathVocab,
                      tokens: Sequence[str]) -> tuple[float, float]:
     """Probabilities (positive, negative) for a path: a batch of one."""
-    h = _forward(params, np.array([_ids_for(vocab, tokens)]))[1]
+    h = _forward(params, np.array([_ids_for(vocab, tokens)]))[0]
     p = softmax(h @ params.W_r.T)[0]
     return float(p[0]), float(p[1])
 
@@ -243,14 +242,15 @@ def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) ->
 
     Each distinct path is scored once.  ``_length_batches`` groups them by
     length, at most ``BATCH_SIZE`` at a time, for one forward pass each; no
-    per-step state is kept, so memory stays O(BATCH_SIZE x length x 4h).
+    per-step state is kept and each step projects only its own inputs, so
+    the pass holds O(BATCH_SIZE x 4h) floats whatever the paths' length.
     """
     rows: dict[str, int] = {}
     index = [rows.setdefault(path, len(rows)) for path in paths]
     ids = [vocab.encode(path) for path in rows]
     probs = np.empty((len(rows), 2))
     for batch in _length_batches(range(len(ids)), ids, BATCH_SIZE):
-        h = _forward(params, np.array([ids[i] for i in batch]))[1]  # h only: a kept projection doubles the peak
+        h = _forward(params, np.array([ids[i] for i in batch]))[0]
         probs[batch] = softmax(h @ params.W_r.T)
     return probs[index]
 
@@ -292,7 +292,7 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     batch, length = ids.shape
     h = params.h
     steps: list = []
-    projected, h_final, _c = _forward(params, ids, steps)
+    h_final, _c = _forward(params, ids, steps)
     p = softmax(h_final @ params.W_r.T)
     p_target = p[np.arange(batch), targets]
     bad = np.flatnonzero(~(p_target > 0))
@@ -306,7 +306,7 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     dz[np.arange(batch), targets] -= 1.0
     dh = dz @ params.W_r
     dc = np.zeros((batch, h))
-    deltas = projected.reshape(length, batch, 4, h)  # the forward pass is done with it
+    deltas = np.empty((length, batch, 4, h))
     H_prev = np.empty((length, batch, h))
     for t in range(length - 1, -1, -1):
         H_prev[t], c_prev, ifo, u, tanh_c = steps.pop()
@@ -422,30 +422,37 @@ def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> N
     """Write the model as one JSON line, every weight rounded to 9
     significant digits as ``round9`` rounds it.
 
-    Each array is rounded in one pass, a ``'%.9g'`` format over its flattened
-    values, and the document goes out in one ``json.dumps`` (the C encoder,
-    which ``json.dump`` never uses) and one write.
+    The line is the text of one ``json.dumps`` of the whole document, but it
+    goes out one array row at a time: each row is rounded in one ``'%.9g'``
+    pass and written through its own ``json.dumps`` (the C encoder, which
+    ``json.dump`` never uses), so one row's floats and text are all the
+    writer holds beyond the vocabulary.
     """
-    doc = {
+    head = json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "d": params.d,
         "h": params.h,
         "vocab": [[tok, flag] for tok, flag in zip(vocab.tokens, vocab.flags)],
-    }
+    })
+    out.write(head[:-1])  # the arrays follow before the closing brace
     for name in ARRAY_FIELDS:
-        doc[name] = _rounded_lists(getattr(params, name))
-    out.write(json.dumps(doc) + "\n")
+        array = getattr(params, name)
+        out.write(f', "{name}": ')
+        if array.ndim == 1:
+            out.write(_rounded_row(array))
+            continue
+        out.write("[")
+        for i, row in enumerate(array):
+            out.write((", " if i else "") + _rounded_row(row))
+        out.write("]")
+    out.write("}\n")
 
 
-def _rounded_lists(array: np.ndarray) -> list:
-    """A 1-d or 2-d array as (nested) lists of floats at 9 significant digits."""
-    flat = array.ravel().tolist()
-    values = list(map(float, (("%.9g " * len(flat)) % tuple(flat)).split()))
-    if array.ndim == 1:
-        return values
-    width = array.shape[1]
-    return [values[row * width : (row + 1) * width] for row in range(array.shape[0])]
+def _rounded_row(row: np.ndarray) -> str:
+    """A 1-d array as the JSON text of its floats at 9 significant digits."""
+    flat = row.tolist()
+    return json.dumps(list(map(float, (("%.9g " * len(flat)) % tuple(flat)).split())))
 
 
 def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:

@@ -3,8 +3,9 @@ the test oracles: thin wrappers over the production code they check, for
 the tests that need a form no command uses, the per-pattern matcher that
 the signature table is checked against, the general-graph shortest path
 search that the dependency path walk is checked against, and the
-per-value relation model writer and per-example accuracy count that the
-model writer and ``lstm.evaluate`` are checked against."""
+per-value relation model writer, per-example accuracy count and
+whole-batch forward pass that the model writer, ``lstm.evaluate`` and
+``lstm._forward`` are checked against."""
 
 import io
 import json
@@ -376,6 +377,25 @@ def save_relation_model_per_value(params: LstmParams, vocab, out) -> None:
         doc[name] = rounded(getattr(params, name)).tolist()
     json.dump(doc, out)
     out.write("\n")
+
+
+def forward_whole_batch(params: LstmParams, ids: np.ndarray, steps=None):
+    """The forward pass with the whole batch's inputs projected before the
+    first step: returns the projected inputs ``W @ x + b`` (T x B x 4h), made
+    in one (T*B x d) matmul, and the final (h, c), each (B x h).  Each step
+    appends (h_prev, c_prev, ifo, u, tanh_c) to ``steps`` if it is a list.
+    ``lstm._forward``, which projects one step's inputs at a time, must agree."""
+    batch, length = ids.shape
+    projected = params.E[ids.T.reshape(-1)] @ params.W.T  # step-major
+    projected += params.b
+    projected = projected.reshape(length, batch, 4 * params.h)
+    h = c = np.zeros((batch, params.h))
+    for xa in projected:
+        ifo, u, c_new, tanh_c, h_new = lstm._cell(xa + h @ params.U.T, c, params.h)
+        if steps is not None:
+            steps.append((h, c, ifo, u, tanh_c))
+        h, c = h_new, c_new
+    return projected, h, c
 
 
 def evaluate_per_example(params: LstmParams, vocab, examples) -> float:

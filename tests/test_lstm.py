@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from soundkb.paths import NEGATIVE, POSITIVE, RelationExample
 
 from conftest import (
     evaluate_per_example,
+    forward_whole_batch,
     learned_ids,
     lstm_cell,
     make_store,
@@ -69,8 +71,21 @@ def run_path(params: LstmParams, vocab: PathVocab, tokens):
     """Final (h, c) of the shared forward pass over a path, and its steps."""
     ids = np.array([[vocab.id_of(t) for t in tokens]])
     steps = []
-    _projected, h, c = lstm._forward(params, ids, steps)
+    h, c = lstm._forward(params, ids, steps)
     return h[0], c[0], steps
+
+
+def traced_peak(call):
+    """``call()`` and the tracemalloc peak it reached above the memory traced
+    when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def scalar_cell_oracle(params: LstmParams, x, h_prev, c_prev):
@@ -354,6 +369,57 @@ class TestBatchedPredict:
                     for i, label in enumerate(labels)]
         assert evaluate(None, None, examples) == accuracy
         assert evaluate_per_example(None, None, examples) == accuracy
+
+    def test_peak_memory_is_one_step_not_the_batch(self):
+        """64 distinct 30-token paths at (d, h) = (64, 64): their whole-batch
+        projection alone would take 3.75 MiB."""
+        words = [f"w{i}" for i in range(200)]
+        vocab = build_vocab([words])
+        params = init_params(vocab, d=64, h=64, seed=27)
+        rng = random.Random(27)
+        paths = list(dict.fromkeys(" ".join(rng.choice(words) for _ in range(30))
+                                   for _ in range(64)))
+        assert len(paths) == 64
+        probs, peak = traced_peak(lambda: predict_paths(params, vocab, paths))
+        assert probs.shape == (64, 2)
+        assert peak < 1.5 * (1 << 20)
+
+
+class TestPerStepProjection:
+    """``_forward`` projects each step's inputs as the step comes; the pass
+    that projected the whole batch first, ``forward_whole_batch``, is the
+    oracle for inference and for training's loss and gradients."""
+
+    SHAPES = [(3, 4, 1, 1), (5, 6, 7, 4), (8, 16, 64, 9), (32, 64, 16, 15), (6, 5, 100, 3)]
+
+    def _batch(self, d, h, batch, length):
+        store = make_store({word: np.linspace(-0.5, 0.5, d) * (k + 1)
+                            for k, word in enumerate(WORDS[:3])})
+        vocab = build_vocab([EDGE_LABELS, WORDS + [f"w{i}" for i in range(40)]], store=store)
+        params = init_params(vocab, d=d, h=h, store=store, seed=d + h + batch)
+        ids = np.random.default_rng(length).integers(0, len(vocab), size=(batch, length))
+        return params, vocab, ids
+
+    @pytest.mark.parametrize("d, h, batch, length", SHAPES)
+    def test_predict_paths_matches_whole_batch(self, d, h, batch, length):
+        params, vocab, ids = self._batch(d, h, batch, length)
+        paths = [" ".join(vocab.tokens[i] for i in row) for row in ids]
+        expected = softmax(forward_whole_batch(params, ids)[1] @ params.W_r.T)
+        np.testing.assert_allclose(predict_paths(params, vocab, paths), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("d, h, batch, length", SHAPES)
+    def test_batch_gradients_match_whole_batch(self, d, h, batch, length, monkeypatch):
+        params, vocab, ids = self._batch(d, h, batch, length)
+        targets = np.random.default_rng(batch).integers(0, 2, size=batch)
+        args = (params, lstm._learned_mask(vocab), ids, targets, ["path"] * batch)
+        loss, grads = lstm._batch_loss_and_gradients(*args)
+        monkeypatch.setattr(lstm, "_forward",
+                            lambda p, i, steps=None: forward_whole_batch(p, i, steps)[1:])
+        expected_loss, expected = lstm._batch_loss_and_gradients(*args)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        for name in ARRAY_FIELDS:
+            np.testing.assert_allclose(getattr(grads, name), getattr(expected, name),
+                                       rtol=1e-12)
 
 
 class TestPredict:
@@ -680,6 +746,16 @@ class TestVocab:
             PathVocab([UNK_TOKEN, "amod()"], [LEARNED, PRETRAINED])
 
 
+class CharacterCount:
+    """A text sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.characters = 0
+
+    def write(self, text: str) -> None:
+        self.characters += len(text)
+
+
 class TestSerialization:
     def test_round_trip(self):
         store = make_store({"children": [0.5] * 5})
@@ -737,6 +813,19 @@ class TestSerialization:
         written = [value for row in json.loads(ours.getvalue())["E"] for value in row]
         assert written[: len(edges)] == [round9(value) for value in edges]
         assert math.copysign(1.0, written[0]) == -1.0  # -0.0 keeps its sign
+
+    def test_peak_memory_is_one_row_not_the_document(self):
+        """A 5,000 x 64 ``E``: every array as float lists and the whole JSON
+        text before one write would take about 40 MB."""
+        vocab = build_vocab([[f"w{i}" for i in range(4999)]])
+        params = init_params(vocab, d=64, h=64, seed=17)
+        sink = CharacterCount()
+        _, peak = traced_peak(lambda: save_relation_model(params, vocab, sink))
+        text = io.StringIO()
+        save_relation_model(params, vocab, text)
+        assert params.E.shape == (5000, 64)
+        assert sink.characters == len(text.getvalue())
+        assert peak < 2 * (1 << 20)
 
     def test_rejects_other_documents(self):
         with pytest.raises(ValueError, match="relation model"):
