@@ -89,52 +89,55 @@ _UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogates an undecodable byte
 
 def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataError:
     """The error for a file that is not UTF-8 text: the line of its first
-    undecodable byte, and the reason ``err`` gives.
+    undecodable byte, and the reason ``err`` gives, to be named by its file.
 
     The file is read again, line by line, with each undecodable byte read
     as a lone surrogate, which UTF-8 text never holds.  Lines end where
-    ``_read_lines``' do, so the number is the file's, however the reader
+    ``_StreamedLines``' do, so the number is the file's, however the read
     that failed had split the file into chunks.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as source:
         for line_no, line in enumerate(source, 1):
             if _UNDECODED.search(line):
                 break
-    return DataError(f"{path.name} line {line_no}: not UTF-8 text ({err.reason})")
+    return DataError(f"line {line_no}: not UTF-8 text ({err.reason})")
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 text file without their line ends.
-
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, so line
-    numbers are the file's.  A leading byte-order mark is dropped.
-    """
-    _must_exist(path)
-    try:
-        with open(path, encoding="utf-8-sig") as source:
-            lines = source.read().split("\n")
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
-    if not lines[-1]:
-        lines.pop()  # the empty text after the last line end
-    return lines
+_READ_CHUNK = 1 << 16  # characters per read; a walk holds about one chunk, split into lines
 
 
 class _StreamedLines:
-    """The lines ``_read_lines`` gives, read from the file on each walk:
-    a walk holds one line at a time, never the file's text or a list of
-    its lines.  An undecodable byte raises ``UnicodeDecodeError``."""
+    """The lines of a UTF-8 text file without their line ends, read from
+    the file on each walk, a chunk at a time: a walk never holds the
+    file's text or a list of its lines.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, so line
+    numbers are the file's.  A leading byte-order mark is dropped.  An
+    undecodable byte raises the ``DataError`` of ``_not_utf8``.
+    """
 
     def __init__(self, path: Path):
         _must_exist(path)
         self.path = path
 
     def __iter__(self):
-        # universal newlines turn CRLF and CR into LF, and a text file's
-        # lines end at LF only
-        with open(self.path, encoding="utf-8-sig") as source:
-            for line in source:
-                yield line[:-1] if line.endswith("\n") else line
+        pieces = []  # the line that the last chunk left unfinished
+        try:
+            # universal newlines turn CRLF and CR into LF
+            with open(self.path, encoding="utf-8-sig") as source:
+                while chunk := source.read(_READ_CHUNK):
+                    lines = chunk.split("\n")
+                    if len(lines) > 1:
+                        # a line longer than a chunk is joined once, from its pieces
+                        lines[0] = "".join([*pieces, lines[0]])
+                        pieces = []
+                    pieces.append(lines.pop())
+                    yield from lines
+        except UnicodeDecodeError as err:
+            raise _not_utf8(self.path, err) from None
+        last = "".join(pieces)
+        if last:  # not the empty text after the last line end
+            yield last
 
 
 def _rows(path: Path, columns: int, kind: str, exact: bool = True):
@@ -143,13 +146,14 @@ def _rows(path: Path, columns: int, kind: str, exact: bool = True):
     Blank and ``#`` lines are skipped (``content_lines``).  A row needs
     ``columns`` fields (at least that many if not ``exact``).
     """
-    for line_no, line in content_lines(_read_lines(path)):
-        fields = line.split("\t")
-        if len(fields) < columns or (exact and len(fields) > columns):
-            raise DataError(
-                f"{path.name} line {line_no}: {kind} rows need {columns} columns, got {len(fields)}"
-            )
-        yield line_no, fields
+    with _naming(path):
+        for line_no, line in content_lines(_StreamedLines(path)):
+            fields = line.split("\t")
+            if len(fields) < columns or (exact and len(fields) > columns):
+                raise DataError(
+                    f"line {line_no}: {kind} rows need {columns} columns, got {len(fields)}"
+                )
+            yield line_no, fields
 
 
 @contextmanager
@@ -167,36 +171,23 @@ def _naming(*inputs: Path):
 
 def _load(path: Path, parse):
     """``parse`` applied to the lines of a file, a DataError named after it."""
-    lines = _read_lines(path)
     with _naming(path):
-        return parse(lines)
+        return parse(_StreamedLines(path))
 
 
 def _load_model(path: Path, load):
     """``load`` applied to a model file's lines, line ends kept and ``#`` lines
     blanked, so that a JSON error names the file's line and column."""
     return _load(path, lambda lines: load(
-        [(" " * len(line) if line.startswith("#") else line) + "\n" for line in lines]))
-
-
-def _load_store(path: Path) -> embeddings.EmbeddingStore:
-    """The embedding store of a ``.vec`` file, parsed as the file is read."""
-    try:
-        with _naming(path):
-            return embeddings.load_embeddings(_StreamedLines(path))
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+        (" " * len(line) if line.startswith("#") else line) + "\n" for line in lines))
 
 
 def _load_sentences(path: Path) -> list[corpus.Sentence]:
     def report(err: corpus.CorpusFormatError):
         print(f"warning: {path.name}: skipping sentence: {err}", file=sys.stderr)
 
-    return list(
-        corpus.parse_annotated_corpus(
-            _read_lines(path), source_name=path.name, on_error=report
-        )
-    )
+    return _load(path, lambda lines: list(
+        corpus.parse_annotated_corpus(lines, source_name=path.name, on_error=report)))
 
 
 def _lexicon(args) -> paths.EnvironmentLexicon:
@@ -263,7 +254,7 @@ def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
-    store = _load_store(emb_path)
+    store = _load(emb_path, embeddings.load_embeddings)
     rows = _read_labeled_phrases(data_path)
 
     def check(finite: np.ndarray) -> None:
@@ -317,7 +308,7 @@ def cmd_classify(args) -> int:
     emb_path = Path(args.embeddings)
     phrases_path = Path(args.phrases)
     model = _load_model(model_path, phrase.load_model)
-    store = _load_store(emb_path)
+    store = _load(emb_path, embeddings.load_embeddings)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:  # checked before the output file is opened
         with _naming(model_path, emb_path):
@@ -425,7 +416,7 @@ def _initial_model(args, examples: list[paths.RelationExample]
     d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
-        store = _load_store(emb_path)
+        store = _load(emb_path, embeddings.load_embeddings)
         if args.dim not in (None, store.dimension):
             raise UsageError(
                 f"--dim {args.dim} disagrees with {emb_path.name}, whose vectors have "

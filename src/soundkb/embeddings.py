@@ -114,7 +114,7 @@ def _load_plain(lines: Iterable[str]) -> EmbeddingStore | None:
         # end; if an allocation fails, the per-row reader tries the file.
         matrix = np.loadtxt(itertools.chain([first], rows), comments=None,
                             dtype=np.float64, ndmin=2)
-    except UnicodeDecodeError:
+    except DataError:
         raise  # a ValueError, but the file's, not a row's: the per-row reader would read it again
     except (StopIteration, _NotPlain, ValueError, MemoryError):
         return None

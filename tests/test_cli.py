@@ -30,6 +30,7 @@ from conftest import (
 )
 
 PARK_GOLDEN = "nsubjpass() filled prepc_with() sound prep_of()"
+CHUNK = cli._READ_CHUNK  # characters per read of an input file
 
 
 def data_lines(path):
@@ -808,6 +809,63 @@ class TestDataErrorsNameTheirInput:
                          capsys)
         assert "latin1.ann line 2: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("reader", ["corpus", "rows", "seeds", "model"])
+    def test_non_utf8_byte_past_the_first_chunk(self, phrase_setup, relation_setup, tmp_path,
+                                                 capsys, reader):
+        """The reader's error names its line, and the command names the file
+        once, however many chunks were read before it."""
+        _, _, vec, data = phrase_setup
+        neg = tmp_path / "seeds.neg"
+        neg.write_text("prep_of()\n", encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        out = str(tmp_path / "out")
+        if reader == "model":  # one long line before the byte
+            bad.write_bytes(b"# provenance\n{" + b" " * CHUNK + b'"\xe9": 1}\n')
+            line_no = 2
+        else:
+            good, last, lines_per_good = {
+                "corpus": (b"1\tpark\tNN\t0\troot\n\n", b"1\tcaf\xe9\tNN\t0\troot\n", 2),
+                "rows": (b"a\tb\t+1\n", b"\xe9\tb\t+1\n", 1),
+                "seeds": (b"amod()\n", b"\xe9()\n", 1),
+            }[reader]
+            count = CHUNK // len(good) + 1
+            bad.write_bytes(good * count + last)
+            line_no = lines_per_good * count + 1
+        argv = {
+            "corpus": ["mine", "--corpus", str(bad), "--out", out],
+            "rows": ["train-phrase", "--data", str(bad), "--embeddings", str(vec), "--out", out],
+            "seeds": ["train-relation", "--occurrences", str(relation_setup),
+                      "--seeds-pos", str(bad), "--seeds-neg", str(neg), "--out", out],
+            "model": ["predict", "--model", str(bad), "--occurrences", str(relation_setup),
+                      "--out", out],
+        }[reader]
+        err = data_error(argv, capsys)
+        assert err == f"error: bad.txt line {line_no}: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_skipped_sentence_before_a_non_utf8_byte_is_reported_first(self, tmp_path, capsys):
+        """The corpus is parsed as it is read: a bad sentence in an earlier
+        chunk is reported before the byte that stops the command."""
+        corpus = tmp_path / "c.ann"
+        good = b"1\tpark\tNN\t0\troot\n\n"
+        count = CHUNK // len(good) + 1
+        corpus.write_bytes(b"1\tpark\tNN\t2\troot\n\n" + good * count + b"1\tcaf\xe9\tNN\t0\troot\n")
+        err = data_error(["mine", "--corpus", str(corpus), "--out", str(tmp_path / "o")],
+                         capsys)
+        assert err == ("warning: c.ann: skipping sentence: line 1: head out of range: 2\n"
+                       f"error: c.ann line {2 * count + 3}: not UTF-8 text "
+                       "(invalid continuation byte)\n")
+
+    def test_bad_row_before_a_non_utf8_byte_is_the_error(self, phrase_setup, tmp_path, capsys):
+        """Rows are checked as they are read: a bad row in an earlier chunk
+        stops the command before the byte is read."""
+        _, _, vec, _ = phrase_setup
+        data = tmp_path / "labels.tsv"
+        good = b"a\tb\t+1\n"
+        data.write_bytes(b"a\tb\t7\n" + good * (CHUNK // len(good) + 1) + b"\xe9\tb\t+1\n")
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert err == "error: labels.tsv line 1: label must be +1 or -1, got '7'\n"
+
     def test_embedding_format_error(self, phrase_setup, tmp_path, capsys):
         _, _, _, data = phrase_setup
         vec = tmp_path / "bad.vec"
@@ -1000,21 +1058,48 @@ class TestDataErrorsNameTheirInput:
 
 BOM = "\ufeff"
 
+# a labeled phrase file whose fifth line has a bad label, with each line end,
+# with and without a byte-order mark and a final line end
+LABELS = "# labels\na\tb\t+1\n\nb\ta\t-1\nb\tb\t7\n"
+LINE_END_TEXTS = {
+    f"{name}{'-bom' * bom}{'-no-final-end' * (not final)}":
+        (BOM * bom + LABELS.replace("\n", end)[: None if final else -len(end)]).encode()
+    for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]
+    for bom in (False, True) for final in (True, False)
+}
+# texts whose line ends or characters fall on the reader's chunk boundaries
+CHUNK_TEXTS = {
+    "crlf-across-chunks": b"a" * (CHUNK - 1) + b"\r\nb\r\nc",
+    "cr-ends-a-chunk": b"a" * (CHUNK - 1) + b"\rb\rc\r",
+    "line-over-two-chunks": b"x" * (2 * CHUNK + 5) + b"\ny\n",
+    "multibyte-across-chunks": b"a" * (CHUNK - 1) + "\u20ac\u00e9\n".encode() + b"z",
+    "empty": b"",
+    "only-lf": b"\n",
+}
+
 
 class TestTextFiles:
     """One reader for every input: lines end at LF, CRLF or CR only, a
     byte-order mark is dropped, and blank and # lines are not data."""
 
-    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
-    def test_line_ends_give_the_rows_and_lines_of_lf(self, tmp_path, end):
-        text = "# labels\na\tb\t+1\n\nb\ta\t-1\nb\tb\t7\n"
-        lf, other = tmp_path / "lf.tsv", tmp_path / "other.tsv"
-        lf.write_bytes(text.encode())
-        other.write_bytes(text.replace("\n", end).encode())
-        assert cli._read_lines(other) == cli._read_lines(lf)
-        assert cli._read_lines(lf) == ["# labels", "a\tb\t+1", "", "b\ta\t-1", "b\tb\t7"]
-        with pytest.raises(DataError, match="line 5: label must be"):
-            cli._read_labeled_phrases(other)
+    @pytest.mark.parametrize("raw", [*LINE_END_TEXTS.values(), *CHUNK_TEXTS.values()],
+                             ids=[*LINE_END_TEXTS, *CHUNK_TEXTS])
+    def test_line_ends_give_the_rows_and_lines_of_lf(self, tmp_path, monkeypatch, raw):
+        """The lines of the whole text split at LF once CRLF and CR are LF,
+        without the empty text after the last line end, at the reader's
+        chunk size and at a chunk size that puts a boundary everywhere."""
+        path = tmp_path / "in.tsv"
+        path.write_bytes(raw)
+        expected = raw.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not expected[-1]:
+            expected.pop()
+        for chunk in (CHUNK, 3):
+            monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+            assert list(cli._StreamedLines(path)) == expected
+        if raw in LINE_END_TEXTS.values():
+            assert expected == ["# labels", "a\tb\t+1", "", "b\ta\t-1", "b\tb\t7"]
+            with pytest.raises(DataError, match="^in.tsv line 5: label must be"):
+                cli._read_labeled_phrases(path)
 
     def test_form_feed_inside_a_field_does_not_split_the_row(self, phrase_setup,
                                                                tmp_path, capsys):
@@ -1048,12 +1133,12 @@ class TestTextFiles:
         path = tmp_path / "bad.tsv"
         path.write_bytes(bom + end.join([b"# one", b"a\tb\t+1", b"\xe9t\tb\t+1", b"x"]))
         with pytest.raises(DataError, match=r"^bad.tsv line 3: not UTF-8 text"):
-            cli._read_lines(path)
+            cli._load(path, list)
 
     def test_byte_order_mark_before_a_vec_header(self, tmp_path):
         vec = tmp_path / "bom.vec"
         vec.write_text(BOM + "4 2\na 1 0\nb 2 0\nc -1 0\nd -2 0\n", encoding="utf-8")
-        store = cli._load_store(vec)
+        store = cli._load(vec, load_embeddings)
         assert words(store) == ["a", "b", "c", "d"] and store.dimension == 2
 
     def test_byte_order_mark_before_a_corpus(self, pattern_corpus_file, tmp_path, capsys):
@@ -1071,6 +1156,24 @@ class TestTextFiles:
         assert main(["report", "--predictions", str(preds), "--environments", str(envs),
                      "--out", str(out)]) == 0
         assert data_lines(out) == ["park\tbirds"]
+
+    def test_peak_memory_is_a_chunk_not_the_text(self, tmp_path):
+        """Walking the rows of a file holds about one chunk and its lines;
+        the text and a list of its lines would take about four times the
+        file."""
+        path = tmp_path / "big.tsv"
+        with open(path, "w", encoding="utf-8") as sink:
+            for i in range(100_000):
+                sink.write(f"word{i}\tother{i}\t+1\n")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = sum(1 for _ in cli._rows(path, 3, "labeled phrase"))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rows == 100_000 and path.stat().st_size > 2_000_000
+        assert peak < 16 * CHUNK
 
     @pytest.mark.parametrize("reader, kept", [
         ("rows", ["park", "  # indented", "beach"]),
@@ -1099,7 +1202,7 @@ class TestTextFiles:
                          "--out", str(tmp_path / "occ.tsv")]) == 0
             found = built[0]
         elif reader == "seeds":
-            found = cli.paths.load_seed_paths(cli._read_lines(source))
+            found = cli._load(source, cli.paths.load_seed_paths)
         else:  # the lexicon reads the same lines, then refuses the one that begins with #
             with pytest.raises(DataError, match=f"in.txt: lexicon entries must not begin "
                                                 f"with '#': {kept[1]!r}$"):
@@ -1172,7 +1275,7 @@ class TestStreamedStore:
         lines = STREAMED_VECS[case]
         vec = tmp_path / "emb.vec"
         write_vec(vec, lines, end, bom, final)
-        streamed, listed = cli._load_store(vec), load_embeddings(lines)
+        streamed, listed = cli._load(vec, load_embeddings), load_embeddings(lines)
         assert streamed.matrix.shape == listed.matrix.shape
         assert streamed.matrix.tobytes() == listed.matrix.tobytes()
         assert list(streamed.index.items()) == list(listed.index.items())
@@ -1187,7 +1290,7 @@ class TestStreamedStore:
             load_embeddings(lines)
         assert str(listed.value) == "line 3: expected 2 components, got 1"
         with pytest.raises(DataError, match=f"^bad.vec {listed.value}$"):
-            cli._load_store(vec)
+            cli._load(vec, load_embeddings)
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -1207,7 +1310,7 @@ class TestStreamedStore:
                                                                    case, n):
         vec = tmp_path / "emb.vec"
         write_vec(vec, STREAMED_VECS[case])
-        cli._load_store(vec)
+        cli._load(vec, load_embeddings)
         assert walks == [vec] * n
 
     @pytest.mark.parametrize("far", [False, True], ids=["near", "past-first-read"])
@@ -1216,7 +1319,7 @@ class TestStreamedStore:
     def test_non_utf8_byte_exits_2_and_names_its_line(self, phrase_setup, tmp_path, walks,
                                                         capsys, end, bom, far):
         _, _, _, data = phrase_setup
-        zeros = " 0" * (3000 if far else 1)  # far: line 3 starts past the first 8 KiB read
+        zeros = " 0" * (CHUNK // 3 if far else 1)  # far: line 3 starts past the first chunk
         vec = tmp_path / "emb.vec"
         vec.write_bytes(bom + end.join([f"cat 1{zeros}".encode(), f"dog 2{zeros}".encode(),
                                         f"\xe9t 3{zeros}".encode("latin-1"),
@@ -1228,7 +1331,7 @@ class TestStreamedStore:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="^no such file: "):
-            cli._load_store(tmp_path / "none.vec")
+            cli._load(tmp_path / "none.vec", load_embeddings)
 
     def test_peak_memory_is_the_matrix_not_the_text(self, tmp_path):
         """Reading the text and a list of its lines next to the matrix
@@ -1241,7 +1344,7 @@ class TestStreamedStore:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            store = cli._load_store(vec)
+            store = cli._load(vec, load_embeddings)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 from soundkb import cli, embeddings, phrase
 data, vec, featurizer, epochs, seed, flip = sys.argv[1:]
-store = embeddings.load_embeddings(cli._read_lines(Path(vec)))
+with open(vec, encoding="utf-8-sig") as lines:
+    store = embeddings.load_embeddings(lines)
 rnd = random.Random(int(seed))
 rows = [row for _, row in cli._read_labeled_phrases(Path(data))]
 features, representable = embeddings.featurize_many(
