@@ -127,12 +127,14 @@ class _StreamedLines:
             with open(self.path, encoding="utf-8-sig") as source:
                 while chunk := source.read(_READ_CHUNK):
                     lines = chunk.split("\n")
+                    del chunk  # neither it nor its lines outlive the next read
                     if len(lines) > 1:
                         # a line longer than a chunk is joined once, from its pieces
                         lines[0] = "".join([*pieces, lines[0]])
                         pieces = []
                     pieces.append(lines.pop())
                     yield from lines
+                    del lines
         except UnicodeDecodeError as err:
             raise _not_utf8(self.path, err) from None
         last = "".join(pieces)
@@ -202,8 +204,17 @@ def _lexicon(args) -> paths.EnvironmentLexicon:
 def cmd_mine(args) -> int:
     corpus_path = Path(args.corpus)
     sentences = _load_sentences(corpus_path)
-    tables = [mining.mine_corpus(sentences[i :: args.shards]) for i in range(args.shards)]
-    table = mining.merge_tables(*tables)
+    # the ids reported for a concept in all shards and the merge are every id
+    # it was accepted under, so the warnings do not depend on --shards
+    conflicts: dict[str, set[str]] = {}
+    conflict = lambda text, *ids: conflicts.setdefault(text, set()).update(ids)
+    tables = [mining.mine_corpus(sentences[i :: args.shards], conflict)
+              for i in range(args.shards)]
+    table = mining.merge_tables(*tables, on_conflict=conflict)
+    for text in sorted(conflicts):
+        *others, last = sorted(conflicts[text])
+        print(f"warning: {corpus_path.name}: concept {text!r} seen under "
+              f"{', '.join(others)} and {last}; keeping {table[text].pattern}", file=sys.stderr)
     # a row that begins with '#' would read back as a comment
     hashed = [text for text in table if text.startswith("#")]
     if hashed:
@@ -267,10 +278,10 @@ def cmd_train_phrase(args) -> int:
     with _naming(data_path), np.errstate(over="ignore", invalid="ignore"):
         features, representable = embeddings.featurize_many(
             store, [row.bigram for _, row in rows], args.featurizer)
-        for (_, row), known in zip(rows, representable.tolist()):
+        for (line_no, row), known in zip(rows, representable.tolist()):
             if not known:
-                print(f"warning: skipping unrepresentable phrase: {row.bigram[0]} {row.bigram[1]}",
-                      file=sys.stderr)
+                print(f"warning: {data_path.name} line {line_no}: skipping unrepresentable "
+                      f"phrase: {row.bigram[0]} {row.bigram[1]}", file=sys.stderr)
         keep = np.flatnonzero(representable)  # the labeled row of each kept feature
         features = features[keep]
         labels = np.array([row.label for _, row in rows], dtype=np.float64)[keep]

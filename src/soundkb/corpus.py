@@ -13,15 +13,12 @@ with ``#`` are comments.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from sys import intern
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import DataError
-
-log = logging.getLogger(__name__)
 
 SENTENCE_FINAL_PUNCT = {".", "!", "?"}
 
@@ -190,14 +187,13 @@ def parse_annotated_corpus(
     source_name: str = "",
     on_error: Callable[[CorpusFormatError], None] | None = None,
 ) -> Iterator[Sentence]:
-    """Lazily yield validated sentences from a character stream.
+    """Lazily yield validated sentences from lines without their line ends.
 
-    Malformed blocks do not abort the stream: each one is reported to
-    ``on_error`` (by default logged) and skipped, because corpus mining
-    has to survive dirty web-scale text.
+    Given ``on_error``, a malformed block does not abort the stream: it is
+    reported to ``on_error`` and skipped, because corpus mining has to
+    survive dirty web-scale text.  Without it, the first malformed block's
+    ``CorpusFormatError`` is raised.
     """
-    if on_error is None:
-        on_error = lambda err: log.warning("skipping sentence: %s", err)
     block: list[tuple[int, str]] = []
     ordinal = 0
 
@@ -208,11 +204,12 @@ def parse_annotated_corpus(
         try:
             return parse_block(block, sent_id=sent_id)
         except CorpusFormatError as err:
+            if on_error is None:
+                raise
             on_error(err)
             return None
 
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(lines, 1):
         if line.startswith("#"):
             continue
         if not line.strip():

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import array
 import itertools
-import logging
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import DataError
-
-log = logging.getLogger(__name__)
 
 AWV = "awv"
 CWV = "cwv"
@@ -220,13 +217,7 @@ def featurize(store: EmbeddingStore, bigram: tuple[str, str], kind: str) -> np.n
             f"phrase unrepresentable: neither {w1!r} nor {w2!r} has a vector"
         )
     zero = np.zeros(store.dimension)
-    if v1 is None:
-        log.debug("OOV word %r contributes zero vector", w1)
-        v1 = zero
-    if v2 is None:
-        log.debug("OOV word %r contributes zero vector", w2)
-        v2 = zero
-    return _combine(v1, v2, kind)
+    return _combine(zero if v1 is None else v1, zero if v2 is None else v2, kind)
 
 
 def featurize_many(

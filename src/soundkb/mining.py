@@ -17,14 +17,11 @@ pattern id:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .corpus import SENTENCE_FINAL_PUNCT, Sentence
-
-log = logging.getLogger(__name__)
 
 TRIGGER_WORDS = ("sound", "sounds")
 MAX_PHRASE_TOKENS = 4
@@ -127,48 +124,52 @@ def mine_sentence(sentence: Sentence) -> list[tuple[str, str]]:
 
 ConceptTable = dict[str, ConceptEntry]
 
+# called with (concept text, pattern id the entry holds, pattern id just seen)
+OnConflict = Callable[[str, str, str], None] | None
 
-def aggregate_concepts(accepted: Iterable[tuple[str, str]]) -> ConceptTable:
+
+def aggregate_concepts(accepted: Iterable[tuple[str, str]], on_conflict: OnConflict = None
+                       ) -> ConceptTable:
     """Fold (pattern id, concept text) pairs into a frequency table keyed by text.
 
     A concept seen under two different pattern ids keeps the lowest id,
-    which makes the table independent of stream order; the conflict is
-    logged.
+    which makes the table independent of stream order; each conflict is
+    reported to ``on_conflict``.
     """
     table: ConceptTable = {}
     for pattern, text in accepted:
-        _add(table, text, pattern, 1)
+        _add(table, text, pattern, 1, on_conflict)
     return table
 
 
-def _add(table: ConceptTable, text: str, pattern: str, count: int) -> None:
+def _add(table: ConceptTable, text: str, pattern: str, count: int,
+         on_conflict: OnConflict) -> None:
     entry = table.get(text)
     if entry is None:
         table[text] = ConceptEntry(text=text, pattern=pattern, frequency=count)
         return
     entry.frequency += count
     if entry.pattern != pattern:
-        kept = min(entry.pattern, pattern)
-        log.warning(
-            "concept %r seen under %s and %s; keeping %s",
-            text, entry.pattern, pattern, kept,
-        )
-        entry.pattern = kept
+        if on_conflict is not None:
+            on_conflict(text, entry.pattern, pattern)
+        entry.pattern = min(entry.pattern, pattern)
 
 
-def merge_tables(*tables: ConceptTable) -> ConceptTable:
-    """Merge shard tables; frequencies add, pattern conflicts take min id."""
+def merge_tables(*tables: ConceptTable, on_conflict: OnConflict = None) -> ConceptTable:
+    """Merge shard tables; frequencies add, pattern conflicts take min id
+    and are reported to ``on_conflict``."""
     merged: ConceptTable = {}
     for table in tables:
         for entry in table.values():
-            _add(merged, entry.text, entry.pattern, entry.frequency)
+            _add(merged, entry.text, entry.pattern, entry.frequency, on_conflict)
     return merged
 
 
-def mine_corpus(sentences: Iterable[Sentence]) -> ConceptTable:
-    """Concept table of every pattern-accepted mention in ``sentences``."""
+def mine_corpus(sentences: Iterable[Sentence], on_conflict: OnConflict = None) -> ConceptTable:
+    """Concept table of every pattern-accepted mention in ``sentences``;
+    pattern conflicts are reported to ``on_conflict``."""
     return aggregate_concepts(
-        match for sentence in sentences for match in mine_sentence(sentence)
+        (match for sentence in sentences for match in mine_sentence(sentence)), on_conflict
     )
 
 

@@ -4,9 +4,13 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,37 @@ class TestMine:
                      "--shards", "4"]) == 0
         assert data_lines(one) == data_lines(four)
 
+    def test_pattern_conflicts_warn_once_per_concept_at_any_shard_count(self, tmp_path, capsys):
+        block = ("1\tthe\tDT\t2\tdet\n2\tsound\tNN\t0\troot\n3\tof\tIN\t2\tprep\n"
+                 "4\t{}\t{}\t5\tamod\n5\t{}\t{}\t3\tpobj\n")
+        # every shard of --shards 3 sees one id per concept, so only the
+        # merge meets the conflicts; --shards 2 meets some in the shards
+        mentions = [("running", "JJ", "water", "NN"), ("running", "VBG", "water", "NN"),
+                    ("running", "NN", "water", "NN"), ("singing", "JJ", "birds", "NNS"),
+                    ("singing", "JJ", "birds", "NNS"), ("singing", "VBG", "birds", "NNS")]
+        corpus = tmp_path / "c.ann"
+        corpus.write_text("\n".join(block.format(*m) for m in mentions), encoding="utf-8")
+        printed = []
+        for shards in ("1", "2", "3"):
+            out = tmp_path / f"concepts{shards}.tsv"
+            assert main(["mine", "--corpus", str(corpus), "--out", str(out),
+                         "--shards", shards]) == 0
+            printed.append((capsys.readouterr().err, out.read_bytes()))
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0][0] == (
+            "warning: c.ann: concept 'running water' seen under P1, P5 and P6; keeping P1\n"
+            "warning: c.ann: concept 'singing birds' seen under P1 and P6; keeping P1\n")
+
+    def test_importing_the_cli_loads_no_logging(self):
+        """The CLI prints every diagnostic itself; nothing sets up logging."""
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, soundkb.cli; print(sorted(m for m in sys.modules if 'logging' in m))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main(["mine", "--corpus", str(tmp_path / "nope.ann"),
                      "--out", str(tmp_path / "o.tsv")]) == 2
@@ -207,7 +242,8 @@ class TestTrainPhrase:
         assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
                      "--out", str(tmp_path / "m.json")]) == 0
         assert calls == [[b for b, _ in labeled] + [("zz", "qq")]]
-        assert capsys.readouterr().err == "warning: skipping unrepresentable phrase: zz qq\n"
+        assert capsys.readouterr().err == (f"warning: with_oov.tsv line {len(labeled) + 1}: "
+                                           "skipping unrepresentable phrase: zz qq\n")
 
     @pytest.mark.parametrize("kind", ["awv", "cwv"])
     def test_kept_rows_keep_their_labels(self, phrase_setup, tmp_path, capsys, kind):
@@ -226,8 +262,10 @@ class TestTrainPhrase:
                      "--featurizer", kind, "--seed", "2", "--epochs", "5",
                      "--out", str(out)]) == 0
         printed = capsys.readouterr()
-        assert printed.err == "".join(f"warning: skipping unrepresentable phrase: {w1} {w2}\n"
-                                      for w1, w2 in (("zz", "qq"), ("yy", "xx"), ("ww", "vv")))
+        assert printed.err == "".join(
+            f"warning: noisy.tsv line {line_no}: skipping unrepresentable phrase: {w1} {w2}\n"
+            for line_no, (w1, w2) in ((1, ("zz", "qq")), (9, ("yy", "xx")),
+                                      (len(rows), ("ww", "vv"))))
 
         store = load_embeddings(vec.read_text(encoding="utf-8").splitlines())
         features, labels = stack([(featurize(store, b, kind), y) for b, y in noisy])
@@ -267,8 +305,9 @@ class TestTrainPhrase:
         err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
                           "--featurizer", kind, "--folds", "2", "--out", str(tmp_path / "m.json")],
                          capsys)
-        assert err.startswith("warning: skipping unrepresentable phrase: zz qq\n"
-                              "error: labeled.tsv line 10: the margin of 'big big' is not finite")
+        assert err.startswith(
+            "warning: labeled.tsv line 1: skipping unrepresentable phrase: zz qq\n"
+            "error: labeled.tsv line 10: the margin of 'big big' is not finite")
 
     @pytest.mark.parametrize("label", ["x", "2", "0", "+1.0"])
     def test_bad_label_names_file_and_line(self, phrase_setup, tmp_path, capsys, label):
@@ -1173,7 +1212,7 @@ class TestTextFiles:
         finally:
             tracemalloc.stop()
         assert rows == 100_000 and path.stat().st_size > 2_000_000
-        assert peak < 16 * CHUNK
+        assert peak < 8 * CHUNK
 
     @pytest.mark.parametrize("reader, kept", [
         ("rows", ["park", "  # indented", "beach"]),

@@ -223,6 +223,20 @@ class TestParseCorpus:
         assert len(errors) == 1
         assert "head out of range" in str(errors[0])
 
+    def test_without_on_error_the_first_malformed_block_raises(self):
+        text = (
+            "1\ta\tNN\t0\troot\n"
+            "\n"
+            "1\tbad\tNN\t9\tdep\n"
+            "\n"
+            "1\tworse\tNN\t7\tdep\n"
+        )
+        sents = parse_annotated_corpus(text.splitlines())
+        assert next(sents).words == ("a",)
+        with pytest.raises(CorpusFormatError, match=r"^line 3: head out of range: 9$") as info:
+            next(sents)
+        assert info.value.line == 3
+
     def test_comment_lines_ignored(self):
         text = "# header\n\n1\ta\tNN\t0\troot\n# trailing\n"
         errors = []

@@ -185,6 +185,21 @@ class TestAggregate:
         assert table["dogs barking"].pattern == "P3"
         assert table["dogs barking"].frequency == 2
 
+    def test_conflicts_reach_on_conflict_as_text_held_seen(self):
+        seen = []
+        a = aggregate_concepts(
+            self.accepted(("dogs barking", "P5"), ("dogs barking", "P3"), ("x", "P4"),
+                          ("dogs barking", "P5")),
+            on_conflict=lambda *conflict: seen.append(conflict),
+        )
+        # a conflict is reported for each mention whose id the entry does not hold
+        assert seen == [("dogs barking", "P5", "P3"), ("dogs barking", "P3", "P5")]
+        b = {"dogs barking": ConceptEntry("dogs barking", "P1", 1),
+             "x": ConceptEntry("x", "P4", 1)}
+        merged = merge_tables(a, b, on_conflict=lambda *conflict: seen.append(conflict))
+        assert seen[2:] == [("dogs barking", "P3", "P1")]
+        assert (merged["dogs barking"].pattern, merged["dogs barking"].frequency) == ("P1", 4)
+
     def test_order_independence(self):
         rng = random.Random(11)
         items = [("a b", "P1"), ("a b", "P3"), ("c", "P4"), ("c", "P4"), ("d e", "P5")] * 4
