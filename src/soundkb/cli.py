@@ -184,9 +184,16 @@ def _load_model(path: Path, load):
         (" " * len(line) if line.startswith("#") else line) + "\n" for line in lines))
 
 
+def _load_vectors(path: Path, words: set[str]) -> embeddings.EmbeddingStore:
+    """The store of a ``.vec`` file's rows for ``words`` (lowercased); every
+    row of the file is checked."""
+    return _load(path, lambda lines: embeddings.load_embeddings(lines, words))
+
+
 def _load_sentences(path: Path) -> list[corpus.Sentence]:
     def report(err: corpus.CorpusFormatError):
-        print(f"warning: {path.name}: skipping sentence: {err}", file=sys.stderr)
+        print(f"warning: {path.name} line {err.line}: skipping sentence: {err.reason}",
+              file=sys.stderr)
 
     return _load(path, lambda lines: list(
         corpus.parse_annotated_corpus(lines, source_name=path.name, on_error=report)))
@@ -265,8 +272,8 @@ def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
 def cmd_train_phrase(args) -> int:
     data_path = Path(args.data)
     emb_path = Path(args.embeddings)
-    store = _load(emb_path, embeddings.load_embeddings)
     rows = _read_labeled_phrases(data_path)
+    store = _load_vectors(emb_path, {w.lower() for _, row in rows for w in row.bigram})
 
     def check(finite: np.ndarray) -> None:
         bad = np.flatnonzero(~finite)
@@ -283,7 +290,8 @@ def cmd_train_phrase(args) -> int:
                 print(f"warning: {data_path.name} line {line_no}: skipping unrepresentable "
                       f"phrase: {row.bigram[0]} {row.bigram[1]}", file=sys.stderr)
         keep = np.flatnonzero(representable)  # the labeled row of each kept feature
-        features = features[keep]
+        if len(keep) < len(rows):
+            features = features[keep]
         labels = np.array([row.label for _, row in rows], dtype=np.float64)[keep]
         # a non-finite feature has a non-finite margin under any weights
         check(np.isfinite(features).all(axis=1))
@@ -319,15 +327,15 @@ def cmd_classify(args) -> int:
     emb_path = Path(args.embeddings)
     phrases_path = Path(args.phrases)
     model = _load_model(model_path, phrase.load_model)
-    store = _load(emb_path, embeddings.load_embeddings)
-    width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
-    if width != model.dimension:  # checked before the output file is opened
-        with _naming(model_path, emb_path):
-            raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
     line_nos, bigrams = array.array("q"), []  # an array holds the numbers in 8 bytes each
     for line_no, cols in _rows(phrases_path, 2, "phrase", exact=False):
         line_nos.append(line_no)
         bigrams.append((cols[0], cols[1]))
+    store = _load_vectors(emb_path, {w.lower() for bigram in bigrams for w in bigram})
+    width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
+    if width != model.dimension:  # checked before the output file is opened
+        with _naming(model_path, emb_path):
+            raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
 
     # every margin is known before the output file is opened
     n = len(bigrams)
@@ -423,11 +431,13 @@ def _initial_model(args, examples: list[paths.RelationExample]
                    ) -> tuple[lstm.PathVocab, lstm.LstmParams]:
     """The vocabulary of the examples' paths and the seeded parameters; the
     embedding store is dropped once ``init_params`` has copied its rows."""
+    # the tokens of each distinct path, in first-seen order
+    distinct = [lstm.tokenize_path(path) for path in dict.fromkeys(ex.path for ex in examples)]
     store = None
     d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
-        store = _load(emb_path, embeddings.load_embeddings)
+        store = _load_vectors(emb_path, {token.lower() for path in distinct for token in path})
         if args.dim not in (None, store.dimension):
             raise UsageError(
                 f"--dim {args.dim} disagrees with {emb_path.name}, whose vectors have "
@@ -435,8 +445,7 @@ def _initial_model(args, examples: list[paths.RelationExample]
             )
         d = store.dimension
 
-    distinct = dict.fromkeys(ex.path for ex in examples)  # first-seen order
-    vocab = lstm.build_vocab([lstm.tokenize_path(path) for path in distinct], store=store)
+    vocab = lstm.build_vocab(distinct, store=store)
     params = lstm.init_params(
         vocab, d, args.hidden, store=store, seed=args.seed,
         init_scale=args.init_scale,

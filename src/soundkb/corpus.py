@@ -31,6 +31,7 @@ class CorpusFormatError(DataError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.reason = message
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,8 @@ vectors (AWV) or by concatenating them (CWV).
 from __future__ import annotations
 
 import array
-import itertools
-from typing import Iterable, Sequence
+import math
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -49,14 +49,18 @@ class EmbeddingStore:
         return None if row is None else self.matrix[row]
 
 
-def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
+def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
+                    ) -> EmbeddingStore:
     """Parse the lines of a ``.vec`` file into a store.
 
-    ``lines`` is walked once, and a second time only if the fast pass
-    gives up, so a re-iterable that reads the file on each walk keeps
-    neither the file's text nor a list of its lines: memory is the
-    (n x d) float64 matrix plus the words.  A one-shot iterator is listed
-    first.
+    Every row of the file is checked, but only the rows whose lowercased
+    word is in ``words`` are kept, in file order; ``words=None`` keeps
+    every row.  So a load holds the kept rows, the set of every word (for
+    the duplicate check) and one chunk of ``LOAD_CHUNK_ROWS`` rows while
+    it is checked.  ``lines`` is walked once, and a second time only if
+    the fast pass gives up, so a re-iterable that reads the file on each
+    walk keeps neither the file's text nor a list of its lines.  A
+    one-shot iterator is listed first.
 
     The dimension is fixed by the first vector line (and by a ``count
     dim`` header, if there is one); every later line must agree, no word
@@ -64,28 +68,40 @@ def load_embeddings(lines: Iterable[str]) -> EmbeddingStore:
     fails, naming the offending line.  Components are whitespace-separated
     numbers in Python ``float`` syntax.
 
-    numpy's C text reader parses a file of plain rows in one pass.  A
-    file it cannot prove valid is read again by the per-row reader,
+    numpy's C text reader parses a file of plain rows a chunk at a time.
+    A file it cannot prove valid is read again by the per-row reader,
     which names the bad line, or accepts the number forms that ``float``
     reads and numpy does not (``1_0``, ``１``).
     """
     if iter(lines) is lines:
         lines = list(lines)  # a one-shot iterator: the per-row reader may need a second walk
-    store = _load_plain(lines)
-    return store if store is not None else _load_per_row(lines)
+    store = _load_plain(lines, words)
+    return store if store is not None else _load_per_row(lines, words)
+
+
+# rows parsed by one np.loadtxt call in the fast pass
+LOAD_CHUNK_ROWS = 256
 
 
 class _NotPlain(Exception):
     """A row that the fast pass leaves to the per-row reader."""
 
 
-def _load_plain(lines: Iterable[str]) -> EmbeddingStore | None:
+def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
+                ) -> EmbeddingStore | None:
     """The store, if numpy reads every row and every check passes; else None."""
-    index: dict[str, int] = {}  # word -> row, in row order
+    index: dict[str, int] = {}  # kept word -> row, in row order
+    dropped: set[str] = set()  # the other words, for the duplicate check
+    kept = array.array("d")  # the kept rows, end to end
     header_dim: int | None = None
+    dimension: int | None = None
 
-    def components():
+    def chunks():
+        """The rows in chunks: the text of each row's components, and
+        whether the row is kept."""
         nonlocal header_dim
+        texts: list[str] = []
+        keep: list[bool] = []
         first_content = True
         for raw in lines:
             parts = raw.split(None, 1)
@@ -97,39 +113,48 @@ def _load_plain(lines: Iterable[str]) -> EmbeddingStore | None:
                 if header_dim is not None:
                     continue
             word = parts[0].lower()
-            if len(parts) == 1 or word in index:
+            if len(parts) == 1 or word in index or word in dropped:
                 raise _NotPlain
-            index[word] = len(index)
-            yield parts[1]
+            keep.append(words is None or word in words)
+            if keep[-1]:
+                index[word] = len(index)
+            else:
+                dropped.add(word)
+            texts.append(parts[1])
+            if len(texts) == LOAD_CHUNK_ROWS:
+                yield texts, keep
+                texts, keep = [], []
+        if texts:
+            yield texts, keep
 
-    rows = components()
     try:
-        # with no row at all, loadtxt would warn and return an empty matrix
-        first = next(rows)
-        # No row count is given: it would cost a pass over the file.  numpy
-        # grows the matrix by about a quarter at a time and trims it at the
-        # end; if an allocation fails, the per-row reader tries the file.
-        matrix = np.loadtxt(itertools.chain([first], rows), comments=None,
-                            dtype=np.float64, ndmin=2)
+        for texts, keep in chunks():
+            matrix = np.loadtxt(texts, comments=None, dtype=np.float64, ndmin=2)
+            n, d = matrix.shape
+            dimension = d if dimension is None else dimension
+            # n != len(texts) if numpy skipped a row it took for blank: the words would shift
+            if (n != len(texts) or d != dimension or header_dim not in (None, d)
+                    or not _all_finite(matrix)):
+                return None
+            kept.frombytes((matrix if all(keep) else matrix[keep]).tobytes())
     except DataError:
         raise  # a ValueError, but the file's, not a row's: the per-row reader would read it again
-    except (StopIteration, _NotPlain, ValueError, MemoryError):
+    except (_NotPlain, ValueError, MemoryError):
         return None
-    n, dimension = matrix.shape
-    # n != len(index) if numpy skipped a row it took for blank: the words would shift
-    if n != len(index) or header_dim not in (None, dimension) or not _all_finite(matrix):
+    if dimension is None:  # no row: the per-row reader names the file empty
         return None
-    return EmbeddingStore(matrix, index)
+    return EmbeddingStore(_rows_of(kept, dimension), index)
 
 
-def _load_per_row(lines: Iterable[str]) -> EmbeddingStore:
+def _load_per_row(lines: Iterable[str], words: AbstractSet[str] | None) -> EmbeddingStore:
     """The reference reader: parse and check one row at a time, naming the
     first bad line."""
-    index: dict[str, int] = {}  # word -> row, in row order
-    line_nos = array.array("q")  # row -> line of the file
-    components = array.array("d")  # the rows, end to end
+    index: dict[str, int] = {}  # kept word -> row, in row order
+    dropped: set[str] = set()  # the other words, for the duplicate check
+    kept = array.array("d")  # the kept rows, end to end
     dimension: int | None = None
     header_dim: int | None = None
+    non_finite: int | None = None  # the first line with a non-finite component
     first_content = True
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -160,18 +185,26 @@ def _load_per_row(lines: Iterable[str]) -> EmbeddingStore:
             raise EmbeddingFormatError(
                 f"line {line_no}: expected {dimension} components, got {len(vector)}"
             )
-        if word in index:
+        if word in index or word in dropped:
             raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
-        index[word] = len(index)
-        line_nos.append(line_no)
-        components.fromlist(vector)
+        if non_finite is None and not all(map(math.isfinite, vector)):
+            non_finite = line_no
+        if words is None or word in words:
+            index[word] = len(index)
+            kept.fromlist(vector)
+        else:
+            dropped.add(word)
     if dimension is None:
         raise EmbeddingFormatError("no vector lines in embedding file")
-    matrix = np.frombuffer(components, dtype=np.float64).reshape(len(line_nos), dimension)
-    if not _all_finite(matrix):
-        bad = line_nos[int(np.isfinite(matrix).all(axis=1).argmin())]
-        raise EmbeddingFormatError(f"line {bad}: non-finite vector component")
-    return EmbeddingStore(matrix, index)
+    # a malformed row is named before a non-finite one, wherever each is
+    if non_finite is not None:
+        raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
+    return EmbeddingStore(_rows_of(kept, dimension), index)
+
+
+def _rows_of(components: array.array, dimension: int) -> np.ndarray:
+    """The (n x dimension) matrix over rows stored end to end, not copied."""
+    return np.frombuffer(components, dtype=np.float64).reshape(-1, dimension)
 
 
 def _header_dim(fields: list[str]) -> int | None:
@@ -237,6 +270,12 @@ def featurize_many(
     ids = np.array([(get(w1.lower(), -1), get(w2.lower(), -1)) for w1, w2 in bigrams],
                    dtype=np.intp).reshape(-1, 2)
     known = ids >= 0
-    rows = store.matrix[ids]  # (n x 2 x d); an unknown word gathers the last row
-    rows[~known] = 0.0
-    return _combine(rows[:, 0], rows[:, 1], kind), known.any(axis=1)
+    if len(store.matrix):
+        rows = store.matrix[ids]  # (n x 2 x d); an unknown word gathers the last row
+        rows[~known] = 0.0
+    else:  # a store that kept no row: every word is unknown
+        rows = np.zeros((len(ids), 2, store.dimension))
+    # a CWV row is the gathered pair read as one row of 2d, not a copy
+    features = (rows.reshape(len(rows), 2 * store.dimension) if kind == CWV
+                else _combine(rows[:, 0], rows[:, 1], kind))
+    return features, known.any(axis=1)

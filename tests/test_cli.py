@@ -890,7 +890,7 @@ class TestDataErrorsNameTheirInput:
         corpus.write_bytes(b"1\tpark\tNN\t2\troot\n\n" + good * count + b"1\tcaf\xe9\tNN\t0\troot\n")
         err = data_error(["mine", "--corpus", str(corpus), "--out", str(tmp_path / "o")],
                          capsys)
-        assert err == ("warning: c.ann: skipping sentence: line 1: head out of range: 2\n"
+        assert err == ("warning: c.ann line 1: skipping sentence: head out of range: 2\n"
                        f"error: c.ann line {2 * count + 3}: not UTF-8 text "
                        "(invalid continuation byte)\n")
 
@@ -1161,9 +1161,9 @@ class TestTextFiles:
         assert data_lines(out) == ["gunshots\tP4\t1"]
         warnings = capsys.readouterr().err.splitlines()
         assert warnings == [
-            "warning: ls.ann: skipping sentence: "
-            "line 1: surface form contains whitespace: 'sea\\u2028gull'",
-            "warning: ls.ann: skipping sentence: line 7: head out of range: 9",
+            "warning: ls.ann line 1: skipping sentence: "
+            "surface form contains whitespace: 'sea\\u2028gull'",
+            "warning: ls.ann line 7: skipping sentence: head out of range: 9",
         ]
 
     @pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
@@ -1366,7 +1366,9 @@ class TestStreamedStore:
         err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
                           "--out", str(tmp_path / "m.json")], capsys)
         assert err == "error: emb.vec line 3: not UTF-8 text (invalid continuation byte)\n"
-        assert walks == [vec]  # the decode error is not taken for a row the fast pass gives up on
+        # the labeled rows come first; the decode error is not taken for a
+        # row the fast pass gives up on, so the .vec file is walked once
+        assert walks == [data, vec]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="^no such file: "):
@@ -1389,6 +1391,139 @@ class TestStreamedStore:
             tracemalloc.stop()
         assert store.matrix.shape == (5000, 50)
         assert peak < 1.5 * store.matrix.nbytes + (1 << 20)
+
+    def test_peak_memory_of_a_filtered_load_follows_its_words(self, tmp_path):
+        """A load that keeps 10 of 5,000 rows holds the words and one chunk,
+        not the matrix: well under half the peak of a whole load."""
+        rng = np.random.default_rng(5)
+        vec = tmp_path / "emb.vec"
+        with open(vec, "w", encoding="utf-8") as sink:
+            for i, row in enumerate(rng.standard_normal((5000, 100))):
+                sink.write(f"w{i} " + " ".join(f"{x:.6f}" for x in row) + "\n")
+        wanted = {f"w{i}" for i in range(0, 5000, 500)}
+        peaks, stores = [], []
+        for words in (None, wanted):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                stores.append(cli._load_vectors(vec, words))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        whole, filtered = stores
+        assert filtered.matrix.shape == (10, 100) and whole.matrix.shape == (5000, 100)
+        assert filtered.matrix.tobytes() == whole.matrix[::500].tobytes()
+        assert peaks[1] < peaks[0] / 2, peaks
+
+
+# A .vec file of dimension 2: the commands below look up a-d, and none looks up zz.
+WORDS_VEC = ["a 1 0", "b 2 0", "c -1 0", "d -2 0", "zz 1 1"]
+# eight representable rows, both labels in every training fold of two
+LABELED_ABCD = "a\tb\t+1\nb\ta\t+1\na\ta\t+1\nb\tb\t+1\nc\td\t-1\nd\tc\t-1\nc\tc\t-1\nd\td\t-1\n"
+
+
+class TestCommandsKeepTheirWords:
+    """train-phrase, classify and train-relation --embeddings keep only the
+    .vec rows of the words they look up, and still check every row."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        """The command line of each command for a given .vec file."""
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text(LABELED_ABCD, encoding="utf-8")
+        good = tmp_path / "good.vec"
+        write_vec(good, WORDS_VEC)
+        model = tmp_path / "model.json"
+        assert main(["train-phrase", "--data", str(labeled), "--embeddings", str(good),
+                     "--folds", "2", "--out", str(model)]) == 0
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("a\tb\nC\tqq\n", encoding="utf-8")
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("park\tc1\tamod() a\ts1\nbeach\tc2\tprep_of() B\ts2\n",
+                       encoding="utf-8")
+        pos, neg = tmp_path / "seeds.pos", tmp_path / "seeds.neg"
+        pos.write_text("amod() a\n", encoding="utf-8")
+        neg.write_text("prep_of() B\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        argvs = {
+            "train-phrase": ["train-phrase", "--data", str(labeled), "--folds", "2"],
+            "classify": ["classify", "--model", str(model), "--phrases", str(phrases)],
+            "train-relation": ["train-relation", "--occurrences", str(occ),
+                               "--seeds-pos", str(pos), "--seeds-neg", str(neg),
+                               "--hidden", "2", "--epochs", "1"],
+        }
+        return lambda command, vec: [*argvs[command], "--embeddings", str(vec), "--out", out]
+
+    @pytest.mark.parametrize("command, kept", [
+        ("train-phrase", ["a", "b", "c", "d"]),
+        ("classify", ["a", "b", "c"]),
+        ("train-relation", ["a", "b"]),
+    ])
+    def test_the_store_holds_only_the_words_looked_up(self, argv, tmp_path, monkeypatch,
+                                                      command, kept):
+        stores = []
+        load = embeddings.load_embeddings
+        monkeypatch.setattr(embeddings, "load_embeddings",
+                            lambda *args: stores.append(load(*args)) or stores[-1])
+        vec = tmp_path / "words.vec"
+        write_vec(vec, ["6 2", "D -2 0", "zz 1 1", "c -1 0", "a 1 0", "qq0 3 3", "b 2 0"])
+        assert main(argv(command, vec)) == 0
+        [store] = stores
+        assert words(store) == [w for w in ["d", "c", "a", "b"] if w in kept]
+        np.testing.assert_array_equal(store.get("a"), [1, 0])
+
+    @pytest.mark.parametrize("bad, message", [
+        ("yy nan 0", "non-finite vector component"),
+        ("yy 1.2.3 0", "non-numeric vector component"),
+        ("yy 1 0 0", "expected 2 components, got 3"),
+        ("zz 5 5", "duplicate word 'zz'"),
+    ], ids=["nan", "dots", "width", "duplicate"])
+    @pytest.mark.parametrize("command", ["train-phrase", "classify", "train-relation"])
+    def test_a_bad_row_that_nothing_looks_up_exits_2(self, argv, tmp_path, capsys,
+                                                      command, bad, message):
+        vec = tmp_path / "bad.vec"
+        write_vec(vec, [*WORDS_VEC, bad])
+        err = data_error(argv(command, vec), capsys)
+        assert err == f"error: bad.vec line 6: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("featurizer", ["awv", "cwv"])
+    def test_classify_with_no_phrase_word_in_the_vectors(self, tmp_path, capsys, featurizer):
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text(LABELED_ABCD, encoding="utf-8")
+        vec = tmp_path / "words.vec"
+        write_vec(vec, WORDS_VEC)
+        model = tmp_path / "model.json"
+        assert main(["train-phrase", "--data", str(labeled), "--embeddings", str(vec),
+                     "--folds", "2", "--featurizer", featurizer, "--out", str(model)]) == 0
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("x\ty\nQ\tR\n", encoding="utf-8")
+        out = tmp_path / "p.tsv"
+        capsys.readouterr()
+        assert main(["classify", "--model", str(model), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert data_lines(out) == ["x\ty\tunrepresentable\tNA", "Q\tR\tunrepresentable\tNA"]
+
+    def test_train_relation_with_no_path_word_in_the_vectors(self, argv, tmp_path):
+        vec = tmp_path / "other.vec"
+        write_vec(vec, ["x 1 0", "y 2 0"])
+        assert main(argv("train-relation", vec)) == 0
+        params, vocab = load_relation_model(data_lines(tmp_path / "out"))
+        assert params.E.shape == (5, 2) and vocab.tokens[1:] == ["amod()", "a", "prep_of()", "B"]
+        assert set(vocab.flags) == {lstm.LEARNED}
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("train-phrase", "a\tb\t7\n", "labeled.tsv line 1: label must be +1 or -1, got '7'"),
+        ("classify", "a\n", "phrases.tsv line 1: phrase rows need 2 columns, got 1"),
+    ])
+    def test_a_bad_phrase_file_is_named_before_a_bad_vec(self, argv, tmp_path, capsys,
+                                                          command, text, message):
+        (tmp_path / ("labeled.tsv" if command == "train-phrase" else "phrases.tsv")
+         ).write_text(text, encoding="utf-8")
+        vec = tmp_path / "bad.vec"
+        write_vec(vec, [*WORDS_VEC, "yy nan 0"])
+        assert data_error(argv(command, vec), capsys) == f"error: {message}\n"
 
 
 class TestNumericOptions:

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 import warnings
 
 import numpy as np
@@ -151,33 +152,68 @@ def _fuzz_vec(rng: random.Random) -> list[str]:
     return lines
 
 
+def _fuzz_words(rng: random.Random, lines: list[str]) -> set[str]:
+    """Some of the lowercased words of a ``.vec`` text, perhaps none, and
+    perhaps a word it does not hold."""
+    present = sorted({line.split()[0].lower() for line in lines if line.split()})
+    wanted = {word for word in present if rng.random() < 0.5}
+    if rng.random() < 0.3:
+        wanted.add("absent")
+    return wanted
+
+
 def _outcome(load, lines):
+    """The error of a load, or its store: the dimension, the index in order
+    and the matrix bytes."""
     try:
         store = load(lines)
     except EmbeddingFormatError as err:
         return type(err), str(err)
-    vocab = words(store)
-    return store.dimension, vocab, [store.get(w).tobytes() for w in vocab]
+    return store.dimension, list(store.index.items()), store.matrix.tobytes()
+
+
+def _restricted(outcome, wanted: set[str]):
+    """The outcome of a whole-file load with only the rows of ``wanted`` kept."""
+    if outcome[0] is EmbeddingFormatError:
+        return outcome
+    dimension, index, data = outcome
+    kept = [(word, row) for word, row in index if word in wanted]
+    matrix = np.frombuffer(data).reshape(-1, dimension)
+    return (dimension, [(word, i) for i, (word, _) in enumerate(kept)],
+            matrix[[row for _, row in kept]].tobytes())
+
+
+def _per_row(words=None):
+    return lambda lines: embeddings._load_per_row(lines, words)
 
 
 class TestFastPass:
     """numpy's reader against the per-row reference reader."""
 
-    def test_differential_fuzz(self):
+    def test_differential_fuzz(self, monkeypatch):
+        """Whole and filtered, both readers give the whole-file store
+        restricted to the wanted words, or its error; chunks of 1-3 rows
+        cross chunk boundaries inside these small files."""
         rng = random.Random(7)
-        fast = 0
+        fast = {"whole": 0, "filtered": 0}
         for _ in range(20_000):
+            monkeypatch.setattr(embeddings, "LOAD_CHUNK_ROWS", rng.choice([1, 2, 3, 256]))
             lines = _fuzz_vec(rng)
-            want = _outcome(embeddings._load_per_row, lines)
-            assert _outcome(load_embeddings, lines) == want, lines
-            plain = embeddings._load_plain(lines)
-            if plain is not None:
-                fast += 1
-                assert _outcome(lambda _: plain, lines) == want, lines
-        assert fast > 5_000  # the fuzz reaches the fast pass, not only the fallback
+            whole = _outcome(_per_row(), lines)
+            wanted = _fuzz_words(rng, lines)
+            for kind, chosen, want in (("whole", None, whole),
+                                       ("filtered", wanted, _restricted(whole, wanted))):
+                assert _outcome(lambda l: load_embeddings(l, chosen), lines) == want, lines
+                assert _outcome(_per_row(chosen), lines) == want, lines
+                plain = embeddings._load_plain(lines, chosen)
+                if plain is not None:
+                    fast[kind] += 1
+                    assert _outcome(lambda _: plain, lines) == want, lines
+        # the fuzz reaches the fast pass, not only the fallback
+        assert min(fast.values()) > 5_000, fast
 
     def test_plain_file_never_falls_back(self, monkeypatch):
-        def per_row(lines):
+        def per_row(lines, words):
             raise AssertionError("a plain file reached the per-row reader")
 
         monkeypatch.setattr(embeddings, "_load_per_row", per_row)
@@ -195,8 +231,73 @@ class TestFastPass:
 
     @pytest.mark.parametrize("component, value", [("1_0", 10.0), ("\uff11", 1.0)])
     def test_float_syntax_numpy_rejects_still_loads(self, component, value):
-        assert embeddings._load_plain([f"cat {component} 2"]) is None
+        assert embeddings._load_plain([f"cat {component} 2"], None) is None
         assert np.array_equal(load_embeddings([f"cat {component} 2"]).get("cat"), [value, 2])
+
+
+def _vec_lines(n: int, header: bool) -> list[str]:
+    """A ``.vec`` text of ``n`` plain rows ``w0`` ... of dimension 3."""
+    rng = np.random.default_rng(n)
+    rows = [f"w{i} " + " ".join(repr(float(v)) for v in rng.normal(size=3)) for i in range(n)]
+    return [f"{n} 3"] * header + rows
+
+
+CHUNK_ROWS = embeddings.LOAD_CHUNK_ROWS
+
+
+class TestFilteredLoad:
+    """A load keeps the rows of the wanted words and checks every row."""
+
+    def test_keeps_the_wanted_rows_in_file_order(self):
+        lines = ["4 2", "Owl 1 2", "cat 3 4", "bee 5 6", "dog 7 8"]
+        store = load_embeddings(lines, {"dog", "owl", "emu"})
+        assert list(store.index.items()) == [("owl", 0), ("dog", 1)]
+        np.testing.assert_array_equal(store.matrix, [[1, 2], [7, 8]])
+        assert "OWL" in store and "cat" not in store and store.get("cat") is None
+
+    @pytest.mark.parametrize("wanted", [set(), {"emu"}], ids=["empty", "absent"])
+    def test_no_wanted_word_gives_a_store_without_rows(self, wanted):
+        for load in (load_embeddings, embeddings._load_per_row):
+            store = load(["3 2", "Owl 1 2", "cat 3 4", "bee 5 6"], wanted)
+            assert store.matrix.shape == (0, 2) and store.dimension == 2 and len(store) == 0
+
+    @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+    def test_rows_around_the_chunk_size(self, header, offset):
+        n = CHUNK_ROWS + offset
+        lines = _vec_lines(n, header)
+        # rows on either side of the chunk boundary, the last row and an absent word
+        wanted = {f"w{i}" for i in (0, CHUNK_ROWS - 2, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1, n)}
+        whole = _outcome(_per_row(), lines)
+        assert len(whole[1]) == n
+        for chosen, want in ((None, whole), (wanted, _restricted(whole, wanted))):
+            plain = embeddings._load_plain(lines, chosen)
+            assert plain is not None  # no row left to the per-row reader
+            assert _outcome(lambda _: plain, lines) == want
+            assert _outcome(_per_row(chosen), lines) == want
+
+    @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+    @pytest.mark.parametrize("bad, message", [
+        ("zz nan 0 0", "non-finite vector component"),
+        ("zz 1.2.3 0 0", "non-numeric vector component"),
+        ("zz 1 0", "expected 3 components, got 2"),
+        ("W0 1 0 0", "duplicate word 'w0'"),
+    ], ids=["nan", "dots", "width", "duplicate"])
+    def test_bad_first_row_of_the_second_chunk(self, header, bad, message):
+        lines = _vec_lines(2 * CHUNK_ROWS, header)
+        line_no = CHUNK_ROWS + 1 + header
+        lines[line_no - 1] = bad
+        for wanted in (None, {"w0", "w1"}, set()):
+            for load in (load_embeddings, embeddings._load_per_row):
+                with pytest.raises(EmbeddingFormatError,
+                                   match=f"^line {line_no}: {re.escape(message)}$"):
+                    load(lines, wanted)
+
+    def test_malformed_row_is_named_before_an_earlier_non_finite_one(self):
+        lines = ["cat 1 2", "zz nan 1", "dog 3 4", "owl 1.2.3 1"]
+        for wanted in (None, {"cat"}):
+            with pytest.raises(EmbeddingFormatError, match="^line 4: non-numeric"):
+                load_embeddings(lines, wanted)
 
 
 class TestFeatures:
@@ -345,6 +446,13 @@ class TestFeaturizeMany:
     def test_unknown_kind_is_data_error(self):
         with pytest.raises(DataError, match="unknown feature kind 'xyz'"):
             featurize_many(make_store({"a": [1.0]}), [("a", "a")], "xyz")
+
+    @pytest.mark.parametrize("kind, width", [("awv", 2), ("cwv", 4)])
+    def test_store_that_kept_no_row(self, kind, width):
+        store = load_embeddings(["a 1 2", "b 3 4"], {"x", "y"})
+        features, representable = featurize_many(store, [("x", "y"), ("A", "b")], kind)
+        assert features.shape == (2, width) and not features.any()
+        assert representable.tolist() == [False, False]
 
 
 class TestMatrixStore:
