@@ -9,6 +9,7 @@ vectors (AWV) or by concatenating them (CWV).
 from __future__ import annotations
 
 import array
+import itertools
 import math
 from typing import AbstractSet, Iterable, Sequence
 
@@ -91,17 +92,18 @@ def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
                 ) -> EmbeddingStore | None:
     """The store, if numpy reads every row and every check passes; else None."""
     index: dict[str, int] = {}  # kept word -> row, in row order
-    dropped: set[str] = set()  # the other words, for the duplicate check
+    seen: set[str] = set()  # every word, for the duplicate check, unless every row is kept
     kept = array.array("d")  # the kept rows, end to end
     header_dim: int | None = None
     dimension: int | None = None
 
     def chunks():
-        """The rows in chunks: the text of each row's components, and
-        whether the row is kept."""
+        """The rows in chunks: each row's lowercased word and the text of
+        its components."""
         nonlocal header_dim
+        chunk_rows = LOAD_CHUNK_ROWS
+        row_words: list[str] = []
         texts: list[str] = []
-        keep: list[bool] = []
         first_content = True
         for raw in lines:
             parts = raw.split(None, 1)
@@ -112,23 +114,18 @@ def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
                 header_dim = _header_dim(raw.split())
                 if header_dim is not None:
                     continue
-            word = parts[0].lower()
-            if len(parts) == 1 or word in index or word in dropped:
+            if len(parts) == 1:
                 raise _NotPlain
-            keep.append(words is None or word in words)
-            if keep[-1]:
-                index[word] = len(index)
-            else:
-                dropped.add(word)
+            row_words.append(parts[0].lower())
             texts.append(parts[1])
-            if len(texts) == LOAD_CHUNK_ROWS:
-                yield texts, keep
-                texts, keep = [], []
+            if len(texts) == chunk_rows:
+                yield row_words, texts
+                row_words, texts = [], []
         if texts:
-            yield texts, keep
+            yield row_words, texts
 
     try:
-        for texts, keep in chunks():
+        for row_words, texts in chunks():
             matrix = np.loadtxt(texts, comments=None, dtype=np.float64, ndmin=2)
             n, d = matrix.shape
             dimension = d if dimension is None else dimension
@@ -136,14 +133,28 @@ def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
             if (n != len(texts) or d != dimension or header_dim not in (None, d)
                     or not _all_finite(matrix)):
                 return None
-            kept.frombytes((matrix if all(keep) else matrix[keep]).tobytes())
+            if words is None:
+                before = len(index)
+                index.update(zip(row_words, itertools.count(before)))
+                new_words = len(index) - before
+            else:
+                before = len(seen)
+                seen.update(row_words)
+                new_words = len(seen) - before
+                keep = [word in words for word in row_words]
+                index.update(zip(itertools.compress(row_words, keep), itertools.count(len(index))))
+                matrix = matrix[keep]
+            if new_words != n:  # a word came twice
+                return None
+            kept.frombytes(matrix.tobytes())
     except DataError:
         raise  # a ValueError, but the file's, not a row's: the per-row reader would read it again
     except (_NotPlain, ValueError, MemoryError):
         return None
     if dimension is None:  # no row: the per-row reader names the file empty
         return None
-    return EmbeddingStore(_rows_of(kept, dimension), index)
+    # a view of the kept rows, not a copy
+    return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
 
 
 def _load_per_row(lines: Iterable[str], words: AbstractSet[str] | None) -> EmbeddingStore:
@@ -199,12 +210,7 @@ def _load_per_row(lines: Iterable[str], words: AbstractSet[str] | None) -> Embed
     # a malformed row is named before a non-finite one, wherever each is
     if non_finite is not None:
         raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
-    return EmbeddingStore(_rows_of(kept, dimension), index)
-
-
-def _rows_of(components: array.array, dimension: int) -> np.ndarray:
-    """The (n x dimension) matrix over rows stored end to end, not copied."""
-    return np.frombuffer(components, dtype=np.float64).reshape(-1, dimension)
+    return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
 
 
 def _header_dim(fields: list[str]) -> int | None:
