@@ -56,7 +56,7 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
 
     Every row of the file is checked, but only the rows whose lowercased
     word is in ``words`` are kept, in file order; ``words=None`` keeps
-    every row.  So a load holds the kept rows, the set of every word (for
+    every row.  So a load holds the kept rows, every word of the file (for
     the duplicate check) and one chunk of ``LOAD_CHUNK_ROWS`` rows while
     it is checked.  ``lines`` is walked once, and a second time only if
     the fast pass gives up, so a re-iterable that reads the file on each
@@ -80,7 +80,8 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
     return store if store is not None else _load_per_row(lines, words)
 
 
-# rows parsed by one np.loadtxt call in the fast pass
+# rows parsed by one np.loadtxt call in the fast pass: besides the rows it
+# keeps, a load holds the text and the floats of one chunk
 LOAD_CHUNK_ROWS = 256
 
 
@@ -92,7 +93,7 @@ def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
                 ) -> EmbeddingStore | None:
     """The store, if numpy reads every row and every check passes; else None."""
     index: dict[str, int] = {}  # kept word -> row, in row order
-    seen: set[str] = set()  # every word, for the duplicate check, unless every row is kept
+    seen: set[str] = set()  # every word, for the duplicate check; a whole load uses the index
     kept = array.array("d")  # the kept rows, end to end
     header_dim: int | None = None
     dimension: int | None = None
