@@ -93,7 +93,7 @@ def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataError:
 
     The file is read again, line by line, with each undecodable byte read
     as a lone surrogate, which UTF-8 text never holds.  Lines end where
-    ``_StreamedLines``' do, so the number is the file's, however the read
+    ``_streamed_lines``' do, so the number is the file's, however the read
     that failed had split the file into chunks.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as source:
@@ -106,40 +106,35 @@ def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataError:
 _READ_CHUNK = 1 << 16  # characters per read; a walk holds about one chunk, split into lines
 
 
-class _StreamedLines:
-    """The lines of a UTF-8 text file without their line ends, read from
-    the file on each walk, a chunk at a time: a walk never holds the
-    file's text or a list of its lines.
+def _streamed_lines(path: Path):
+    """The lines of a UTF-8 text file without their line ends, read a
+    chunk at a time: a walk never holds the file's text or a list of its
+    lines.
 
     A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, so line
     numbers are the file's.  A leading byte-order mark is dropped.  An
     undecodable byte raises the ``DataError`` of ``_not_utf8``.
     """
-
-    def __init__(self, path: Path):
-        _must_exist(path)
-        self.path = path
-
-    def __iter__(self):
-        pieces = []  # the line that the last chunk left unfinished
-        try:
-            # universal newlines turn CRLF and CR into LF
-            with open(self.path, encoding="utf-8-sig") as source:
-                while chunk := source.read(_READ_CHUNK):
-                    lines = chunk.split("\n")
-                    del chunk  # neither it nor its lines outlive the next read
-                    if len(lines) > 1:
-                        # a line longer than a chunk is joined once, from its pieces
-                        lines[0] = "".join([*pieces, lines[0]])
-                        pieces = []
-                    pieces.append(lines.pop())
-                    yield from lines
-                    del lines
-        except UnicodeDecodeError as err:
-            raise _not_utf8(self.path, err) from None
-        last = "".join(pieces)
-        if last:  # not the empty text after the last line end
-            yield last
+    _must_exist(path)
+    pieces = []  # the line that the last chunk left unfinished
+    try:
+        # universal newlines turn CRLF and CR into LF
+        with open(path, encoding="utf-8-sig") as source:
+            while chunk := source.read(_READ_CHUNK):
+                lines = chunk.split("\n")
+                del chunk  # neither it nor its lines outlive the next read
+                if len(lines) > 1:
+                    # a line longer than a chunk is joined once, from its pieces
+                    lines[0] = "".join([*pieces, lines[0]])
+                    pieces = []
+                pieces.append(lines.pop())
+                yield from lines
+                del lines
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+    last = "".join(pieces)
+    if last:  # not the empty text after the last line end
+        yield last
 
 
 def _rows(path: Path, columns: int, kind: str, exact: bool = True):
@@ -149,7 +144,7 @@ def _rows(path: Path, columns: int, kind: str, exact: bool = True):
     ``columns`` fields (at least that many if not ``exact``).
     """
     with _naming(path):
-        for line_no, line in content_lines(_StreamedLines(path)):
+        for line_no, line in content_lines(_streamed_lines(path)):
             fields = line.split("\t")
             if len(fields) < columns or (exact and len(fields) > columns):
                 raise DataError(
@@ -174,7 +169,7 @@ def _naming(*inputs: Path):
 def _load(path: Path, parse):
     """``parse`` applied to the lines of a file, a DataError named after it."""
     with _naming(path):
-        return parse(_StreamedLines(path))
+        return parse(_streamed_lines(path))
 
 
 def _load_model(path: Path, load):
@@ -586,7 +581,7 @@ def build_parser() -> _Parser:
     p.add_argument("--featurizer", choices=[embeddings.AWV, embeddings.CWV],
                    default=embeddings.AWV)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=_bounded(int, 2), default=4)
+    p.add_argument("--folds", type=_bounded(int, 2), default=phrase.DEFAULT_FOLDS)
     p.add_argument("--reg", type=_bounded(float, 0, strict=True), default=phrase.DEFAULT_REG)
     p.add_argument("--epochs", type=_bounded(int, 1), default=phrase.DEFAULT_EPOCHS)
     p.add_argument("--out", required=True)
@@ -615,10 +610,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=_bounded(int, 1))
     p.add_argument("--hidden", type=_bounded(int, 1), default=64)
-    p.add_argument("--lr", type=_bounded(float, 0), default=0.05)
-    p.add_argument("--epochs", type=_bounded(int, 1), default=50)
-    p.add_argument("--init-scale", type=_bounded(float, 0, strict=True), default=0.1)
-    p.add_argument("--clip", type=_bounded(float, 0, strict=True), default=5.0)
+    p.add_argument("--lr", type=_bounded(float, 0), default=lstm.TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=_bounded(int, 1), default=lstm.TrainConfig.epochs)
+    p.add_argument("--init-scale", type=_bounded(float, 0, strict=True),
+                   default=lstm.DEFAULT_INIT_SCALE)
+    p.add_argument("--clip", type=_bounded(float, 0, strict=True), default=lstm.TrainConfig.clip)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_relation)
 

@@ -56,12 +56,9 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
 
     Every row of the file is checked, but only the rows whose lowercased
     word is in ``words`` are kept, in file order; ``words=None`` keeps
-    every row.  So a load holds the kept rows, every word of the file (for
-    the duplicate check) and one chunk of ``LOAD_CHUNK_ROWS`` rows while
-    it is checked.  ``lines`` is walked once, and a second time only if
-    the fast pass gives up, so a re-iterable that reads the file on each
-    walk keeps neither the file's text nor a list of its lines.  A
-    one-shot iterator is listed first.
+    every row.  ``lines`` is walked once, ``LOAD_CHUNK_ROWS`` rows at a
+    time, so a load holds the kept rows, every word of the file (for the
+    duplicate check) and one chunk.
 
     The dimension is fixed by the first vector line (and by a ``count
     dim`` header, if there is one); every later line must agree, no word
@@ -69,44 +66,28 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
     fails, naming the offending line.  Components are whitespace-separated
     numbers in Python ``float`` syntax.
 
-    numpy's C text reader parses a file of plain rows a chunk at a time.
-    A file it cannot prove valid is read again by the per-row reader,
-    which names the bad line, or accepts the number forms that ``float``
-    reads and numpy does not (``1_0``, ``１``).
+    numpy's C text reader parses each chunk.  Only a chunk that it cannot
+    prove valid is checked row by row, which names the bad line, or
+    accepts the number forms that ``float`` reads and numpy does not
+    (``1_0``, ``１``).
     """
-    if iter(lines) is lines:
-        lines = list(lines)  # a one-shot iterator: the per-row reader may need a second walk
-    store = _load_plain(lines, words)
-    return store if store is not None else _load_per_row(lines, words)
-
-
-# rows parsed by one np.loadtxt call in the fast pass: besides the rows it
-# keeps, a load holds the text and the floats of one chunk
-LOAD_CHUNK_ROWS = 256
-
-
-class _NotPlain(Exception):
-    """A row that the fast pass leaves to the per-row reader."""
-
-
-def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
-                ) -> EmbeddingStore | None:
-    """The store, if numpy reads every row and every check passes; else None."""
     index: dict[str, int] = {}  # kept word -> row, in row order
-    seen: set[str] = set()  # every word, for the duplicate check; a whole load uses the index
+    seen: set[str] = set()  # every word so far, for the duplicate check
     kept = array.array("d")  # the kept rows, end to end
     header_dim: int | None = None
     dimension: int | None = None
+    non_finite: int | None = None  # the first line with a non-finite component
 
     def chunks():
-        """The rows in chunks: each row's lowercased word and the text of
-        its components."""
+        """The rows in chunks: their line numbers, lowercased words and the
+        text of their components ("" for none)."""
         nonlocal header_dim
         chunk_rows = LOAD_CHUNK_ROWS
+        line_nos: list[int] = []
         row_words: list[str] = []
         texts: list[str] = []
         first_content = True
-        for raw in lines:
+        for line_no, raw in enumerate(lines, 1):
             parts = raw.split(None, 1)
             if not parts:
                 continue
@@ -115,103 +96,81 @@ def _load_plain(lines: Iterable[str], words: AbstractSet[str] | None
                 header_dim = _header_dim(raw.split())
                 if header_dim is not None:
                     continue
-            if len(parts) == 1:
-                raise _NotPlain
+            line_nos.append(line_no)
             row_words.append(parts[0].lower())
-            texts.append(parts[1])
+            texts.append(parts[1] if len(parts) == 2 else "")
             if len(texts) == chunk_rows:
-                yield row_words, texts
-                row_words, texts = [], []
+                yield line_nos, row_words, texts
+                line_nos, row_words, texts = [], [], []
         if texts:
-            yield row_words, texts
+            yield line_nos, row_words, texts
 
-    try:
-        for row_words, texts in chunks():
-            matrix = np.loadtxt(texts, comments=None, dtype=np.float64, ndmin=2)
-            n, d = matrix.shape
-            dimension = d if dimension is None else dimension
-            # n != len(texts) if numpy skipped a row it took for blank: the words would shift
-            if (n != len(texts) or d != dimension or header_dim not in (None, d)
-                    or not _all_finite(matrix)):
-                return None
-            if words is None:
-                before = len(index)
-                index.update(zip(row_words, itertools.count(before)))
-                new_words = len(index) - before
-            else:
-                before = len(seen)
-                seen.update(row_words)
-                new_words = len(seen) - before
-                keep = [word in words for word in row_words]
-                index.update(zip(itertools.compress(row_words, keep), itertools.count(len(index))))
-                matrix = matrix[keep]
-            if new_words != n:  # a word came twice
-                return None
-            kept.frombytes(matrix.tobytes())
-    except DataError:
-        raise  # a ValueError, but the file's, not a row's: the per-row reader would read it again
-    except (_NotPlain, ValueError, MemoryError):
-        return None
-    if dimension is None:  # no row: the per-row reader names the file empty
-        return None
-    # a view of the kept rows, not a copy
-    return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
-
-
-def _load_per_row(lines: Iterable[str], words: AbstractSet[str] | None) -> EmbeddingStore:
-    """The reference reader: parse and check one row at a time, naming the
-    first bad line."""
-    index: dict[str, int] = {}  # kept word -> row, in row order
-    dropped: set[str] = set()  # the other words, for the duplicate check
-    kept = array.array("d")  # the kept rows, end to end
-    dimension: int | None = None
-    header_dim: int | None = None
-    non_finite: int | None = None  # the first line with a non-finite component
-    first_content = True
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if first_content:
-            first_content = False
-            header_dim = _header_dim(fields)
-            if header_dim is not None:
-                continue
-        word = fields[0].lower()
-        try:
-            vector = [float(v) for v in fields[1:]]
-        except ValueError:
-            raise EmbeddingFormatError(
-                f"line {line_no}: non-numeric vector component"
-            ) from None
-        if not vector:
-            raise EmbeddingFormatError(f"line {line_no}: no vector components")
-        if dimension is None:
-            dimension = len(vector)
-            if header_dim is not None and header_dim != dimension:
-                raise EmbeddingFormatError(
-                    f"line {line_no}: header dimension {header_dim} != {dimension}"
-                )
-        elif len(vector) != dimension:
-            raise EmbeddingFormatError(
-                f"line {line_no}: expected {dimension} components, got {len(vector)}"
-            )
-        if word in index or word in dropped:
-            raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
-        if non_finite is None and not all(map(math.isfinite, vector)):
-            non_finite = line_no
-        if words is None or word in words:
-            index[word] = len(index)
-            kept.fromlist(vector)
+    for line_nos, row_words, texts in chunks():
+        n = len(texts)
+        try:  # numpy would warn on a row without components
+            matrix = None if "" in texts else np.loadtxt(texts, comments=None, ndmin=2)
+        except (ValueError, MemoryError):
+            matrix = None
+        # n rows: numpy skips a row it takes for blank, which would shift the words
+        if (matrix is None or matrix.shape[0] != n or dimension not in (None, matrix.shape[1])
+                or header_dim not in (None, matrix.shape[1]) or not _all_finite(matrix)
+                or not seen.isdisjoint(row_words) or len(set(row_words)) != n):
+            matrix, bad = _check_rows(line_nos, row_words, texts, dimension, header_dim, seen)
+            non_finite = non_finite or bad
         else:
-            dropped.add(word)
+            seen.update(row_words)
+        dimension = matrix.shape[1]
+        if words is not None:
+            keep = [word in words for word in row_words]
+            row_words = itertools.compress(row_words, keep)
+            matrix = matrix[keep]
+        index.update(zip(row_words, itertools.count(len(index))))
+        kept.frombytes(matrix.tobytes())
     if dimension is None:
         raise EmbeddingFormatError("no vector lines in embedding file")
     # a malformed row is named before a non-finite one, wherever each is
     if non_finite is not None:
         raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
+    # a view of the kept rows, not a copy
     return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
+
+
+# rows parsed by one np.loadtxt call: besides the rows it keeps, a load
+# holds the text and the floats of one chunk
+LOAD_CHUNK_ROWS = 256
+
+
+def _check_rows(line_nos: list[int], row_words: list[str], texts: list[str],
+                dimension: int | None, header_dim: int | None, seen: set[str]
+                ) -> tuple[np.ndarray, int | None]:
+    """The matrix of a chunk that numpy's reader could not prove valid,
+    checked one row at a time after the rows before it: the first bad line
+    is named.  Also the first line with a non-finite component, if any.
+    The chunk's words are added to ``seen``."""
+    vectors = []
+    non_finite = None
+    for line_no, word, text in zip(line_nos, row_words, texts):
+        try:
+            vector = [float(v) for v in text.split()]
+        except ValueError:
+            raise EmbeddingFormatError(f"line {line_no}: non-numeric vector component") from None
+        if not vector:
+            raise EmbeddingFormatError(f"line {line_no}: no vector components")
+        if dimension is None:
+            dimension = len(vector)
+            if header_dim not in (None, dimension):
+                raise EmbeddingFormatError(
+                    f"line {line_no}: header dimension {header_dim} != {dimension}")
+        elif len(vector) != dimension:
+            raise EmbeddingFormatError(
+                f"line {line_no}: expected {dimension} components, got {len(vector)}")
+        if word in seen:
+            raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
+        seen.add(word)
+        if non_finite is None and not all(map(math.isfinite, vector)):
+            non_finite = line_no
+        vectors.append(vector)
+    return np.array(vectors), non_finite
 
 
 def _header_dim(fields: list[str]) -> int | None:

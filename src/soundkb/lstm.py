@@ -30,6 +30,7 @@ MODEL_FORMAT = "soundkb-relation-model"
 MODEL_VERSION = 2
 BATCH_SIZE = 64  # sequences per batched inference step
 TRAIN_BATCH_SIZE = 16  # same-length examples per clipped training step
+DEFAULT_INIT_SCALE = 0.1
 
 
 class TrainingDivergedError(DataError, RuntimeError):
@@ -156,7 +157,7 @@ def init_params(
     h: int,
     store: EmbeddingStore | None = None,
     seed: int = 0,
-    init_scale: float = 0.1,
+    init_scale: float = DEFAULT_INIT_SCALE,
 ) -> LstmParams:
     """Seeded parameter initialization.
 

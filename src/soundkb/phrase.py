@@ -34,6 +34,7 @@ from .embeddings import featurize  # unused here; perfbench/spans.py traces phra
 # steps, so very small reg values underfit at desk scale.
 DEFAULT_REG = 1e-2
 DEFAULT_EPOCHS = 50
+DEFAULT_FOLDS = 4
 # after this many steps in a row without a margin violation, the trainer
 # checks up to that many (at most LOOKAHEAD) further steps in one product
 SKIP_AFTER = 16
@@ -182,7 +183,7 @@ class CVReport(NamedTuple):
 def cross_validate(
     features: np.ndarray,
     labels: np.ndarray,
-    k: int = 4,
+    k: int = DEFAULT_FOLDS,
     seed: int = 0,
     reg: float = DEFAULT_REG,
     epochs: int = DEFAULT_EPOCHS,

@@ -2,11 +2,13 @@
 the test oracles: thin wrappers over the production code they check, for
 the tests that need a form no command uses, the per-pattern matcher that
 the signature table is checked against, the general-graph shortest path
-search that the dependency path walk is checked against, and the
-per-value relation model writer, per-example accuracy count and
+search that the dependency path walk is checked against, the whole-file
+per-row ``.vec`` reader that ``load_embeddings`` is checked against, and
+the per-value relation model writer, per-example accuracy count and
 whole-batch forward pass that the model writer, ``lstm.evaluate`` and
 ``lstm._forward`` are checked against."""
 
+import array
 import io
 import json
 import math
@@ -18,7 +20,7 @@ import pytest
 
 from soundkb import lstm, phrase, round9
 from soundkb.corpus import parse_block
-from soundkb.embeddings import EmbeddingStore
+from soundkb.embeddings import EmbeddingFormatError, EmbeddingStore, _header_dim
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
 from soundkb.mining import PATTERNS, CandidateMention
 from soundkb.paths import DepPath, _data_text, load_seed_paths
@@ -290,6 +292,60 @@ def dump_embeddings(store: EmbeddingStore, out) -> None:
     for word in words(store):
         vector = store.get(word)
         out.write(word + " " + " ".join(f"{v:.9g}" for v in vector) + "\n")
+
+
+def load_per_row(lines, words=None) -> EmbeddingStore:
+    """The reference ``.vec`` reader: the whole file parsed and checked one
+    row at a time, naming the first bad line; a malformed row is named
+    before a non-finite one, wherever each is."""
+    index: dict[str, int] = {}  # kept word -> row, in row order
+    dropped: set[str] = set()  # the other words, for the duplicate check
+    kept = array.array("d")  # the kept rows, end to end
+    dimension = header_dim = non_finite = None
+    first_content = True
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if first_content:
+            first_content = False
+            header_dim = _header_dim(fields)
+            if header_dim is not None:
+                continue
+        word = fields[0].lower()
+        try:
+            vector = [float(v) for v in fields[1:]]
+        except ValueError:
+            raise EmbeddingFormatError(
+                f"line {line_no}: non-numeric vector component"
+            ) from None
+        if not vector:
+            raise EmbeddingFormatError(f"line {line_no}: no vector components")
+        if dimension is None:
+            dimension = len(vector)
+            if header_dim is not None and header_dim != dimension:
+                raise EmbeddingFormatError(
+                    f"line {line_no}: header dimension {header_dim} != {dimension}"
+                )
+        elif len(vector) != dimension:
+            raise EmbeddingFormatError(
+                f"line {line_no}: expected {dimension} components, got {len(vector)}"
+            )
+        if word in index or word in dropped:
+            raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
+        if non_finite is None and not all(map(math.isfinite, vector)):
+            non_finite = line_no
+        if words is None or word in words:
+            index[word] = len(index)
+            kept.fromlist(vector)
+        else:
+            dropped.add(word)
+    if dimension is None:
+        raise EmbeddingFormatError("no vector lines in embedding file")
+    if non_finite is not None:
+        raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
+    return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
 
 
 def stack(examples) -> tuple[np.ndarray, np.ndarray]:

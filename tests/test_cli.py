@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -1134,7 +1135,7 @@ class TestTextFiles:
             expected.pop()
         for chunk in (CHUNK, 3):
             monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
-            assert list(cli._StreamedLines(path)) == expected
+            assert list(cli._streamed_lines(path)) == expected
         if raw in LINE_END_TEXTS.values():
             assert expected == ["# labels", "a\tb\t+1", "", "b\ta\t-1", "b\tb\t7"]
             with pytest.raises(DataError, match="^in.tsv line 5: label must be"):
@@ -1335,22 +1336,21 @@ class TestStreamedStore:
     def walks(self, monkeypatch):
         """The path of each walk over a streamed file, in order."""
         walked = []
-        walk = cli._StreamedLines.__iter__
+        streamed = cli._streamed_lines
 
-        def counted(lines):
-            walked.append(lines.path)  # on the first line asked for, not on iter()
-            yield from walk(lines)
+        def counted(path):
+            walked.append(path)  # on the first line asked for
+            yield from streamed(path)
 
-        monkeypatch.setattr(cli._StreamedLines, "__iter__", counted)
+        monkeypatch.setattr(cli, "_streamed_lines", counted)
         return walked
 
-    @pytest.mark.parametrize("case, n", [("plain", 1), ("underscore", 2)])
-    def test_file_is_read_again_only_when_the_fast_pass_gives_up(self, tmp_path, walks,
-                                                                   case, n):
+    @pytest.mark.parametrize("case", ["plain", "underscore"])
+    def test_every_vec_load_walks_its_file_once(self, tmp_path, walks, case):
         vec = tmp_path / "emb.vec"
         write_vec(vec, STREAMED_VECS[case])
         cli._load(vec, load_embeddings)
-        assert walks == [vec] * n
+        assert walks == [vec]
 
     @pytest.mark.parametrize("far", [False, True], ids=["near", "past-first-read"])
     @pytest.mark.parametrize("bom", [b"", BOM.encode()], ids=["plain", "bom"])
@@ -1366,8 +1366,7 @@ class TestStreamedStore:
         err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(vec),
                           "--out", str(tmp_path / "m.json")], capsys)
         assert err == "error: emb.vec line 3: not UTF-8 text (invalid continuation byte)\n"
-        # the labeled rows come first; the decode error is not taken for a
-        # row the fast pass gives up on, so the .vec file is walked once
+        # the labeled rows come first, and the .vec file is walked once
         assert walks == [data, vec]
 
     def test_missing_file(self, tmp_path):
@@ -1526,6 +1525,10 @@ class TestCommandsKeepTheirWords:
         assert data_error(argv(command, vec), capsys) == f"error: {message}\n"
 
 
+def _default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
 class TestNumericOptions:
     @pytest.mark.parametrize("command, option, value, message", [
         ("train-phrase", "--epochs", "0", "must be at least 1"),
@@ -1561,6 +1564,19 @@ class TestNumericOptions:
         assert main([command, *inputs, f"{option}={value}", "--out", str(out)]) == 1
         assert f"{option}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_defaults_are_the_library_defaults(self):
+        parse = cli.build_parser().parse_args
+        phrase_args = parse(["train-phrase", "--data", "d", "--embeddings", "e", "--out", "o"])
+        relation_args = parse(["train-relation", "--occurrences", "o", "--seeds-pos", "p",
+                               "--seeds-neg", "n", "--out", "o"])
+        config = lstm.TrainConfig()
+        assert (relation_args.lr, relation_args.epochs, relation_args.clip) == (
+            config.learning_rate, config.epochs, config.clip)
+        assert relation_args.init_scale == _default(lstm.init_params, "init_scale")
+        assert phrase_args.folds == _default(phrase.cross_validate, "k")
+        assert (phrase_args.reg, phrase_args.epochs) == (
+            _default(phrase.cross_validate, "reg"), _default(phrase.cross_validate, "epochs"))
 
     def test_zero_learning_rate_is_allowed(self, relation_setup, tmp_path):
         pos, neg = default_seed_files()

@@ -17,7 +17,7 @@ from soundkb.embeddings import (
     load_embeddings,
 )
 
-from conftest import dump_embeddings, make_store, words
+from conftest import dump_embeddings, load_per_row, make_store, words
 
 
 def _assert_no_vector_lines(lines):
@@ -49,8 +49,12 @@ class TestLoad:
         assert store.dimension == 2 and words(store) == ["cat"]
 
     def test_word_alone_has_no_components(self):
-        with pytest.raises(EmbeddingFormatError, match="^line 1: no vector components$"):
-            load_embeddings(["cat"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a row it reads no data from
+            for lines in (["cat"], ["dog 1", "cat"]):
+                with pytest.raises(EmbeddingFormatError,
+                                   match=f"^line {len(lines)}: no vector components$"):
+                    load_embeddings(lines)
 
     def test_header_line(self):
         rows = [f"w{i} " + " ".join(["0.25"] * 300) for i in range(2)]
@@ -184,16 +188,30 @@ def _restricted(outcome, wanted: set[str]):
 
 
 def _per_row(words=None):
-    return lambda lines: embeddings._load_per_row(lines, words)
+    return lambda lines: load_per_row(lines, words)
+
+
+@pytest.fixture
+def checked_row_by_row(monkeypatch):
+    """The line numbers of each chunk that a load checks row by row, in order."""
+    chunks = []
+    check_rows = embeddings._check_rows
+
+    def counted(line_nos, *rest):
+        chunks.append(list(line_nos))
+        return check_rows(line_nos, *rest)
+
+    monkeypatch.setattr(embeddings, "_check_rows", counted)
+    return chunks
 
 
 class TestFastPass:
-    """numpy's reader against the per-row reference reader."""
+    """numpy's reader, chunk by chunk, against the per-row reference reader."""
 
-    def test_differential_fuzz(self, monkeypatch):
-        """Whole and filtered, both readers give the whole-file store
-        restricted to the wanted words, or its error; chunks of 1-3 rows
-        cross chunk boundaries inside these small files."""
+    def test_differential_fuzz(self, monkeypatch, checked_row_by_row):
+        """Whole and filtered, the load gives the whole-file store of the
+        reference reader restricted to the wanted words, or its error;
+        chunks of 1-3 rows cross chunk boundaries inside these small files."""
         rng = random.Random(7)
         fast = {"whole": 0, "filtered": 0}
         for _ in range(20_000):
@@ -203,22 +221,19 @@ class TestFastPass:
             wanted = _fuzz_words(rng, lines)
             for kind, chosen, want in (("whole", None, whole),
                                        ("filtered", wanted, _restricted(whole, wanted))):
-                assert _outcome(lambda l: load_embeddings(l, chosen), lines) == want, lines
+                checked_row_by_row.clear()
+                outcome = _outcome(lambda l: load_embeddings(l, chosen), lines)
+                assert outcome == want, lines
                 assert _outcome(_per_row(chosen), lines) == want, lines
-                plain = embeddings._load_plain(lines, chosen)
-                if plain is not None:
+                if outcome[0] is not EmbeddingFormatError and not checked_row_by_row:
                     fast[kind] += 1
-                    assert _outcome(lambda _: plain, lines) == want, lines
-        # the fuzz reaches the fast pass, not only the fallback
+        # numpy reads every chunk of many loads, not only a few
         assert min(fast.values()) > 5_000, fast
 
-    def test_plain_file_never_falls_back(self, monkeypatch):
-        def per_row(lines, words):
-            raise AssertionError("a plain file reached the per-row reader")
-
-        monkeypatch.setattr(embeddings, "_load_per_row", per_row)
+    def test_plain_file_never_falls_back(self, checked_row_by_row):
         lines = ["4 3", "", "Cat 1 -2.5 3e-3", "dog\t0 0 0 ", "  #owl +1 1e5 .5", "\"bee -0 1. 2"]
         store = load_embeddings(lines)
+        assert checked_row_by_row == []
         assert store.dimension == 3 and words(store) == ["cat", "dog", "#owl", '"bee']
         assert np.array_equal(store.get("#OWL"), [1, 1e5, 0.5])
 
@@ -230,9 +245,10 @@ class TestFastPass:
             load_embeddings(lines)
 
     @pytest.mark.parametrize("component, value", [("1_0", 10.0), ("\uff11", 1.0)])
-    def test_float_syntax_numpy_rejects_still_loads(self, component, value):
-        assert embeddings._load_plain([f"cat {component} 2"], None) is None
-        assert np.array_equal(load_embeddings([f"cat {component} 2"]).get("cat"), [value, 2])
+    def test_float_syntax_numpy_rejects_still_loads(self, checked_row_by_row, component, value):
+        store = load_embeddings(["dog 1 1", f"cat {component} 2"])
+        assert checked_row_by_row == [[1, 2]]
+        assert np.array_equal(store.get("cat"), [value, 2])
 
 
 def _vec_lines(n: int, header: bool) -> list[str]:
@@ -257,13 +273,13 @@ class TestFilteredLoad:
 
     @pytest.mark.parametrize("wanted", [set(), {"emu"}], ids=["empty", "absent"])
     def test_no_wanted_word_gives_a_store_without_rows(self, wanted):
-        for load in (load_embeddings, embeddings._load_per_row):
+        for load in (load_embeddings, load_per_row):
             store = load(["3 2", "Owl 1 2", "cat 3 4", "bee 5 6"], wanted)
             assert store.matrix.shape == (0, 2) and store.dimension == 2 and len(store) == 0
 
     @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
-    def test_rows_around_the_chunk_size(self, header, offset):
+    def test_rows_around_the_chunk_size(self, checked_row_by_row, header, offset):
         n = CHUNK_ROWS + offset
         lines = _vec_lines(n, header)
         # rows on either side of the chunk boundary, the last row and an absent word
@@ -271,10 +287,9 @@ class TestFilteredLoad:
         whole = _outcome(_per_row(), lines)
         assert len(whole[1]) == n
         for chosen, want in ((None, whole), (wanted, _restricted(whole, wanted))):
-            plain = embeddings._load_plain(lines, chosen)
-            assert plain is not None  # no row left to the per-row reader
-            assert _outcome(lambda _: plain, lines) == want
+            assert _outcome(lambda l: load_embeddings(l, chosen), lines) == want
             assert _outcome(_per_row(chosen), lines) == want
+        assert checked_row_by_row == []  # numpy read every chunk
 
     @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
     @pytest.mark.parametrize("bad, message", [
@@ -288,10 +303,30 @@ class TestFilteredLoad:
         line_no = CHUNK_ROWS + 1 + header
         lines[line_no - 1] = bad
         for wanted in (None, {"w0", "w1"}, set()):
-            for load in (load_embeddings, embeddings._load_per_row):
+            for load in (load_embeddings, load_per_row):
                 with pytest.raises(EmbeddingFormatError,
                                    match=f"^line {line_no}: {re.escape(message)}$"):
                     load(lines, wanted)
+
+    @pytest.mark.parametrize("first, later, message", [
+        ("w9 1_0 0 0", ["W9 1 0 0"], "duplicate word 'w9'"),
+        ("za nan 0 0", ["zb 1.2.3 0 0"], "non-numeric vector component"),
+        ("w9 1_0 0 0", ["zb 2 0 0", "zb 3 0 0"], "duplicate word 'zb'"),
+    ], ids=["repeat-after-fallback", "dots-after-nan", "repeat-inside-a-chunk"])
+    def test_state_carries_across_chunks(self, checked_row_by_row, first, later, message):
+        """A bad row in chunk 1 that numpy cannot read and later rows in
+        chunk 3: the last of them is named, as the reference reader names it."""
+        lines = _vec_lines(3 * CHUNK_ROWS, False)
+        lines[9] = first  # line 10
+        start = 2 * CHUNK_ROWS + 4
+        lines[start:start + len(later)] = later
+        for wanted in (None, {"w0", "w9"}, set()):
+            for load in (load_embeddings, load_per_row):
+                with pytest.raises(EmbeddingFormatError,
+                                   match=f"^line {start + len(later)}: {re.escape(message)}$"):
+                    load(lines, wanted)
+        # numpy reads chunk 2; chunks 1 and 3 are checked row by row
+        assert {chunk[0] for chunk in checked_row_by_row} == {1, 2 * CHUNK_ROWS + 1}
 
     def test_malformed_row_is_named_before_an_earlier_non_finite_one(self):
         lines = ["cat 1 2", "zz nan 1", "dog 3 4", "owl 1.2.3 1"]
