@@ -72,53 +72,63 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
     (``1_0``, ``１``).
     """
     index: dict[str, int] = {}  # kept word -> row, in row order
-    seen: set[str] = set()  # every word so far, for the duplicate check
+    # every word so far, for the duplicate check: a dict, whose popitem takes
+    # back the words a chunk added, newest first
+    seen: dict[str, None] = {}
     kept = array.array("d")  # the kept rows, end to end
     header_dim: int | None = None
     dimension: int | None = None
     non_finite: int | None = None  # the first line with a non-finite component
 
     def chunks():
-        """The rows in chunks: their line numbers, lowercased words and the
-        text of their components ("" for none)."""
+        """The rows in chunks: the number of lines before the chunk, the
+        numbers of its lines that hold no row (blank, or the header), and
+        each row's lowercased word and the text of its components ("" for
+        none)."""
         nonlocal header_dim
         chunk_rows = LOAD_CHUNK_ROWS
-        line_nos: list[int] = []
+        done = 0
+        skipped: list[int] = []
         row_words: list[str] = []
         texts: list[str] = []
         first_content = True
-        for line_no, raw in enumerate(lines, 1):
+        for raw in lines:
             parts = raw.split(None, 1)
-            if not parts:
-                continue
-            if first_content:
+            if parts and first_content:
                 first_content = False
                 header_dim = _header_dim(raw.split())
                 if header_dim is not None:
-                    continue
-            line_nos.append(line_no)
+                    parts = []
+            if not parts:
+                skipped.append(done + len(texts) + len(skipped) + 1)
+                continue
             row_words.append(parts[0].lower())
             texts.append(parts[1] if len(parts) == 2 else "")
             if len(texts) == chunk_rows:
-                yield line_nos, row_words, texts
-                line_nos, row_words, texts = [], [], []
+                yield done, skipped, row_words, texts
+                done += chunk_rows + len(skipped)
+                skipped, row_words, texts = [], [], []
         if texts:
-            yield line_nos, row_words, texts
+            yield done, skipped, row_words, texts
 
-    for line_nos, row_words, texts in chunks():
+    for done, skipped, row_words, texts in chunks():
         n = len(texts)
         try:  # numpy would warn on a row without components
             matrix = None if "" in texts else np.loadtxt(texts, comments=None, ndmin=2)
         except (ValueError, MemoryError):
             matrix = None
+        before = len(seen)
+        seen.update(zip(row_words, itertools.repeat(None)))
         # n rows: numpy skips a row it takes for blank, which would shift the words
         if (matrix is None or matrix.shape[0] != n or dimension not in (None, matrix.shape[1])
                 or header_dim not in (None, matrix.shape[1]) or not _all_finite(matrix)
-                or not seen.isdisjoint(row_words) or len(set(row_words)) != n):
+                or len(seen) != before + n):  # fewer new words than rows: a repeat
+            for _ in range(len(seen) - before):
+                seen.popitem()
+            gaps = set(skipped)
+            line_nos = [k for k in range(done + 1, done + n + len(gaps) + 1) if k not in gaps]
             matrix, bad = _check_rows(line_nos, row_words, texts, dimension, header_dim, seen)
             non_finite = non_finite or bad
-        else:
-            seen.update(row_words)
         dimension = matrix.shape[1]
         if words is not None:
             keep = [word in words for word in row_words]
@@ -141,7 +151,7 @@ LOAD_CHUNK_ROWS = 256
 
 
 def _check_rows(line_nos: list[int], row_words: list[str], texts: list[str],
-                dimension: int | None, header_dim: int | None, seen: set[str]
+                dimension: int | None, header_dim: int | None, seen: dict[str, None]
                 ) -> tuple[np.ndarray, int | None]:
     """The matrix of a chunk that numpy's reader could not prove valid,
     checked one row at a time after the rows before it: the first bad line
@@ -166,7 +176,7 @@ def _check_rows(line_nos: list[int], row_words: list[str], texts: list[str],
                 f"line {line_no}: expected {dimension} components, got {len(vector)}")
         if word in seen:
             raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
-        seen.add(word)
+        seen[word] = None
         if non_finite is None and not all(map(math.isfinite, vector)):
             non_finite = line_no
         vectors.append(vector)

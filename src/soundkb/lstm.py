@@ -8,12 +8,15 @@ is plain numpy with hand-written backpropagation through time so the
 gradients can be checked against finite differences.
 
 The gates share fused weights ``W`` (4h x d), ``U`` (4h x h) and ``b``
-(4h), stacked in gate order i, f, o, u: a cell step is one matmul and slices.
+(4h), stacked in gate order i, f, o, u.  State is feature-major (Appleyard
+et al., arXiv:1604.01946): h and c are (h x B), the gates (4h x B), so each
+gate is a contiguous row block.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -151,14 +154,8 @@ class TrainConfig:
             raise ValueError("clip threshold must be positive")
 
 
-def init_params(
-    vocab: PathVocab,
-    d: int,
-    h: int,
-    store: EmbeddingStore | None = None,
-    seed: int = 0,
-    init_scale: float = DEFAULT_INIT_SCALE,
-) -> LstmParams:
+def init_params(vocab: PathVocab, d: int, h: int, store: EmbeddingStore | None = None,
+                seed: int = 0, init_scale: float = DEFAULT_INIT_SCALE) -> LstmParams:
     """Seeded parameter initialization.
 
     Pretrained word rows are copied from the store verbatim; learned rows
@@ -194,34 +191,32 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def _cell(a: np.ndarray, c_prev: np.ndarray, h: int):
-    """The shared cell step on gate pre-activations ``a`` (..., 4h): returns
-    the sigmoid gates (i, f, o side by side), u, c, tanh(c) and the new h."""
-    ifo = 0.5 * (1.0 + np.tanh(0.5 * a[..., : 3 * h]))
-    u = np.tanh(a[..., 3 * h :])
-    c = ifo[..., :h] * u + ifo[..., h : 2 * h] * c_prev
-    tanh_c = np.tanh(c)
-    return ifo, u, c, tanh_c, ifo[..., 2 * h :] * tanh_c
+def _cell(a: np.ndarray, state: np.ndarray, h: int, out: np.ndarray) -> None:
+    """The cell step on gate pre-activations ``a`` (4h x B): overwrites ``a``
+    with the gates (sigmoid i, f, o; tanh u) and writes the new (h, c) of
+    ``state`` (2 x h x B) to ``out``, which may be ``state`` itself."""
+    ifo, u = a[: 3 * h], a[3 * h :]
+    ifo *= 0.5
+    np.tanh(ifo, out=ifo)
+    ifo += 1.0
+    ifo *= 0.5  # the sigmoid, as 0.5 * (1 + tanh(a / 2))
+    np.tanh(u, out=u)
+    carried = ifo[h : 2 * h] * state[1]
+    c = np.multiply(ifo[:h], u, out=out[1])
+    c += carried
+    np.multiply(ifo[2 * h :], np.tanh(c), out=out[0])
 
 
-def _forward(params: LstmParams, ids: np.ndarray, steps=None):
-    """The forward pass over a batch of same-length paths, ``ids`` (B x T).
-
-    Returns the final (h, c), each (B x h), of the cell run from zero state.
-    Each step projects its own inputs, ``E[ids[:, t]] @ W.T + b`` (B x 4h),
-    and adds one matmul with ``U``, so the pass holds O(B x 4h) floats beyond
-    ``steps``: if ``steps`` is a list, each step appends (h_prev, c_prev, ifo,
-    u, tanh_c) to it for backpropagation.
-    """
-    h = c = np.zeros((ids.shape[0], params.h))
+def _forward(params: LstmParams, ids: np.ndarray) -> np.ndarray:
+    """The final (h, c), (2 x h x B), of the cell run from zero state over
+    ``ids`` (B x T); each step projects only its own inputs and keeps nothing."""
+    state = np.zeros((2, params.h, ids.shape[0]))
     for column in ids.T:
-        xa = params.E[column] @ params.W.T
-        xa += params.b
-        ifo, u, c_new, tanh_c, h_new = _cell(xa + h @ params.U.T, c, params.h)
-        if steps is not None:
-            steps.append((h, c, ifo, u, tanh_c))
-        h, c = h_new, c_new
-    return h, c
+        a = params.W @ params.E[column].T
+        a += params.b[:, None]
+        a += params.U @ state[0]
+        _cell(a, state, params.h, state)
+    return state
 
 
 def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
@@ -233,8 +228,7 @@ def _ids_for(vocab: PathVocab, tokens: Sequence[str]) -> list[int]:
 def predict_relation(params: LstmParams, vocab: PathVocab,
                      tokens: Sequence[str]) -> tuple[float, float]:
     """Probabilities (positive, negative) for a path: a batch of one."""
-    h = _forward(params, np.array([_ids_for(vocab, tokens)]))[0]
-    p = softmax(h @ params.W_r.T)[0]
+    p = softmax(_forward(params, np.array([_ids_for(vocab, tokens)]))[0].T @ params.W_r.T)[0]
     return float(p[0]), float(p[1])
 
 
@@ -242,8 +236,7 @@ def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) ->
     """Probabilities (positive, negative) for each rendered path, as (n, 2).
 
     Each distinct path is scored once.  ``_length_batches`` groups them by
-    length, at most ``BATCH_SIZE`` at a time, for one forward pass each; no
-    per-step state is kept and each step projects only its own inputs, so
+    length, at most ``BATCH_SIZE`` at a time, for one ``_forward`` each, so
     the pass holds O(BATCH_SIZE x 4h) floats whatever the paths' length.
     """
     rows: dict[str, int] = {}
@@ -252,7 +245,7 @@ def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) ->
     probs = np.empty((len(rows), 2))
     for batch in _length_batches(range(len(ids)), ids, BATCH_SIZE):
         h = _forward(params, np.array([ids[i] for i in batch]))[0]
-        probs[batch] = softmax(h @ params.W_r.T)
+        probs[batch] = softmax(h.T @ params.W_r.T)
     return probs[index]
 
 
@@ -278,8 +271,14 @@ def _learned_mask(vocab: PathVocab) -> np.ndarray:
     return np.array([flag == LEARNED for flag in vocab.flags])
 
 
+def _work(tokens: int, paths: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat gate, state and delta arrays for batches of up to ``tokens`` tokens
+    and ``paths`` paths; a batch reshapes a contiguous prefix of each."""
+    return np.empty(4 * h * tokens), np.empty(2 * h * (tokens + paths)), np.empty(4 * h * tokens)
+
+
 def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.ndarray,
-                              targets: np.ndarray, paths: Sequence[str]
+                              targets: np.ndarray, paths: Sequence[str], work: tuple | None = None
                               ) -> tuple[float, LstmGrads]:
     """Summed cross-entropy loss of a batch of same-length paths and its
     gradients via backpropagation through time.
@@ -287,54 +286,68 @@ def _batch_loss_and_gradients(params: LstmParams, learned: np.ndarray, ids: np.n
     ``ids`` (B x T) holds each path's token ids, ``targets`` (B) their label
     indices and ``paths`` their text, for the error message.  Embedding
     gradients flow only into the rows that ``learned`` marks; pretrained
-    rows stay exactly zero.  The weight gradients are one matmul each over
-    the (T*B x 4h) gate deltas, ordered step by step.
+    rows stay exactly zero.  ``work`` is ``_work`` for at least this batch.
+    The (T x 4h x B) gates hold the inputs projected in one product, then
+    the activations, then the deltas; each weight gradient is one matmul
+    over the deltas as (4h x T*B), step-major.
     """
-    batch, length = ids.shape
-    h = params.h
-    steps: list = []
-    h_final, _c = _forward(params, ids, steps)
-    p = softmax(h_final @ params.W_r.T)
+    (batch, length), h = ids.shape, params.h
+    n = length * batch
+    gates, states, deltas = work or _work(n, batch, h)
+    gates = gates[: 4 * h * n].reshape(length, 4 * h, batch)
+    states = states[: 2 * h * (n + batch)].reshape(length + 1, 2, h, batch)
+    flat_ids = ids.T.reshape(-1)  # step-major
+    np.matmul(params.W, params.E[flat_ids].reshape(length, batch, -1).transpose(0, 2, 1),
+              out=gates)
+    gates += params.b[:, None]
+    states[0] = 0.0
+    for t in range(length):
+        gates[t] += params.U @ states[t, 0]
+        _cell(gates[t], states[t], h, states[t + 1])
+    p = softmax(states[length, 0].T @ params.W_r.T)
     p_target = p[np.arange(batch), targets]
     bad = np.flatnonzero(~(p_target > 0))
     if bad.size:
         raise ArithmeticError(f"non-finite loss for path {paths[bad[0]]!r}")
     loss = -np.log(p_target)
 
-    # each step's arrays are dropped once its gate deltas (i, f, o, u) are
-    # known: (u, c_prev, tanh_c, i) * gate slopes * (dc, dc, dh, dc)
+    # gates (i, f, o, u) become deltas: slopes * (u, c_prev, tanh_c, i) * (dc, dc, dh, dc)
     dz = p
     dz[np.arange(batch), targets] -= 1.0
-    dh = dz @ params.W_r
-    dc = np.zeros((batch, h))
-    deltas = np.empty((length, batch, 4, h))
-    H_prev = np.empty((length, batch, h))
+    dh = params.W_r.T @ dz.T
+    dc = np.zeros((h, batch))
     for t in range(length - 1, -1, -1):
-        H_prev[t], c_prev, ifo, u, tanh_c = steps.pop()
-        dc = dc + dh * (ifo[:, 2 * h :] * (1.0 - tanh_c * tanh_c))
-        slope = ifo * (1.0 - ifo)
-        delta = deltas[t]
-        delta[:, 0] = u * slope[:, :h] * dc
-        delta[:, 1] = c_prev * slope[:, h : 2 * h] * dc
-        delta[:, 2] = tanh_c * slope[:, 2 * h :] * dh
-        delta[:, 3] = ifo[:, :h] * (1.0 - u * u) * dc
-        dh = delta.reshape(batch, 4 * h) @ params.U
-        dc = dc * ifo[:, h : 2 * h]
+        g = gates[t].reshape(4, h, batch)
+        i, f, o, u = g
+        tanh_c = np.tanh(states[t + 1, 1])
+        slope = 1.0 - tanh_c * tanh_c
+        slope *= o
+        slope *= dh
+        dc += slope
+        delta_u = 1.0 - u * u
+        delta_u *= i
+        delta_u *= dc
+        dc_next = dc * f
+        g[:3] *= 1.0 - g[:3]
+        i *= u
+        f *= states[t, 1]
+        o *= tanh_c
+        g[:2] *= dc
+        o *= dh
+        u[...] = delta_u
+        dh = params.U.T @ gates[t]
+        dc = dc_next
 
-    DA = deltas.reshape(length * batch, 4 * h)
-    flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
-    gE = np.zeros_like(params.E)
+    D = deltas[: 4 * h * n].reshape(4 * h, n)
+    D.reshape(4 * h, length, batch)[...] = gates.transpose(1, 0, 2)
+    H = gates.reshape(-1)[: h * n].reshape(h, n)  # each step's h_prev, over the spent gates
+    H.reshape(h, length, batch)[...] = states[:length, 0].transpose(1, 0, 2)
     trained = learned[flat_ids]
-    np.add.at(gE, flat_ids[trained], DA[trained] @ params.W)
-    grads = LstmParams(
-        E=gE, W=DA.T @ params.E[flat_ids], U=DA.T @ H_prev.reshape(length * batch, h),
-        b=DA.sum(axis=0), W_r=dz.T @ h_final,
-    )
+    gE = np.zeros_like(params.E)
+    np.add.at(gE, flat_ids[trained], (D.T @ params.W)[trained])
+    grads = LstmParams(E=gE, W=D @ params.E[flat_ids], U=D @ H.T, b=D.sum(axis=1),
+                       W_r=dz.T @ states[length, 0].T)
     return float(loss.sum()), grads
-
-
-def _global_norm(grads: LstmGrads) -> float:
-    return float(np.sqrt(sum(np.vdot(a, a) for a in grads.arrays())))
 
 
 class EpochStats(NamedTuple):
@@ -343,12 +356,8 @@ class EpochStats(NamedTuple):
     accuracy: float
 
 
-def train(
-    params: LstmParams,
-    vocab: PathVocab,
-    examples: Sequence[RelationExample],
-    config: TrainConfig,
-) -> tuple[LstmParams, list[EpochStats]]:
+def train(params: LstmParams, vocab: PathVocab, examples: Sequence[RelationExample],
+          config: TrainConfig) -> tuple[LstmParams, list[EpochStats]]:
     """Seeded minibatch gradient descent with global-norm clipping.
 
     Each epoch walks a fresh permutation of the examples and drops each one
@@ -373,6 +382,10 @@ def train(
     learned = _learned_mask(vocab)
     rng = np.random.default_rng(config.seed)
     n = len(examples)
+    # sized for the batch of the most tokens: some length's full (or only) batch
+    work = _work(max(length * min(count, TRAIN_BATCH_SIZE)
+                     for length, count in Counter(map(len, ids)).items()),
+                 min(n, TRAIN_BATCH_SIZE), params.h)
     trace = []
     for epoch in range(1, config.epochs + 1):
         total = 0.0
@@ -380,11 +393,11 @@ def train(
             try:
                 loss, grads = _batch_loss_and_gradients(
                     params, learned, np.array([ids[i] for i in batch]), targets[batch],
-                    [examples[i].path for i in batch])
+                    [examples[i].path for i in batch], work)
             except ArithmeticError as err:
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}: {err}") from err
             total += loss
-            norm = _global_norm(grads)
+            norm = float(np.sqrt(sum(np.vdot(g, g) for g in grads.arrays())))
             scale = config.learning_rate
             if norm > config.clip:
                 scale *= config.clip / norm
@@ -409,9 +422,8 @@ def _length_batches(order: Iterable[int], ids: Sequence[Sequence[int]], batch_si
     yield from (bucket for bucket in buckets.values() if bucket)
 
 
-def evaluate(
-    params: LstmParams, vocab: PathVocab, examples: Sequence[RelationExample]
-) -> float:
+def evaluate(params: LstmParams, vocab: PathVocab, examples: Sequence[RelationExample]
+             ) -> float:
     """Fraction of examples whose higher-probability label is correct."""
     probs = predict_paths(params, vocab, [ex.path for ex in examples])
     predicted = np.where(probs[:, 0] > probs[:, 1], 0, 1)  # a tie or NaN predicts negative

@@ -4,9 +4,11 @@ the tests that need a form no command uses, the per-pattern matcher that
 the signature table is checked against, the general-graph shortest path
 search that the dependency path walk is checked against, the whole-file
 per-row ``.vec`` reader that ``load_embeddings`` is checked against, and
-the per-value relation model writer, per-example accuracy count and
-whole-batch forward pass that the model writer, ``lstm.evaluate`` and
-``lstm._forward`` are checked against."""
+the per-value relation model writer and per-example accuracy count that
+the model writer and ``lstm.evaluate`` are checked against, and the
+row-major LSTM kernel (B x 4h gate arrays, one step's inputs projected at
+a time, or the whole batch's) that the feature-major one is checked
+against."""
 
 import array
 import io
@@ -21,7 +23,7 @@ import pytest
 from soundkb import lstm, phrase, round9
 from soundkb.corpus import parse_block
 from soundkb.embeddings import EmbeddingFormatError, EmbeddingStore, _header_dim
-from soundkb.lstm import LstmParams, load_relation_model, save_relation_model
+from soundkb.lstm import LstmParams, load_relation_model, save_relation_model, softmax
 from soundkb.mining import PATTERNS, CandidateMention
 from soundkb.paths import DepPath, _data_text, load_seed_paths
 from soundkb.phrase import LinearModel, save_model
@@ -412,9 +414,9 @@ def zero_params(vocab_size: int, d: int, h: int) -> LstmParams:
 def lstm_cell(params: LstmParams, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
     """One memory-cell update through the cell step every command runs;
     returns (h_t, c_t)."""
-    *_, c, _tanh_c, h_new = lstm._cell(params.W @ x + params.b + params.U @ h_prev,
-                                       c_prev, params.h)
-    return h_new, c
+    state = np.stack([h_prev, c_prev])
+    lstm._cell(params.W @ x + params.b + params.U @ h_prev, state, params.h, state)
+    return state[0], state[1]
 
 
 def learned_ids(vocab) -> np.ndarray:
@@ -435,23 +437,113 @@ def save_relation_model_per_value(params: LstmParams, vocab, out) -> None:
     out.write("\n")
 
 
-def forward_whole_batch(params: LstmParams, ids: np.ndarray, steps=None):
-    """The forward pass with the whole batch's inputs projected before the
-    first step: returns the projected inputs ``W @ x + b`` (T x B x 4h), made
-    in one (T*B x d) matmul, and the final (h, c), each (B x h).  Each step
-    appends (h_prev, c_prev, ifo, u, tanh_c) to ``steps`` if it is a list.
-    ``lstm._forward``, which projects one step's inputs at a time, must agree."""
-    batch, length = ids.shape
-    projected = params.E[ids.T.reshape(-1)] @ params.W.T  # step-major
-    projected += params.b
-    projected = projected.reshape(length, batch, 4 * params.h)
-    h = c = np.zeros((batch, params.h))
-    for xa in projected:
-        ifo, u, c_new, tanh_c, h_new = lstm._cell(xa + h @ params.U.T, c, params.h)
+def cell_row_major(a: np.ndarray, c_prev: np.ndarray, h: int):
+    """The cell step on pre-activations ``a`` (B x 4h), one column block per
+    gate, as the kernel ran before its state went feature-major: returns
+    the sigmoid gates (i, f, o side by side), u, c, tanh(c) and the new h."""
+    ifo = 0.5 * (1.0 + np.tanh(0.5 * a[..., : 3 * h]))
+    u = np.tanh(a[..., 3 * h :])
+    c = ifo[..., :h] * u + ifo[..., h : 2 * h] * c_prev
+    tanh_c = np.tanh(c)
+    return ifo, u, c, tanh_c, ifo[..., 2 * h :] * tanh_c
+
+
+def forward_row_major(params: LstmParams, ids: np.ndarray, steps=None):
+    """The row-major forward pass over ``ids`` (B x T): returns the final
+    (h, c), each (B x h).  Each step projects its own inputs,
+    ``E[ids[:, t]] @ W.T + b`` (B x 4h), and appends (h_prev, c_prev, ifo,
+    u, tanh_c) to ``steps`` if it is a list."""
+    h = c = np.zeros((ids.shape[0], params.h))
+    for column in ids.T:
+        xa = params.E[column] @ params.W.T
+        xa += params.b
+        ifo, u, c_new, tanh_c, h_new = cell_row_major(xa + h @ params.U.T, c, params.h)
         if steps is not None:
             steps.append((h, c, ifo, u, tanh_c))
         h, c = h_new, c_new
-    return projected, h, c
+    return h, c
+
+
+def forward_whole_batch(params: LstmParams, ids: np.ndarray, steps=None):
+    """``forward_row_major`` with the whole batch's inputs projected before
+    the first step, in one (T*B x d) matmul: returns the final (h, c)."""
+    batch, length = ids.shape
+    projected = params.E[ids.T.reshape(-1)] @ params.W.T  # step-major
+    projected += params.b
+    h = c = np.zeros((batch, params.h))
+    for xa in projected.reshape(length, batch, 4 * params.h):
+        ifo, u, c_new, tanh_c, h_new = cell_row_major(xa + h @ params.U.T, c, params.h)
+        if steps is not None:
+            steps.append((h, c, ifo, u, tanh_c))
+        h, c = h_new, c_new
+    return h, c
+
+
+def predict_paths_row_major(params: LstmParams, vocab, paths):
+    """``lstm.predict_paths`` on a row-major forward pass."""
+    rows: dict[str, int] = {}
+    index = [rows.setdefault(path, len(rows)) for path in paths]
+    ids = [vocab.encode(path) for path in rows]
+    probs = np.empty((len(rows), 2))
+    for batch in lstm._length_batches(range(len(ids)), ids, lstm.BATCH_SIZE):
+        h = forward_row_major(params, np.array([ids[i] for i in batch]))[0]
+        probs[batch] = softmax(h @ params.W_r.T)
+    return probs[index]
+
+
+def batch_loss_and_gradients_row_major(params: LstmParams, learned, ids, targets, paths,
+                                       forward=forward_row_major):
+    """``lstm._batch_loss_and_gradients`` on (B x 4h) gate arrays: BPTT
+    over the steps that ``forward`` records, then one matmul per weight
+    gradient over the (T*B x 4h) gate deltas, ordered step by step."""
+    batch, length = ids.shape
+    h = params.h
+    steps: list = []
+    h_final, _c = forward(params, ids, steps)
+    p = softmax(h_final @ params.W_r.T)
+    p_target = p[np.arange(batch), targets]
+    bad = np.flatnonzero(~(p_target > 0))
+    if bad.size:
+        raise ArithmeticError(f"non-finite loss for path {paths[bad[0]]!r}")
+    loss = -np.log(p_target)
+
+    dz = p
+    dz[np.arange(batch), targets] -= 1.0
+    dh = dz @ params.W_r
+    dc = np.zeros((batch, h))
+    deltas = np.empty((length, batch, 4, h))
+    H_prev = np.empty((length, batch, h))
+    for t in range(length - 1, -1, -1):
+        H_prev[t], c_prev, ifo, u, tanh_c = steps.pop()
+        dc = dc + dh * (ifo[:, 2 * h :] * (1.0 - tanh_c * tanh_c))
+        slope = ifo * (1.0 - ifo)
+        delta = deltas[t]
+        delta[:, 0] = u * slope[:, :h] * dc
+        delta[:, 1] = c_prev * slope[:, h : 2 * h] * dc
+        delta[:, 2] = tanh_c * slope[:, 2 * h :] * dh
+        delta[:, 3] = ifo[:, :h] * (1.0 - u * u) * dc
+        dh = delta.reshape(batch, 4 * h) @ params.U
+        dc = dc * ifo[:, h : 2 * h]
+
+    DA = deltas.reshape(length * batch, 4 * h)
+    flat_ids = ids.T.reshape(-1)  # step-major, as the deltas
+    gE = np.zeros_like(params.E)
+    trained = learned[flat_ids]
+    np.add.at(gE, flat_ids[trained], DA[trained] @ params.W)
+    grads = LstmParams(
+        E=gE, W=DA.T @ params.E[flat_ids], U=DA.T @ H_prev.reshape(length * batch, h),
+        b=DA.sum(axis=0), W_r=dz.T @ h_final,
+    )
+    return float(loss.sum()), grads
+
+
+def train_row_major(params: LstmParams, vocab, examples, config):
+    """``lstm.train`` with the row-major kernel in place of the production one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lstm, "_batch_loss_and_gradients",
+                      lambda *args: batch_loss_and_gradients_row_major(*args[:5]))
+        patch.setattr(lstm, "predict_paths", predict_paths_row_major)
+        return lstm.train(params, vocab, examples, config)
 
 
 def evaluate_per_example(params: LstmParams, vocab, examples) -> float:

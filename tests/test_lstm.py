@@ -34,13 +34,16 @@ from soundkb.lstm import (
 from soundkb.paths import NEGATIVE, POSITIVE, RelationExample
 
 from conftest import (
+    batch_loss_and_gradients_row_major,
     evaluate_per_example,
     forward_whole_batch,
     learned_ids,
     lstm_cell,
     make_store,
     malformed_relation_models,
+    predict_paths_row_major,
     save_relation_model_per_value,
+    train_row_major,
     zero_params,
 )
 
@@ -68,11 +71,10 @@ def gate(array: np.ndarray, name: str, h: int) -> np.ndarray:
 
 
 def run_path(params: LstmParams, vocab: PathVocab, tokens):
-    """Final (h, c) of the shared forward pass over a path, and its steps."""
-    ids = np.array([[vocab.id_of(t) for t in tokens]])
-    steps = []
-    h, c = lstm._forward(params, ids, steps)
-    return h[0], c[0], steps
+    """Final (h, c) of the shared forward pass over a path, and its final
+    state as the pass returns it, (2 x h x 1)."""
+    state = lstm._forward(params, np.array([[vocab.id_of(t) for t in tokens]]))
+    return state[0, :, 0], state[1, :, 0], state
 
 
 def traced_peak(call):
@@ -148,6 +150,30 @@ def fd_gradients(params, vocab, example, eps=1e-5):
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-4)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def kernel_batch(d, h, batch, length):
+    """Parameters, a vocabulary with pretrained and learned rows, and
+    random token ids (B x T)."""
+    store = make_store({word: np.linspace(-0.5, 0.5, d) * (k + 1)
+                        for k, word in enumerate(WORDS[:3])})
+    vocab = build_vocab([EDGE_LABELS, WORDS + [f"w{i}" for i in range(40)]], store=store)
+    params = init_params(vocab, d=d, h=h, store=store, seed=d + h + batch)
+    ids = np.random.default_rng(length).integers(0, len(vocab), size=(batch, length))
+    return params, vocab, ids
+
+
+def assert_same_loss_and_gradients(result, expected, cancelling=False):
+    """Loss and all five gradients agree to 12 digits.  With ``cancelling``,
+    an entry may instead be within 1e-12 of its array's largest magnitude:
+    an entry whose terms cancel keeps their rounding, which moves with the
+    order the matmul sums them in."""
+    (loss, grads), (expected_loss, expected_grads) = result, expected
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
+    for name in ARRAY_FIELDS:
+        want = getattr(expected_grads, name)
+        atol = 1e-12 * np.abs(want).max() if cancelling else 0.0
+        np.testing.assert_allclose(getattr(grads, name), want, rtol=1e-12, atol=atol)
 
 
 def batch_gradients(params, vocab, examples):
@@ -264,14 +290,14 @@ class TestEncode:
         vocab = small_vocab()
         params = init_params(vocab, d=3, h=4, seed=7)
         tokens = ["amod()", "children", "det()"]
-        h_path, c_path, steps = run_path(params, vocab, tokens)
+        h_path, c_path, state = run_path(params, vocab, tokens)
         h = np.zeros(4)
         c = np.zeros(4)
         for tok in tokens:
             h, c = lstm_cell(params, params.E[vocab.id_of(tok)], h, c)
         np.testing.assert_allclose(h_path, h, rtol=1e-15)
         np.testing.assert_allclose(c_path, c, rtol=1e-15)
-        assert len(steps) == 3 and steps[-1][0].shape == (1, 4)
+        assert state.shape == (2, 4, 1)  # feature-major: h and c, each (h x B)
 
     def test_predict_relation_decodes_chained_cells(self):
         vocab = small_vocab()
@@ -386,40 +412,84 @@ class TestBatchedPredict:
 
 
 class TestPerStepProjection:
-    """``_forward`` projects each step's inputs as the step comes; the pass
-    that projected the whole batch first, ``forward_whole_batch``, is the
-    oracle for inference and for training's loss and gradients."""
+    """Inference projects each step's inputs as the step comes, training
+    projects the whole batch first; the row-major pass that projected the
+    whole batch first, ``forward_whole_batch``, is the oracle for both."""
 
     SHAPES = [(3, 4, 1, 1), (5, 6, 7, 4), (8, 16, 64, 9), (32, 64, 16, 15), (6, 5, 100, 3)]
 
-    def _batch(self, d, h, batch, length):
-        store = make_store({word: np.linspace(-0.5, 0.5, d) * (k + 1)
-                            for k, word in enumerate(WORDS[:3])})
-        vocab = build_vocab([EDGE_LABELS, WORDS + [f"w{i}" for i in range(40)]], store=store)
-        params = init_params(vocab, d=d, h=h, store=store, seed=d + h + batch)
-        ids = np.random.default_rng(length).integers(0, len(vocab), size=(batch, length))
-        return params, vocab, ids
-
     @pytest.mark.parametrize("d, h, batch, length", SHAPES)
     def test_predict_paths_matches_whole_batch(self, d, h, batch, length):
-        params, vocab, ids = self._batch(d, h, batch, length)
+        params, vocab, ids = kernel_batch(d, h, batch, length)
         paths = [" ".join(vocab.tokens[i] for i in row) for row in ids]
-        expected = softmax(forward_whole_batch(params, ids)[1] @ params.W_r.T)
+        expected = softmax(forward_whole_batch(params, ids)[0] @ params.W_r.T)
         np.testing.assert_allclose(predict_paths(params, vocab, paths), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("d, h, batch, length", SHAPES)
-    def test_batch_gradients_match_whole_batch(self, d, h, batch, length, monkeypatch):
-        params, vocab, ids = self._batch(d, h, batch, length)
+    def test_batch_gradients_match_whole_batch(self, d, h, batch, length):
+        params, vocab, ids = kernel_batch(d, h, batch, length)
         targets = np.random.default_rng(batch).integers(0, 2, size=batch)
         args = (params, lstm._learned_mask(vocab), ids, targets, ["path"] * batch)
-        loss, grads = lstm._batch_loss_and_gradients(*args)
-        monkeypatch.setattr(lstm, "_forward",
-                            lambda p, i, steps=None: forward_whole_batch(p, i, steps)[1:])
-        expected_loss, expected = lstm._batch_loss_and_gradients(*args)
-        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        assert_same_loss_and_gradients(
+            lstm._batch_loss_and_gradients(*args),
+            batch_loss_and_gradients_row_major(*args, forward=forward_whole_batch))
+
+
+class TestFeatureMajorKernel:
+    """The feature-major kernel against the row-major one it replaced, at
+    batch sizes where OpenBLAS switches kernels, which moves last bits."""
+
+    @pytest.mark.parametrize("d, h", [(3, 4), (6, 5), (8, 16), (32, 64)])
+    @pytest.mark.parametrize("length", [1, 15, 30])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 9, 16, 64])
+    def test_matches_row_major(self, d, h, length, batch):
+        params, vocab, ids = kernel_batch(d, h, batch, length)
+        targets = np.random.default_rng(batch + length).integers(0, 2, size=batch)
+        args = (params, lstm._learned_mask(vocab), ids, targets, ["path"] * batch)
+        assert_same_loss_and_gradients(lstm._batch_loss_and_gradients(*args),
+                                       batch_loss_and_gradients_row_major(*args),
+                                       cancelling=True)
+        paths = [" ".join(vocab.tokens[i] for i in row) for row in ids]
+        np.testing.assert_allclose(predict_paths(params, vocab, paths),
+                                   predict_paths_row_major(params, vocab, paths), rtol=1e-12)
+
+    def test_reused_work_arrays_give_the_same_gradients(self):
+        """Batches of any size share one set of work arrays, sized for the
+        largest, as ``train`` runs them."""
+        work = lstm._work(30 * 16, 16, 16)
+        for batch, length in [(16, 30), (3, 7), (16, 1), (9, 30), (1, 15)]:
+            params, vocab, ids = kernel_batch(8, 16, batch, length)
+            targets = np.random.default_rng(batch).integers(0, 2, size=batch)
+            args = (params, lstm._learned_mask(vocab), ids, targets, ["path"] * batch)
+            loss, grads = lstm._batch_loss_and_gradients(*args, work)
+            expected_loss, expected = lstm._batch_loss_and_gradients(*args)
+            assert loss == expected_loss
+            for name in ARRAY_FIELDS:
+                np.testing.assert_array_equal(getattr(grads, name), getattr(expected, name))
+
+    def test_training_matches_row_major_trainer(self):
+        examples = TestTrain()._task(120, seed=12)
+        vocab = build_vocab([tokenize_path(e.path) for e in examples] + [["sound"]])
+        params = init_params(vocab, d=6, h=8, seed=12)
+        reference = LstmParams(*(a.copy() for a in params.arrays()))
+        config = TrainConfig(epochs=2, seed=12)
+        _, trace = train(params, vocab, examples, config)
+        _, expected = train_row_major(reference, vocab, examples, config)
+        assert [(s.epoch, s.accuracy) for s in trace] == [(s.epoch, s.accuracy) for s in expected]
+        for stats, oracle in zip(trace, expected):
+            assert stats.mean_loss == pytest.approx(oracle.mean_loss, rel=1e-12)
         for name in ARRAY_FIELDS:
-            np.testing.assert_allclose(getattr(grads, name), getattr(expected, name),
-                                       rtol=1e-12)
+            np.testing.assert_allclose(getattr(params, name), getattr(reference, name),
+                                       rtol=1e-9)
+
+    def test_peak_memory_of_a_training_batch(self):
+        """16 paths of 15 tokens at (d, h) = (32, 64): the row-major kernel
+        peaked 1,552,921 bytes above its entry in this test (numpy 2.4)."""
+        params, vocab, ids = kernel_batch(32, 64, 16, 15)
+        targets = np.random.default_rng(16).integers(0, 2, size=16)
+        args = (params, lstm._learned_mask(vocab), ids, targets, ["path"] * 16)
+        _, peak = traced_peak(lambda: lstm._batch_loss_and_gradients(*args))
+        assert peak <= 1.55e6
 
 
 class TestPredict:
