@@ -201,7 +201,7 @@ def _cell(a: np.ndarray, state: np.ndarray, h: int, out: np.ndarray) -> None:
     ifo += 1.0
     ifo *= 0.5  # the sigmoid, as 0.5 * (1 + tanh(a / 2))
     np.tanh(u, out=u)
-    carried = ifo[h : 2 * h] * state[1]
+    carried = ifo[h : 2 * h] * state[1]  # read before out, which may be state, is written
     c = np.multiply(ifo[:h], u, out=out[1])
     c += carried
     np.multiply(ifo[2 * h :], np.tanh(c), out=out[0])
