@@ -19,9 +19,10 @@ def content_lines(lines):
             yield line_no, line
 
 
-def round9(value: float) -> float:
-    """``value`` rounded to the 9 significant digits a model file keeps."""
-    return float(f"{value:.9g}")
+def rounded(values: list[float]) -> list[float]:
+    """``values`` at the 9 significant digits a model file keeps, rounded in
+    one ``'%.9g'`` pass."""
+    return list(map(float, (("%.9g " * len(values)) % tuple(values)).split()))
 
 
 def read_model(source, fmt: str, version: int, what: str) -> dict:
@@ -53,3 +54,29 @@ def read_model(source, fmt: str, version: int, what: str) -> dict:
     if type(found) is not int or found != version:
         raise DataError(f"unsupported {what} version {found!r}")
     return doc
+
+
+def model_array(doc: dict, name: str, shape: tuple, what: str):
+    """``doc[name]`` as a float64 array of ``shape`` (1-d or 2-d).
+
+    Raises ``DataError``, naming the model as ``what``, unless the entry is
+    there, holds only JSON numbers in lists nested as ``shape`` says, has
+    that shape, and is finite.
+    """
+    import numpy as np
+
+    if name not in doc:
+        raise DataError(f"{what} has no {name!r} array")
+    value = doc[name]
+    rows = value if len(shape) == 2 and isinstance(value, list) else [value]
+    if not all(isinstance(row, list) and set(map(type, row)) <= {int, float} for row in rows):
+        raise DataError(f"{what} array {name!r} is not a {len(shape)}-d array of JSON numbers")
+    try:
+        array = np.array(value, dtype=np.float64)
+    except ValueError as err:  # rows of different lengths
+        raise DataError(f"{what} array {name!r} is not a numeric array: {err}") from None
+    if array.shape != shape:
+        raise DataError(f"{what} array {name!r} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise DataError(f"{what} array {name!r} has non-finite weights")
+    return array

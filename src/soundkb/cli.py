@@ -206,15 +206,10 @@ def _lexicon(args) -> paths.EnvironmentLexicon:
 def cmd_mine(args) -> int:
     corpus_path = Path(args.corpus)
     sentences = _load_sentences(corpus_path)
-    # the ids reported for a concept in all shards and the merge are every id
-    # it was accepted under, so the warnings do not depend on --shards
-    conflicts: dict[str, set[str]] = {}
-    conflict = lambda text, *ids: conflicts.setdefault(text, set()).update(ids)
-    tables = [mining.mine_corpus(sentences[i :: args.shards], conflict)
-              for i in range(args.shards)]
-    table = mining.merge_tables(*tables, on_conflict=conflict)
-    for text in sorted(conflicts):
-        *others, last = sorted(conflicts[text])
+    tables = [mining.mine_corpus(sentences[i :: args.shards]) for i in range(args.shards)]
+    table = mining.merge_tables(*tables)
+    for text in sorted(text for text, entry in table.items() if len(entry.patterns) > 1):
+        *others, last = table[text].patterns
         print(f"warning: {corpus_path.name}: concept {text!r} seen under "
               f"{', '.join(others)} and {last}; keeping {table[text].pattern}", file=sys.stderr)
     # a row that begins with '#' would read back as a comment
@@ -481,7 +476,7 @@ def cmd_predict(args) -> int:
     _write_tsv(Path(args.out), _provenance("predict", None, [model_path, occ_path]),
                ("scene", "concept", "path", "p_positive"),
                ((o.scene, o.concept, o.path, f"{p_pos:.9g}")
-                for o, p_pos in zip(occurrences, probs[:, 0].tolist())))
+                for o, p_pos in zip(occurrences, probs[:, paths.POSITIVE].tolist())))
     return EXIT_OK
 
 

@@ -159,26 +159,23 @@ def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sen
 
 
 def _check_reachability(heads: list[int | None], first_line: int) -> None:
-    # Tokens without any edge (collapsed prepositions) are exempt; every
-    # attached token must connect to the root token through non-root edges.
-    # Each token has at most one head, so the tokens connected to the root
-    # token are exactly those below it.
-    children: list[list[int]] = [[] for _ in heads]
-    for dependent, head in enumerate(heads, 1):
-        if head:
-            children[head - 1].append(dependent)
-    root = heads.index(0) + 1
-    reachable = {root}
-    stack = [root]
-    while stack:
-        for child in children[stack.pop() - 1]:
-            reachable.add(child)
-            stack.append(child)
-    stranded = [
-        index
-        for index, (head, below) in enumerate(zip(heads, children), 1)
-        if (head is not None or below) and index not in reachable
-    ]
+    # Tokens without any edge (collapsed prepositions) are exempt; every attached
+    # token must reach the root token through its heads.  A walk up from one marks
+    # its tokens False, then True if it ends at 0 (the root's head) or a True token.
+    reaches: list[bool | None] = [True] + [None] * len(heads)  # None: not walked
+    for start, head in enumerate(heads, 1):
+        if head is None or reaches[start] is not None:
+            continue
+        walk = [start]
+        reaches[start] = False
+        while head is not None and reaches[head] is None:
+            reaches[head] = False
+            walk.append(head)
+            head = heads[head - 1]
+        if head is not None and reaches[head]:
+            for token in walk:
+                reaches[token] = True
+    stranded = [token for token, ok in enumerate(reaches) if ok is False]
     if stranded:
         raise CorpusFormatError(f"tokens not reachable from root: {stranded}", first_line)
 

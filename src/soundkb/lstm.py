@@ -22,7 +22,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import DataError, read_model
+from . import DataError, model_array, read_model, rounded
 from .embeddings import EmbeddingStore
 from .paths import NEGATIVE, POSITIVE, RelationExample
 
@@ -249,20 +249,11 @@ def predict_paths(params: LstmParams, vocab: PathVocab, paths: Sequence[str]) ->
     return probs[index]
 
 
-def label_index(label: str) -> int:
-    """0 for ``POSITIVE``, 1 for ``NEGATIVE``; any other label is a DataError."""
-    if label == POSITIVE:
-        return 0
-    if label == NEGATIVE:
-        return 1
-    raise DataError(f"relation label must be {POSITIVE!r} or {NEGATIVE!r}, got {label!r}")
-
-
 def loss_and_gradients(params: LstmParams, vocab: PathVocab,
                        example: RelationExample) -> tuple[float, LstmGrads]:
     """Cross-entropy loss of one example and its gradients: a batch of one."""
     ids = np.array([vocab.encode(example.path)])
-    targets = np.array([label_index(example.label)])
+    targets = np.array([example.label])
     return _batch_loss_and_gradients(params, _learned_mask(vocab), ids, targets,
                                      [example.path])
 
@@ -369,15 +360,15 @@ def train(params: LstmParams, vocab: PathVocab, examples: Sequence[RelationExamp
 
     Mutates ``params`` in place and returns it with the per-epoch
     loss/accuracy trace.  Identical data, config, and initial parameters
-    reproduce the trace bit for bit.  Raises ``DataError`` for a label
-    other than ``POSITIVE`` and ``NEGATIVE``, or when either is missing.
+    reproduce the trace bit for bit.  Raises ``DataError`` unless the labels
+    are ``POSITIVE`` and ``NEGATIVE``, both of them and no other.
     """
-    labels = [label_index(ex.label) for ex in examples]
+    labels = [ex.label for ex in examples]
     # a set, not np.unique: the first np.unique call in a process costs 9-17 ms
     # and 1.7 MB of RSS (numpy 2.4, 2-core x86-64 VM)
-    if len(set(labels)) < 2:
+    if set(labels) != {POSITIVE, NEGATIVE}:
         raise DataError("training data must contain both relation labels")
-    targets = np.array(labels)
+    targets = np.array(labels, dtype=np.intp)
     ids = [vocab.encode(ex.path) for ex in examples]
     learned = _learned_mask(vocab)
     rng = np.random.default_rng(config.seed)
@@ -426,18 +417,19 @@ def evaluate(params: LstmParams, vocab: PathVocab, examples: Sequence[RelationEx
              ) -> float:
     """Fraction of examples whose higher-probability label is correct."""
     probs = predict_paths(params, vocab, [ex.path for ex in examples])
-    predicted = np.where(probs[:, 0] > probs[:, 1], 0, 1)  # a tie or NaN predicts negative
-    targets = np.array([label_index(ex.label) for ex in examples])
+    # a tie or NaN predicts negative
+    predicted = np.where(probs[:, POSITIVE] > probs[:, NEGATIVE], POSITIVE, NEGATIVE)
+    targets = np.array([ex.label for ex in examples])
     return np.count_nonzero(predicted == targets) / len(examples)
 
 
 def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> None:
     """Write the model as one JSON line, every weight rounded to 9
-    significant digits as ``round9`` rounds it.
+    significant digits.
 
     The line is the text of one ``json.dumps`` of the whole document, but it
-    goes out one array row at a time: each row is rounded in one ``'%.9g'``
-    pass and written through its own ``json.dumps`` (the C encoder, which
+    goes out one array row at a time: each row is rounded by ``rounded`` and
+    written through its own ``json.dumps`` (the C encoder, which
     ``json.dump`` never uses), so one row's floats and text are all the
     writer holds beyond the vocabulary.
     """
@@ -453,40 +445,13 @@ def save_relation_model(params: LstmParams, vocab: PathVocab, out: IO[str]) -> N
         array = getattr(params, name)
         out.write(f', "{name}": ')
         if array.ndim == 1:
-            out.write(_rounded_row(array))
+            out.write(json.dumps(rounded(array.tolist())))
             continue
         out.write("[")
         for i, row in enumerate(array):
-            out.write((", " if i else "") + _rounded_row(row))
+            out.write((", " if i else "") + json.dumps(rounded(row.tolist())))
         out.write("]")
     out.write("}\n")
-
-
-def _rounded_row(row: np.ndarray) -> str:
-    """A 1-d array as the JSON text of its floats at 9 significant digits."""
-    flat = row.tolist()
-    return json.dumps(list(map(float, (("%.9g " * len(flat)) % tuple(flat)).split())))
-
-
-def _model_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
-    if name not in doc:
-        raise DataError(f"relation model has no {name!r} array")
-    value = doc[name]
-    rows = value if len(shape) == 2 and isinstance(value, list) else [value]
-    if not all(isinstance(row, list) and set(map(type, row)) <= {int, float} for row in rows):
-        raise DataError(f"relation model array {name!r} is not a {len(shape)}-d array "
-                        f"of JSON numbers")
-    try:
-        array = np.array(value, dtype=np.float64)
-    except ValueError as err:  # rows of different lengths
-        raise DataError(f"relation model array {name!r} is not a numeric array: {err}") from None
-    if array.shape != shape:
-        raise DataError(
-            f"relation model array {name!r} has shape {array.shape}, expected {shape}"
-        )
-    if not np.isfinite(array).all():
-        raise DataError(f"relation model array {name!r} has non-finite weights")
-    return array
 
 
 def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, PathVocab]:
@@ -512,5 +477,6 @@ def load_relation_model(source: Iterable[str] | IO[str]) -> tuple[LstmParams, Pa
 
     shapes = {"E": (len(vocab), d), "W": (4 * h, d), "U": (4 * h, h), "b": (4 * h,),
               "W_r": (2, h)}
-    arrays = {name: _model_array(doc, name, shape) for name, shape in shapes.items()}
+    arrays = {name: model_array(doc, name, shape, "relation model")
+              for name, shape in shapes.items()}
     return LstmParams(**arrays), vocab

@@ -9,6 +9,8 @@ pattern id:
 - the longest window prefix in the table wins, so a rejected signature
   is a lookup miss;
 - a signature that two patterns accept belongs to the lower id;
+- a concept accepted under several ids keeps them all, sorted; its
+  ``pattern`` is the lowest, whatever the order or the shards of its mentions;
 - a leading determiner is consumed but never kept: the concept text is
   the lowercased words after it;
 - ``cli.cmd_mine`` drops concepts that begin with ``#``, which every
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .corpus import SENTENCE_FINAL_PUNCT, Sentence
 
@@ -78,8 +80,13 @@ class CandidateMention(NamedTuple):
 @dataclass
 class ConceptEntry:
     text: str
-    pattern: str
+    patterns: tuple[str, ...]  # every id the concept was accepted under, sorted
     frequency: int
+
+    @property
+    def pattern(self) -> str:
+        """The lowest id the concept was accepted under."""
+        return self.patterns[0]
 
 
 def find_candidate_mentions(sentence: Sentence) -> list[CandidateMention]:
@@ -124,53 +131,40 @@ def mine_sentence(sentence: Sentence) -> list[tuple[str, str]]:
 
 ConceptTable = dict[str, ConceptEntry]
 
-# called with (concept text, pattern id the entry holds, pattern id just seen)
-OnConflict = Callable[[str, str, str], None] | None
 
-
-def aggregate_concepts(accepted: Iterable[tuple[str, str]], on_conflict: OnConflict = None
-                       ) -> ConceptTable:
-    """Fold (pattern id, concept text) pairs into a frequency table keyed by text.
-
-    A concept seen under two different pattern ids keeps the lowest id,
-    which makes the table independent of stream order; each conflict is
-    reported to ``on_conflict``.
-    """
+def aggregate_concepts(accepted: Iterable[tuple[str, str]]) -> ConceptTable:
+    """Fold (pattern id, concept text) pairs into a frequency table keyed by
+    text; each entry holds every id its concept was accepted under."""
     table: ConceptTable = {}
     for pattern, text in accepted:
-        _add(table, text, pattern, 1, on_conflict)
+        _add(table, text, (pattern,), 1)
     return table
 
 
-def _add(table: ConceptTable, text: str, pattern: str, count: int,
-         on_conflict: OnConflict) -> None:
+def _add(table: ConceptTable, text: str, patterns: tuple[str, ...], count: int) -> None:
     entry = table.get(text)
     if entry is None:
-        table[text] = ConceptEntry(text=text, pattern=pattern, frequency=count)
+        table[text] = ConceptEntry(text, patterns, count)
         return
     entry.frequency += count
-    if entry.pattern != pattern:
-        if on_conflict is not None:
-            on_conflict(text, entry.pattern, pattern)
-        entry.pattern = min(entry.pattern, pattern)
+    if entry.patterns != patterns:
+        entry.patterns = tuple(sorted({*entry.patterns, *patterns}))
 
 
-def merge_tables(*tables: ConceptTable, on_conflict: OnConflict = None) -> ConceptTable:
-    """Merge shard tables; frequencies add, pattern conflicts take min id
-    and are reported to ``on_conflict``."""
+def merge_tables(*tables: ConceptTable) -> ConceptTable:
+    """Merge shard tables: frequencies add and pattern ids unite, so the
+    merge equals the table of all the shards' mentions at once."""
     merged: ConceptTable = {}
     for table in tables:
         for entry in table.values():
-            _add(merged, entry.text, entry.pattern, entry.frequency, on_conflict)
+            _add(merged, entry.text, entry.patterns, entry.frequency)
     return merged
 
 
-def mine_corpus(sentences: Iterable[Sentence], on_conflict: OnConflict = None) -> ConceptTable:
-    """Concept table of every pattern-accepted mention in ``sentences``;
-    pattern conflicts are reported to ``on_conflict``."""
+def mine_corpus(sentences: Iterable[Sentence]) -> ConceptTable:
+    """Concept table of every pattern-accepted mention in ``sentences``."""
     return aggregate_concepts(
-        (match for sentence in sentences for match in mine_sentence(sentence)), on_conflict
-    )
+        match for sentence in sentences for match in mine_sentence(sentence))
 
 
 def sorted_entries(table: ConceptTable) -> list[ConceptEntry]:

@@ -19,8 +19,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import DataError, content_lines
 from .corpus import DepGraph, Sentence, build_dep_graph, lowered_words
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
+# the relation labels: the columns of the relation model's output
+POSITIVE = 0
+NEGATIVE = 1
 
 
 def _data_text(name: str) -> str:
@@ -308,13 +309,12 @@ def rank_paths_by_frequency(
 
 
 class RelationExample(NamedTuple):
-    """An occurrence's path with its relation label, ``POSITIVE`` or
-    ``NEGATIVE``; ``lstm.label_index`` rejects any other label."""
+    """A path with the label of the seed list that holds it, ``POSITIVE`` or
+    ``NEGATIVE``: distant supervision (Mintz et al., ACL 2009), where the
+    label comes from the path alone."""
 
     path: str
-    scene: str
-    concept: str
-    label: str
+    label: int
 
 
 def generate_training_examples(
@@ -336,7 +336,7 @@ def generate_training_examples(
             label = NEGATIVE
         else:
             continue
-        examples.append(RelationExample(occ.path, occ.scene, occ.concept, label))
+        examples.append(RelationExample(occ.path, label))
     return examples
 
 

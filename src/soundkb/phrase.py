@@ -26,7 +26,7 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from . import DataError, read_model, round9
+from . import DataError, model_array, read_model, rounded
 from .embeddings import AWV, CWV
 from .embeddings import featurize  # unused here; perfbench/spans.py traces phrase.featurize
 
@@ -220,8 +220,8 @@ def save_model(model: LinearModel, out: IO[str]) -> None:
         "version": MODEL_VERSION,
         "dimension": model.dimension,
         "feature_kind": model.feature_kind,
-        "weights": [round9(w) for w in model.weights],
-        "bias": round9(model.bias),
+        "weights": rounded(model.weights.tolist()),
+        "bias": rounded([model.bias])[0],
         "reg": model.reg,
         "epochs": model.epochs,
         "seed": model.seed,
@@ -246,18 +246,9 @@ def load_model(lines: Iterable[str] | IO[str]) -> LinearModel:
         if type(value) not in types or not math.isfinite(value):
             expected = "an integer" if types == (int,) else "a finite number"
             raise DataError(f"phrase model field {key!r} must be {expected}, got {value!r}")
-    weights = doc.get("weights")
-    if not isinstance(weights, list) or not all(type(w) in (int, float) for w in weights):
-        raise DataError("phrase model weights must be a list of numbers")
-    weights = np.array(weights, dtype=np.float64)
-    if not np.isfinite(weights).all():
-        raise DataError("phrase model has non-finite weights")
-    if weights.size == 0:
+    if doc["dimension"] < 1:
         raise DataError("phrase model has no weights")
-    if weights.shape[0] != doc["dimension"]:
-        raise DataError(
-            f"phrase model dimension {doc['dimension']} disagrees with weight count {weights.size}"
-        )
+    weights = model_array(doc, "weights", (doc["dimension"],), "phrase model")
     kind = doc.get("feature_kind", "")
     if kind not in ("", AWV, CWV):
         raise DataError(f"phrase model has unknown feature kind {kind!r}")

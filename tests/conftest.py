@@ -2,13 +2,14 @@
 the test oracles: thin wrappers over the production code they check, for
 the tests that need a form no command uses, the per-pattern matcher that
 the signature table is checked against, the general-graph shortest path
-search that the dependency path walk is checked against, the whole-file
-per-row ``.vec`` reader that ``load_embeddings`` is checked against, and
-the per-value relation model writer and per-example accuracy count that
-the model writer and ``lstm.evaluate`` are checked against, and the
-row-major LSTM kernel (B x 4h gate arrays, one step's inputs projected at
-a time, or the whole batch's) that the feature-major one is checked
-against."""
+search that the dependency path walk is checked against, the search down
+from the root that the reachability walk is checked against, the
+whole-file per-row ``.vec`` reader that ``load_embeddings`` is checked
+against, the per-value rounding, relation model writer and per-example
+accuracy count that ``soundkb.rounded``, the model writer and
+``lstm.evaluate`` are checked against, and the row-major LSTM kernel
+(B x 4h gate arrays, one step's inputs projected at a time, or the whole
+batch's) that the feature-major one is checked against."""
 
 import array
 import io
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from soundkb import lstm, phrase, round9
-from soundkb.corpus import parse_block
+from soundkb import lstm, phrase
+from soundkb.corpus import CorpusFormatError, parse_block
 from soundkb.embeddings import EmbeddingFormatError, EmbeddingStore, _header_dim
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model, softmax
 from soundkb.mining import PATTERNS, CandidateMention
-from soundkb.paths import DepPath, _data_text, load_seed_paths
+from soundkb.paths import NEGATIVE, POSITIVE, DepPath, _data_text, load_seed_paths
 from soundkb.phrase import LinearModel, save_model
 
 # "The park was filled with the sound of children playing", with its
@@ -176,6 +177,30 @@ def match_per_pattern(mention: CandidateMention) -> tuple[str, str] | None:
     if best is None:
         return None
     return best[1], " ".join(word.lower() for word in best[2])
+
+
+def check_reachability_from_root(heads: list[int | None], first_line: int) -> None:
+    """``corpus._check_reachability`` as a search down from the root token
+    over children lists: an attached token, or a head-less one with a
+    child, that the search does not reach is stranded."""
+    children: list[list[int]] = [[] for _ in heads]
+    for dependent, head in enumerate(heads, 1):
+        if head:
+            children[head - 1].append(dependent)
+    root = heads.index(0) + 1
+    reachable = {root}
+    stack = [root]
+    while stack:
+        for child in children[stack.pop() - 1]:
+            reachable.add(child)
+            stack.append(child)
+    stranded = [
+        index
+        for index, (head, below) in enumerate(zip(heads, children), 1)
+        if (head is not None or below) and index not in reachable
+    ]
+    if stranded:
+        raise CorpusFormatError(f"tokens not reachable from root: {stranded}", first_line)
 
 
 @dataclass(frozen=True)
@@ -424,6 +449,12 @@ def learned_ids(vocab) -> np.ndarray:
     return np.flatnonzero(lstm._learned_mask(vocab))
 
 
+def round9(value: float) -> float:
+    """``value`` rounded to the 9 significant digits a model file keeps: the
+    per-value form of ``soundkb.rounded``."""
+    return float(f"{value:.9g}")
+
+
 def save_relation_model_per_value(params: LstmParams, vocab, out) -> None:
     """The relation model writer in its per-value form: ``round9`` on each
     value, then ``json.dump``, which streams through the pure-Python encoder."""
@@ -551,7 +582,7 @@ def evaluate_per_example(params: LstmParams, vocab, examples) -> float:
     the label with the higher probability is predicted, a tie (or NaN)
     predicts the negative one."""
     probs = lstm.predict_paths(params, vocab, [ex.path for ex in examples])
-    correct = sum((0 if p_pos > p_neg else 1) == lstm.label_index(ex.label)
+    correct = sum((POSITIVE if p_pos > p_neg else NEGATIVE) == ex.label
                   for (p_pos, p_neg), ex in zip(probs, examples))
     return correct / len(examples)
 

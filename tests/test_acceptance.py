@@ -168,7 +168,7 @@ def test_criterion_4_gradient_check():
         length = rng.randint(1, 7)
         tokens = [rng.choice(edge_labels + words) for _ in range(length)]
         label = rng.choice([POSITIVE, NEGATIVE])
-        example = RelationExample(" ".join(tokens), "park", "x", label)
+        example = RelationExample(" ".join(tokens), label)
         _, analytic = lstm.loss_and_gradients(params, vocab, example)
         numeric = fd_gradients(params, vocab, example, eps=1e-5)
         for name in ARRAY_FIELDS:
@@ -224,8 +224,7 @@ def _sound_task(n: int, rng: random.Random) -> list[RelationExample]:
         if positive:
             tokens[rng.randrange(length)] = "sound"
         examples.append(
-            RelationExample(" ".join(tokens), "park", "x",
-                            POSITIVE if positive else NEGATIVE)
+            RelationExample(" ".join(tokens), POSITIVE if positive else NEGATIVE)
         )
     return examples
 

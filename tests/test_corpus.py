@@ -7,12 +7,19 @@ import pytest
 from soundkb.corpus import (
     CorpusFormatError,
     Sentence,
+    _check_reachability,
     build_dep_graph,
     parse_annotated_corpus,
     parse_block,
 )
 
-from conftest import PARK_BLOCK, PARK_EDGES, block_to_sentence, to_block
+from conftest import (
+    PARK_BLOCK,
+    PARK_EDGES,
+    block_to_sentence,
+    check_reachability_from_root,
+    to_block,
+)
 
 
 def numbered(text):
@@ -106,6 +113,28 @@ class TestParseBlock:
         block = "1\ta\tNN\t0\troot\n2\tb\tNN\t3\tdep\n3\tc\tNN\t2\tdep"
         with pytest.raises(CorpusFormatError, match="not reachable"):
             parse_block(numbered(block))
+
+
+def test_reachability_walk_matches_the_search_from_the_root():
+    """Random head arrays with one root, as ``parse_block`` checks them:
+    unattached tokens, cycles, chains through a head-less token."""
+    rng = random.Random(41)
+    stranded = 0
+    for _ in range(20_000):
+        n = rng.randint(1, 12)
+        heads = [rng.choice([None, None] + [h for h in range(1, n + 1) if h != i])
+                 for i in range(1, n + 1)]
+        heads[rng.randrange(n)] = 0
+        outcomes = []
+        for check in (_check_reachability, check_reachability_from_root):
+            try:
+                check(heads, 7)
+                outcomes.append(None)
+            except CorpusFormatError as err:
+                outcomes.append((str(err), err.line))
+        assert outcomes[0] == outcomes[1], heads
+        stranded += outcomes[0] is not None
+    assert 2_000 < stranded < 18_000  # both outcomes are well covered
 
 
 # One block per CorpusFormatError site: (block, message, line).  The block

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from soundkb import DataError, lstm, round9
+from soundkb import DataError, lstm
 from soundkb.lstm import (
     ARRAY_FIELDS,
     LEARNED,
@@ -21,7 +21,6 @@ from soundkb.lstm import (
     build_vocab,
     evaluate,
     init_params,
-    label_index,
     load_relation_model,
     loss_and_gradients,
     predict_paths,
@@ -42,6 +41,7 @@ from conftest import (
     make_store,
     malformed_relation_models,
     predict_paths_row_major,
+    round9,
     save_relation_model_per_value,
     train_row_major,
     zero_params,
@@ -59,9 +59,7 @@ def random_example(rng: random.Random, max_len: int = 7) -> RelationExample:
     length = rng.randint(1, max_len)
     tokens = [rng.choice(EDGE_LABELS + WORDS) for _ in range(length)]
     label = rng.choice([POSITIVE, NEGATIVE])
-    return RelationExample(
-        path=" ".join(tokens), scene="park", concept="x", label=label
-    )
+    return RelationExample(path=" ".join(tokens), label=label)
 
 
 def gate(array: np.ndarray, name: str, h: int) -> np.ndarray:
@@ -124,7 +122,7 @@ def scalar_cell_oracle(params: LstmParams, x, h_prev, c_prev):
 def fd_loss(params, vocab, example):
     tokens = tokenize_path(example.path)
     probs = predict_relation(params, vocab, tokens)
-    return -math.log(probs[label_index(example.label)])
+    return -math.log(probs[example.label])
 
 
 def fd_gradients(params, vocab, example, eps=1e-5):
@@ -179,15 +177,15 @@ def assert_same_loss_and_gradients(result, expected, cancelling=False):
 def batch_gradients(params, vocab, examples):
     """Summed loss and gradients of same-length examples as one batch."""
     ids = np.array([[vocab.id_of(t) for t in tokenize_path(ex.path)] for ex in examples])
-    targets = np.array([label_index(ex.label) for ex in examples])
+    targets = np.array([ex.label for ex in examples])
     return lstm._batch_loss_and_gradients(params, lstm._learned_mask(vocab), ids, targets,
                                           [ex.path for ex in examples])
 
 
 def same_length_batch(rng: random.Random, tokens, size: int) -> list[RelationExample]:
     length = rng.randint(1, 7)
-    return [RelationExample(" ".join(rng.choice(tokens) for _ in range(length)), "park",
-                            "x", rng.choice([POSITIVE, NEGATIVE])) for _ in range(size)]
+    return [RelationExample(" ".join(rng.choice(tokens) for _ in range(length)),
+                            rng.choice([POSITIVE, NEGATIVE])) for _ in range(size)]
 
 
 def max_batch_error(params, vocab, examples) -> tuple[float, float]:
@@ -376,7 +374,7 @@ class TestBatchedPredict:
         correct = 0
         for ex in examples:
             p_pos, p_neg = predict_relation(params, vocab, tokenize_path(ex.path))
-            correct += (0 if p_pos > p_neg else 1) == label_index(ex.label)
+            correct += (POSITIVE if p_pos > p_neg else NEGATIVE) == ex.label
         assert evaluate(params, vocab, examples) == correct / len(examples)
         params.W_r[:] = 0.0  # p_pos == p_neg: ties go to the negative label
         negatives = sum(ex.label == NEGATIVE for ex in examples)
@@ -391,8 +389,7 @@ class TestBatchedPredict:
         probs = np.array(rows * 2)
         monkeypatch.setattr(lstm, "predict_paths", lambda params, vocab, paths: probs)
         labels = [POSITIVE, NEGATIVE, NEGATIVE, NEGATIVE] + [POSITIVE] * 4
-        examples = [RelationExample(f"p{i}", "park", "x", label)
-                    for i, label in enumerate(labels)]
+        examples = [RelationExample(f"p{i}", label) for i, label in enumerate(labels)]
         assert evaluate(None, None, examples) == accuracy
         assert evaluate_per_example(None, None, examples) == accuracy
 
@@ -533,7 +530,7 @@ class TestGradients:
         params = init_params(vocab, d=3, h=4, seed=3)
         params.W_r[:] = 0.0
         for path in ("amod()", "amod() children det()"):
-            example = RelationExample(path, "park", "x", POSITIVE)
+            example = RelationExample(path, POSITIVE)
             loss, _ = loss_and_gradients(params, vocab, example)
             assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -542,7 +539,7 @@ class TestGradients:
         vocab = small_vocab(store)
         assert vocab.flags[vocab.id_of("children")] == PRETRAINED
         params = init_params(vocab, d=4, h=4, store=store, seed=4)
-        example = RelationExample("amod() children park", "park", "x", NEGATIVE)
+        example = RelationExample("amod() children park", NEGATIVE)
         _, grads = loss_and_gradients(params, vocab, example)
         assert np.all(grads.E[vocab.id_of("children")] == 0.0)
         assert np.all(grads.E[vocab.id_of("park")] == 0.0)
@@ -583,7 +580,7 @@ class TestGradients:
         store = make_store({"children": [0.1] * 4})
         vocab = small_vocab(store)
         params = init_params(vocab, d=4, h=4, store=store, seed=5)
-        examples = [RelationExample(path, "park", "x", label) for path, label in [
+        examples = [RelationExample(path, label) for path, label in [
             ("amod() children", POSITIVE), ("children children", NEGATIVE),
             ("det() noise", NEGATIVE)]]
         _, grads = batch_gradients(params, vocab, examples)
@@ -595,7 +592,7 @@ class TestGradients:
         params = zero_params(len(vocab), 3, 4)
         params.b[12:] = 1.0  # candidate block: every path ends in the same h > 0
         params.W_r[0] = 1e6  # so p(negative) underflows to 0
-        examples = [RelationExample(path, "park", "x", label) for path, label in [
+        examples = [RelationExample(path, label) for path, label in [
             ("amod() park", POSITIVE), ("det() park", NEGATIVE), ("det() noise", NEGATIVE)]]
         with pytest.raises(ArithmeticError, match=r"non-finite loss for path 'det\(\) park'$"):
             batch_gradients(params, vocab, examples)
@@ -611,12 +608,8 @@ class TestTrain:
             tokens = [rng.choice(EDGE_LABELS + WORDS) for _ in range(length)]
             if positive:
                 tokens[rng.randrange(length)] = "sound"
-            examples.append(
-                RelationExample(
-                    " ".join(tokens), "park", "x",
-                    POSITIVE if positive else NEGATIVE,
-                )
-            )
+            label = POSITIVE if positive else NEGATIVE
+            examples.append(RelationExample(" ".join(tokens), label))
         return examples
 
     def _setup(self, n=60, seed=0, h=8):
@@ -655,17 +648,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="both relation labels"):
             train(params, vocab, positives, TrainConfig(epochs=1))
 
-    @pytest.mark.parametrize("label", ["neutral", "Positive", ""])
+    # a label is a column index, so a string label is refused too
+    @pytest.mark.parametrize("label", [2, -1, "positive", "neutral", "Positive", ""])
     def test_other_label_rejected(self, label):
         examples, vocab, params = self._setup(n=20, seed=2)
         examples[7] = examples[7]._replace(label=label)
         before = [a.copy() for a in params.arrays()]
-        message = f"relation label must be 'positive' or 'negative', got {label!r}"
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match="both relation labels"):
             train(params, vocab, examples, TrainConfig(epochs=1))
         assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), before))
-        with pytest.raises(DataError, match=message):
-            evaluate(params, vocab, examples)
 
     @pytest.mark.parametrize("clip", [5.0, 0.5])  # 0.5 clips most steps
     def test_batch_size_one_is_per_example_training(self, clip, monkeypatch):
@@ -854,8 +845,8 @@ class TestSerialization:
 
     def test_bytes_equal_per_value_writer_on_trained_params(self):
         examples = [random_example(random.Random(k), max_len=6) for k in range(30)]
-        examples[0] = RelationExample("amod()", "park", "x", POSITIVE)
-        examples[1] = RelationExample("det()", "park", "x", NEGATIVE)
+        examples[0] = RelationExample("amod()", POSITIVE)
+        examples[1] = RelationExample("det()", NEGATIVE)
         store = make_store({"children": [0.25, -0.5, 0.125, 1.0]})
         vocab = small_vocab(store)
         params = init_params(vocab, d=4, h=5, store=store, seed=15)

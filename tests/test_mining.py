@@ -174,8 +174,8 @@ class TestAggregate:
         assert table["honking cars"].frequency == 3
 
     def test_merge_sums(self):
-        a = {"x": ConceptEntry("x", "P4", 2)}
-        b = {"x": ConceptEntry("x", "P4", 5)}
+        a = {"x": ConceptEntry("x", ("P4",), 2)}
+        b = {"x": ConceptEntry("x", ("P4",), 5)}
         assert merge_tables(a, b)["x"].frequency == 7
 
     def test_cross_pattern_conflict_keeps_lowest_id(self):
@@ -185,20 +185,18 @@ class TestAggregate:
         assert table["dogs barking"].pattern == "P3"
         assert table["dogs barking"].frequency == 2
 
-    def test_conflicts_reach_on_conflict_as_text_held_seen(self):
-        seen = []
+    def test_entries_hold_every_id_they_were_accepted_under(self):
         a = aggregate_concepts(
             self.accepted(("dogs barking", "P5"), ("dogs barking", "P3"), ("x", "P4"),
-                          ("dogs barking", "P5")),
-            on_conflict=lambda *conflict: seen.append(conflict),
-        )
-        # a conflict is reported for each mention whose id the entry does not hold
-        assert seen == [("dogs barking", "P5", "P3"), ("dogs barking", "P3", "P5")]
-        b = {"dogs barking": ConceptEntry("dogs barking", "P1", 1),
-             "x": ConceptEntry("x", "P4", 1)}
-        merged = merge_tables(a, b, on_conflict=lambda *conflict: seen.append(conflict))
-        assert seen[2:] == [("dogs barking", "P3", "P1")]
+                          ("dogs barking", "P5")))
+        assert a["dogs barking"].patterns == ("P3", "P5")
+        assert a["x"].patterns == ("P4",)
+        b = {"dogs barking": ConceptEntry("dogs barking", ("P1", "P5"), 1),
+             "x": ConceptEntry("x", ("P4",), 1)}
+        merged = merge_tables(a, b)
+        assert merged["dogs barking"].patterns == ("P1", "P3", "P5")
         assert (merged["dogs barking"].pattern, merged["dogs barking"].frequency) == ("P1", 4)
+        assert merged["x"].patterns == ("P4",)
 
     def test_order_independence(self):
         rng = random.Random(11)
@@ -209,8 +207,8 @@ class TestAggregate:
             rng.shuffle(shuffled)
             table = aggregate_concepts(self.accepted(*shuffled))
             assert {
-                t: (e.pattern, e.frequency) for t, e in table.items()
-            } == {t: (e.pattern, e.frequency) for t, e in base.items()}
+                t: (e.patterns, e.frequency) for t, e in table.items()
+            } == {t: (e.patterns, e.frequency) for t, e in base.items()}
 
     def test_split_merge_homomorphism(self):
         rng = random.Random(13)
@@ -223,8 +221,8 @@ class TestAggregate:
             left = aggregate_concepts(self.accepted(*items[:cut]))
             right = aggregate_concepts(self.accepted(*items[cut:]))
             merged = merge_tables(left, right)
-            assert {t: (e.pattern, e.frequency) for t, e in merged.items()} == {
-                t: (e.pattern, e.frequency) for t, e in whole.items()
+            assert {t: (e.patterns, e.frequency) for t, e in merged.items()} == {
+                t: (e.patterns, e.frequency) for t, e in whole.items()
             }
 
 
@@ -245,7 +243,7 @@ class TestCorpusMining:
 
 class TestTopK:
     def table(self, freqs: dict[str, int]):
-        return {t: ConceptEntry(t, "P4", f) for t, f in freqs.items()}
+        return {t: ConceptEntry(t, ("P4",), f) for t, f in freqs.items()}
 
     def test_tie_broken_by_text(self):
         top = sorted_entries(self.table({"a": 3, "b": 1, "c": 3}))[:2]
@@ -268,8 +266,8 @@ class TestTopK:
 class TestTsv:
     def test_sorted_entries_key(self):
         table = {
-            "b": ConceptEntry("b", "P4", 2),
-            "a": ConceptEntry("a", "P4", 2),
-            "z": ConceptEntry("z", "P4", 9),
+            "b": ConceptEntry("b", ("P4",), 2),
+            "a": ConceptEntry("a", ("P4",), 2),
+            "z": ConceptEntry("z", ("P4",), 9),
         }
         assert [e.text for e in sorted_entries(table)] == ["z", "a", "b"]

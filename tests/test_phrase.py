@@ -1,6 +1,8 @@
 """Linear max-margin phrase classifier and its cross-validation harness."""
 
 import io
+import json
+import math
 import warnings
 
 import numpy as np
@@ -8,12 +10,21 @@ import pytest
 
 from soundkb import DataError, phrase
 from soundkb.embeddings import featurize
-from soundkb.phrase import LabeledPhrase, load_model, make_folds, margins, predict, save_model
+from soundkb.phrase import (
+    LabeledPhrase,
+    LinearModel,
+    load_model,
+    make_folds,
+    margins,
+    predict,
+    save_model,
+)
 
 from conftest import (
     cross_validate,
     hinge_objective,
     malformed_phrase_models,
+    round9,
     separable_phrase_data,
     stack,
     train,
@@ -372,6 +383,17 @@ class TestSerialization:
         assert (again.reg, again.epochs, again.seed) == (1e-3, 5, 4)
         assert again.feature_kind == "awv"
 
+    def test_weights_and_bias_are_rounded_per_value(self):
+        edges = [-0.0, 5e-324, 1e308, -1e16, 1.0, 0.1, 123456789.5, 0.99999999995]
+        model = LinearModel(weights=np.array(edges), bias=-0.99999999995, reg=0.01,
+                            epochs=1, seed=0)
+        buf = io.StringIO()
+        save_model(model, buf)
+        doc = json.loads(buf.getvalue())
+        assert doc["weights"] == [round9(w) for w in edges]
+        assert doc["bias"] == round9(-0.99999999995)
+        assert math.copysign(1.0, doc["weights"][0]) == -1.0  # -0.0 keeps its sign
+
     def test_model_without_kind_is_read_as_awv(self):
         examples = clusters_with_verified_margin(20, 4, seed=32)
         model = train(examples, reg=1e-3, epochs=5, seed=4)
@@ -397,6 +419,17 @@ class TestSerialization:
     @pytest.mark.parametrize("case", sorted(malformed_phrase_models()))
     def test_malformed_documents_raise_data_error(self, case):
         with pytest.raises(DataError, match="phrase"):
+            load_model(io.StringIO(malformed_phrase_models()[case]))
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing-weights", "phrase model has no 'weights' array"),
+        ("non-numeric-weights", "phrase model array 'weights' is not a 1-d array of JSON numbers"),
+        ("count-mismatch", r"phrase model array 'weights' has shape \(2,\), expected \(3,\)"),
+        ("nan-weight", "phrase model array 'weights' has non-finite weights"),
+        ("no-weights", "phrase model has no weights"),
+    ])
+    def test_weights_are_read_as_the_relation_model_arrays_are(self, case, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
             load_model(io.StringIO(malformed_phrase_models()[case]))
 
 
