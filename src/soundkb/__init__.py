@@ -43,7 +43,7 @@ def read_model(source, fmt: str, version: int, what: str) -> dict:
                             "too large for a float") from None
         return value
 
-    text = source.read() if hasattr(source, "read") else "".join(source)
+    text = "".join(source)  # a text stream iterates its lines, as a list of lines does
     try:
         doc = json.loads(text, parse_int=integer)
     except json.JSONDecodeError as err:

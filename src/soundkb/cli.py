@@ -13,6 +13,10 @@ Subcommands::
 Every output file starts with a provenance comment (tool version, seed,
 input digests) and all randomness is seeded, so rerunning a command with
 identical inputs reproduces identical bytes.
+
+A diagnostic is formed in one of two places: ``_warn`` prints a warning as
+``warning: <file>[ line N]: ...``, and ``_naming`` names the file of a
+``DataError``, which ``main`` prints as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -141,16 +146,16 @@ def _rows(path: Path, columns: int, kind: str, exact: bool = True):
     """Yield ``(line number, fields)`` for each TAB-separated row of a file.
 
     Blank and ``#`` lines are skipped (``content_lines``).  A row needs
-    ``columns`` fields (at least that many if not ``exact``).
+    ``columns`` fields (at least that many if not ``exact``).  A DataError
+    is left for the caller's ``_naming`` to name.
     """
-    with _naming(path):
-        for line_no, line in content_lines(_streamed_lines(path)):
-            fields = line.split("\t")
-            if len(fields) < columns or (exact and len(fields) > columns):
-                raise DataError(
-                    f"line {line_no}: {kind} rows need {columns} columns, got {len(fields)}"
-                )
-            yield line_no, fields
+    for line_no, line in content_lines(_streamed_lines(path)):
+        fields = line.split("\t")
+        if len(fields) < columns or (exact and len(fields) > columns):
+            raise DataError(
+                f"line {line_no}: {kind} rows need {columns} columns, got {len(fields)}"
+            )
+        yield line_no, fields
 
 
 @contextmanager
@@ -164,6 +169,12 @@ def _naming(*inputs: Path):
         raise DataError(
             f"{names} {text}" if text.startswith("line ") else f"{names}: {text}"
         ) from err
+
+
+def _warn(path: Path, text: str, line: int | None = None) -> None:
+    """Print ``warning: <file>[ line N]: text`` on stderr."""
+    where = path.name if line is None else f"{path.name} line {line}"
+    print(f"warning: {where}: {text}", file=sys.stderr)
 
 
 def _load(path: Path, parse):
@@ -180,15 +191,14 @@ def _load_model(path: Path, load):
 
 
 def _load_vectors(path: Path, words: set[str]) -> embeddings.EmbeddingStore:
-    """The store of a ``.vec`` file's rows for ``words`` (lowercased); every
-    row of the file is checked."""
+    """The store of a ``.vec`` file's rows for ``words``; every row of the
+    file is checked."""
     return _load(path, lambda lines: embeddings.load_embeddings(lines, words))
 
 
 def _load_sentences(path: Path) -> list[corpus.Sentence]:
     def report(err: corpus.CorpusFormatError):
-        print(f"warning: {path.name} line {err.line}: skipping sentence: {err.reason}",
-              file=sys.stderr)
+        _warn(path, f"skipping sentence: {err.reason}", err.line)
 
     return _load(path, lambda lines: list(
         corpus.parse_annotated_corpus(lines, source_name=path.name, on_error=report)))
@@ -204,24 +214,22 @@ def _lexicon(args) -> paths.EnvironmentLexicon:
 
 
 def cmd_mine(args) -> int:
-    corpus_path = Path(args.corpus)
-    sentences = _load_sentences(corpus_path)
+    sentences = _load_sentences(args.corpus)
     tables = [mining.mine_corpus(sentences[i :: args.shards]) for i in range(args.shards)]
     table = mining.merge_tables(*tables)
     for text in sorted(text for text, entry in table.items() if len(entry.patterns) > 1):
         *others, last = table[text].patterns
-        print(f"warning: {corpus_path.name}: concept {text!r} seen under "
-              f"{', '.join(others)} and {last}; keeping {table[text].pattern}", file=sys.stderr)
+        _warn(args.corpus, f"concept {text!r} seen under {', '.join(others)} and {last}; "
+                           f"keeping {table[text].pattern}")
     # a row that begins with '#' would read back as a comment
     hashed = [text for text in table if text.startswith("#")]
     if hashed:
-        print(f"warning: {corpus_path.name}: dropped {len(hashed)} concepts "
-              "that begin with '#'", file=sys.stderr)
+        _warn(args.corpus, f"dropped {len(hashed)} concepts that begin with '#'")
         for text in hashed:
             del table[text]
     entries = mining.sorted_entries(table)
 
-    _write_tsv(Path(args.out), _provenance("mine", None, [corpus_path]), (),
+    _write_tsv(args.out, _provenance("mine", None, [args.corpus]), (),
                ((e.text, e.pattern, str(e.frequency)) for e in entries))
 
     counts = mining.pattern_counts(table)
@@ -240,16 +248,15 @@ def cmd_mine(args) -> int:
 def _read_labeled_phrases(path: Path) -> list[tuple[int, phrase.LabeledPhrase]]:
     """Each labeled phrase with the number of its line."""
     rows = []
-    for line_no, (w1, w2, label) in _rows(path, 3, "labeled phrase"):
-        try:
-            value = int(label)
-        except ValueError:
-            value = None
-        if value not in (+1, -1):
-            raise DataError(
-                f"{path.name} line {line_no}: label must be +1 or -1, got {label!r}"
-            )
-        rows.append((line_no, phrase.LabeledPhrase(bigram=(w1, w2), label=value)))
+    with _naming(path):
+        for line_no, (w1, w2, label) in _rows(path, 3, "labeled phrase"):
+            try:
+                value = int(label)
+            except ValueError:
+                value = None
+            if value not in (+1, -1):
+                raise DataError(f"line {line_no}: label must be +1 or -1, got {label!r}")
+            rows.append((line_no, phrase.LabeledPhrase(bigram=(w1, w2), label=value)))
     return rows
 
 
@@ -260,10 +267,8 @@ def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
 
 
 def cmd_train_phrase(args) -> int:
-    data_path = Path(args.data)
-    emb_path = Path(args.embeddings)
-    rows = _read_labeled_phrases(data_path)
-    store = _load_vectors(emb_path, {w.lower() for _, row in rows for w in row.bigram})
+    rows = _read_labeled_phrases(args.data)
+    store = _load_vectors(args.embeddings, {w for _, row in rows for w in row.bigram})
 
     def check(finite: np.ndarray) -> None:
         bad = np.flatnonzero(~finite)
@@ -272,13 +277,13 @@ def cmd_train_phrase(args) -> int:
             raise _margin_not_finite(line_no, row.bigram)
 
     # an overflow is reported by check, naming the phrase's line
-    with _naming(data_path), np.errstate(over="ignore", invalid="ignore"):
+    with _naming(args.data), np.errstate(over="ignore", invalid="ignore"):
         features, representable = embeddings.featurize_many(
             store, [row.bigram for _, row in rows], args.featurizer)
         for (line_no, row), known in zip(rows, representable.tolist()):
             if not known:
-                print(f"warning: {data_path.name} line {line_no}: skipping unrepresentable "
-                      f"phrase: {row.bigram[0]} {row.bigram[1]}", file=sys.stderr)
+                _warn(args.data, f"skipping unrepresentable phrase: {' '.join(row.bigram)}",
+                      line_no)
         keep = np.flatnonzero(representable)  # the labeled row of each kept feature
         if len(keep) < len(rows):
             features = features[keep]
@@ -298,8 +303,8 @@ def cmd_train_phrase(args) -> int:
     print(header)
     print(f"{values}\t{100 * report.mean_accuracy:.2f}")
 
-    with _open_out(Path(args.out)) as sink:
-        sink.write(f"# {_provenance('train-phrase', args.seed, [data_path, emb_path])}\n")
+    with _open_out(args.out) as sink:
+        sink.write(f"# {_provenance('train-phrase', args.seed, [args.data, args.embeddings])}\n")
         phrase.save_model(model, sink)
     return EXIT_OK
 
@@ -313,18 +318,16 @@ CLASSIFY_CHUNK_FLOATS = 1 << 14
 
 
 def cmd_classify(args) -> int:
-    model_path = Path(args.model)
-    emb_path = Path(args.embeddings)
-    phrases_path = Path(args.phrases)
-    model = _load_model(model_path, phrase.load_model)
+    model = _load_model(args.model, phrase.load_model)
     line_nos, bigrams = array.array("q"), []  # an array holds the numbers in 8 bytes each
-    for line_no, cols in _rows(phrases_path, 2, "phrase", exact=False):
-        line_nos.append(line_no)
-        bigrams.append((cols[0], cols[1]))
-    store = _load_vectors(emb_path, {w.lower() for bigram in bigrams for w in bigram})
+    with _naming(args.phrases):
+        for line_no, cols in _rows(args.phrases, 2, "phrase", exact=False):
+            line_nos.append(line_no)
+            bigrams.append((cols[0], cols[1]))
+    store = _load_vectors(args.embeddings, {w for bigram in bigrams for w in bigram})
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:  # checked before the output file is opened
-        with _naming(model_path, emb_path):
+        with _naming(args.model, args.embeddings):
             raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
 
     # every margin is known before the output file is opened
@@ -341,7 +344,7 @@ def cmd_classify(args) -> int:
     bad = np.flatnonzero(representable & ~np.isfinite(margins))
     if bad.size:
         i = int(bad[0])
-        with _naming(phrases_path):
+        with _naming(args.phrases):
             raise _margin_not_finite(line_nos[i], bigrams[i])
 
     def rows():
@@ -351,7 +354,7 @@ def cmd_classify(args) -> int:
             else:
                 yield (*bigram, "+1" if margin > 0 else "-1", f"{margin:.9g}")
 
-    _write_tsv(Path(args.out), _provenance("classify", None, [model_path, emb_path, phrases_path]),
+    _write_tsv(args.out, _provenance("classify", None, [args.model, args.embeddings, args.phrases]),
                ("word1", "word2", "label", "margin"), rows())
     return EXIT_OK
 
@@ -360,12 +363,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    corpus_path = Path(args.corpus)
-    concepts_path = Path(args.concepts)
-    sentences = _load_sentences(corpus_path)
-    concepts = paths.PhraseIndex(
-        cols[0].strip().lower() for _, cols in _rows(concepts_path, 1, "concept", exact=False)
-    )
+    sentences = _load_sentences(args.corpus)
+    with _naming(args.concepts):
+        concepts = paths.PhraseIndex(cols[0].strip().lower() for _, cols
+                                     in _rows(args.concepts, 1, "concept", exact=False))
     lexicon = _lexicon(args)
 
     occurrences, unconnected = [], []
@@ -373,13 +374,13 @@ def cmd_paths(args) -> int:
         occurrences.extend(paths.occurrences_for_sentence(
             sentence, concepts, lexicon, on_unconnected=unconnected.append))
     if unconnected:
-        print(f"warning: {corpus_path.name}: dropped {len(unconnected)} mention pairs "
-              "with an anchor that has no dependency edge", file=sys.stderr)
+        _warn(args.corpus, f"dropped {len(unconnected)} mention pairs "
+                           "with an anchor that has no dependency edge")
 
-    provenance = _provenance("paths", None, [corpus_path, concepts_path])
-    _write_tsv(Path(args.out), provenance, ("scene", "concept", "path", "sentence"),
+    provenance = _provenance("paths", None, [args.corpus, args.concepts])
+    _write_tsv(args.out, provenance, ("scene", "concept", "path", "sentence"),
                ((o.scene, o.concept, o.path, o.sentence_ref) for o in occurrences))
-    freq_out = Path(args.freq_out) if args.freq_out else Path(args.out).with_suffix(".freq.tsv")
+    freq_out = Path(args.freq_out) if args.freq_out else args.out.with_suffix(".freq.tsv")
     _write_tsv(freq_out, provenance, ("path", "distinct_pairs"),
                ((rendered, str(count))
                 for rendered, count in paths.rank_paths_by_frequency(occurrences)))
@@ -388,10 +389,11 @@ def cmd_paths(args) -> int:
 
 def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
     rows = []
-    for line_no, fields in _rows(path, 4, "occurrence"):
-        if not fields[2].strip():
-            raise DataError(f"{path.name} line {line_no}: empty path")
-        rows.append(paths.PathOccurrence._make(fields))
+    with _naming(path):
+        for line_no, fields in _rows(path, 4, "occurrence"):
+            if not fields[2].strip():
+                raise DataError(f"line {line_no}: empty path")
+            rows.append(paths.PathOccurrence._make(fields))
     return rows
 
 
@@ -410,10 +412,9 @@ def _training_examples(occ_path: Path, pos_path: Path, neg_path: Path
     with _naming(pos_path, neg_path):
         examples = paths.generate_training_examples(occurrences, seed_pos, seed_neg)
     if not examples:
-        raise DataError(
-            f"{occ_path.name}: no occurrence matched a seed path in {pos_path.name} "
-            f"or {neg_path.name}; nothing to train on"
-        )
+        with _naming(occ_path):
+            raise DataError(f"no occurrence matched a seed path in {pos_path.name} "
+                            f"or {neg_path.name}; nothing to train on")
     return examples
 
 
@@ -427,7 +428,7 @@ def _initial_model(args, examples: list[paths.RelationExample]
     d = args.dim or DEFAULT_DIM
     if args.embeddings:
         emb_path = Path(args.embeddings)
-        store = _load_vectors(emb_path, {token.lower() for path in distinct for token in path})
+        store = _load_vectors(emb_path, {token for path in distinct for token in path})
         if args.dim not in (None, store.dimension):
             raise UsageError(
                 f"--dim {args.dim} disagrees with {emb_path.name}, whose vectors have "
@@ -444,7 +445,7 @@ def _initial_model(args, examples: list[paths.RelationExample]
 
 
 def cmd_train_relation(args) -> int:
-    inputs = [Path(args.occurrences), Path(args.seeds_pos), Path(args.seeds_neg)]
+    inputs = [args.occurrences, args.seeds_pos, args.seeds_neg]
     examples = _training_examples(*inputs)
     if args.embeddings:
         inputs.append(Path(args.embeddings))
@@ -457,7 +458,7 @@ def cmd_train_relation(args) -> int:
     for stats in trace:
         print(f"epoch {stats.epoch}\tloss {stats.mean_loss:.6f}\tacc {stats.accuracy:.4f}")
 
-    with _open_out(Path(args.out)) as sink:
+    with _open_out(args.out) as sink:
         sink.write(f"# {_provenance('train-relation', args.seed, inputs)}\n")
         lstm.save_relation_model(params, vocab, sink)
     return EXIT_OK
@@ -467,13 +468,11 @@ def cmd_train_relation(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    occ_path = Path(args.occurrences)
-    params, vocab = _load_model(model_path, lstm.load_relation_model)
-    occurrences = _read_occurrences(occ_path)
+    params, vocab = _load_model(args.model, lstm.load_relation_model)
+    occurrences = _read_occurrences(args.occurrences)
     probs = lstm.predict_paths(params, vocab, [occ.path for occ in occurrences])
 
-    _write_tsv(Path(args.out), _provenance("predict", None, [model_path, occ_path]),
+    _write_tsv(args.out, _provenance("predict", None, [args.model, args.occurrences]),
                ("scene", "concept", "path", "p_positive"),
                ((o.scene, o.concept, o.path, f"{p_pos:.9g}")
                 for o, p_pos in zip(occurrences, probs[:, paths.POSITIVE].tolist())))
@@ -483,32 +482,27 @@ def cmd_predict(args) -> int:
 # ------------------------------------------------------------------ report
 
 
-def _read_predictions(
-    path: Path, lexicon: paths.EnvironmentLexicon
-) -> list[tuple[str, str, float]]:
-    """(scene, concept, p) rows; p must lie in [0, 1], the scene in the lexicon."""
+def _read_predictions(path: Path, lexicon: paths.EnvironmentLexicon
+                      ) -> Iterator[tuple[str, str, float]]:
+    """(scene, concept, p) rows, as they are read; p must lie in [0, 1], the
+    scene in the lexicon."""
     known = set(lexicon.entries)
-    rows = []
-    for line_no, (scene, concept, _path, p_text) in _rows(path, 4, "prediction"):
-        try:
-            p = float(p_text)
-        except ValueError:
-            p = math.nan
-        if not 0.0 <= p <= 1.0:
-            raise DataError(
-                f"{path.name} line {line_no}: p must be a number in [0, 1], got {p_text!r}"
-            )
-        if scene not in known:
-            raise DataError(
-                f"{path.name} line {line_no}: scene {scene!r} is not in the environment lexicon"
-            )
-        rows.append((scene, concept, p))
-    return rows
+    with _naming(path):
+        for line_no, (scene, concept, _path, p_text) in _rows(path, 4, "prediction"):
+            try:
+                p = float(p_text)
+            except ValueError:
+                p = math.nan
+            if not 0.0 <= p <= 1.0:
+                raise DataError(f"line {line_no}: p must be a number in [0, 1], got {p_text!r}")
+            if scene not in known:
+                raise DataError(
+                    f"line {line_no}: scene {scene!r} is not in the environment lexicon")
+            yield scene, concept, p
 
 
-def build_kb(
-    predictions: list[tuple[str, str, float]], threshold: float
-) -> dict[str, list[str]]:
+def build_kb(predictions: Iterable[tuple[str, str, float]], threshold: float
+             ) -> dict[str, list[str]]:
     """The sounds of each scene whose probability reaches ``threshold``.
 
     A pair seen along several paths keeps its highest probability; each
@@ -527,13 +521,12 @@ def build_kb(
 
 
 def cmd_report(args) -> int:
-    pred_path = Path(args.predictions)
     lexicon = _lexicon(args)
-    by_scene = build_kb(_read_predictions(pred_path, lexicon), args.threshold)
+    by_scene = build_kb(_read_predictions(args.predictions, lexicon), args.threshold)
 
     top_k = args.top_k or None
-    _write_tsv(Path(args.out),
-               f"{_provenance('report', None, [pred_path])} threshold={args.threshold:g}",
+    _write_tsv(args.out,
+               f"{_provenance('report', None, [args.predictions])} threshold={args.threshold:g}",
                ("environment", "sounds"),
                ((scene, ", ".join(by_scene.get(scene, [])[:top_k])) for scene in lexicon.entries))
     return EXIT_OK
@@ -564,43 +557,43 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="mine sound concepts from an annotated corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--corpus", required=True, type=Path)
+    p.add_argument("--out", required=True, type=Path)
     p.add_argument("--shards", type=_bounded(int, 1), default=1)
     p.add_argument("--top-k", type=_bounded(int, 0), default=0)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train-phrase", help="train the sound/non-sound phrase classifier")
-    p.add_argument("--data", required=True, help="TSV: word1, word2, label(+1/-1)")
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--data", required=True, type=Path, help="TSV: word1, word2, label(+1/-1)")
+    p.add_argument("--embeddings", required=True, type=Path)
     p.add_argument("--featurizer", choices=[embeddings.AWV, embeddings.CWV],
                    default=embeddings.AWV)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=_bounded(int, 2), default=phrase.DEFAULT_FOLDS)
     p.add_argument("--reg", type=_bounded(float, 0, strict=True), default=phrase.DEFAULT_REG)
     p.add_argument("--epochs", type=_bounded(int, 1), default=phrase.DEFAULT_EPOCHS)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_train_phrase)
 
     p = sub.add_parser("classify", help="classify bigram phrases with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--phrases", required=True, help="TSV: word1, word2")
-    p.add_argument("--out", required=True)
+    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--embeddings", required=True, type=Path)
+    p.add_argument("--phrases", required=True, type=Path, help="TSV: word1, word2")
+    p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("paths", help="extract scene-sound dependency paths")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--concepts", required=True)
+    p.add_argument("--corpus", required=True, type=Path)
+    p.add_argument("--concepts", required=True, type=Path)
     p.add_argument("--environments")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=Path)
     p.add_argument("--freq-out")
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("train-relation", help="train the scene-sound relation model")
-    p.add_argument("--occurrences", required=True)
-    p.add_argument("--seeds-pos", required=True)
-    p.add_argument("--seeds-neg", required=True)
+    p.add_argument("--occurrences", required=True, type=Path)
+    p.add_argument("--seeds-pos", required=True, type=Path)
+    p.add_argument("--seeds-neg", required=True, type=Path)
     p.add_argument("--embeddings")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=_bounded(int, 1))
@@ -610,21 +603,21 @@ def build_parser() -> _Parser:
     p.add_argument("--init-scale", type=_bounded(float, 0, strict=True),
                    default=lstm.DEFAULT_INIT_SCALE)
     p.add_argument("--clip", type=_bounded(float, 0, strict=True), default=lstm.TrainConfig.clip)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_train_relation)
 
     p = sub.add_parser("predict", help="score occurrences with a relation model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--occurrences", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--occurrences", required=True, type=Path)
+    p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="per-environment sound report")
-    p.add_argument("--predictions", required=True)
+    p.add_argument("--predictions", required=True, type=Path)
     p.add_argument("--environments")
     p.add_argument("--threshold", type=_bounded(float, 0), default=0.5)
     p.add_argument("--top-k", type=_bounded(int, 0), default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -635,20 +628,12 @@ DATA_ERRORS = (DataError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, *DATA_ERRORS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DATA_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(err, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -55,10 +55,10 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
     """Parse the lines of a ``.vec`` file into a store.
 
     Every row of the file is checked, but only the rows whose lowercased
-    word is in ``words`` are kept, in file order; ``words=None`` keeps
-    every row.  ``lines`` is walked once, ``LOAD_CHUNK_ROWS`` rows at a
-    time, so a load holds the kept rows, every word of the file (for the
-    duplicate check) and one chunk.
+    word is the lowercased form of one of ``words`` are kept, in file
+    order; ``words=None`` keeps every row.  ``lines`` is walked once,
+    ``LOAD_CHUNK_ROWS`` rows at a time, so a load holds the kept rows,
+    every word of the file (for the duplicate check) and one chunk.
 
     The dimension is fixed by the first vector line (and by a ``count
     dim`` header, if there is one); every later line must agree, no word
@@ -71,6 +71,8 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
     accepts the number forms that ``float`` reads and numpy does not
     (``1_0``, ``１``).
     """
+    if words is not None:  # the store's key rule: a word is its lowercased form
+        words = {word.lower() for word in words}
     index: dict[str, int] = {}  # kept word -> row, in row order
     # every word so far, for the duplicate check: a dict, whose popitem takes
     # back the words a chunk added, newest first

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -543,6 +544,24 @@ class TestPaths:
                      "--environments", str(envs), "--out", str(out)]) == 0
         assert data_lines(out) == []
 
+    def test_empty_file_options_mean_not_given(self, tmp_path):
+        corpus = tmp_path / "c.ann"
+        corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text("children playing\tP3\t1\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        assert main(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
+                     "--environments", "", "--freq-out", "", "--out", str(out)]) == 0
+        assert data_lines(out) == [f"park\tchildren playing\t{PARK_GOLDEN}\tc.ann:1"]
+        assert data_lines(tmp_path / "o.freq.tsv") == [f"{PARK_GOLDEN}\t1"]
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("library\tbooks\tp()\t0.9\n", encoding="utf-8")
+        report = tmp_path / "r.tsv"
+        assert main(["report", "--predictions", str(preds), "--environments", "",
+                     "--out", str(report)]) == 0
+        assert [row.split("\t")[0] for row in data_lines(report)] == list(
+            EnvironmentLexicon.default().entries)
+
 
 class TestTrainRelation:
     def test_trains_and_is_deterministic(self, relation_setup, tmp_path, capsys):
@@ -773,6 +792,24 @@ class TestPredictAndReport:
         assert [scene for scene, _ in rows] == list(EnvironmentLexicon.default().entries)
         listed = {scene: sounds for scene, sounds in rows if sounds}
         assert listed == {"park": park, "beach": "waves"}
+
+    def test_report_folds_rows_as_it_reads_them(self, tmp_path, capsys):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("park\tgulls\tp1()\t0.4\npark\tgulls\tp2()\t0.8\n"
+                         "beach\twaves\tp1()\t0.5\n", encoding="utf-8")
+        lexicon = EnvironmentLexicon.default()
+        rows = cli._read_predictions(preds, lexicon)
+        assert iter(rows) is rows  # read as build_kb folds them, never listed
+        listed = list(cli._read_predictions(preds, lexicon))
+        assert cli.build_kb(rows, 0.5) == cli.build_kb(listed, 0.5) == {
+            "park": ["gulls"], "beach": ["waves"]}
+        # a bad row after good ones: exit 2, and no output file
+        preds.write_text(preds.read_text(encoding="utf-8") + "park\tx\tp()\t1.5\n",
+                         encoding="utf-8")
+        out = tmp_path / "r.tsv"
+        err = data_error(["report", "--predictions", str(preds), "--out", str(out)], capsys)
+        assert err == "error: preds.tsv line 4: p must be a number in [0, 1], got '1.5'\n"
+        assert not out.exists()
 
     def test_unknown_scene_is_data_error(self, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
@@ -1523,6 +1560,100 @@ class TestCommandsKeepTheirWords:
         vec = tmp_path / "bad.vec"
         write_vec(vec, [*WORDS_VEC, "yy nan 0"])
         assert data_error(argv(command, vec), capsys) == f"error: {message}\n"
+
+
+# a sentence whose environment word carries no dependency edge
+STRANDED = ("1\tgunshots\tNNS\t2\tnsubj\n2\techoed\tVBD\t0\troot\n"
+            "3\tin\tIN\t_\t_\n4\tpark\tNN\t_\t_\n")
+# "#rain" and "rain" under P4; a "#rain" row would read back as a comment
+RAIN = ("1\tThe\tDT\t2\tdet\n2\tsound\tNN\t5\tnsubj\n3\tof\tIN\t_\t_\n"
+        "4\t{}\tNN\t2\tprep_of\n5\tfilled\tVBD\t0\troot\n6\tthe\tDT\t7\tdet\n"
+        "7\tpark\tNN\t5\tdobj\n8\t.\t.\t5\tpunct\n")
+# "running water" under P1 (VBG) and P6 (JJ)
+RUNNING = ("1\tthe\tDT\t2\tdet\n2\tsound\tNN\t0\troot\n3\tof\tIN\t2\tprep\n"
+           "4\trunning\t{}\t5\tamod\n5\twater\tNN\t3\tpobj\n")
+
+
+def phrase_model_text() -> str:
+    """A phrase model file for the 2-d vectors of WORDS_VEC."""
+    sink = io.StringIO()
+    phrase.save_model(phrase.LinearModel(weights=np.array([1.0, 0.0]), bias=0.0, reg=1e-4,
+                                          epochs=1, seed=0, feature_kind="awv"), sink)
+    return sink.getvalue()
+
+
+class TestOneDiagnosticForm:
+    """Every line a command prints on stderr has one form: ``warning: <file>:``
+    or ``error: <file>:``, with `` line N`` after the file for a row, and the
+    file named once; a usage error reads ``error: soundkb <command>:``."""
+
+    # case: (files written, argv with {name} for each file's path, exit code, file named)
+    CASES = {
+        "skipped-sentence": (
+            {"c.ann": "1\tnew york\tNNP\t0\troot\n\n1\tpark\tNN\t0\troot\n"},
+            ["mine", "--corpus", "{c.ann}", "--out", "{out}"], 0, "c.ann"),
+        "unrepresentable-phrase": (
+            {"labeled.tsv": LABELED_ABCD + "x\ty\t+1\n", "w.vec": "\n".join(WORDS_VEC)},
+            ["train-phrase", "--data", "{labeled.tsv}", "--embeddings", "{w.vec}",
+             "--folds", "2", "--out", "{out}"], 0, "labeled.tsv"),
+        "dropped-pair": (
+            {"c.ann": f"{STRANDED}\n{PARK_BLOCK}\n", "concepts.tsv": "gunshots\tP4\t1\n"},
+            ["paths", "--corpus", "{c.ann}", "--concepts", "{concepts.tsv}", "--out", "{out}"],
+            0, "c.ann"),
+        "hash-concept": (
+            {"c.ann": RAIN.format("#rain") + "\n" + RAIN.format("rain")},
+            ["mine", "--corpus", "{c.ann}", "--out", "{out}"], 0, "c.ann"),
+        "pattern-conflict": (
+            {"c.ann": "\n".join(RUNNING.format(tag) for tag in ("JJ", "VBG", "JJ"))},
+            ["mine", "--corpus", "{c.ann}", "--out", "{out}"], 0, "c.ann"),
+        "labeled-row": (
+            {"labeled.tsv": "a\tb\t7\n", "w.vec": "\n".join(WORDS_VEC)},
+            ["train-phrase", "--data", "{labeled.tsv}", "--embeddings", "{w.vec}",
+             "--out", "{out}"], 2, "labeled.tsv"),
+        "phrase-row": (
+            {"model.json": phrase_model_text(), "phrases.tsv": "a\tb\nlonely\n",
+             "w.vec": "\n".join(WORDS_VEC)},
+            ["classify", "--model", "{model.json}", "--embeddings", "{w.vec}",
+             "--phrases", "{phrases.tsv}", "--out", "{out}"], 2, "phrases.tsv"),
+        "concept-row": (
+            {"c.ann": PARK_BLOCK + "\n", "concepts.tsv": b"rain\n\xe9t\n"},
+            ["paths", "--corpus", "{c.ann}", "--concepts", "{concepts.tsv}", "--out", "{out}"],
+            2, "concepts.tsv"),
+        "occurrence-row": (
+            {"occ.tsv": "park\tc1\tamod()\ts1\nbeach\tc2\t\ts2\n",
+             "seeds.pos": "amod()\n", "seeds.neg": "prep_of()\n"},
+            ["train-relation", "--occurrences", "{occ.tsv}", "--seeds-pos", "{seeds.pos}",
+             "--seeds-neg", "{seeds.neg}", "--out", "{out}"], 2, "occ.tsv"),
+        "no-seeded-occurrence": (
+            {"occ.tsv": "park\tc1\txcomp()\ts1\n",
+             "seeds.pos": "amod()\n", "seeds.neg": "prep_of()\n"},
+            ["train-relation", "--occurrences", "{occ.tsv}", "--seeds-pos", "{seeds.pos}",
+             "--seeds-neg", "{seeds.neg}", "--out", "{out}"], 2, "occ.tsv"),
+        "prediction-row": (
+            {"preds.tsv": "park\ta\tp()\t0.9\nvolcano\tb\tp()\t0.9\n"},
+            ["report", "--predictions", "{preds.tsv}", "--out", "{out}"], 2, "preds.tsv"),
+        "usage": (
+            {}, ["mine", "--corpus", "c.ann", "--out", "{out}", "--shards", "0"], 1, None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_stderr_line_has_the_one_form(self, tmp_path, capsys, case):
+        files, argv, code, named = self.CASES[case]
+        paths = {"out": str(tmp_path / "out")}
+        for name, text in files.items():
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main([paths[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert lines
+        if named is None:
+            form = f"error: soundkb {argv[0]}: "
+        else:
+            kind = "warning" if code == 0 else "error"
+            form = rf"{kind}: {re.escape(named)}( line \d+)?: \S"
+        for line in lines:
+            assert re.match(form, line), line
+            assert named is None or line.count(named) == 1, line
 
 
 def _default(function, name: str):

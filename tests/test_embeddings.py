@@ -271,6 +271,12 @@ class TestFilteredLoad:
         np.testing.assert_array_equal(store.matrix, [[1, 2], [7, 8]])
         assert "OWL" in store and "cat" not in store and store.get("cat") is None
 
+    def test_wanted_words_are_matched_on_their_lowercased_form(self):
+        """The words to keep follow the store's key rule, as ``get`` does."""
+        store = load_embeddings(["cat 1 2", "Owl 3 4", "bee 5 6"], {"Cat", "OWL"})
+        assert list(store.index.items()) == [("cat", 0), ("owl", 1)]
+        np.testing.assert_array_equal(store.get("Cat"), [1, 2])
+
     @pytest.mark.parametrize("wanted", [set(), {"emu"}], ids=["empty", "absent"])
     def test_no_wanted_word_gives_a_store_without_rows(self, wanted):
         for load in (load_embeddings, load_per_row):
