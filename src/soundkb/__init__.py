@@ -7,8 +7,15 @@ class DataError(ValueError):
     """An input file or its content is malformed or inconsistent.
 
     Readers and validators raise it (or a subclass) for bad input; the
-    command line reports it and exits 2.  Any other exception is a bug.
+    command line names the file, reports it and exits 2.  Any other
+    exception is a bug.  ``reason`` says what is wrong and ``line`` is the
+    1-based line it is on, or None; the text reads ``line N: reason``.
     """
+
+    def __init__(self, reason: str, line: int | None = None):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason = reason
+        self.line = line
 
 
 def content_lines(lines):

@@ -16,7 +16,10 @@ identical inputs reproduces identical bytes.
 
 A diagnostic is formed in one of two places: ``_warn`` prints a warning as
 ``warning: <file>[ line N]: ...``, and ``_naming`` names the file of a
-``DataError``, which ``main`` prints as ``error: ...``.
+``DataError`` from its ``line`` and ``reason``; both point with ``_where``.
+``main`` prints a ``DataError`` as ``error: ...``, and a file that cannot be
+opened as ``error: <path as given>: <reason>``.  ``_refuse_overwrites``
+stops an output that is also another file of its command before any read.
 """
 
 from __future__ import annotations
@@ -84,11 +87,6 @@ def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], rows) -> N
         sink.writelines("\t".join(row) + "\n" for row in rows)
 
 
-def _must_exist(path: Path) -> None:
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-
-
 _UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogates an undecodable byte becomes
 
 
@@ -105,7 +103,7 @@ def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataError:
         for line_no, line in enumerate(source, 1):
             if _UNDECODED.search(line):
                 break
-    return DataError(f"line {line_no}: not UTF-8 text ({err.reason})")
+    return DataError(f"not UTF-8 text ({err.reason})", line_no)
 
 
 _READ_CHUNK = 1 << 16  # characters per read; a walk holds about one chunk, split into lines
@@ -120,7 +118,6 @@ def _streamed_lines(path: Path):
     numbers are the file's.  A leading byte-order mark is dropped.  An
     undecodable byte raises the ``DataError`` of ``_not_utf8``.
     """
-    _must_exist(path)
     pieces = []  # the line that the last chunk left unfinished
     try:
         # universal newlines turn CRLF and CR into LF
@@ -152,9 +149,7 @@ def _rows(path: Path, columns: int, kind: str, exact: bool = True):
     for line_no, line in content_lines(_streamed_lines(path)):
         fields = line.split("\t")
         if len(fields) < columns or (exact and len(fields) > columns):
-            raise DataError(
-                f"line {line_no}: {kind} rows need {columns} columns, got {len(fields)}"
-            )
+            raise DataError(f"{kind} rows need {columns} columns, got {len(fields)}", line_no)
         yield line_no, fields
 
 
@@ -165,16 +160,17 @@ def _naming(*inputs: Path):
         yield
     except DataError as err:
         names = ", ".join(path.name for path in inputs)
-        text = str(err)
-        raise DataError(
-            f"{names} {text}" if text.startswith("line ") else f"{names}: {text}"
-        ) from err
+        raise DataError(f"{_where(names, err.line)}: {err.reason}") from err
+
+
+def _where(name: str, line: int | None) -> str:
+    """``<file>`` or ``<file> line N``: where a diagnostic points."""
+    return name if line is None else f"{name} line {line}"
 
 
 def _warn(path: Path, text: str, line: int | None = None) -> None:
     """Print ``warning: <file>[ line N]: text`` on stderr."""
-    where = path.name if line is None else f"{path.name} line {line}"
-    print(f"warning: {where}: {text}", file=sys.stderr)
+    print(f"warning: {_where(path.name, line)}: {text}", file=sys.stderr)
 
 
 def _load(path: Path, parse):
@@ -204,10 +200,12 @@ def _load_sentences(path: Path) -> list[corpus.Sentence]:
         corpus.parse_annotated_corpus(lines, source_name=path.name, on_error=report)))
 
 
-def _lexicon(args) -> paths.EnvironmentLexicon:
+def _lexicon(args) -> tuple[paths.EnvironmentLexicon, list[Path]]:
+    """The environment lexicon, and its file as the provenance inputs it adds."""
     if not args.environments:
-        return paths.EnvironmentLexicon.default()
-    return _load(Path(args.environments), paths.EnvironmentLexicon.from_lines)
+        return paths.EnvironmentLexicon.default(), []
+    path = Path(args.environments)
+    return _load(path, paths.EnvironmentLexicon.from_lines), [path]
 
 
 # ----------------------------------------------------------------- mine
@@ -255,15 +253,15 @@ def _read_labeled_phrases(path: Path) -> list[tuple[int, phrase.LabeledPhrase]]:
             except ValueError:
                 value = None
             if value not in (+1, -1):
-                raise DataError(f"line {line_no}: label must be +1 or -1, got {label!r}")
+                raise DataError(f"label must be +1 or -1, got {label!r}", line_no)
             rows.append((line_no, phrase.LabeledPhrase(bigram=(w1, w2), label=value)))
     return rows
 
 
 def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
     """The error for a phrase whose margin overflows, to be named by its file."""
-    return DataError(f"line {line_no}: the margin of {' '.join(bigram)!r} is not finite "
-                     "(its features or the model's weights are too large)")
+    return DataError(f"the margin of {' '.join(bigram)!r} is not finite "
+                     "(its features or the model's weights are too large)", line_no)
 
 
 def cmd_train_phrase(args) -> int:
@@ -367,7 +365,7 @@ def cmd_paths(args) -> int:
     with _naming(args.concepts):
         concepts = paths.PhraseIndex(cols[0].strip().lower() for _, cols
                                      in _rows(args.concepts, 1, "concept", exact=False))
-    lexicon = _lexicon(args)
+    lexicon, lexicon_file = _lexicon(args)
 
     occurrences, unconnected = [], []
     for sentence in sentences:
@@ -377,11 +375,10 @@ def cmd_paths(args) -> int:
         _warn(args.corpus, f"dropped {len(unconnected)} mention pairs "
                            "with an anchor that has no dependency edge")
 
-    provenance = _provenance("paths", None, [args.corpus, args.concepts])
+    provenance = _provenance("paths", None, [args.corpus, args.concepts, *lexicon_file])
     _write_tsv(args.out, provenance, ("scene", "concept", "path", "sentence"),
                ((o.scene, o.concept, o.path, o.sentence_ref) for o in occurrences))
-    freq_out = Path(args.freq_out) if args.freq_out else args.out.with_suffix(".freq.tsv")
-    _write_tsv(freq_out, provenance, ("path", "distinct_pairs"),
+    _write_tsv(args.freq_out, provenance, ("path", "distinct_pairs"),
                ((rendered, str(count))
                 for rendered, count in paths.rank_paths_by_frequency(occurrences)))
     return EXIT_OK
@@ -392,7 +389,7 @@ def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
     with _naming(path):
         for line_no, fields in _rows(path, 4, "occurrence"):
             if not fields[2].strip():
-                raise DataError(f"line {line_no}: empty path")
+                raise DataError("empty path", line_no)
             rows.append(paths.PathOccurrence._make(fields))
     return rows
 
@@ -494,10 +491,9 @@ def _read_predictions(path: Path, lexicon: paths.EnvironmentLexicon
             except ValueError:
                 p = math.nan
             if not 0.0 <= p <= 1.0:
-                raise DataError(f"line {line_no}: p must be a number in [0, 1], got {p_text!r}")
+                raise DataError(f"p must be a number in [0, 1], got {p_text!r}", line_no)
             if scene not in known:
-                raise DataError(
-                    f"line {line_no}: scene {scene!r} is not in the environment lexicon")
+                raise DataError(f"scene {scene!r} is not in the environment lexicon", line_no)
             yield scene, concept, p
 
 
@@ -521,12 +517,13 @@ def build_kb(predictions: Iterable[tuple[str, str, float]], threshold: float
 
 
 def cmd_report(args) -> int:
-    lexicon = _lexicon(args)
+    lexicon, lexicon_file = _lexicon(args)
     by_scene = build_kb(_read_predictions(args.predictions, lexicon), args.threshold)
 
     top_k = args.top_k or None
     _write_tsv(args.out,
-               f"{_provenance('report', None, [args.predictions])} threshold={args.threshold:g}",
+               f"{_provenance('report', None, [args.predictions, *lexicon_file])} "
+               f"threshold={args.threshold:g}",
                ("environment", "sounds"),
                ((scene, ", ".join(by_scene.get(scene, [])[:top_k])) for scene in lexicon.entries))
     return EXIT_OK
@@ -623,16 +620,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-# bad input (a DataError) or an unreadable file; anything else is a bug
+# bad input (a DataError) or an unreadable or unwritable file; anything else is a bug
 DATA_ERRORS = (DataError, OSError)
+
+# every option that names a file, outputs first
+FILE_OPTIONS = ("out", "freq_out", "corpus", "concepts", "environments", "data", "embeddings",
+                "model", "phrases", "occurrences", "seeds_pos", "seeds_neg", "predictions")
+
+
+def _refuse_overwrites(args) -> None:
+    """Raise a DataError, before anything is read, if an output file is also
+    another file of the command, which writing it would destroy.  The
+    default of ``paths --freq-out`` is worked out here."""
+    if args.command == "paths":
+        args.freq_out = Path(args.freq_out) if args.freq_out else args.out.with_suffix(".freq.tsv")
+    files = {option: getattr(args, option) for option in FILE_OPTIONS
+             if getattr(args, option, None)}
+    resolved = {option: Path(path).resolve() for option, path in files.items()}
+    for output in [option for option in files if option in ("out", "freq_out")]:
+        for other in files:
+            if other != output and resolved[other] == resolved[output]:
+                flags = " and ".join("--" + name.replace("_", "-") for name in (output, other))
+                raise DataError(f"{files[output]}: {flags} name the same file")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _refuse_overwrites(args)
         return args.func(args)
     except (UsageError, *DATA_ERRORS) as err:
-        print(f"error: {err}", file=sys.stderr)
+        named = isinstance(err, OSError) and err.filename is not None  # the path as given
+        print(f"error: {err.filename}: {err.strerror}" if named else f"error: {err}",
+              file=sys.stderr)
         return EXIT_USAGE if isinstance(err, UsageError) else EXIT_DATA
 
 

@@ -28,11 +28,6 @@ _WHITESPACE = re.compile(r"\s").search
 class CorpusFormatError(DataError):
     """A sentence block that violates the corpus format."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.reason = message
-
 
 @dataclass(frozen=True, slots=True)
 class Sentence:

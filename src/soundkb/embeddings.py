@@ -142,7 +142,7 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
         raise EmbeddingFormatError("no vector lines in embedding file")
     # a malformed row is named before a non-finite one, wherever each is
     if non_finite is not None:
-        raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
+        raise EmbeddingFormatError("non-finite vector component", non_finite)
     # a view of the kept rows, not a copy
     return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
 
@@ -165,19 +165,18 @@ def _check_rows(line_nos: list[int], row_words: list[str], texts: list[str],
         try:
             vector = [float(v) for v in text.split()]
         except ValueError:
-            raise EmbeddingFormatError(f"line {line_no}: non-numeric vector component") from None
+            raise EmbeddingFormatError("non-numeric vector component", line_no) from None
         if not vector:
-            raise EmbeddingFormatError(f"line {line_no}: no vector components")
+            raise EmbeddingFormatError("no vector components", line_no)
         if dimension is None:
             dimension = len(vector)
             if header_dim not in (None, dimension):
-                raise EmbeddingFormatError(
-                    f"line {line_no}: header dimension {header_dim} != {dimension}")
+                raise EmbeddingFormatError(f"header dimension {header_dim} != {dimension}", line_no)
         elif len(vector) != dimension:
             raise EmbeddingFormatError(
-                f"line {line_no}: expected {dimension} components, got {len(vector)}")
+                f"expected {dimension} components, got {len(vector)}", line_no)
         if word in seen:
-            raise EmbeddingFormatError(f"line {line_no}: duplicate word {word!r}")
+            raise EmbeddingFormatError(f"duplicate word {word!r}", line_no)
         seen[word] = None
         if non_finite is None and not all(map(math.isfinite, vector)):
             non_finite = line_no

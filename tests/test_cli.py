@@ -1407,8 +1407,13 @@ class TestStreamedStore:
         assert walks == [data, vec]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="^no such file: "):
-            cli._load(tmp_path / "none.vec", load_embeddings)
+        """The error holds the path as given and the system's reason, which
+        ``main`` prints as ``error: <path>: <reason>``."""
+        missing = tmp_path / "none.vec"
+        with pytest.raises(FileNotFoundError) as exc:
+            cli._load(missing, load_embeddings)
+        assert exc.value.filename == str(missing)
+        assert exc.value.strerror == "No such file or directory"
 
     def test_peak_memory_is_the_matrix_not_the_text(self, tmp_path):
         """Reading the text and a list of its lines next to the matrix
@@ -1585,9 +1590,12 @@ def phrase_model_text() -> str:
 class TestOneDiagnosticForm:
     """Every line a command prints on stderr has one form: ``warning: <file>:``
     or ``error: <file>:``, with `` line N`` after the file for a row, and the
-    file named once; a usage error reads ``error: soundkb <command>:``."""
+    file named once; a usage error reads ``error: soundkb <command>:``.  A
+    file that cannot be opened, or an output that is also another file of the
+    command, is named by its path as given."""
 
-    # case: (files written, argv with {name} for each file's path, exit code, file named)
+    # case: (files written, a None text making a directory, argv with {name}
+    # for each file's path, exit code, file named)
     CASES = {
         "skipped-sentence": (
             {"c.ann": "1\tnew york\tNNP\t0\troot\n\n1\tpark\tNN\t0\troot\n"},
@@ -1634,15 +1642,32 @@ class TestOneDiagnosticForm:
             ["report", "--predictions", "{preds.tsv}", "--out", "{out}"], 2, "preds.tsv"),
         "usage": (
             {}, ["mine", "--corpus", "c.ann", "--out", "{out}", "--shards", "0"], 1, None),
+        "missing-input": (
+            {}, ["mine", "--corpus", "nope.ann", "--out", "{out}"], 2, "nope.ann"),
+        "output-in-missing-directory": (
+            {"preds.tsv": "park\ta\tp()\t0.9\n"},
+            ["report", "--predictions", "{preds.tsv}", "--out", "missing/r.tsv"],
+            2, "missing/r.tsv"),
+        "directory-input": (
+            {"dir.ann": None}, ["mine", "--corpus", "{dir.ann}", "--out", "{out}"], 2, "dir.ann"),
+        "output-is-input": (
+            {"model.json": phrase_model_text(), "ph.tsv": "a\tb\n",
+             "w.vec": "\n".join(WORDS_VEC)},
+            ["classify", "--model", "{model.json}", "--embeddings", "{w.vec}",
+             "--phrases", "{ph.tsv}", "--out", "{ph.tsv}"], 2, "ph.tsv"),
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_every_stderr_line_has_the_one_form(self, tmp_path, capsys, case):
+    def test_every_stderr_line_has_the_one_form(self, tmp_path, monkeypatch, capsys, case):
         files, argv, code, named = self.CASES[case]
-        paths = {"out": str(tmp_path / "out")}
+        monkeypatch.chdir(tmp_path)  # relative paths, so that a path as given is short
+        paths = {"out": "out"}
         for name, text in files.items():
-            paths[name] = str(tmp_path / name)
-            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+            paths[name] = name
+            if text is None:
+                Path(name).mkdir()
+            else:
+                Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main([paths[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]) == code
         lines = capsys.readouterr().err.splitlines()
         assert lines
@@ -1654,6 +1679,110 @@ class TestOneDiagnosticForm:
         for line in lines:
             assert re.match(form, line), line
             assert named is None or line.count(named) == 1, line
+
+
+class TestDataError:
+    """A DataError holds its reason and its line; its text, and the text
+    ``_naming`` gives it, put the line before the reason."""
+
+    @pytest.mark.parametrize("line, text, named", [
+        (7, "line 7: empty path", "occ.tsv line 7: empty path"),
+        (None, "empty path", "occ.tsv: empty path"),
+    ])
+    def test_text_line_and_reason(self, line, text, named):
+        err = DataError("empty path", line)
+        assert (str(err), err.line, err.reason) == (text, line, "empty path")
+        with pytest.raises(DataError) as exc:
+            with cli._naming(Path("dir") / "occ.tsv"):
+                raise err
+        assert str(exc.value) == named
+        assert exc.value.__cause__ is err
+
+
+class TestOutputsNeverOverwrite:
+    """An output file that is also another file of its command exits 2
+    before anything is read or written, names the output as given, and
+    leaves every file as it was."""
+
+    FILES = {
+        "c.ann": PARK_BLOCK + "\n", "k.tsv": "children playing\tP3\t1\n",
+        "o.tsv": "an earlier output\n", "preds.tsv": "park\ta\tp()\t0.9\n",
+        "labeled.tsv": LABELED_ABCD, "w.vec": "\n".join(WORDS_VEC) + "\n", "ph.tsv": "a\tb\n",
+        "envs.txt": "park\n",
+    }
+
+    @pytest.mark.parametrize("argv, error", [
+        (["classify", "--model", "model.json", "--embeddings", "w.vec", "--phrases", "ph.tsv",
+          "--out", "ph.tsv"], "ph.tsv: --out and --phrases"),
+        (["paths", "--corpus", "c.ann", "--concepts", "k.tsv", "--out", "o.tsv",
+          "--freq-out", "o.tsv"], "o.tsv: --out and --freq-out"),
+        (["paths", "--corpus", "c.ann", "--concepts", "k.tsv", "--out", "o.tsv",
+          "--freq-out", "c.ann"], "c.ann: --freq-out and --corpus"),
+        # the default --freq-out, o.freq.tsv, is checked too
+        (["paths", "--corpus", "c.ann", "--concepts", "o.freq.tsv", "--out", "o.tsv"],
+         "o.freq.tsv: --freq-out and --concepts"),
+        (["paths", "--corpus", "c.ann", "--concepts", "k.tsv", "--environments", "envs.txt",
+          "--out", "sub/../envs.txt"], "sub/../envs.txt: --out and --environments"),
+        (["train-phrase", "--data", "labeled.tsv", "--embeddings", "w.vec",
+          "--out", "w.vec"], "w.vec: --out and --embeddings"),
+        (["report", "--predictions", "preds.tsv", "--out", "link.tsv"],
+         "link.tsv: --out and --predictions"),
+    ])
+    def test_exit_2_and_every_file_is_left_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                     argv, error):
+        monkeypatch.chdir(tmp_path)
+        for name, text in {**self.FILES, "model.json": phrase_model_text(),
+                           "o.freq.tsv": "concepts\n"}.items():
+            Path(name).write_text(text, encoding="utf-8")
+        Path("link.tsv").symlink_to("preds.tsv")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error} name the same file\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_every_required_file_option_is_checked(self):
+        subcommands = next(action for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        for parser in subcommands.choices.values():
+            for action in parser._actions:
+                assert action.type is not Path or action.dest in cli.FILE_OPTIONS, action.dest
+
+
+class TestProvenanceNamesTheLexicon:
+    """A given --environments file is the last provenance input of paths and
+    report; without it, their first lines are as they were."""
+
+    def test_paths_and_report(self, tmp_path):
+        corpus = tmp_path / "c.ann"
+        corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
+        concepts = tmp_path / "k.tsv"
+        concepts.write_text("children playing\tP3\t1\n", encoding="utf-8")
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("park\ta\tp()\t0.9\nbeach\tb\tp()\t0.9\n", encoding="utf-8")
+        firsts, bodies = {}, {}
+        for name, scenes in (("ab.txt", "park\nbeach\n"), ("ba.txt", "beach\npark\n"),
+                             (None, None)):
+            given = []
+            if name is not None:
+                (tmp_path / name).write_text(scenes, encoding="utf-8")
+                given = ["--environments", str(tmp_path / name)]
+            occ, report = tmp_path / "occ.tsv", tmp_path / "r.tsv"
+            assert main(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
+                         *given, "--out", str(occ)]) == 0
+            assert main(["report", "--predictions", str(preds), *given,
+                         "--out", str(report)]) == 0
+            texts = [path.read_text(encoding="utf-8") for path in
+                     (occ, occ.with_suffix(".freq.tsv"), report)]
+            firsts[name] = [text.split("\n", 1)[0] for text in texts]
+            bodies[name] = texts[2].split("\n", 1)[1]
+        assert bodies["ab.txt"] != bodies["ba.txt"]
+        plain = firsts[None]
+        assert plain[2] == (f"{plain[0].replace('paths', 'report', 1).split(' inputs=')[0]} "
+                            f"inputs=preds.tsv:{cli._digest(preds)} threshold=0.5")
+        for name in ("ab.txt", "ba.txt"):
+            lexicon = f",{name}:{cli._digest(tmp_path / name)}"
+            assert firsts[name] == [plain[0] + lexicon, plain[1] + lexicon,
+                                    plain[2].replace(" threshold=", lexicon + " threshold=")]
 
 
 def _default(function, name: str):
