@@ -19,16 +19,20 @@ A diagnostic is formed in one of two places: ``_warn`` prints a warning as
 ``DataError`` from its ``line`` and ``reason``; both point with ``_where``.
 ``main`` prints a ``DataError`` as ``error: ...``, and a file that cannot be
 opened as ``error: <path as given>: <reason>``.  ``_refuse_overwrites``
-stops an output that is also another file of its command before any read.
+stops an output that is also another file of its command, or whose
+directory is missing, before any read.
 """
 
 from __future__ import annotations
 
 import argparse
 import array
+import errno
 import hashlib
 import math
+import os
 import re
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -278,6 +282,7 @@ def cmd_train_phrase(args) -> int:
     with _naming(args.data), np.errstate(over="ignore", invalid="ignore"):
         features, representable = embeddings.featurize_many(
             store, [row.bigram for _, row in rows], args.featurizer)
+        del store  # featurize_many copied the rows; the fits need only the features
         for (line_no, row), known in zip(rows, representable.tolist()):
             if not known:
                 _warn(args.data, f"skipping unrepresentable phrase: {' '.join(row.bigram)}",
@@ -628,10 +633,22 @@ FILE_OPTIONS = ("out", "freq_out", "corpus", "concepts", "environments", "data",
                 "model", "phrases", "occurrences", "seeds_pos", "seeds_neg", "predictions")
 
 
+def _output_directory(path: Path) -> None:
+    """Raise, naming ``path`` as given, the ``OSError`` that opening it for
+    writing would raise because its directory is missing or is no directory."""
+    try:
+        mode = os.stat(path.parent).st_mode
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+    if not stat.S_ISDIR(mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _refuse_overwrites(args) -> None:
     """Raise a DataError, before anything is read, if an output file is also
-    another file of the command, which writing it would destroy.  The
-    default of ``paths --freq-out`` is worked out here."""
+    another file of the command, which writing it would destroy, and the
+    ``OSError`` of ``_output_directory`` if an output's directory is
+    missing.  The default of ``paths --freq-out`` is worked out here."""
     if args.command == "paths":
         args.freq_out = Path(args.freq_out) if args.freq_out else args.out.with_suffix(".freq.tsv")
     files = {option: getattr(args, option) for option in FILE_OPTIONS
@@ -642,6 +659,7 @@ def _refuse_overwrites(args) -> None:
             if other != output and resolved[other] == resolved[output]:
                 flags = " and ".join("--" + name.replace("_", "-") for name in (output, other))
                 raise DataError(f"{files[output]}: {flags} name the same file")
+        _output_directory(files[output])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -73,23 +73,34 @@ def train(
     seed: int = 0,
     feature_kind: str = "",
 ) -> LinearModel:
-    """Fit a linear max-margin model on the rows of an (n x d) feature
+    """Fit a linear max-margin model on every row of an (n x d) feature
     matrix and their +1/-1 labels.
 
     Raises ``DataError`` if the fit ends with weights or a bias that are
     not finite (a ``reg`` so small that ``1/(reg*n)`` overflows, or
-    features large enough to overflow a margin).
+    features large enough to overflow a margin).  ``cross_validate`` fits
+    its folds with the same trainer on row indices of one matrix.
     """
+    return _fit(features, labels, np.arange(len(features)), reg, epochs, seed, feature_kind)
+
+
+def _fit(features: np.ndarray, labels: np.ndarray, subset: np.ndarray, reg: float,
+         epochs: int, seed: int, feature_kind: str = "") -> LinearModel:
+    """``train`` on the rows ``subset`` of ``features`` and ``labels``, in
+    that order, without copying them: the model is bit for bit the one
+    ``train(features[subset], labels[subset], ...)`` fits."""
     if reg <= 0:
         raise ValueError("regularization strength must be positive")
     if epochs < 1:
         raise ValueError("epoch count must be positive")
-    if len(features) == 0:
+    if len(subset) == 0:
         raise DataError("no training examples")
-    if not (np.any(labels == 1) and np.any(labels == -1)):
+    subset_labels = labels[subset]
+    if not (np.any(subset_labels == 1) and np.any(subset_labels == -1)):
         raise DataError("training data must contain both labels")
-    n, dim = features.shape
-    # the single steps index Python lists: cheaper than numpy scalars
+    n, dim = len(subset), features.shape[1]
+    # the single steps index Python lists: cheaper than numpy scalars; the
+    # rows are views into the one matrix, indexed by its row numbers
     rows = list(features)
     ys = labels.tolist()
     grow = 1.0 / (reg * n)
@@ -108,7 +119,8 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             perm = rng.permutation(n)
-            order = perm.tolist()
+            picked = subset[perm]  # the matrix row of each step of the epoch
+            order = picked.tolist()
             k = 0
             while k < n:
                 if streak < SKIP_AFTER:
@@ -123,7 +135,7 @@ def train(
                     # v and the bias hold until the next violation, so the
                     # margins of the next steps are one gathered product
                     m = min(streak, LOOKAHEAD, n - k)
-                    ahead = perm[k : k + m]
+                    ahead = picked[k : k + m]
                     margins = labels[ahead] * (
                         n / np.arange(t, t + m) * (features[ahead] @ v) + bias)
                     violations = np.flatnonzero(margins < 1.0)
@@ -192,7 +204,10 @@ def cross_validate(
 
     The folds are a seeded random partition; each fold is tested once on
     a model trained on the remaining folds.  ``features`` and ``labels``
-    are the arrays that ``train`` takes.
+    are the arrays that ``train`` takes.  Each fold's model is fitted on
+    the row indices of the remaining folds, in matrix order, so no fold
+    copies the training rows; it is bit for bit the model ``train`` fits
+    on a copy of those rows.
     """
     folds = make_folds(len(features), k, seed)
     accuracies = []
@@ -200,7 +215,7 @@ def cross_validate(
         # a mask keeps the remaining rows in their order
         rest = np.ones(len(features), dtype=bool)
         rest[held_out] = False
-        model = train(features[rest], labels[rest], reg=reg, epochs=epochs, seed=seed)
+        model = _fit(features, labels, np.flatnonzero(rest), reg, epochs, seed)
         predicted = np.where(margins(model, features[held_out]) > 0, 1, -1)
         accuracies.append(int((predicted == labels[held_out]).sum()) / len(held_out))
     mean = sum(accuracies) / len(accuracies)

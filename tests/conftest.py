@@ -7,7 +7,9 @@ from the root that the reachability walk is checked against, the
 whole-file per-row ``.vec`` reader that ``load_embeddings`` is checked
 against, the per-value rounding, relation model writer and per-example
 accuracy count that ``soundkb.rounded``, the model writer and
-``lstm.evaluate`` are checked against, and the row-major LSTM kernel
+``lstm.evaluate`` are checked against, the cross-validation that fits each
+fold on a copy of its rows, which the fits on row indices are checked
+against, and the row-major LSTM kernel
 (B x 4h gate arrays, one step's inputs projected at a time, or the whole
 batch's) that the feature-major one is checked against."""
 
@@ -390,6 +392,20 @@ def train(examples, **kwargs) -> LinearModel:
 def cross_validate(examples, **kwargs) -> phrase.CVReport:
     """``phrase.cross_validate`` on (feature vector, label) pairs."""
     return phrase.cross_validate(*stack(examples), **kwargs)
+
+
+def cross_validate_on_copies(features: np.ndarray, labels: np.ndarray, k: int, seed: int,
+                             reg: float, epochs: int) -> phrase.CVReport:
+    """``phrase.cross_validate`` with each fold's model fitted by
+    ``phrase.train`` on a copy of the remaining folds' rows, in matrix order."""
+    accuracies = []
+    for held_out in phrase.make_folds(len(features), k, seed):
+        rest = np.ones(len(features), dtype=bool)
+        rest[held_out] = False
+        model = phrase.train(features[rest], labels[rest], reg=reg, epochs=epochs, seed=seed)
+        predicted = np.where(phrase.margins(model, features[held_out]) > 0, 1, -1)
+        accuracies.append(int((predicted == labels[held_out]).sum()) / len(held_out))
+    return phrase.CVReport(tuple(accuracies), sum(accuracies) / len(accuracies))
 
 
 def hinge_objective(weights: np.ndarray, bias: float, examples, reg: float) -> float:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -246,6 +247,28 @@ class TestTrainPhrase:
         assert calls == [[b for b, _ in labeled] + [("zz", "qq")]]
         assert capsys.readouterr().err == (f"warning: with_oov.tsv line {len(labeled) + 1}: "
                                            "skipping unrepresentable phrase: zz qq\n")
+
+    def test_store_is_dropped_before_the_folds(self, phrase_setup, tmp_path, monkeypatch):
+        """The fits need only the features: the store that ``featurize_many``
+        copied its rows from is gone when cross-validation starts."""
+        _, _, vec, data = phrase_setup
+        stores, alive = [], []
+        real_cross_validate = phrase.cross_validate
+
+        def loading(lines, words=None):
+            store = load_embeddings(lines, words)
+            stores.append(weakref.ref(store))
+            return store
+
+        def cross_validating(*args, **kwargs):
+            alive.append([ref() is not None for ref in stores])
+            return real_cross_validate(*args, **kwargs)
+
+        monkeypatch.setattr(embeddings, "load_embeddings", loading)
+        monkeypatch.setattr(phrase, "cross_validate", cross_validating)
+        assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert alive == [[False]]
 
     @pytest.mark.parametrize("kind", ["awv", "cwv"])
     def test_kept_rows_keep_their_labels(self, phrase_setup, tmp_path, capsys, kind):
@@ -1592,7 +1615,8 @@ class TestOneDiagnosticForm:
     or ``error: <file>:``, with `` line N`` after the file for a row, and the
     file named once; a usage error reads ``error: soundkb <command>:``.  A
     file that cannot be opened, or an output that is also another file of the
-    command, is named by its path as given."""
+    command, is named by its path as given.  A command that fails prints
+    nothing on stdout and leaves no output file."""
 
     # case: (files written, a None text making a directory, argv with {name}
     # for each file's path, exit code, file named)
@@ -1648,6 +1672,22 @@ class TestOneDiagnosticForm:
             {"preds.tsv": "park\ta\tp()\t0.9\n"},
             ["report", "--predictions", "{preds.tsv}", "--out", "missing/r.tsv"],
             2, "missing/r.tsv"),
+        "freq-out-in-missing-directory": (
+            {"c.ann": PARK_BLOCK + "\n", "concepts.tsv": "children playing\tP3\t1\n"},
+            ["paths", "--corpus", "{c.ann}", "--concepts", "{concepts.tsv}", "--out", "{out}",
+             "--freq-out", "missing/f.tsv"], 2, "missing/f.tsv"),
+        "relation-model-in-missing-directory": (
+            {"occ.tsv": "park\tc1\tamod()\ts1\nbeach\tc2\tprep_of()\ts2\n",
+             "seeds.pos": "amod()\n", "seeds.neg": "prep_of()\n"},
+            ["train-relation", "--occurrences", "{occ.tsv}", "--seeds-pos", "{seeds.pos}",
+             "--seeds-neg", "{seeds.neg}", "--epochs", "2", "--out", "missing/m.json"],
+            2, "missing/m.json"),
+        "relation-model-under-a-file": (
+            {"occ.tsv": "park\tc1\tamod()\ts1\nbeach\tc2\tprep_of()\ts2\n",
+             "seeds.pos": "amod()\n", "seeds.neg": "prep_of()\n"},
+            ["train-relation", "--occurrences", "{occ.tsv}", "--seeds-pos", "{seeds.pos}",
+             "--seeds-neg", "{seeds.neg}", "--epochs", "2", "--out", "occ.tsv/m.json"],
+            2, "occ.tsv/m.json"),
         "directory-input": (
             {"dir.ann": None}, ["mine", "--corpus", "{dir.ann}", "--out", "{out}"], 2, "dir.ann"),
         "output-is-input": (
@@ -1669,8 +1709,11 @@ class TestOneDiagnosticForm:
             else:
                 Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main([paths[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]) == code
-        lines = capsys.readouterr().err.splitlines()
+        printed = capsys.readouterr()
+        lines = printed.err.splitlines()
         assert lines
+        if code:  # an error prints nothing on stdout and leaves no output file
+            assert printed.out == "" and not Path("out").exists()
         if named is None:
             form = f"error: soundkb {argv[0]}: "
         else:

@@ -3,13 +3,14 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from soundkb import DataError, phrase
-from soundkb.embeddings import featurize
+from soundkb.embeddings import CWV, featurize, featurize_many
 from soundkb.phrase import (
     LabeledPhrase,
     LinearModel,
@@ -22,6 +23,7 @@ from soundkb.phrase import (
 
 from conftest import (
     cross_validate,
+    cross_validate_on_copies,
     hinge_objective,
     malformed_phrase_models,
     round9,
@@ -370,6 +372,88 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(examples, k=4, seed=0)
 
+
+
+def dropped_rows_matrix(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A CWV matrix made as ``train-phrase`` makes one: the rows of
+    bigrams with unknown words are dropped, and some labels are flipped."""
+    store, labeled = separable_phrase_data(60, 6, seed=seed)
+    labeled = [(b, -y if i % 5 == 0 else y) for i, (b, y) in enumerate(labeled)]
+    labeled[10:10] = [(("zz", "qq"), +1), (("yy", "xx"), -1)]
+    labeled.append((("ww", "vv"), +1))
+    features, known = featurize_many(store, [b for b, _ in labeled], CWV)
+    keep = np.flatnonzero(known)
+    labels = np.array([y for _, y in labeled], dtype=np.float64)
+    return features[keep], labels[keep]
+
+
+FOLD_MATRICES = {
+    "noisy": lambda: stack(noisy_clusters(300, 12, seed=70, flip=0.1)),
+    # long runs without a violation: the look-ahead gathers rows
+    "separable": lambda: stack(clusters_with_verified_margin(240, 20, seed=71)),
+    "dropped-rows": lambda: dropped_rows_matrix(72),
+}
+
+
+class TestFoldsFitOnRowIndices:
+    """``cross_validate`` fits each fold on the row indices of the one
+    matrix: every fold's model is bit for bit the one ``train`` fits on a
+    copy of the fold's rows, and the report that of folds fitted on copies."""
+
+    @pytest.mark.parametrize("data", FOLD_MATRICES)
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_fold_fits_equal_fits_on_copies(self, data, k):
+        features, labels = FOLD_MATRICES[data]()
+        # distinct rows: a fit on any other rows than the fold's would differ
+        assert len(np.unique(features, axis=0)) == len(features)
+        for held_out in make_folds(len(features), k, seed=3):
+            rest = np.ones(len(features), dtype=bool)
+            rest[held_out] = False
+            on_indices = phrase._fit(features, labels, np.flatnonzero(rest), 1e-2, 4, 3)
+            on_copy = phrase.train(features[rest], labels[rest], reg=1e-2, epochs=4, seed=3)
+            assert on_indices.weights.tobytes() == on_copy.weights.tobytes()
+            assert on_indices.bias == on_copy.bias
+        report = phrase.cross_validate(features, labels, k=k, seed=3, reg=1e-2, epochs=4)
+        assert report == cross_validate_on_copies(features, labels, k, 3, 1e-2, 4)
+
+    def test_rows_are_taken_in_the_order_given(self):
+        features, labels = FOLD_MATRICES["noisy"]()
+        subset = np.random.default_rng(5).permutation(len(features))[:200]
+        on_indices = phrase._fit(features, labels, subset, 1e-2, 3, 7)
+        on_copy = phrase.train(features[subset], labels[subset], reg=1e-2, epochs=3, seed=7)
+        assert on_indices.weights.tobytes() == on_copy.weights.tobytes()
+        assert on_indices.bias == on_copy.bias
+
+    def test_a_training_fold_with_one_label_is_the_same_data_error(self):
+        features, labels = stack(noisy_clusters(12, 3, seed=73))
+        labels[:] = 1.0
+        labels[4] = -1.0  # the folds of two hold it out once, leaving only +1 rows
+        with pytest.raises(DataError) as on_copies:
+            cross_validate_on_copies(features, labels, 2, 0, 1e-2, 3)
+        with pytest.raises(DataError) as on_indices:
+            phrase.cross_validate(features, labels, k=2, seed=0, reg=1e-2, epochs=3)
+        assert str(on_indices.value) == str(on_copies.value) == (
+            "training data must contain both labels")
+        with pytest.raises(DataError, match="^training data must contain both labels$"):
+            phrase._fit(features, labels, np.array([0, 1, 2]), 1e-2, 3, 0)
+        with pytest.raises(DataError, match="^no training examples$"):
+            phrase._fit(features, labels, np.array([], dtype=np.intp), 1e-2, 3, 0)
+
+    def test_folds_copy_no_training_rows(self):
+        """The folds of two thousand rows of 200 features trace less than
+        half the matrix; a copy of the training rows of four folds alone
+        takes three quarters of it."""
+        rng = np.random.default_rng(74)
+        features = rng.normal(size=(2000, 200))
+        labels = np.where(features[:, 0] > 0, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            phrase.cross_validate(features, labels, k=4, seed=0, epochs=2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * features.nbytes
 
 class TestSerialization:
     def test_round_trip(self):
