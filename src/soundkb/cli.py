@@ -14,13 +14,10 @@ Every output file starts with a provenance comment (tool version, seed,
 input digests) and all randomness is seeded, so rerunning a command with
 identical inputs reproduces identical bytes.
 
-A diagnostic is formed in one of two places: ``_warn`` prints a warning as
-``warning: <file>[ line N]: ...``, and ``_naming`` names the file of a
-``DataError`` from its ``line`` and ``reason``; both point with ``_where``.
-``main`` prints a ``DataError`` as ``error: ...``, and a file that cannot be
-opened as ``error: <path as given>: <reason>``.  ``_refuse_overwrites``
-stops an output that is also another file of its command, or whose
-directory is missing, before any read.
+``_warn`` prints ``warning: <file>[ line N]: ...``, ``_naming`` names the
+file of a ``DataError``, and ``main`` prints ``error: ...`` (a file that
+cannot be opened as given); ``_refuse_overwrites`` stops an output that is
+another file of its command, or has no directory, before any read.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import argparse
 import array
 import errno
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -81,14 +79,14 @@ def _open_out(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], rows) -> None:
+def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], lines) -> None:
     """Write the ``#`` provenance line, the ``#`` column line (if there are
-    column names), then one TAB-joined line per row of strings."""
+    column names), then ``lines``: rows that their command formatted."""
     with _open_out(path) as sink:
         sink.write(f"# {provenance}\n")
         if columns:
             sink.write("# " + "\t".join(columns) + "\n")
-        sink.writelines("\t".join(row) + "\n" for row in rows)
+        sink.writelines(lines)
 
 
 _UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogates an undecodable byte becomes
@@ -190,7 +188,7 @@ def _load_model(path: Path, load):
         (" " * len(line) if line.startswith("#") else line) + "\n" for line in lines))
 
 
-def _load_vectors(path: Path, words: set[str]) -> embeddings.EmbeddingStore:
+def _load_vectors(path: Path, words: Iterable[str]) -> embeddings.EmbeddingStore:
     """The store of a ``.vec`` file's rows for ``words``; every row of the
     file is checked."""
     return _load(path, lambda lines: embeddings.load_embeddings(lines, words))
@@ -232,7 +230,7 @@ def cmd_mine(args) -> int:
     entries = mining.sorted_entries(table)
 
     _write_tsv(args.out, _provenance("mine", None, [args.corpus]), (),
-               ((e.text, e.pattern, str(e.frequency)) for e in entries))
+               (f"{e.text}\t{e.pattern}\t{e.frequency}\n" for e in entries))
 
     counts = mining.pattern_counts(table)
     print("Pattern\tTemplate\t# Concept")
@@ -321,44 +319,47 @@ CLASSIFY_CHUNK_FLOATS = 1 << 14
 
 
 def cmd_classify(args) -> int:
+    """Label each phrase, its words written back as given; each distinct word
+    is looked up once, and a phrase is held as the two slots of its words."""
     model = _load_model(args.model, phrase.load_model)
-    line_nos, bigrams = array.array("q"), []  # an array holds the numbers in 8 bytes each
+    slots: dict[str, int] = {}  # each distinct word -> its slot, in first-seen order
+    pairs = array.array("q")  # the two slots of each phrase, 8 bytes each
     with _naming(args.phrases):
-        for line_no, cols in _rows(args.phrases, 2, "phrase", exact=False):
-            line_nos.append(line_no)
-            bigrams.append((cols[0], cols[1]))
-    store = _load_vectors(args.embeddings, {w for bigram in bigrams for w in bigram})
+        for _, cols in _rows(args.phrases, 2, "phrase", exact=False):
+            pairs.append(slots.setdefault(cols[0], len(slots)))
+            pairs.append(slots.setdefault(cols[1], len(slots)))
+    store = _load_vectors(args.embeddings, slots)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:  # checked before the output file is opened
         with _naming(args.model, args.embeddings):
             raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
+    words = list(slots)
+    ids = store.rows(words)[pairs].reshape(-1, 2)  # the store rows of each phrase's words
 
     # every margin is known before the output file is opened
-    n = len(bigrams)
+    n = len(ids)
     margins = np.empty(n)
     representable = np.empty(n, dtype=bool)
     step = max(1, CLASSIFY_CHUNK_FLOATS // (2 * store.dimension))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by line
         for start in range(0, n, step):
             chunk = slice(start, start + step)
-            features, representable[chunk] = embeddings.featurize_many(
-                store, bigrams[chunk], model.feature_kind)
+            features, representable[chunk] = embeddings.featurize_rows(
+                store, ids[chunk], model.feature_kind)
             margins[chunk] = phrase.margins(model, features)
     bad = np.flatnonzero(representable & ~np.isfinite(margins))
-    if bad.size:
-        i = int(bad[0])
+    if bad.size:  # the phrase is read again, as no line number is kept
         with _naming(args.phrases):
-            raise _margin_not_finite(line_nos[i], bigrams[i])
-
-    def rows():
-        for bigram, known, margin in zip(bigrams, representable.tolist(), margins.tolist()):
-            if not known:
-                yield (*bigram, "unrepresentable", "NA")
-            else:
-                yield (*bigram, "+1" if margin > 0 else "-1", f"{margin:.9g}")
+            line_no, cols = next(itertools.islice(
+                _rows(args.phrases, 2, "phrase", exact=False), int(bad[0]), None))
+            raise _margin_not_finite(line_no, (cols[0], cols[1]))
 
     _write_tsv(args.out, _provenance("classify", None, [args.model, args.embeddings, args.phrases]),
-               ("word1", "word2", "label", "margin"), rows())
+               ("word1", "word2", "label", "margin"),
+               (f"{words[w1]}\t{words[w2]}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}\n"
+                if known else f"{words[w1]}\t{words[w2]}\tunrepresentable\tNA\n"
+                for w1, w2, known, margin
+                in zip(pairs[0::2], pairs[1::2], representable.tolist(), margins.tolist())))
     return EXIT_OK
 
 
@@ -382,21 +383,20 @@ def cmd_paths(args) -> int:
 
     provenance = _provenance("paths", None, [args.corpus, args.concepts, *lexicon_file])
     _write_tsv(args.out, provenance, ("scene", "concept", "path", "sentence"),
-               ((o.scene, o.concept, o.path, o.sentence_ref) for o in occurrences))
+               (f"{o.scene}\t{o.concept}\t{o.path}\t{o.sentence_ref}\n" for o in occurrences))
     _write_tsv(args.freq_out, provenance, ("path", "distinct_pairs"),
-               ((rendered, str(count))
+               (f"{rendered}\t{count}\n"
                 for rendered, count in paths.rank_paths_by_frequency(occurrences)))
     return EXIT_OK
 
 
-def _read_occurrences(path: Path) -> list[paths.PathOccurrence]:
-    rows = []
+def _occurrence_rows(path: Path) -> Iterator[list[str]]:
+    """The four fields of each occurrence row, as read; a blank path is refused."""
     with _naming(path):
         for line_no, fields in _rows(path, 4, "occurrence"):
             if not fields[2].strip():
                 raise DataError("empty path", line_no)
-            rows.append(paths.PathOccurrence._make(fields))
-    return rows
+            yield fields
 
 
 # ---------------------------------------------------------- train-relation
@@ -408,7 +408,7 @@ def _training_examples(occ_path: Path, pos_path: Path, neg_path: Path
                        ) -> list[paths.RelationExample]:
     """The occurrences whose path is a seed path, labeled; the occurrence
     rows are dropped once the examples exist."""
-    occurrences = _read_occurrences(occ_path)
+    occurrences = list(map(paths.PathOccurrence._make, _occurrence_rows(occ_path)))
     seed_pos = _load(pos_path, paths.load_seed_paths)
     seed_neg = _load(neg_path, paths.load_seed_paths)
     with _naming(pos_path, neg_path):
@@ -470,14 +470,20 @@ def cmd_train_relation(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """p(positive) of each occurrence, in input order.  Each distinct path
+    gets one slot, scored by one ``predict_paths`` call, and its
+    ``path<TAB>p`` tail is formatted once for all of its rows."""
     params, vocab = _load_model(args.model, lstm.load_relation_model)
-    occurrences = _read_occurrences(args.occurrences)
-    probs = lstm.predict_paths(params, vocab, [occ.path for occ in occurrences])
+    slots: dict[str, int] = {}  # each distinct path -> its slot, in first-seen order
+    rows = [(scene, concept, slots.setdefault(path, len(slots)))
+            for scene, concept, path, _ in _occurrence_rows(args.occurrences)]
+    probs = lstm.predict_paths(params, vocab, list(slots))
+    tails = [f"{path}\t{p_pos:.9g}\n"
+             for path, p_pos in zip(slots, probs[:, paths.POSITIVE].tolist())]
 
     _write_tsv(args.out, _provenance("predict", None, [args.model, args.occurrences]),
                ("scene", "concept", "path", "p_positive"),
-               ((o.scene, o.concept, o.path, f"{p_pos:.9g}")
-                for o, p_pos in zip(occurrences, probs[:, paths.POSITIVE].tolist())))
+               (f"{scene}\t{concept}\t{tails[slot]}" for scene, concept, slot in rows))
     return EXIT_OK
 
 
@@ -530,7 +536,8 @@ def cmd_report(args) -> int:
                f"{_provenance('report', None, [args.predictions, *lexicon_file])} "
                f"threshold={args.threshold:g}",
                ("environment", "sounds"),
-               ((scene, ", ".join(by_scene.get(scene, [])[:top_k])) for scene in lexicon.entries))
+               (f"{scene}\t{', '.join(by_scene.get(scene, [])[:top_k])}\n"
+                for scene in lexicon.entries))
     return EXIT_OK
 
 

@@ -49,6 +49,12 @@ class EmbeddingStore:
         row = self.index.get(word.lower())
         return None if row is None else self.matrix[row]
 
+    def rows(self, words: Iterable[str]) -> np.ndarray:
+        """The matrix row of each word, matched as ``get`` matches it, or -1
+        for a word without a vector."""
+        get = self.index.get
+        return np.array([get(word.lower(), -1) for word in words], dtype=np.intp)
+
 
 def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
                     ) -> EmbeddingStore:
@@ -238,14 +244,22 @@ def featurize_many(
 
     Row i equals ``featurize(store, bigrams[i], kind)`` bit for bit where
     ``representable[i]``; the row of a bigram with both words unknown is
-    zeros.  Both words' rows are gathered from the store's matrix in one
-    indexing step, and the rows of unknown words are zeroed in the gathered
-    copy, never in the store.
+    zeros.  The words are looked up here and the rest is ``featurize_rows``.
+    """
+    ids = store.rows(itertools.chain.from_iterable(bigrams)).reshape(-1, 2)
+    return featurize_rows(store, ids, kind)
+
+
+def featurize_rows(store: EmbeddingStore, ids: np.ndarray, kind: str
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``featurize_many`` of bigrams given as an (n x 2) array of the store
+    rows of their words, -1 for a word without a vector.
+
+    Both words' rows are gathered from the store's matrix in one indexing
+    step, and the rows of unknown words are zeroed in the gathered copy,
+    never in the store.
     """
     _check_kind(kind)
-    get = store.index.get
-    ids = np.array([(get(w1.lower(), -1), get(w2.lower(), -1)) for w1, w2 in bigrams],
-                   dtype=np.intp).reshape(-1, 2)
     known = ids >= 0
     if len(store.matrix):
         rows = store.matrix[ids]  # (n x 2 x d); an unknown word gathers the last row

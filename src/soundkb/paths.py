@@ -98,6 +98,8 @@ class EnvironmentLexicon:
             if entry.startswith("#"):
                 # a report row for it would read back as a comment
                 raise DataError(f"lexicon entries must not begin with '#': {entry!r}")
+            if "\t" in entry:  # it would add a column to every TSV row that names it
+                raise DataError(f"lexicon entries must not hold a TAB: {entry!r}")
             words = tuple(entry.split())
             if words in seen:
                 raise DataError(f"duplicate lexicon entry: {entry!r}")

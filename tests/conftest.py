@@ -5,9 +5,11 @@ the signature table is checked against, the general-graph shortest path
 search that the dependency path walk is checked against, the search down
 from the root that the reachability walk is checked against, the
 whole-file per-row ``.vec`` reader that ``load_embeddings`` is checked
-against, the per-value rounding, relation model writer and per-example
-accuracy count that ``soundkb.rounded``, the model writer and
-``lstm.evaluate`` are checked against, the cross-validation that fits each
+against, the per-phrase ``featurize_many`` scoring that ``classify``'s
+per-word slots are checked against, the per-value rounding, relation
+model writer and per-example accuracy count that ``soundkb.rounded``, the
+model writer and ``lstm.evaluate`` are checked against, the
+cross-validation that fits each
 fold on a copy of its rows, which the fits on row indices are checked
 against, and the row-major LSTM kernel
 (B x 4h gate arrays, one step's inputs projected at a time, or the whole
@@ -25,7 +27,7 @@ import pytest
 
 from soundkb import lstm, phrase
 from soundkb.corpus import CorpusFormatError, parse_block
-from soundkb.embeddings import EmbeddingFormatError, EmbeddingStore, _header_dim
+from soundkb.embeddings import EmbeddingFormatError, EmbeddingStore, _header_dim, featurize_many
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model, softmax
 from soundkb.mining import PATTERNS, CandidateMention
 from soundkb.paths import NEGATIVE, POSITIVE, DepPath, _data_text, load_seed_paths
@@ -375,6 +377,18 @@ def load_per_row(lines, words=None) -> EmbeddingStore:
     if non_finite is not None:
         raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
     return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
+
+
+def classify_per_phrase(store: EmbeddingStore, model: LinearModel, bigrams) -> list[str]:
+    """The data lines of ``classify``: each phrase looked up word by word and
+    featurized alone by ``featurize_many``, then scored by ``phrase.margins``."""
+    lines = []
+    for w1, w2 in bigrams:
+        features, representable = featurize_many(store, [(w1, w2)], model.feature_kind)
+        margin = phrase.margins(model, features)[0]
+        lines.append(f"{w1}\t{w2}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}"
+                     if representable[0] else f"{w1}\t{w2}\tunrepresentable\tNA")
+    return lines
 
 
 def stack(examples) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from conftest import (
     PARK_BLOCK,
     PATTERN_EXAMPLES_CORPUS,
     RELATION_MODEL,
+    classify_per_phrase,
     dump_embeddings,
     malformed_phrase_models,
     malformed_relation_models,
@@ -439,6 +440,41 @@ class TestClassify:
                 expected.append(f"{w1}\t{w2}\t{label:+d}\t{margin:.9g}")
         assert data_lines(out) == expected
 
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_word_slots_equal_per_phrase_featurize_many(self, phrase_setup, tmp_path,
+                                                        monkeypatch, kind):
+        store, labeled, vec, data = phrase_setup
+        model_path = self._train(data, vec, tmp_path, kind)
+        monkeypatch.setattr(cli, "CLASSIFY_CHUNK_FLOATS", 3 * 2 * store.dimension)
+        (a, b), (c, d) = labeled[0][0], labeled[-1][0]
+        # one word as written and capitalized, a word in both columns, unknown
+        # words, an unrepresentable row, and repeated rows
+        bigrams = [(a, b), (a.title(), b), (b, a.upper()), (a, a), (c, "oov"), ("OOV", d),
+                   ("oov", "zz"), (a, b), (d, c.title()), ("zz", "oov"), (a.title(), b)]
+        phrases = tmp_path / "phrases.tsv"
+        phrases.write_text("".join(f"{w1}\t{w2}\n" for w1, w2 in bigrams), encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["classify", "--model", str(model_path), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(out)]) == 0
+        model = phrase.load_model(data_lines(model_path))
+        assert data_lines(out) == classify_per_phrase(load_embeddings(data_lines(vec)), model,
+                                                      bigrams)
+
+    def test_words_are_written_back_as_given(self, phrase_setup, tmp_path):
+        _, labeled, vec, data = phrase_setup
+        model = self._train(data, vec, tmp_path, "awv")
+        a, b = labeled[0][0]
+        rows = [(a.upper(), b), (a, b.title()), (a.upper(), a.upper()), ("Oov", "ZZ")]
+        phrases = tmp_path / "phrases.tsv"
+        # a third column is read past and not written
+        phrases.write_text("".join(f"{w1}\t{w2}\tnote\n" for w1, w2 in rows), encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["classify", "--model", str(model), "--embeddings", str(vec),
+                     "--phrases", str(phrases), "--out", str(out)]) == 0
+        written = [line.split("\t") for line in data_lines(out)]
+        assert [tuple(row[:2]) for row in written] == rows
+        assert [row[2] for row in written] == ["+1", "+1", "+1", "unrepresentable"]
+
     @pytest.mark.parametrize("text", ["", "# no phrases\n\n"])
     def test_no_phrases_writes_the_two_header_lines(self, phrase_setup, tmp_path, text):
         _, _, vec, data = phrase_setup
@@ -718,12 +754,54 @@ class TestPredictAndReport:
         for row in rows:
             assert by_path.setdefault(row[2], row[3]) == row[3]
 
+    def test_rows_that_share_a_path_share_its_p_text(self, trained_model, tmp_path):
+        paths = ["amod()", "prep_of()", "amod()", "nsubj() filled prep_of() sound",
+                 "prep_of()", "amod()", "unseenword amod()", "nsubj() filled prep_of() sound"]
+        occ = tmp_path / "shared.tsv"
+        occ.write_text("".join(f"{['park', 'beach'][k % 2]}\tc{k}\t{path}\tref{k}\n"
+                               for k, path in enumerate(paths)), encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert main(["predict", "--model", str(trained_model),
+                     "--occurrences", str(occ), "--out", str(out)]) == 0
+        rows = [row.split("\t") for row in data_lines(out)]
+        assert [row[2] for row in rows] == paths
+        texts = {}
+        for row in rows:
+            assert texts.setdefault(row[2], row[3]) == row[3]
+        assert len(texts) == 4
+        # each row's p is what one score per row gives
+        params, vocab = load_relation_model(data_lines(trained_model))
+        assert [row[3] for row in rows] == [
+            f"{p:.9g}" for p in lstm.predict_paths(params, vocab, paths)[:, 0].tolist()]
+
+    def test_each_distinct_path_is_scored_once_in_first_seen_order(self, tmp_path,
+                                                                    monkeypatch):
+        model = tmp_path / "model.json"
+        model.write_text(RELATION_MODEL, encoding="utf-8")
+        paths = ["b()", "a()", "b()", "c() x", "a()", "b()", "c() x"]
+        occ = tmp_path / "occ.tsv"
+        occ.write_text("".join(f"park\tc{k}\t{path}\tref{k}\n" for k, path in enumerate(paths)),
+                       encoding="utf-8")
+        calls = []
+
+        def scored(params, vocab, distinct):
+            calls.append(list(distinct))
+            return np.array([[p, 1.0 - p] for p in (0.25, 0.5, 0.75)[:len(distinct)]])
+
+        monkeypatch.setattr(lstm, "predict_paths", scored)
+        out = tmp_path / "preds.tsv"
+        assert main(["predict", "--model", str(model), "--occurrences", str(occ),
+                     "--out", str(out)]) == 0
+        assert calls == [["b()", "a()", "c() x"]]
+        assert [row.split("\t")[3] for row in data_lines(out)] == [
+            "0.25", "0.5", "0.25", "0.75", "0.5", "0.25", "0.75"]
+
     def test_p_column_formats_edge_values(self, tmp_path, monkeypatch):
         values = [0.5, 1e-10, 0.99999999995, 5e-324, 1.0]
         model = tmp_path / "model.json"
         model.write_text(RELATION_MODEL, encoding="utf-8")
-        occ = tmp_path / "occ.tsv"
-        occ.write_text("".join(f"park\tc{k}\tamod()\tref{k}\n" for k in range(len(values))),
+        occ = tmp_path / "occ.tsv"  # one path per row: a path has one score
+        occ.write_text("".join(f"park\tc{k}\tamod() w{k}\tref{k}\n" for k in range(len(values))),
                        encoding="utf-8")
         probs = np.array([[p, 1.0 - p] for p in values])
         monkeypatch.setattr(lstm, "predict_paths", lambda *args: probs)
@@ -1140,6 +1218,12 @@ class TestDataErrorsNameTheirInput:
         err = self._with_lexicon(command, "  # scenes\npark\n", tmp_path, capsys)
         assert "envs.txt: lexicon entries must not begin with '#': '# scenes'" in err
 
+    @pytest.mark.parametrize("command", ["paths", "report"])
+    def test_environment_entry_holding_a_tab(self, command, tmp_path, capsys):
+        # its scene would add a column to each occurrence and report row
+        err = self._with_lexicon(command, "park\nthe\tpark\n", tmp_path, capsys)
+        assert "envs.txt: lexicon entries must not hold a TAB: 'the\\tpark'" in err
+
     @pytest.mark.parametrize("p", ["abc", "nan", "1.5", "-0.1", "inf", ""])
     def test_report_reads_p_strictly(self, tmp_path, capsys, p):
         preds = tmp_path / "preds.tsv"
@@ -1343,7 +1427,7 @@ class TestTextFiles:
     ], ids=["no-column-line", "column-line"])
     def test_write_tsv(self, tmp_path, columns, text):
         out = tmp_path / "o.tsv"
-        cli._write_tsv(out, "prov", columns, iter([("b", "1"), ("a", "2")]))
+        cli._write_tsv(out, "prov", columns, iter(["b\t1\n", "a\t2\n"]))
         assert out.read_bytes() == text.encode()
 
 

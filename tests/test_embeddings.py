@@ -14,6 +14,7 @@ from soundkb.embeddings import (
     PhraseUnrepresentableError,
     featurize,
     featurize_many,
+    featurize_rows,
     load_embeddings,
 )
 
@@ -494,6 +495,44 @@ class TestFeaturizeMany:
         features, representable = featurize_many(store, [("x", "y"), ("A", "b")], kind)
         assert features.shape == (2, width) and not features.any()
         assert representable.tolist() == [False, False]
+
+
+class TestFeaturizeRows:
+    """Bigrams given as the store rows of their words featurize as
+    ``featurize_many`` featurizes their words."""
+
+    @staticmethod
+    def _ids(store, bigrams):
+        return np.array([[store.index.get(w.lower(), -1) for w in bigram] for bigram in bigrams],
+                        dtype=np.intp).reshape(-1, 2)
+
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_equals_featurize_many_bitwise(self, kind):
+        store = TestFeaturizeMany._store()
+        rng = random.Random(8)
+        vocab = words(store) + ["W3", "Neg", "NEGZERO", "oov", "Missing"]
+        bigrams = [(rng.choice(vocab), rng.choice(vocab)) for _ in range(300)]
+        bigrams += [("w1", "oov"), ("oov", "w1"), ("W1", "w1"), ("oov", "missing")]
+        features, representable = featurize_rows(store, self._ids(store, bigrams), kind)
+        for want, want_representable in (featurize_many(store, bigrams, kind),
+                                         _stacked_featurize(store, bigrams, kind)):
+            assert features.shape == want.shape
+            assert features.tobytes() == want.tobytes()
+            assert representable.tolist() == want_representable.tolist()
+
+    @pytest.mark.parametrize("kind", ["awv", "cwv"])
+    def test_store_that_kept_no_row(self, kind):
+        store = load_embeddings(["a 1 2", "b 3 4"], {"x", "y"})
+        bigrams = [("x", "y"), ("A", "b")]
+        features, representable = featurize_rows(store, self._ids(store, bigrams), kind)
+        want, want_representable = featurize_many(store, bigrams, kind)
+        assert features.shape == want.shape and features.tobytes() == want.tobytes()
+        assert representable.tolist() == want_representable.tolist() == [False, False]
+
+    def test_rows_are_looked_up_on_the_lowercased_word(self):
+        store = make_store({"a": [1.0], "b": [2.0]})
+        assert store.rows(["B", "x", "a", "A"]).tolist() == [1, -1, 0, 0]
+        assert store.rows([]).dtype == np.intp
 
 
 class TestMatrixStore:

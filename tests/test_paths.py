@@ -174,6 +174,10 @@ class TestLexicon:
         with pytest.raises(DataError, match="must not begin with '#'"):
             EnvironmentLexicon(("park", "#park"))
 
+    def test_rejects_entry_holding_a_tab(self):
+        with pytest.raises(DataError, match="must not hold a TAB: 'the\\\\tpark'"):
+            EnvironmentLexicon.from_lines(["park", "the\tpark"])
+
     @pytest.mark.parametrize("lines, repeated", [
         (["park", "beach", "park"], "park"),
         (["grocery store", "park", "Grocery  Store "], "grocery  store"),
