@@ -18,6 +18,13 @@ identical inputs reproduces identical bytes.
 file of a ``DataError``, and ``main`` prints ``error: ...`` (a file that
 cannot be opened as given); ``_refuse_overwrites`` stops an output that is
 another file of its command, or has no directory, before any read.
+
+Every input is read as a stream (``_streamed_lines``).  ``mine`` and
+``paths`` take the corpus in lists of ``SENTENCE_CHUNK`` sentences
+(``_sentence_chunks``) and hold one list at a time; ``paths`` writes each
+list's rows as it goes, into files that ``_replacing`` renames over its
+outputs only when the run succeeds.  ``train-relation`` keeps only the
+path of each occurrence row.
 """
 
 from __future__ import annotations
@@ -79,14 +86,56 @@ def _open_out(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _tsv_head(provenance: str, columns: tuple[str, ...]) -> str:
+    """The ``#`` provenance line and the ``#`` column line, if there are
+    column names."""
+    return f"# {provenance}\n" + ("# " + "\t".join(columns) + "\n" if columns else "")
+
+
 def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], lines) -> None:
-    """Write the ``#`` provenance line, the ``#`` column line (if there are
-    column names), then ``lines``: rows that their command formatted."""
+    """Write the head of ``_tsv_head``, then ``lines``: rows that their
+    command formatted."""
     with _open_out(path) as sink:
-        sink.write(f"# {provenance}\n")
-        if columns:
-            sink.write("# " + "\t".join(columns) + "\n")
+        sink.write(_tsv_head(provenance, columns))
         sink.writelines(lines)
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A sink whose text replaces ``path`` only if the block ends without an
+    exception; otherwise ``path`` is left as it was, or absent.
+
+    The text goes to a temporary file beside the file that ``path`` names
+    (through a symlink, its target), renamed over it at the end with the
+    permission bits it had.  A read-only file is refused, as opening it for
+    writing would be, and a path that is no regular file (a device or a
+    pipe) is written directly.
+    """
+    target = Path(os.path.realpath(path))
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with _open_out(path) as sink:
+            yield sink
+        return
+    if mode is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        sink = _open_out(temporary)
+    except OSError as err:  # named as the output, as given
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        with sink:
+            yield sink
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 _UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogates an undecodable byte becomes
@@ -194,12 +243,24 @@ def _load_vectors(path: Path, words: Iterable[str]) -> embeddings.EmbeddingStore
     return _load(path, lambda lines: embeddings.load_embeddings(lines, words))
 
 
-def _load_sentences(path: Path) -> list[corpus.Sentence]:
+# mine and paths take the corpus in lists of this many sentences, so a pass
+# holds one list, not the corpus; a pass one sentence at a time, parsing and
+# then using each, costs 5-11% more
+SENTENCE_CHUNK = 256
+
+
+def _sentence_chunks(path: Path) -> Iterator[list[corpus.Sentence]]:
+    """The corpus's sentences as they are parsed, in lists of up to
+    ``SENTENCE_CHUNK``; a malformed sentence is skipped with a warning that
+    names its line."""
     def report(err: corpus.CorpusFormatError):
         _warn(path, f"skipping sentence: {err.reason}", err.line)
 
-    return _load(path, lambda lines: list(
-        corpus.parse_annotated_corpus(lines, source_name=path.name, on_error=report)))
+    with _naming(path):
+        sentences = corpus.parse_annotated_corpus(
+            _streamed_lines(path), source_name=path.name, on_error=report)
+        while chunk := list(itertools.islice(sentences, SENTENCE_CHUNK)):
+            yield chunk
 
 
 def _lexicon(args) -> tuple[paths.EnvironmentLexicon, list[Path]]:
@@ -214,8 +275,12 @@ def _lexicon(args) -> tuple[paths.EnvironmentLexicon, list[Path]]:
 
 
 def cmd_mine(args) -> int:
-    sentences = _load_sentences(args.corpus)
-    tables = [mining.mine_corpus(sentences[i :: args.shards]) for i in range(args.shards)]
+    tables: list[mining.ConceptTable] = [{} for _ in range(args.shards)]
+    first = 0  # the number of the chunk's first sentence
+    for chunk in _sentence_chunks(args.corpus):
+        for shard, table in enumerate(tables):  # sentence k goes to shard k mod N
+            mining.mine_corpus(chunk[(shard - first) % args.shards :: args.shards], table)
+        first += len(chunk)
     table = mining.merge_tables(*tables)
     for text in sorted(text for text, entry in table.items() if len(entry.patterns) > 1):
         *others, last = table[text].patterns
@@ -367,26 +432,39 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    sentences = _load_sentences(args.corpus)
+    """Occurrence rows written as each chunk of the corpus is read; only the
+    ``path -> {(scene, concept)}`` sets of ``--freq-out`` grow with it."""
     with _naming(args.concepts):
         concepts = paths.PhraseIndex(cols[0].strip().lower() for _, cols
                                      in _rows(args.concepts, 1, "concept", exact=False))
     lexicon, lexicon_file = _lexicon(args)
-
-    occurrences, unconnected = [], []
-    for sentence in sentences:
-        occurrences.extend(paths.occurrences_for_sentence(
-            sentence, concepts, lexicon, on_unconnected=unconnected.append))
-    if unconnected:
-        _warn(args.corpus, f"dropped {len(unconnected)} mention pairs "
-                           "with an anchor that has no dependency edge")
-
     provenance = _provenance("paths", None, [args.corpus, args.concepts, *lexicon_file])
-    _write_tsv(args.out, provenance, ("scene", "concept", "path", "sentence"),
-               (f"{o.scene}\t{o.concept}\t{o.path}\t{o.sentence_ref}\n" for o in occurrences))
-    _write_tsv(args.freq_out, provenance, ("path", "distinct_pairs"),
-               (f"{rendered}\t{count}\n"
-                for rendered, count in paths.rank_paths_by_frequency(occurrences)))
+
+    pairs_per_path: paths.PathPairs = {}
+    unconnected = 0
+
+    def count_unconnected(pair: paths.MentionPair) -> None:
+        nonlocal unconnected
+        unconnected += 1
+
+    with _replacing(args.out) as out, _replacing(args.freq_out) as freq_out:
+        out.write(_tsv_head(provenance, ("scene", "concept", "path", "sentence")))
+        for chunk in _sentence_chunks(args.corpus):
+            rows = []
+            for sentence in chunk:
+                found = paths.occurrences_for_sentence(
+                    sentence, concepts, lexicon, on_unconnected=count_unconnected)
+                if found:
+                    rows += [f"{o.scene}\t{o.concept}\t{o.path}\t{o.sentence_ref}\n"
+                             for o in found]
+                    paths.add_path_pairs(pairs_per_path, found)
+            out.writelines(rows)
+        if unconnected:
+            _warn(args.corpus, f"dropped {unconnected} mention pairs "
+                               "with an anchor that has no dependency edge")
+        freq_out.write(_tsv_head(provenance, ("path", "distinct_pairs")))
+        freq_out.writelines(f"{rendered}\t{count}\n" for rendered, count
+                            in paths.rank_paths_by_frequency(pairs_per_path))
     return EXIT_OK
 
 
@@ -406,13 +484,15 @@ DEFAULT_DIM = 32  # embedding width when --embeddings does not set it
 
 def _training_examples(occ_path: Path, pos_path: Path, neg_path: Path
                        ) -> list[paths.RelationExample]:
-    """The occurrences whose path is a seed path, labeled; the occurrence
-    rows are dropped once the examples exist."""
-    occurrences = list(map(paths.PathOccurrence._make, _occurrence_rows(occ_path)))
+    """The occurrences whose path is a seed path, labeled.  Of each
+    occurrence row only its path is kept, one string per distinct path."""
+    distinct: dict[str, str] = {}
+    occurrence_paths = [distinct.setdefault(path, path)
+                        for _, _, path, _ in _occurrence_rows(occ_path)]
     seed_pos = _load(pos_path, paths.load_seed_paths)
     seed_neg = _load(neg_path, paths.load_seed_paths)
     with _naming(pos_path, neg_path):
-        examples = paths.generate_training_examples(occurrences, seed_pos, seed_neg)
+        examples = paths.generate_training_examples(occurrence_paths, seed_pos, seed_neg)
     if not examples:
         with _naming(occ_path):
             raise DataError(f"no occurrence matched a seed path in {pos_path.name} "

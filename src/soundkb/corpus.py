@@ -97,8 +97,10 @@ def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sen
             raise CorpusFormatError(f"token index must be >= 1, got {index}", line_no)
         if not surface:
             raise CorpusFormatError("empty surface form", line_no)
-        # path tokens are whitespace-separated and "()" marks an edge label
-        if _WHITESPACE(surface):
+        # path tokens are whitespace-separated and "()" marks an edge label;
+        # an alphanumeric surface or an identifier-like label holds no
+        # whitespace, so the search runs only on the others
+        if not surface.isalnum() and _WHITESPACE(surface):
             raise CorpusFormatError(f"surface form contains whitespace: {surface!r}", line_no)
         if surface.endswith("()"):
             raise CorpusFormatError(f"surface form ends in '()': {surface!r}", line_no)
@@ -117,7 +119,7 @@ def parse_block(numbered_lines: list[tuple[int, str]], sent_id: str = "") -> Sen
                 raise CorpusFormatError(f"non-integer head {raw_head!r}", line_no) from None
             if not label or label == "_":
                 raise CorpusFormatError("empty dependency label", line_no)
-            if _WHITESPACE(label):
+            if not label.isidentifier() and _WHITESPACE(label):
                 raise CorpusFormatError(
                     f"dependency label contains whitespace: {label!r}", line_no
                 )
@@ -203,16 +205,14 @@ def parse_annotated_corpus(
             return None
 
     for line_no, line in enumerate(lines, 1):
-        if line.startswith("#"):
-            continue
-        if not line.strip():
+        if not line.strip():  # a blank line ends a block
             if block:
                 sentence = finish(block)
                 if sentence is not None:
                     yield sentence
                 block = []
-            continue
-        block.append((line_no, line))
+        elif line[0] != "#":  # a line that begins with # is a comment
+            block.append((line_no, line))
     if block:
         sentence = finish(block)
         if sentence is not None:

@@ -132,10 +132,13 @@ def mine_sentence(sentence: Sentence) -> list[tuple[str, str]]:
 ConceptTable = dict[str, ConceptEntry]
 
 
-def aggregate_concepts(accepted: Iterable[tuple[str, str]]) -> ConceptTable:
+def aggregate_concepts(accepted: Iterable[tuple[str, str]],
+                       table: ConceptTable | None = None) -> ConceptTable:
     """Fold (pattern id, concept text) pairs into a frequency table keyed by
-    text; each entry holds every id its concept was accepted under."""
-    table: ConceptTable = {}
+    text, ``table`` if one is given; each entry holds every id its concept
+    was accepted under."""
+    if table is None:
+        table = {}
     for pattern, text in accepted:
         _add(table, text, (pattern,), 1)
     return table
@@ -161,10 +164,12 @@ def merge_tables(*tables: ConceptTable) -> ConceptTable:
     return merged
 
 
-def mine_corpus(sentences: Iterable[Sentence]) -> ConceptTable:
-    """Concept table of every pattern-accepted mention in ``sentences``."""
+def mine_corpus(sentences: Iterable[Sentence], table: ConceptTable | None = None
+                ) -> ConceptTable:
+    """Concept table of every pattern-accepted mention in ``sentences``,
+    folded into ``table`` if one is given."""
     return aggregate_concepts(
-        match for sentence in sentences for match in mine_sentence(sentence))
+        (match for sentence in sentences for match in mine_sentence(sentence)), table)
 
 
 def sorted_entries(table: ConceptTable) -> list[ConceptEntry]:

@@ -293,17 +293,22 @@ def occurrences_for_sentence(
     return occurrences
 
 
-def rank_paths_by_frequency(
-    occurrences: Iterable[PathOccurrence],
-) -> list[tuple[str, int]]:
+# each rendered path -> the distinct (scene, concept) pairs seen along it
+PathPairs = dict[str, set[tuple[str, str]]]
+
+
+def add_path_pairs(pairs_per_path: PathPairs, occurrences: Iterable[PathOccurrence]) -> None:
+    """Add the (scene, concept) pair of each occurrence to the set of its path."""
+    for occ in occurrences:
+        pairs_per_path.setdefault(occ.path, set()).add((occ.scene, occ.concept))
+
+
+def rank_paths_by_frequency(pairs_per_path: PathPairs) -> list[tuple[str, int]]:
     """Paths by how many distinct scene-sound pairs they occur with.
 
     The same pair seen twice under one path counts once.  Ties are
     broken by ascending path string.
     """
-    pairs_per_path: dict[str, set[tuple[str, str]]] = {}
-    for occ in occurrences:
-        pairs_per_path.setdefault(occ.path, set()).add((occ.scene, occ.concept))
     return sorted(
         ((path, len(pairs)) for path, pairs in pairs_per_path.items()),
         key=lambda item: (-item[1], item[0]),
@@ -320,26 +325,20 @@ class RelationExample(NamedTuple):
 
 
 def generate_training_examples(
-    occurrences: Iterable[PathOccurrence],
+    occurrence_paths: Iterable[str],
     seed_positive: Iterable[str],
     seed_negative: Iterable[str],
 ) -> list[RelationExample]:
-    """Label occurrences whose path is in a seed list; drop the rest."""
+    """Label the path of each occurrence that is in a seed list; drop the
+    rest.  Every occurrence of a path shares its one example."""
     positive = set(seed_positive)
     negative = set(seed_negative)
     overlap = positive & negative
     if overlap:
         raise DataError(f"overlapping seed sets: {sorted(overlap)}")
-    examples = []
-    for occ in occurrences:
-        if occ.path in positive:
-            label = POSITIVE
-        elif occ.path in negative:
-            label = NEGATIVE
-        else:
-            continue
-        examples.append(RelationExample(occ.path, label))
-    return examples
+    labeled = {path: RelationExample(path, POSITIVE) for path in positive}
+    labeled.update((path, RelationExample(path, NEGATIVE)) for path in negative)
+    return [example for example in map(labeled.get, occurrence_paths) if example is not None]
 
 
 def load_seed_paths(lines: Iterable[str]) -> list[str]:

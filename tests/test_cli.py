@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -124,6 +125,26 @@ class TestMine:
         assert main(["mine", "--corpus", str(pattern_corpus_file), "--out", str(four),
                      "--shards", "4"]) == 0
         assert data_lines(one) == data_lines(four)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_sentence_k_goes_to_shard_k_mod_n(self, tmp_path, monkeypatch, shards):
+        """The corpus is read in chunks; across them, shard i mines the
+        sentences i, i + N, i + 2N, ... in order."""
+        monkeypatch.setattr(cli, "SENTENCE_CHUNK", 5)
+        folded = {}  # each shard table -> the sentences folded into it
+        real = cli.mining.mine_corpus
+
+        def spy(sentences, table):
+            folded.setdefault(id(table), []).extend(s.sent_id for s in sentences)
+            return real(sentences, table)
+
+        monkeypatch.setattr(cli.mining, "mine_corpus", spy)
+        corpus = tmp_path / "c.ann"
+        corpus.write_text((PARK_BLOCK + "\n\n") * 23, encoding="utf-8")
+        assert main(["mine", "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv"),
+                     "--shards", str(shards)]) == 0
+        ids = [f"c.ann:{k}" for k in range(1, 24)]
+        assert list(folded.values()) == [ids[i::shards] for i in range(shards)]
 
     def test_pattern_conflicts_warn_once_per_concept_at_any_shard_count(self, tmp_path, capsys):
         block = ("1\tthe\tDT\t2\tdet\n2\tsound\tNN\t0\troot\n3\tof\tIN\t2\tprep\n"
@@ -591,6 +612,47 @@ class TestPaths:
         assert len(data_lines(out)) == 3
         assert data_lines(out.with_suffix(".freq.tsv")) == [f"{PARK_GOLDEN}\t1"]
 
+    @pytest.mark.parametrize("existed", [True, False], ids=["outputs-existed", "no-outputs"])
+    def test_a_failed_run_leaves_the_outputs_as_they_were(self, tmp_path, capsys, existed):
+        """Rows are written as the corpus is read, into temporary files that
+        replace the outputs only when the whole run succeeds: a byte that is
+        not UTF-8 in the last block, read after chunks of rows were written,
+        leaves every file as it was and no other file behind."""
+        corpus = tmp_path / "c.ann"
+        count = 3 * cli.SENTENCE_CHUNK
+        corpus.write_bytes((PARK_BLOCK + "\n\n").encode() * count + b"1\tcaf\xe9\tNN\t0\troot\n")
+        assert corpus.stat().st_size > 2 * CHUNK
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text("children playing\tP3\t1\n", encoding="utf-8")
+        out, freq = tmp_path / "occ.tsv", tmp_path / "occ.freq.tsv"
+        if existed:
+            out.write_text("an earlier output\n", encoding="utf-8")
+            freq.write_text("earlier frequencies\n", encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        err = data_error(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
+                          "--out", str(out)], capsys)
+        assert err == (f"error: c.ann line {11 * count + 1}: not UTF-8 text "
+                       "(invalid continuation byte)\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_outputs_are_replaced_through_a_symlink_keeping_their_mode(self, tmp_path):
+        corpus = tmp_path / "c.ann"
+        corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text("children playing\tP3\t1\n", encoding="utf-8")
+        target = tmp_path / "real.tsv"
+        target.write_text("an earlier output\n", encoding="utf-8")
+        target.chmod(0o640)
+        link = tmp_path / "occ.tsv"
+        link.symlink_to("real.tsv")
+        assert main(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
+                     "--out", str(link), "--freq-out", str(tmp_path / "f.tsv")]) == 0
+        assert link.is_symlink()
+        assert data_lines(target) == [f"park\tchildren playing\t{PARK_GOLDEN}\tc.ann:1"]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "c.ann", "concepts.tsv", "f.tsv", "occ.tsv", "real.tsv"]
+
     def test_custom_environment_file(self, tmp_path):
         corpus = tmp_path / "c.ann"
         corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
@@ -695,6 +757,23 @@ class TestTrainRelation:
         assert calls == ["prep_of()", "amod()"] * 2
         _params, vocab = load_relation_model(data_lines(out))
         assert vocab.tokens == ["<unk>", "prep_of()", "amod()"]
+
+    def test_only_the_path_of_each_occurrence_is_kept(self, relation_setup, tmp_path,
+                                                      monkeypatch):
+        """``generate_training_examples`` gets one path string per occurrence
+        row, in file order, and each distinct path is one string."""
+        received = []
+        real = cli.paths.generate_training_examples
+        monkeypatch.setattr(
+            cli.paths, "generate_training_examples",
+            lambda paths, pos, neg: received.append(paths) or real(paths, pos, neg))
+        pos, neg = default_seed_files()
+        assert main(["train-relation", "--occurrences", str(relation_setup),
+                     "--seeds-pos", pos, "--seeds-neg", neg, "--hidden", "2", "--dim", "2",
+                     "--epochs", "1", "--out", str(tmp_path / "m.json")]) == 0
+        (paths,) = received
+        assert paths == ["prep_of()", "amod()"] * 20
+        assert len({id(path) for path in paths}) == 2
 
     def test_dim_defaults_to_32_without_embeddings(self, relation_setup, tmp_path):
         pos, neg = default_seed_files()
@@ -1328,7 +1407,8 @@ class TestTextFiles:
     def test_byte_order_mark_before_a_corpus(self, pattern_corpus_file, tmp_path, capsys):
         corpus = tmp_path / "bom.ann"
         corpus.write_text(BOM + PATTERN_EXAMPLES_CORPUS, encoding="utf-8")
-        assert cli._load_sentences(corpus) == cli._load_sentences(pattern_corpus_file)
+        assert (list(cli._sentence_chunks(corpus))
+                == list(cli._sentence_chunks(pattern_corpus_file)))
         assert capsys.readouterr().err == ""
 
     def test_byte_order_mark_before_a_lexicon_comment(self, tmp_path):
@@ -1445,6 +1525,31 @@ LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
 
 def write_vec(path, lines, end=b"\n", bom=b"", final=True):
     path.write_bytes(bom + end.join(line.encode() for line in lines) + (end if final else b""))
+
+
+class TestCorpusCommandsHoldAChunk:
+    """mine and paths hold a chunk of sentences, not the corpus: on a corpus
+    eight times as long their traced peak stays within 1.25 times."""
+
+    @pytest.mark.parametrize("command", ["mine", "paths"])
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path, capsys, command):
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text("children playing\tP3\t1\n", encoding="utf-8")
+        peaks = []
+        for copies in (4 * cli.SENTENCE_CHUNK, 32 * cli.SENTENCE_CHUNK):
+            corpus = tmp_path / f"c{copies}.ann"
+            corpus.write_text((PARK_BLOCK + "\n\n") * copies, encoding="utf-8")
+            argv = [command, "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv")]
+            if command == "paths":
+                argv += ["--concepts", str(concepts)]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 class TestStreamedStore:

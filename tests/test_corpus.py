@@ -1,6 +1,8 @@
 """Corpus reader: block parsing, validation, and dependency graphs."""
 
 import random
+import re
+import sys
 
 import pytest
 
@@ -406,3 +408,13 @@ class TestDepGraph:
         graph = build_dep_graph(sent)
         assert graph.words[0] == "the"
         assert graph.words[3] == "filled"
+
+
+def test_alphanumeric_surfaces_and_identifier_labels_hold_no_whitespace():
+    """``parse_block`` runs its whitespace search only on a surface that is
+    not alphanumeric and a label that is not an identifier: no character
+    that the search finds can be part of either."""
+    spaces = re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+    assert "\u2028" in spaces and "\xa0" in spaces
+    for space in spaces:
+        assert not f"a{space}1".isalnum() and not f"a{space}b".isidentifier(), hex(ord(space))

@@ -13,6 +13,7 @@ from soundkb.paths import (
     MentionPair,
     PathOccurrence,
     PhraseIndex,
+    add_path_pairs,
     find_mention_pairs,
     generate_training_examples,
     load_seed_paths,
@@ -550,6 +551,11 @@ class TestRanking:
         return PathOccurrence(scene=scene, concept=concept, path=path,
                               sentence_ref="t")
 
+    def rank(self, occs):
+        pairs_per_path = {}
+        add_path_pairs(pairs_per_path, occs)
+        return rank_paths_by_frequency(pairs_per_path)
+
     def test_distinct_pair_count_ordering(self):
         occs = [
             self.occ("amod()", "park", "x"),
@@ -558,18 +564,18 @@ class TestRanking:
             self.occ("det()", "park", "x"),
             self.occ("det()", "park", "y"),
         ]
-        assert rank_paths_by_frequency(occs) == [("amod()", 3), ("det()", 2)]
+        assert self.rank(occs) == [("amod()", 3), ("det()", 2)]
 
     def test_same_pair_counts_once(self):
         occs = [self.occ("amod()", "park", "x")] * 5
-        assert rank_paths_by_frequency(occs) == [("amod()", 1)]
+        assert self.rank(occs) == [("amod()", 1)]
 
     def test_ties_by_path_string(self):
         occs = [
             self.occ("det()", "park", "x"),
             self.occ("amod()", "park", "x"),
         ]
-        assert rank_paths_by_frequency(occs) == [("amod()", 1), ("det()", 1)]
+        assert self.rank(occs) == [("amod()", 1), ("det()", 1)]
 
     def test_matches_hash_count_oracle(self):
         rng = random.Random(31)
@@ -589,28 +595,25 @@ class TestRanking:
         expected = sorted(
             ((p, len(s)) for p, s in oracle.items()), key=lambda kv: (-kv[1], kv[0])
         )
-        assert rank_paths_by_frequency(occs) == expected
+        assert self.rank(occs) == expected
 
 
 class TestTrainingExamples:
-    def occ(self, path):
-        return PathOccurrence(scene="park", concept="x", path=path, sentence_ref="t")
-
     def test_shipped_positive_seed_matches(self):
         pos, neg = default_seed_paths()
         examples = generate_training_examples(
-            [self.occ("prep_of() sound nsubjpass() heard prep_in()")], pos, neg
+            ["prep_of() sound nsubjpass() heard prep_in()"], pos, neg
         )
         assert len(examples) == 1 and examples[0].label == POSITIVE
 
     def test_shipped_negative_seed_matches(self):
         pos, neg = default_seed_paths()
-        examples = generate_training_examples([self.occ("amod()")], pos, neg)
+        examples = generate_training_examples(["amod()"], pos, neg)
         assert len(examples) == 1 and examples[0].label == NEGATIVE
 
     def test_unseeded_path_excluded(self):
         pos, neg = default_seed_paths()
-        assert generate_training_examples([self.occ("xcomp()")], pos, neg) == []
+        assert generate_training_examples(["xcomp()"], pos, neg) == []
 
     def test_overlapping_seeds_rejected(self):
         with pytest.raises(ValueError, match="overlapping"):
@@ -618,12 +621,15 @@ class TestTrainingExamples:
 
     def test_labeling_is_function_of_path_string(self):
         pos, neg = default_seed_paths()
-        occs = [
-            PathOccurrence("park", "x", "prep_of()", "a"),
-            PathOccurrence("beach", "y", "prep_of()", "b"),
-        ]
-        labels = {e.label for e in generate_training_examples(occs, pos, neg)}
+        labels = {e.label for e in generate_training_examples(["prep_of()", "prep_of()"],
+                                                               pos, neg)}
         assert labels == {POSITIVE}
+
+    def test_one_example_per_seeded_occurrence_in_order(self):
+        examples = generate_training_examples(
+            ["b()", "x()", "a()", "b()", "a()"], ["a()"], ["b()"])
+        assert examples == [("b()", NEGATIVE), ("a()", POSITIVE), ("b()", NEGATIVE),
+                            ("a()", POSITIVE)]
 
     def test_default_seed_lists_shape(self):
         pos, neg = default_seed_paths()
