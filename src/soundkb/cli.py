@@ -12,19 +12,19 @@ Subcommands::
 
 Every output file starts with a provenance comment (tool version, seed,
 input digests) and all randomness is seeded, so rerunning a command with
-identical inputs reproduces identical bytes.
+identical inputs reproduces identical bytes.  Every output goes through
+``_output``, so a failed or interrupted command leaves it as it was.
 
 ``_warn`` prints ``warning: <file>[ line N]: ...``, ``_naming`` names the
 file of a ``DataError``, and ``main`` prints ``error: ...`` (a file that
-cannot be opened as given); ``_refuse_overwrites`` stops an output that is
-another file of its command, or has no directory, before any read.
+cannot be opened or written, as given); ``_refuse_overwrites`` stops, before
+any read, an output that is another file of its command or has no directory.
 
 Every input is read as a stream (``_streamed_lines``).  ``mine`` and
 ``paths`` take the corpus in lists of ``SENTENCE_CHUNK`` sentences
 (``_sentence_chunks``) and hold one list at a time; ``paths`` writes each
-list's rows as it goes, into files that ``_replacing`` renames over its
-outputs only when the run succeeds.  ``train-relation`` keeps only the
-path of each occurrence row.
+list's rows as it goes.  ``train-relation`` keeps only the path of each
+occurrence row.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import argparse
 import array
 import errno
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -82,59 +83,61 @@ def _provenance(command: str, seed, inputs: list[Path]) -> str:
     return " ".join(parts)
 
 
-def _open_out(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextmanager
+def _output_named(path: Path):
+    """An ``OSError`` raised inside, raised again naming the output as given."""
+    try:
+        yield
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
 
 
-def _tsv_head(provenance: str, columns: tuple[str, ...]) -> str:
-    """The ``#`` provenance line and the ``#`` column line, if there are
-    column names."""
-    return f"# {provenance}\n" + ("# " + "\t".join(columns) + "\n" if columns else "")
+class _OutputFile(io.FileIO):
+    """The file written for ``output``, whose failures name ``output``; named
+    here, below the buffers, a ``writelines`` of rows stays one call."""
 
+    def __init__(self, file: Path, output: Path):
+        with _output_named(output):
+            super().__init__(file, "w")
+        self.output = output
 
-def _write_tsv(path: Path, provenance: str, columns: tuple[str, ...], lines) -> None:
-    """Write the head of ``_tsv_head``, then ``lines``: rows that their
-    command formatted."""
-    with _open_out(path) as sink:
-        sink.write(_tsv_head(provenance, columns))
-        sink.writelines(lines)
+    def write(self, data):
+        with _output_named(self.output):
+            return super().write(data)
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A sink whose text replaces ``path`` only if the block ends without an
-    exception; otherwise ``path`` is left as it was, or absent.
+def _output(path: Path, provenance: str, columns: tuple[str, ...] = ()):
+    """A sink for an output file's text, its ``#`` provenance line and, if
+    there are ``columns``, its ``#`` column line written.  The text replaces
+    ``path`` only if the block ends without an exception; otherwise ``path``
+    is left as it was, or absent.
 
     The text goes to a temporary file beside the file that ``path`` names
-    (through a symlink, its target), renamed over it at the end with the
-    permission bits it had.  A read-only file is refused, as opening it for
-    writing would be, and a path that is no regular file (a device or a
-    pipe) is written directly.
+    (through a symlink, its target), so that directory must be writable,
+    and is renamed over it with the permission bits it had.  A read-only
+    file is refused, and a path that is no regular file is written directly.
     """
     target = Path(os.path.realpath(path))
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with _open_out(path) as sink:
-            yield sink
-        return
+    mode = os.stat(target).st_mode if target.exists() else None
     if mode is not None and not os.access(target, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        sink = _open_out(temporary)
-    except OSError as err:  # named as the output, as given
-        raise OSError(err.errno, err.strerror, path) from None
+    temporary = (target.with_name(f".{target.name}.{os.getpid()}.tmp")
+                 if mode is None or stat.S_ISREG(mode) else None)
+    sink = io.TextIOWrapper(io.BufferedWriter(_OutputFile(temporary or path, path)),
+                            encoding="utf-8", newline="\n")
     try:
         with sink:
+            sink.write(f"# {provenance}\n" + ("# " + "\t".join(columns) + "\n" if columns else ""))
             yield sink
-        if mode is not None:
-            os.chmod(temporary, stat.S_IMODE(mode))
-        os.replace(temporary, target)
+        if temporary is not None:
+            with _output_named(path):
+                if mode is not None:
+                    os.chmod(temporary, stat.S_IMODE(mode))
+                os.replace(temporary, target)
     except BaseException:
-        temporary.unlink(missing_ok=True)
+        if temporary is not None:
+            temporary.unlink(missing_ok=True)
         raise
 
 
@@ -294,8 +297,8 @@ def cmd_mine(args) -> int:
             del table[text]
     entries = mining.sorted_entries(table)
 
-    _write_tsv(args.out, _provenance("mine", None, [args.corpus]), (),
-               (f"{e.text}\t{e.pattern}\t{e.frequency}\n" for e in entries))
+    with _output(args.out, _provenance("mine", None, [args.corpus])) as sink:
+        sink.writelines(f"{e.text}\t{e.pattern}\t{e.frequency}\n" for e in entries)
 
     counts = mining.pattern_counts(table)
     print("Pattern\tTemplate\t# Concept")
@@ -369,8 +372,8 @@ def cmd_train_phrase(args) -> int:
     print(header)
     print(f"{values}\t{100 * report.mean_accuracy:.2f}")
 
-    with _open_out(args.out) as sink:
-        sink.write(f"# {_provenance('train-phrase', args.seed, [args.data, args.embeddings])}\n")
+    provenance = _provenance("train-phrase", args.seed, [args.data, args.embeddings])
+    with _output(args.out, provenance) as sink:
         phrase.save_model(model, sink)
     return EXIT_OK
 
@@ -395,13 +398,12 @@ def cmd_classify(args) -> int:
             pairs.append(slots.setdefault(cols[1], len(slots)))
     store = _load_vectors(args.embeddings, slots)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
-    if width != model.dimension:  # checked before the output file is opened
+    if width != model.dimension:
         with _naming(args.model, args.embeddings):
             raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
     words = list(slots)
     ids = store.rows(words)[pairs].reshape(-1, 2)  # the store rows of each phrase's words
 
-    # every margin is known before the output file is opened
     n = len(ids)
     margins = np.empty(n)
     representable = np.empty(n, dtype=bool)
@@ -419,12 +421,13 @@ def cmd_classify(args) -> int:
                 _rows(args.phrases, 2, "phrase", exact=False), int(bad[0]), None))
             raise _margin_not_finite(line_no, (cols[0], cols[1]))
 
-    _write_tsv(args.out, _provenance("classify", None, [args.model, args.embeddings, args.phrases]),
-               ("word1", "word2", "label", "margin"),
-               (f"{words[w1]}\t{words[w2]}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}\n"
-                if known else f"{words[w1]}\t{words[w2]}\tunrepresentable\tNA\n"
-                for w1, w2, known, margin
-                in zip(pairs[0::2], pairs[1::2], representable.tolist(), margins.tolist())))
+    provenance = _provenance("classify", None, [args.model, args.embeddings, args.phrases])
+    with _output(args.out, provenance, ("word1", "word2", "label", "margin")) as sink:
+        sink.writelines(
+            f"{words[w1]}\t{words[w2]}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}\n"
+            if known else f"{words[w1]}\t{words[w2]}\tunrepresentable\tNA\n"
+            for w1, w2, known, margin
+            in zip(pairs[0::2], pairs[1::2], representable.tolist(), margins.tolist()))
     return EXIT_OK
 
 
@@ -447,8 +450,8 @@ def cmd_paths(args) -> int:
         nonlocal unconnected
         unconnected += 1
 
-    with _replacing(args.out) as out, _replacing(args.freq_out) as freq_out:
-        out.write(_tsv_head(provenance, ("scene", "concept", "path", "sentence")))
+    with (_output(args.out, provenance, ("scene", "concept", "path", "sentence")) as out,
+          _output(args.freq_out, provenance, ("path", "distinct_pairs")) as freq_out):
         for chunk in _sentence_chunks(args.corpus):
             rows = []
             for sentence in chunk:
@@ -459,10 +462,10 @@ def cmd_paths(args) -> int:
                              for o in found]
                     paths.add_path_pairs(pairs_per_path, found)
             out.writelines(rows)
+        out.flush()  # so that a failed write of --out is met before --freq-out is replaced
         if unconnected:
             _warn(args.corpus, f"dropped {unconnected} mention pairs "
                                "with an anchor that has no dependency edge")
-        freq_out.write(_tsv_head(provenance, ("path", "distinct_pairs")))
         freq_out.writelines(f"{rendered}\t{count}\n" for rendered, count
                             in paths.rank_paths_by_frequency(pairs_per_path))
     return EXIT_OK
@@ -540,8 +543,7 @@ def cmd_train_relation(args) -> int:
     for stats in trace:
         print(f"epoch {stats.epoch}\tloss {stats.mean_loss:.6f}\tacc {stats.accuracy:.4f}")
 
-    with _open_out(args.out) as sink:
-        sink.write(f"# {_provenance('train-relation', args.seed, inputs)}\n")
+    with _output(args.out, _provenance("train-relation", args.seed, inputs)) as sink:
         lstm.save_relation_model(params, vocab, sink)
     return EXIT_OK
 
@@ -561,9 +563,9 @@ def cmd_predict(args) -> int:
     tails = [f"{path}\t{p_pos:.9g}\n"
              for path, p_pos in zip(slots, probs[:, paths.POSITIVE].tolist())]
 
-    _write_tsv(args.out, _provenance("predict", None, [args.model, args.occurrences]),
-               ("scene", "concept", "path", "p_positive"),
-               (f"{scene}\t{concept}\t{tails[slot]}" for scene, concept, slot in rows))
+    with _output(args.out, _provenance("predict", None, [args.model, args.occurrences]),
+                 ("scene", "concept", "path", "p_positive")) as sink:
+        sink.writelines(f"{scene}\t{concept}\t{tails[slot]}" for scene, concept, slot in rows)
     return EXIT_OK
 
 
@@ -612,12 +614,11 @@ def cmd_report(args) -> int:
     by_scene = build_kb(_read_predictions(args.predictions, lexicon), args.threshold)
 
     top_k = args.top_k or None
-    _write_tsv(args.out,
-               f"{_provenance('report', None, [args.predictions, *lexicon_file])} "
-               f"threshold={args.threshold:g}",
-               ("environment", "sounds"),
-               (f"{scene}\t{', '.join(by_scene.get(scene, [])[:top_k])}\n"
-                for scene in lexicon.entries))
+    provenance = _provenance("report", None, [args.predictions, *lexicon_file])
+    with _output(args.out, f"{provenance} threshold={args.threshold:g}",
+                 ("environment", "sounds")) as sink:
+        sink.writelines(f"{scene}\t{', '.join(by_scene.get(scene, [])[:top_k])}\n"
+                        for scene in lexicon.entries)
     return EXIT_OK
 
 
@@ -723,17 +724,13 @@ FILE_OPTIONS = ("out", "freq_out", "corpus", "concepts", "environments", "data",
 def _output_directory(path: Path) -> None:
     """Raise, naming ``path`` as given, the ``OSError`` that opening it for
     writing would raise because its directory is missing or is no directory."""
-    try:
-        mode = os.stat(path.parent).st_mode
-    except OSError as err:
-        raise OSError(err.errno, err.strerror, path) from None
-    if not stat.S_ISDIR(mode):
-        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    with _output_named(path):
+        os.stat(os.path.join(path.parent, ""))  # a final slash: ENOTDIR if no directory
 
 
 def _refuse_overwrites(args) -> None:
     """Raise a DataError, before anything is read, if an output file is also
-    another file of the command, which writing it would destroy, and the
+    another file of the command, which replacing it would destroy, and the
     ``OSError`` of ``_output_directory`` if an output's directory is
     missing.  The default of ``paths --freq-out`` is worked out here."""
     if args.command == "paths":

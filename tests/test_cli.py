@@ -7,6 +7,8 @@ import io
 import json
 import os
 import re
+import resource
+import signal
 import stat
 import subprocess
 import sys
@@ -635,23 +637,40 @@ class TestPaths:
                        "(invalid continuation byte)\n")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    def test_outputs_are_replaced_through_a_symlink_keeping_their_mode(self, tmp_path):
-        corpus = tmp_path / "c.ann"
-        corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
-        concepts = tmp_path / "concepts.tsv"
-        concepts.write_text("children playing\tP3\t1\n", encoding="utf-8")
-        target = tmp_path / "real.tsv"
+    # command: (input files, argv without --out, the other outputs it writes)
+    SYMLINKED = {
+        "paths": ({"c.ann": PARK_BLOCK + "\n", "concepts.tsv": "children playing\tP3\t1\n"},
+                  ["paths", "--corpus", "c.ann", "--concepts", "concepts.tsv",
+                   "--freq-out", "f.tsv"], {"f.tsv"}),
+        "train-relation": ({"occ.tsv": "park\tc1\tamod()\ts1\nstreet\tc2\tprep_of()\ts2\n",
+                            "seeds.pos": "amod()\n", "seeds.neg": "prep_of()\n"},
+                           ["train-relation", "--occurrences", "occ.tsv", "--seeds-pos",
+                            "seeds.pos", "--seeds-neg", "seeds.neg", "--dim", "4", "--hidden",
+                            "4", "--epochs", "2"], set()),
+    }
+
+    @pytest.mark.parametrize("command", SYMLINKED)
+    def test_outputs_are_replaced_through_a_symlink_keeping_their_mode(self, tmp_path,
+                                                                       monkeypatch, command):
+        """The file that an output's symlink names gets the bytes of a plain
+        output and keeps its permission bits; no other file is left."""
+        monkeypatch.chdir(tmp_path)
+        files, argv, others = self.SYMLINKED[command]
+        for name, text in files.items():
+            Path(name).write_text(text, encoding="utf-8")
+        target = Path("real.out")
         target.write_text("an earlier output\n", encoding="utf-8")
         target.chmod(0o640)
-        link = tmp_path / "occ.tsv"
-        link.symlink_to("real.tsv")
-        assert main(["paths", "--corpus", str(corpus), "--concepts", str(concepts),
-                     "--out", str(link), "--freq-out", str(tmp_path / "f.tsv")]) == 0
-        assert link.is_symlink()
-        assert data_lines(target) == [f"park\tchildren playing\t{PARK_GOLDEN}\tc.ann:1"]
+        Path("link.out").symlink_to("real.out")
+        before = set(os.listdir())
+        assert main([*argv, "--out", "link.out"]) == 0
+        assert Path("link.out").is_symlink()
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "c.ann", "concepts.tsv", "f.tsv", "occ.tsv", "real.tsv"]
+        assert set(os.listdir()) == before | others
+        assert main([*argv, "--out", "plain.out"]) == 0
+        assert target.read_bytes() == Path("plain.out").read_bytes()
+        if command == "paths":
+            assert data_lines(target) == [f"park\tchildren playing\t{PARK_GOLDEN}\tc.ann:1"]
 
     def test_custom_environment_file(self, tmp_path):
         corpus = tmp_path / "c.ann"
@@ -1507,7 +1526,8 @@ class TestTextFiles:
     ], ids=["no-column-line", "column-line"])
     def test_write_tsv(self, tmp_path, columns, text):
         out = tmp_path / "o.tsv"
-        cli._write_tsv(out, "prov", columns, iter(["b\t1\n", "a\t2\n"]))
+        with cli._output(out, "prov", columns) as sink:
+            sink.writelines(iter(["b\t1\n", "a\t2\n"]))
         assert out.read_bytes() == text.encode()
 
 
@@ -1978,6 +1998,103 @@ class TestOutputsNeverOverwrite:
         for parser in subcommands.choices.values():
             for action in parser._actions:
                 assert action.type is not Path or action.dest in cli.FILE_OPTIONS, action.dest
+
+
+# each command's argv over small inputs in the working directory, and its outputs
+PIPELINE = {
+    "mine": (["mine", "--corpus", "c.ann", "--out", "mined.tsv"], ["mined.tsv"]),
+    "train-phrase": (["train-phrase", "--data", "labeled.tsv", "--embeddings", "emb.vec",
+                      "--folds", "2", "--out", "phrase.json"], ["phrase.json"]),
+    "classify": (["classify", "--model", "phrase.json", "--embeddings", "emb.vec",
+                  "--phrases", "labeled.tsv", "--out", "classified.tsv"], ["classified.tsv"]),
+    "paths": (["paths", "--corpus", "c.ann", "--concepts", "concepts.tsv", "--out", "occ.tsv"],
+              ["occ.tsv", "occ.freq.tsv"]),
+    "train-relation": (["train-relation", "--occurrences", "rel_occ.tsv",
+                        "--seeds-pos", "seeds.pos", "--seeds-neg", "seeds.neg", "--dim", "4",
+                        "--hidden", "4", "--epochs", "2", "--seed", "7",
+                        "--out", "relation.json"], ["relation.json"]),
+    "predict": (["predict", "--model", "relation.json", "--occurrences", "rel_occ.tsv",
+                 "--out", "preds.tsv"], ["preds.tsv"]),
+    "report": (["report", "--predictions", "preds.tsv", "--out", "report.tsv"], ["report.tsv"]),
+}
+
+
+class TestAFailedWriteLeavesTheOutputs:
+    """An output is replaced only when its command succeeds: a write that
+    fails part-way exits 2 with ``error: <output as given>: <reason>``, and
+    every file, earlier outputs included, is left as it was, with no
+    temporary file beside them."""
+
+    @pytest.fixture
+    def earlier_run(self, tmp_path, monkeypatch):
+        """Every command of PIPELINE run once in ``tmp_path``, a comment line
+        added to each output, so that a file rewritten with the bytes of a
+        rerun would show; the bytes of every file in ``tmp_path``."""
+        monkeypatch.chdir(tmp_path)
+        store, labeled = separable_phrase_data(16, 6, seed=77)
+        write_embeddings(store, Path("emb.vec"))
+        Path("labeled.tsv").write_text(
+            "".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in labeled), encoding="utf-8")
+        Path("c.ann").write_text(PATTERN_EXAMPLES_CORPUS + ("\n" + PARK_BLOCK + "\n") * 40,
+                                 encoding="utf-8")
+        Path("concepts.tsv").write_text("children playing\tP3\t1\n", encoding="utf-8")
+        Path("rel_occ.tsv").write_text("".join(
+            f"park\tc{i}\tamod()\ts{i}\nstreet\tc{i}\tprep_of()\ts{i}\n" for i in range(20)),
+            encoding="utf-8")
+        Path("seeds.pos").write_text("amod()\n", encoding="utf-8")
+        Path("seeds.neg").write_text("prep_of()\n", encoding="utf-8")
+        for argv, outputs in PIPELINE.values():
+            assert main(argv) == 0
+            for output in outputs:
+                with open(output, "a", encoding="utf-8") as sink:
+                    sink.write("# an earlier run\n")
+        return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("command", PIPELINE)
+    def test_a_write_past_the_file_size_limit(self, earlier_run, tmp_path, command):
+        argv, (out, *_) = PIPELINE[command]
+        limit = len(earlier_run[out]) // 2  # below the size of the output it writes
+
+        def limit_file_size():  # runs in the child only
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE,
+                               (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "soundkb.cli", *argv], cwd=tmp_path,
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, preexec_fn=limit_file_size)
+        assert (done.returncode, done.stderr) == (2, f"error: {out}: File too large\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier_run
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("option", ["--out", "--freq-out"])
+    def test_each_paths_output_names_its_own_failure(self, earlier_run, tmp_path, capsys,
+                                                     option):
+        """/dev/full, a device and so written directly, refuses every write."""
+        argv = [*PIPELINE["paths"][0], "--freq-out", "occ.freq.tsv"]
+        argv[argv.index(option) + 1] = "/dev/full"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: /dev/full: No space left on device\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier_run
+
+    def test_an_interrupted_model_write_leaves_the_model(self, earlier_run, tmp_path,
+                                                         monkeypatch):
+        save = lstm.save_relation_model
+
+        def interrupted(params, vocab, sink):
+            text = io.StringIO()
+            save(params, vocab, text)
+            sink.write(text.getvalue()[: len(text.getvalue()) // 2])
+            sink.flush()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lstm, "save_relation_model", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(PIPELINE["train-relation"][0])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier_run
 
 
 class TestProvenanceNamesTheLexicon:
