@@ -17,8 +17,11 @@ identical inputs reproduces identical bytes.  Every output goes through
 
 ``_warn`` prints ``warning: <file>[ line N]: ...``, ``_naming`` names the
 file of a ``DataError``, and ``main`` prints ``error: ...`` (a file that
-cannot be opened or written, as given); ``_refuse_overwrites`` stops, before
-any read, an output that is another file of its command or has no directory.
+cannot be opened or written, as given).  ``build_parser`` alone names a
+command's files, each ``type=Path``: ``_provenance`` digests the inputs in
+its order, and ``_refuse_overwrites`` stops, before any read, an output
+(``--out``, ``--*-out``) that is another file of its command, has no
+directory or is one.
 
 Every input is read as a stream (``_streamed_lines``).  ``mine`` and
 ``paths`` take the corpus in lists of ``SENTENCE_CHUNK`` sentences
@@ -75,8 +78,19 @@ def _digest(path: Path) -> str:
     return digest.hexdigest()[:12]
 
 
-def _provenance(command: str, seed, inputs: list[Path]) -> str:
-    parts = [f"soundkb {__version__}", command, f"seed={'-' if seed is None else seed}"]
+def _files(args, outputs: bool) -> dict[str, Path]:
+    """The output (or input) files given, by option, in the order the parser
+    declares them: a namespace holds its command's options in that order,
+    only a file option holds a ``Path``, and an output is ``--[*-]out``."""
+    return {option: value for option, value in vars(args).items()
+            if isinstance(value, Path) and (option == "out" or option.endswith("_out")) == outputs}
+
+
+def _provenance(args) -> str:
+    """The ``#`` line of the command's outputs: version, seed, input digests."""
+    seed = getattr(args, "seed", None)
+    parts = [f"soundkb {__version__}", args.command, f"seed={'-' if seed is None else seed}"]
+    inputs = _files(args, outputs=False).values()
     if inputs:
         digests = ",".join(f"{p.name}:{_digest(p)}" for p in inputs)
         parts.append(f"inputs={digests}")
@@ -266,12 +280,11 @@ def _sentence_chunks(path: Path) -> Iterator[list[corpus.Sentence]]:
             yield chunk
 
 
-def _lexicon(args) -> tuple[paths.EnvironmentLexicon, list[Path]]:
-    """The environment lexicon, and its file as the provenance inputs it adds."""
-    if not args.environments:
-        return paths.EnvironmentLexicon.default(), []
-    path = Path(args.environments)
-    return _load(path, paths.EnvironmentLexicon.from_lines), [path]
+def _lexicon(args) -> paths.EnvironmentLexicon:
+    """The ``--environments`` lexicon, or the built-in one if none is given."""
+    if args.environments is None:
+        return paths.EnvironmentLexicon.default()
+    return _load(args.environments, paths.EnvironmentLexicon.from_lines)
 
 
 # ----------------------------------------------------------------- mine
@@ -297,7 +310,7 @@ def cmd_mine(args) -> int:
             del table[text]
     entries = mining.sorted_entries(table)
 
-    with _output(args.out, _provenance("mine", None, [args.corpus])) as sink:
+    with _output(args.out, _provenance(args)) as sink:
         sink.writelines(f"{e.text}\t{e.pattern}\t{e.frequency}\n" for e in entries)
 
     counts = mining.pattern_counts(table)
@@ -313,8 +326,8 @@ def cmd_mine(args) -> int:
 # --------------------------------------------------------- train-phrase
 
 
-def _read_labeled_phrases(path: Path) -> list[tuple[int, phrase.LabeledPhrase]]:
-    """Each labeled phrase with the number of its line."""
+def _read_labeled_phrases(path: Path) -> list[tuple[int, tuple[str, str], int]]:
+    """The line number, bigram and label (+1 or -1) of each labeled phrase."""
     rows = []
     with _naming(path):
         for line_no, (w1, w2, label) in _rows(path, 3, "labeled phrase"):
@@ -324,7 +337,7 @@ def _read_labeled_phrases(path: Path) -> list[tuple[int, phrase.LabeledPhrase]]:
                 value = None
             if value not in (+1, -1):
                 raise DataError(f"label must be +1 or -1, got {label!r}", line_no)
-            rows.append((line_no, phrase.LabeledPhrase(bigram=(w1, w2), label=value)))
+            rows.append((line_no, (w1, w2), value))
     return rows
 
 
@@ -336,27 +349,26 @@ def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
 
 def cmd_train_phrase(args) -> int:
     rows = _read_labeled_phrases(args.data)
-    store = _load_vectors(args.embeddings, {w for _, row in rows for w in row.bigram})
+    store = _load_vectors(args.embeddings, {w for _, bigram, _ in rows for w in bigram})
 
     def check(finite: np.ndarray) -> None:
         bad = np.flatnonzero(~finite)
         if bad.size:
-            line_no, row = rows[keep[bad[0]]]
-            raise _margin_not_finite(line_no, row.bigram)
+            line_no, bigram, _ = rows[keep[bad[0]]]
+            raise _margin_not_finite(line_no, bigram)
 
     # an overflow is reported by check, naming the phrase's line
     with _naming(args.data), np.errstate(over="ignore", invalid="ignore"):
         features, representable = embeddings.featurize_many(
-            store, [row.bigram for _, row in rows], args.featurizer)
+            store, [bigram for _, bigram, _ in rows], args.featurizer)
         del store  # featurize_many copied the rows; the fits need only the features
-        for (line_no, row), known in zip(rows, representable.tolist()):
+        for (line_no, bigram, _), known in zip(rows, representable.tolist()):
             if not known:
-                _warn(args.data, f"skipping unrepresentable phrase: {' '.join(row.bigram)}",
-                      line_no)
+                _warn(args.data, f"skipping unrepresentable phrase: {' '.join(bigram)}", line_no)
         keep = np.flatnonzero(representable)  # the labeled row of each kept feature
         if len(keep) < len(rows):
             features = features[keep]
-        labels = np.array([row.label for _, row in rows], dtype=np.float64)[keep]
+        labels = np.array([label for _, _, label in rows], dtype=np.float64)[keep]
         # a non-finite feature has a non-finite margin under any weights
         check(np.isfinite(features).all(axis=1))
         report = phrase.cross_validate(
@@ -372,8 +384,7 @@ def cmd_train_phrase(args) -> int:
     print(header)
     print(f"{values}\t{100 * report.mean_accuracy:.2f}")
 
-    provenance = _provenance("train-phrase", args.seed, [args.data, args.embeddings])
-    with _output(args.out, provenance) as sink:
+    with _output(args.out, _provenance(args)) as sink:
         phrase.save_model(model, sink)
     return EXIT_OK
 
@@ -421,8 +432,7 @@ def cmd_classify(args) -> int:
                 _rows(args.phrases, 2, "phrase", exact=False), int(bad[0]), None))
             raise _margin_not_finite(line_no, (cols[0], cols[1]))
 
-    provenance = _provenance("classify", None, [args.model, args.embeddings, args.phrases])
-    with _output(args.out, provenance, ("word1", "word2", "label", "margin")) as sink:
+    with _output(args.out, _provenance(args), ("word1", "word2", "label", "margin")) as sink:
         sink.writelines(
             f"{words[w1]}\t{words[w2]}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}\n"
             if known else f"{words[w1]}\t{words[w2]}\tunrepresentable\tNA\n"
@@ -440,8 +450,8 @@ def cmd_paths(args) -> int:
     with _naming(args.concepts):
         concepts = paths.PhraseIndex(cols[0].strip().lower() for _, cols
                                      in _rows(args.concepts, 1, "concept", exact=False))
-    lexicon, lexicon_file = _lexicon(args)
-    provenance = _provenance("paths", None, [args.corpus, args.concepts, *lexicon_file])
+    lexicon = _lexicon(args)
+    provenance = _provenance(args)
 
     pairs_per_path: paths.PathPairs = {}
     unconnected = 0
@@ -511,12 +521,11 @@ def _initial_model(args, examples: list[paths.RelationExample]
     distinct = [lstm.tokenize_path(path) for path in dict.fromkeys(ex.path for ex in examples)]
     store = None
     d = args.dim or DEFAULT_DIM
-    if args.embeddings:
-        emb_path = Path(args.embeddings)
-        store = _load_vectors(emb_path, {token for path in distinct for token in path})
+    if args.embeddings is not None:
+        store = _load_vectors(args.embeddings, {token for path in distinct for token in path})
         if args.dim not in (None, store.dimension):
             raise UsageError(
-                f"--dim {args.dim} disagrees with {emb_path.name}, whose vectors have "
+                f"--dim {args.dim} disagrees with {args.embeddings.name}, whose vectors have "
                 f"{store.dimension} dimensions"
             )
         d = store.dimension
@@ -530,20 +539,17 @@ def _initial_model(args, examples: list[paths.RelationExample]
 
 
 def cmd_train_relation(args) -> int:
-    inputs = [args.occurrences, args.seeds_pos, args.seeds_neg]
-    examples = _training_examples(*inputs)
-    if args.embeddings:
-        inputs.append(Path(args.embeddings))
+    examples = _training_examples(args.occurrences, args.seeds_pos, args.seeds_neg)
     vocab, params = _initial_model(args, examples)
     config = lstm.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed, clip=args.clip,
     )
-    with _naming(*inputs):
+    with _naming(*_files(args, outputs=False).values()):
         params, trace = lstm.train(params, vocab, examples, config)
     for stats in trace:
         print(f"epoch {stats.epoch}\tloss {stats.mean_loss:.6f}\tacc {stats.accuracy:.4f}")
 
-    with _output(args.out, _provenance("train-relation", args.seed, inputs)) as sink:
+    with _output(args.out, _provenance(args)) as sink:
         lstm.save_relation_model(params, vocab, sink)
     return EXIT_OK
 
@@ -563,8 +569,7 @@ def cmd_predict(args) -> int:
     tails = [f"{path}\t{p_pos:.9g}\n"
              for path, p_pos in zip(slots, probs[:, paths.POSITIVE].tolist())]
 
-    with _output(args.out, _provenance("predict", None, [args.model, args.occurrences]),
-                 ("scene", "concept", "path", "p_positive")) as sink:
+    with _output(args.out, _provenance(args), ("scene", "concept", "path", "p_positive")) as sink:
         sink.writelines(f"{scene}\t{concept}\t{tails[slot]}" for scene, concept, slot in rows)
     return EXIT_OK
 
@@ -610,12 +615,11 @@ def build_kb(predictions: Iterable[tuple[str, str, float]], threshold: float
 
 
 def cmd_report(args) -> int:
-    lexicon, lexicon_file = _lexicon(args)
+    lexicon = _lexicon(args)
     by_scene = build_kb(_read_predictions(args.predictions, lexicon), args.threshold)
 
     top_k = args.top_k or None
-    provenance = _provenance("report", None, [args.predictions, *lexicon_file])
-    with _output(args.out, f"{provenance} threshold={args.threshold:g}",
+    with _output(args.out, f"{_provenance(args)} threshold={args.threshold:g}",
                  ("environment", "sounds")) as sink:
         sink.writelines(f"{scene}\t{', '.join(by_scene.get(scene, [])[:top_k])}\n"
                         for scene in lexicon.entries)
@@ -640,6 +644,11 @@ def _bounded(kind, low, strict: bool = False):
         return value
 
     return parse
+
+
+def _optional_path(text: str) -> Path | None:
+    """argparse ``type=`` for an optional file option: ``""`` is not given."""
+    return Path(text) if text else None
 
 
 def build_parser() -> _Parser:
@@ -675,16 +684,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("paths", help="extract scene-sound dependency paths")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--concepts", required=True, type=Path)
-    p.add_argument("--environments")
+    p.add_argument("--environments", type=_optional_path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--freq-out")
+    p.add_argument("--freq-out", type=_optional_path)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("train-relation", help="train the scene-sound relation model")
     p.add_argument("--occurrences", required=True, type=Path)
     p.add_argument("--seeds-pos", required=True, type=Path)
     p.add_argument("--seeds-neg", required=True, type=Path)
-    p.add_argument("--embeddings")
+    p.add_argument("--embeddings", type=_optional_path)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=_bounded(int, 1))
     p.add_argument("--hidden", type=_bounded(int, 1), default=64)
@@ -704,7 +713,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="per-environment sound report")
     p.add_argument("--predictions", required=True, type=Path)
-    p.add_argument("--environments")
+    p.add_argument("--environments", type=_optional_path)
     p.add_argument("--threshold", type=_bounded(float, 0), default=0.5)
     p.add_argument("--top-k", type=_bounded(int, 0), default=0)
     p.add_argument("--out", required=True, type=Path)
@@ -716,29 +725,28 @@ def build_parser() -> _Parser:
 # bad input (a DataError) or an unreadable or unwritable file; anything else is a bug
 DATA_ERRORS = (DataError, OSError)
 
-# every option that names a file, outputs first
-FILE_OPTIONS = ("out", "freq_out", "corpus", "concepts", "environments", "data", "embeddings",
-                "model", "phrases", "occurrences", "seeds_pos", "seeds_neg", "predictions")
-
 
 def _output_directory(path: Path) -> None:
     """Raise, naming ``path`` as given, the ``OSError`` that opening it for
-    writing would raise because its directory is missing or is no directory."""
+    writing would raise: its directory is missing or no directory, or it is one."""
     with _output_named(path):
         os.stat(os.path.join(path.parent, ""))  # a final slash: ENOTDIR if no directory
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _refuse_overwrites(args) -> None:
     """Raise a DataError, before anything is read, if an output file is also
     another file of the command, which replacing it would destroy, and the
-    ``OSError`` of ``_output_directory`` if an output's directory is
-    missing.  The default of ``paths --freq-out`` is worked out here."""
-    if args.command == "paths":
-        args.freq_out = Path(args.freq_out) if args.freq_out else args.out.with_suffix(".freq.tsv")
-    files = {option: getattr(args, option) for option in FILE_OPTIONS
-             if getattr(args, option, None)}
-    resolved = {option: Path(path).resolve() for option, path in files.items()}
-    for output in [option for option in files if option in ("out", "freq_out")]:
+    ``OSError`` of ``_output_directory`` if an output's directory is missing
+    or the output is a directory.  The files are those of ``_files``,
+    outputs first; the default of ``paths --freq-out`` is worked out here."""
+    if args.command == "paths" and args.freq_out is None:
+        args.freq_out = args.out.with_suffix(".freq.tsv")
+    outputs = _files(args, outputs=True)
+    files = {**outputs, **_files(args, outputs=False)}
+    resolved = {option: path.resolve() for option, path in files.items()}
+    for output in outputs:
         for other in files:
             if other != output and resolved[other] == resolved[output]:
                 flags = " and ".join("--" + name.replace("_", "-") for name in (output, other))

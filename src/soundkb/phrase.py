@@ -41,16 +41,6 @@ SKIP_AFTER = 16
 LOOKAHEAD = 512
 
 
-@dataclass(frozen=True)
-class LabeledPhrase:
-    bigram: tuple[str, str]
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (+1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
-
-
 @dataclass
 class LinearModel:
     weights: np.ndarray

@@ -36,7 +36,7 @@ from soundkb.paths import (
     render_path,
     shortest_dep_path,
 )
-from soundkb.phrase import LabeledPhrase, make_folds
+from soundkb.phrase import make_folds
 
 from conftest import (
     PARK_BLOCK,
@@ -251,8 +251,7 @@ def test_criterion_6_relation_training():
 def test_criterion_7_phrase_classification():
     watch = Stopwatch(30.0)
     store, labeled = separable_phrase_data(24, 8, seed=712)
-    dataset = [LabeledPhrase(b, y) for b, y in labeled]
-    examples = [(featurize(store, row.bigram, "awv"), row.label) for row in dataset]
+    examples = [(featurize(store, b, "awv"), y) for b, y in labeled]
     margins = [label * feature[0] for feature, label in examples]
     assert min(margins) >= 1.0  # verified margin, checked exhaustively
     report = cross_validate(examples, k=4, seed=0)

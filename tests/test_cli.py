@@ -1065,7 +1065,8 @@ class TestDigest:
         data.write_bytes(payload)
         assert data.stat().st_size > 2 * cli._DIGEST_CHUNK
         assert cli._digest(data) == hashlib.sha256(payload).hexdigest()[:12]
-        assert f"big.bin:{cli._digest(data)}" in cli._provenance("mine", None, [data])
+        args = cli.build_parser().parse_args(["mine", "--corpus", str(data), "--out", "o.tsv"])
+        assert cli._provenance(args).endswith(f" inputs=big.bin:{cli._digest(data)}")
 
 
 def data_error(argv, capsys) -> str:
@@ -1489,7 +1490,7 @@ class TestTextFiles:
         else:  # the lexicon reads the same lines, then refuses the one that begins with #
             with pytest.raises(DataError, match=f"in.txt: lexicon entries must not begin "
                                                 f"with '#': {kept[1]!r}$"):
-                cli._lexicon(argparse.Namespace(environments=str(source)))
+                cli._lexicon(argparse.Namespace(environments=source))
             return
         assert found == kept
 
@@ -1951,6 +1952,39 @@ class TestDataError:
         assert exc.value.__cause__ is err
 
 
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def file_options(command: str, required: bool | None = None) -> list[str]:
+    """The file options of ``command`` (only the required or the optional
+    ones, if ``required`` is set), in the order its parser declares them."""
+    return [action.option_strings[0] for action in subcommand_parsers()[command]._actions
+            if action.type in (Path, cli._optional_path)
+            and required in (None, action.required)]
+
+
+def is_output(flag: str) -> bool:
+    return flag == "--out" or flag.endswith("-out")
+
+
+def _same_file_cases() -> list:
+    """(command, output, other) for each output of each command and each
+    other file option of it, in the order the refusal checks them: outputs
+    first, then the inputs, each as the parser declares them."""
+    cases = []
+    for command in subcommand_parsers():
+        ordered = sorted(file_options(command), key=lambda flag: not is_output(flag))
+        cases += [pytest.param(command, output, other, id=f"{command}{output}{other}")
+                  for i, output in enumerate(ordered) if is_output(output)
+                  for other in ordered[i + 1:]]
+    return cases
+
+
+SAME_FILE_CASES = _same_file_cases()
+
+
 class TestOutputsNeverOverwrite:
     """An output file that is also another file of its command exits 2
     before anything is read or written, names the output as given, and
@@ -1992,12 +2026,31 @@ class TestOutputsNeverOverwrite:
         assert capsys.readouterr().err == f"error: {error} name the same file\n"
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    def test_every_required_file_option_is_checked(self):
-        subcommands = next(action for action in cli.build_parser()._actions
-                           if isinstance(action, argparse._SubParsersAction))
-        for parser in subcommands.choices.values():
+    @pytest.mark.parametrize("command, output, other", SAME_FILE_CASES)
+    def test_every_output_against_every_other_file_option(self, tmp_path, monkeypatch, capsys,
+                                                          command, output, other):
+        """Each file option of the command names its own file, but for the
+        pair that names one; the error names the output, or the first
+        output of two, first."""
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        for flag in file_options(command):
+            name = "same.txt" if flag in (output, other) else flag.strip("-") + ".txt"
+            Path(name).write_text(f"{flag}\n", encoding="utf-8")
+            argv += [flag, name]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: same.txt: {output} and {other} name the same file\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_no_option_is_read_as_a_plain_string(self):
+        """A file option is ``type=Path``, so that the checks above see it;
+        every other option takes a number or one of its choices."""
+        for command, parser in subcommand_parsers().items():
             for action in parser._actions:
-                assert action.type is not Path or action.dest in cli.FILE_OPTIONS, action.dest
+                if action.option_strings and action.nargs != 0:  # not --help
+                    assert action.type is not None or action.choices, (command, action.dest)
 
 
 # each command's argv over small inputs in the working directory, and its outputs
@@ -2019,36 +2072,41 @@ PIPELINE = {
 }
 
 
+def files_in(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()}
+
+
+@pytest.fixture
+def earlier_run(tmp_path, monkeypatch):
+    """Every command of PIPELINE run once in ``tmp_path``, a comment line
+    added to each output, so that a file rewritten with the bytes of a
+    rerun would show; the bytes of every file in ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    store, labeled = separable_phrase_data(16, 6, seed=77)
+    write_embeddings(store, Path("emb.vec"))
+    Path("labeled.tsv").write_text(
+        "".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in labeled), encoding="utf-8")
+    Path("c.ann").write_text(PATTERN_EXAMPLES_CORPUS + ("\n" + PARK_BLOCK + "\n") * 40,
+                             encoding="utf-8")
+    Path("concepts.tsv").write_text("children playing\tP3\t1\n", encoding="utf-8")
+    Path("rel_occ.tsv").write_text("".join(
+        f"park\tc{i}\tamod()\ts{i}\nstreet\tc{i}\tprep_of()\ts{i}\n" for i in range(20)),
+        encoding="utf-8")
+    Path("seeds.pos").write_text("amod()\n", encoding="utf-8")
+    Path("seeds.neg").write_text("prep_of()\n", encoding="utf-8")
+    for argv, outputs in PIPELINE.values():
+        assert main(argv) == 0
+        for output in outputs:
+            with open(output, "a", encoding="utf-8") as sink:
+                sink.write("# an earlier run\n")
+    return files_in(tmp_path)
+
+
 class TestAFailedWriteLeavesTheOutputs:
     """An output is replaced only when its command succeeds: a write that
     fails part-way exits 2 with ``error: <output as given>: <reason>``, and
     every file, earlier outputs included, is left as it was, with no
     temporary file beside them."""
-
-    @pytest.fixture
-    def earlier_run(self, tmp_path, monkeypatch):
-        """Every command of PIPELINE run once in ``tmp_path``, a comment line
-        added to each output, so that a file rewritten with the bytes of a
-        rerun would show; the bytes of every file in ``tmp_path``."""
-        monkeypatch.chdir(tmp_path)
-        store, labeled = separable_phrase_data(16, 6, seed=77)
-        write_embeddings(store, Path("emb.vec"))
-        Path("labeled.tsv").write_text(
-            "".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in labeled), encoding="utf-8")
-        Path("c.ann").write_text(PATTERN_EXAMPLES_CORPUS + ("\n" + PARK_BLOCK + "\n") * 40,
-                                 encoding="utf-8")
-        Path("concepts.tsv").write_text("children playing\tP3\t1\n", encoding="utf-8")
-        Path("rel_occ.tsv").write_text("".join(
-            f"park\tc{i}\tamod()\ts{i}\nstreet\tc{i}\tprep_of()\ts{i}\n" for i in range(20)),
-            encoding="utf-8")
-        Path("seeds.pos").write_text("amod()\n", encoding="utf-8")
-        Path("seeds.neg").write_text("prep_of()\n", encoding="utf-8")
-        for argv, outputs in PIPELINE.values():
-            assert main(argv) == 0
-            for output in outputs:
-                with open(output, "a", encoding="utf-8") as sink:
-                    sink.write("# an earlier run\n")
-        return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
     @pytest.mark.parametrize("command", PIPELINE)
     def test_a_write_past_the_file_size_limit(self, earlier_run, tmp_path, command):
@@ -2132,6 +2190,56 @@ class TestProvenanceNamesTheLexicon:
             lexicon = f",{name}:{cli._digest(tmp_path / name)}"
             assert firsts[name] == [plain[0] + lexicon, plain[1] + lexicon,
                                     plain[2].replace(" threshold=", lexicon + " threshold=")]
+
+
+@pytest.mark.parametrize("command", PIPELINE)
+def test_an_output_that_is_a_directory_is_refused_before_any_read(earlier_run, tmp_path,
+                                                                  capsys, command):
+    """Exit 2 with one error line, nothing printed before it: no training
+    output, and no warning from the corpus."""
+    argv = list(PIPELINE[command][0])
+    argv[argv.index("--out") + 1] = "adir"
+    if command == "mine":  # a malformed block, whose warning a read would print
+        Path("bad.ann").write_text("1\tnew york\tNNP\t0\troot\n\n" + PARK_BLOCK + "\n",
+                                   encoding="utf-8")
+        argv[argv.index("--corpus") + 1] = "bad.ann"
+    Path("adir").mkdir()
+    before = files_in(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: adir: Is a directory\n")
+    assert files_in(tmp_path) == before and not any(Path("adir").iterdir())
+
+
+# a file for each optional input of PIPELINE's commands, written by the test below
+OPTIONAL_INPUTS = {"--environments": ("envs.txt", "park\nstreet\n"),
+                   "--embeddings": ("rel.vec", "park 1 0 0 0\nstreet 0 1 0 0\n")}
+
+
+def optional_inputs(command: str) -> list[str]:
+    return [flag for flag in file_options(command, required=False) if not is_output(flag)]
+
+
+@pytest.mark.parametrize("command, given", [
+    pytest.param(command, given, id=f"{command}-{given}") for command in PIPELINE
+    for given in (["omitted", "empty", "given"] if optional_inputs(command) else ["plain"])])
+def test_provenance_lists_the_inputs_given_in_declaration_order(earlier_run, command, given):
+    """The ``inputs=`` of every output's ``#`` line names each input file
+    given, and no other, in the order the command's parser declares them;
+    an optional input is omitted, given as ``""`` or given."""
+    argv, outputs = PIPELINE[command]
+    argv = list(argv)
+    for flag in optional_inputs(command) if given != "omitted" else []:
+        name, text = OPTIONAL_INPUTS[flag]
+        Path(name).write_text(text, encoding="utf-8")
+        argv += [flag, name if given == "given" else ""]
+    inputs = [argv[argv.index(flag) + 1] for flag in file_options(command)
+              if not is_output(flag) and flag in argv]
+    expected = ",".join(f"{name}:{cli._digest(Path(name))}" for name in inputs if name)
+    assert main(argv) == 0
+    for output in outputs:
+        first = Path(output).read_text(encoding="utf-8").split("\n", 1)[0]
+        assert first.split(" inputs=")[1].split(" ")[0] == expected, output
 
 
 def _default(function, name: str):

@@ -12,7 +12,6 @@ import pytest
 from soundkb import DataError, phrase
 from soundkb.embeddings import CWV, featurize, featurize_many
 from soundkb.phrase import (
-    LabeledPhrase,
     LinearModel,
     load_model,
     make_folds,
@@ -331,9 +330,8 @@ class TestFolds:
 class TestCrossValidate:
     def test_separable_bigrams_mean_accuracy_one(self):
         store, labeled = separable_phrase_data(24, 8, seed=21)
-        dataset = [LabeledPhrase(b, y) for b, y in labeled]
         # exhaustive margin check on the actual AWV features
-        examples = [(featurize(store, row.bigram, "awv"), row.label) for row in dataset]
+        examples = [(featurize(store, b, "awv"), y) for b, y in labeled]
         for feat, label in examples:
             assert label * feat[0] >= 1.0
         report = cross_validate(examples, k=4, seed=0)
@@ -515,9 +513,3 @@ class TestSerialization:
     def test_weights_are_read_as_the_relation_model_arrays_are(self, case, message):
         with pytest.raises(DataError, match=f"^{message}$"):
             load_model(io.StringIO(malformed_phrase_models()[case]))
-
-
-class TestLabeledPhrase:
-    def test_label_domain(self):
-        with pytest.raises(ValueError):
-            LabeledPhrase(("a", "b"), 0)
