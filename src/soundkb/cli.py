@@ -19,15 +19,21 @@ identical inputs reproduces identical bytes.  Every output goes through
 file of a ``DataError``, and ``main`` prints ``error: ...`` (a file that
 cannot be opened or written, as given).  ``build_parser`` alone names a
 command's files, each ``type=Path``: ``_provenance`` digests the inputs in
-its order, and ``_refuse_overwrites`` stops, before any read, an output
-(``--out``, ``--*-out``) that is another file of its command, has no
-directory or is one.
+its order, and ``_refuse_overwrites`` stops, before any read, an input
+that is neither a regular file nor a directory, and an output (``--out``,
+``--*-out``) that is another file of its command, has no directory or is
+one.
 
-Every input is read as a stream (``_streamed_lines``).  ``mine`` and
-``paths`` take the corpus in lists of ``SENTENCE_CHUNK`` sentences
-(``_sentence_chunks``) and hold one list at a time; ``paths`` writes each
-list's rows as it goes.  ``train-relation`` keeps only the path of each
-occurrence row.
+Every input is parsed as a stream (``_streamed_lines``), and read once
+more for its digest, so it must be a regular file: a pipe is refused.
+``mine`` and ``paths`` take the corpus in lists of ``SENTENCE_CHUNK``
+sentences (``_sentence_chunks``) and hold one list at a time; ``paths``
+writes each list's rows as it goes.  ``train-relation`` keeps only the
+path of each occurrence row.  ``train-phrase`` and ``classify`` hold
+their phrases in one table (``_phrase_table``: each distinct word once,
+and the two word slots and the line of each phrase) and featurize them
+through ``embeddings.featurize_rows``; a phrase's diagnostics take its
+line from the table, so no phrase file is read twice.
 """
 
 from __future__ import annotations
@@ -326,51 +332,70 @@ def cmd_mine(args) -> int:
 # --------------------------------------------------------- train-phrase
 
 
-def _read_labeled_phrases(path: Path) -> list[tuple[int, tuple[str, str], int]]:
-    """The line number, bigram and label (+1 or -1) of each labeled phrase."""
-    rows = []
-    with _naming(path):
-        for line_no, (w1, w2, label) in _rows(path, 3, "labeled phrase"):
+def _phrase_table(rows: Iterable) -> tuple[list[str], array.array, array.array]:
+    """Of ``(line, fields)`` rows whose first two fields are words: each distinct
+    word, as written, in first-seen order, and each row's two word slots and line."""
+    slots: dict[str, int] = {}  # each distinct word -> its slot
+    pairs, lines = array.array("q"), array.array("q")
+    for line_no, fields in rows:
+        pairs.append(slots.setdefault(fields[0], len(slots)))
+        pairs.append(slots.setdefault(fields[1], len(slots)))
+        lines.append(line_no)
+    return list(slots), pairs, lines
+
+
+def _read_labeled_phrases(path: Path):
+    """A labeled phrase file's ``_phrase_table`` and each phrase's label (+1 or -1)."""
+    labels = array.array("b")
+
+    def checked():
+        for line_no, fields in _rows(path, 3, "labeled phrase"):
             try:
-                value = int(label)
+                value = int(fields[2])
             except ValueError:
                 value = None
             if value not in (+1, -1):
-                raise DataError(f"label must be +1 or -1, got {label!r}", line_no)
-            rows.append((line_no, (w1, w2), value))
-    return rows
+                raise DataError(f"label must be +1 or -1, got {fields[2]!r}", line_no)
+            labels.append(value)
+            yield line_no, fields
+
+    with _naming(path):
+        return _phrase_table(checked()), labels
 
 
-def _margin_not_finite(line_no: int, bigram: tuple[str, str]) -> DataError:
-    """The error for a phrase whose margin overflows, to be named by its file."""
-    return DataError(f"the margin of {' '.join(bigram)!r} is not finite "
-                     "(its features or the model's weights are too large)", line_no)
+def _phrase_text(phrases, i: int) -> str:
+    """The words of phrase ``i`` of a ``_phrase_table``, as written."""
+    return " ".join(phrases[0][slot] for slot in phrases[1][2 * i : 2 * i + 2])
+
+
+def _check_margins(phrases, finite: np.ndarray, rows: np.ndarray | None = None) -> None:
+    """Raise, to be named by its file, the error for the first phrase whose
+    margin is not ``finite``; ``rows`` holds the phrase of each entry."""
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        i = bad[0] if rows is None else rows[bad[0]]
+        raise DataError(f"the margin of {_phrase_text(phrases, i)!r} is not finite "
+                        "(its features or the model's weights are too large)", phrases[2][i])
 
 
 def cmd_train_phrase(args) -> int:
-    rows = _read_labeled_phrases(args.data)
-    store = _load_vectors(args.embeddings, {w for _, bigram, _ in rows for w in bigram})
-
-    def check(finite: np.ndarray) -> None:
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            line_no, bigram, _ = rows[keep[bad[0]]]
-            raise _margin_not_finite(line_no, bigram)
-
-    # an overflow is reported by check, naming the phrase's line
+    phrases, labels = _read_labeled_phrases(args.data)
+    words, pairs, lines = phrases
+    store = _load_vectors(args.embeddings, words)
+    # an overflow is reported by _check_margins, naming the phrase's line
     with _naming(args.data), np.errstate(over="ignore", invalid="ignore"):
-        features, representable = embeddings.featurize_many(
-            store, [bigram for _, bigram, _ in rows], args.featurizer)
-        del store  # featurize_many copied the rows; the fits need only the features
-        for (line_no, bigram, _), known in zip(rows, representable.tolist()):
-            if not known:
-                _warn(args.data, f"skipping unrepresentable phrase: {' '.join(bigram)}", line_no)
-        keep = np.flatnonzero(representable)  # the labeled row of each kept feature
-        if len(keep) < len(rows):
+        features, representable = embeddings.featurize_rows(
+            store, store.rows(words)[pairs].reshape(-1, 2), args.featurizer)
+        del store  # featurize_rows copied the rows; the fits need only the features
+        for i in np.flatnonzero(~representable).tolist():
+            _warn(args.data, f"skipping unrepresentable phrase: {_phrase_text(phrases, i)}",
+                  lines[i])
+        keep = np.flatnonzero(representable)  # the phrase of each kept feature
+        if len(keep) < len(representable):
             features = features[keep]
-        labels = np.array([label for _, _, label in rows], dtype=np.float64)[keep]
+        labels = np.asarray(labels, dtype=np.float64)[keep]
         # a non-finite feature has a non-finite margin under any weights
-        check(np.isfinite(features).all(axis=1))
+        _check_margins(phrases, np.isfinite(features).all(axis=1), keep)
         report = phrase.cross_validate(
             features, labels, k=args.folds, seed=args.seed, reg=args.reg, epochs=args.epochs,
         )
@@ -378,7 +403,7 @@ def cmd_train_phrase(args) -> int:
             features, labels, reg=args.reg, epochs=args.epochs, seed=args.seed,
             feature_kind=args.featurizer,
         )
-        check(np.isfinite(phrase.margins(model, features)))
+        _check_margins(phrases, np.isfinite(phrase.margins(model, features)), keep)
     header = "\t".join(f"Fold {i + 1}" for i in range(args.folds)) + "\tAvg"
     values = "\t".join(f"{100 * acc:.2f}" for acc in report.fold_accuracies)
     print(header)
@@ -399,20 +424,16 @@ CLASSIFY_CHUNK_FLOATS = 1 << 14
 
 def cmd_classify(args) -> int:
     """Label each phrase, its words written back as given; each distinct word
-    is looked up once, and a phrase is held as the two slots of its words."""
+    is looked up once (``_phrase_table``)."""
     model = _load_model(args.model, phrase.load_model)
-    slots: dict[str, int] = {}  # each distinct word -> its slot, in first-seen order
-    pairs = array.array("q")  # the two slots of each phrase, 8 bytes each
     with _naming(args.phrases):
-        for _, cols in _rows(args.phrases, 2, "phrase", exact=False):
-            pairs.append(slots.setdefault(cols[0], len(slots)))
-            pairs.append(slots.setdefault(cols[1], len(slots)))
-    store = _load_vectors(args.embeddings, slots)
+        phrases = _phrase_table(_rows(args.phrases, 2, "phrase", exact=False))
+    words, pairs, _ = phrases
+    store = _load_vectors(args.embeddings, words)
     width = store.dimension * (2 if model.feature_kind == embeddings.CWV else 1)
     if width != model.dimension:
         with _naming(args.model, args.embeddings):
             raise DataError(f"feature dimension {width} != model dimension {model.dimension}")
-    words = list(slots)
     ids = store.rows(words)[pairs].reshape(-1, 2)  # the store rows of each phrase's words
 
     n = len(ids)
@@ -425,12 +446,8 @@ def cmd_classify(args) -> int:
             features, representable[chunk] = embeddings.featurize_rows(
                 store, ids[chunk], model.feature_kind)
             margins[chunk] = phrase.margins(model, features)
-    bad = np.flatnonzero(representable & ~np.isfinite(margins))
-    if bad.size:  # the phrase is read again, as no line number is kept
-        with _naming(args.phrases):
-            line_no, cols = next(itertools.islice(
-                _rows(args.phrases, 2, "phrase", exact=False), int(bad[0]), None))
-            raise _margin_not_finite(line_no, (cols[0], cols[1]))
+    with _naming(args.phrases):
+        _check_margins(phrases, ~representable | np.isfinite(margins))
 
     with _output(args.out, _provenance(args), ("word1", "word2", "label", "margin")) as sink:
         sink.writelines(
@@ -736,15 +753,26 @@ def _output_directory(path: Path) -> None:
 
 
 def _refuse_overwrites(args) -> None:
-    """Raise a DataError, before anything is read, if an output file is also
-    another file of the command, which replacing it would destroy, and the
-    ``OSError`` of ``_output_directory`` if an output's directory is missing
-    or the output is a directory.  The files are those of ``_files``,
-    outputs first; the default of ``paths --freq-out`` is worked out here."""
+    """Raise a DataError, before anything is read, if an input is there but
+    is neither a regular file nor a directory (a pipe, a device): each input
+    is read more than once, for the ``#`` line's digest and for its data.
+    Raise one, too, if an output file is also another file of the command,
+    which replacing it would destroy, and the ``OSError`` of
+    ``_output_directory`` if an output's directory is missing or the output
+    is a directory.  The files are those of ``_files``, outputs first; the
+    default of ``paths --freq-out`` is worked out here."""
     if args.command == "paths" and args.freq_out is None:
         args.freq_out = args.out.with_suffix(".freq.tsv")
+    inputs = _files(args, outputs=False)
+    for path in inputs.values():
+        try:
+            mode = os.stat(path).st_mode  # through a symlink, such as /dev/stdin
+        except OSError:  # a missing input is named by its first read
+            continue
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise DataError(f"{path}: not a regular file")
     outputs = _files(args, outputs=True)
-    files = {**outputs, **_files(args, outputs=False)}
+    files = {**outputs, **inputs}
     resolved = {option: path.resolve() for option, path in files.items()}
     for output in outputs:
         for other in files:

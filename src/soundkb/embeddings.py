@@ -11,7 +11,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable
 
 import numpy as np
 
@@ -68,9 +68,10 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
 
     The dimension is fixed by the first vector line (and by a ``count
     dim`` header, if there is one); every later line must agree, no word
-    may come twice, and every component must be finite, or the load
-    fails, naming the offending line.  Components are whitespace-separated
-    numbers in Python ``float`` syntax.
+    may come twice, a header's count must be the file's number of rows,
+    and every component must be finite, or the load fails, naming the
+    offending line (the header's, for its count).  Components are
+    whitespace-separated numbers in Python ``float`` syntax.
 
     numpy's C text reader parses each chunk.  Only a chunk that it cannot
     prove valid is checked row by row, which names the bad line, or
@@ -85,6 +86,7 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
     seen: dict[str, None] = {}
     kept = array.array("d")  # the kept rows, end to end
     header_dim: int | None = None
+    declared: tuple[int, int] | None = None  # the header's line and row count
     dimension: int | None = None
     non_finite: int | None = None  # the first line with a non-finite component
 
@@ -93,7 +95,7 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
         numbers of its lines that hold no row (blank, or the header), and
         each row's lowercased word and the text of its components ("" for
         none)."""
-        nonlocal header_dim
+        nonlocal header_dim, declared
         chunk_rows = LOAD_CHUNK_ROWS
         done = 0
         skipped: list[int] = []
@@ -104,8 +106,10 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
             parts = raw.split(None, 1)
             if parts and first_content:
                 first_content = False
-                header_dim = _header_dim(raw.split())
+                fields = raw.split()
+                header_dim = _header_dim(fields)
                 if header_dim is not None:
+                    declared = (len(skipped) + 1, int(fields[0]))  # after blank lines only
                     parts = []
             if not parts:
                 skipped.append(done + len(texts) + len(skipped) + 1)
@@ -146,7 +150,11 @@ def load_embeddings(lines: Iterable[str], words: AbstractSet[str] | None = None
         kept.frombytes(matrix.tobytes())
     if dimension is None:
         raise EmbeddingFormatError("no vector lines in embedding file")
-    # a malformed row is named before a non-finite one, wherever each is
+    # a malformed row is named before a wrong count, and that before a
+    # non-finite row, wherever each is; seen holds every row's word, once
+    if declared is not None and declared[1] != len(seen):
+        raise EmbeddingFormatError(
+            f"header declares {declared[1]} rows, the file has {len(seen)}", declared[0])
     if non_finite is not None:
         raise EmbeddingFormatError("non-finite vector component", non_finite)
     # a view of the kept rows, not a copy
@@ -236,28 +244,17 @@ def featurize(store: EmbeddingStore, bigram: tuple[str, str], kind: str) -> np.n
     return _combine(zero if v1 is None else v1, zero if v2 is None else v2, kind)
 
 
-def featurize_many(
-    store: EmbeddingStore, bigrams: Sequence[tuple[str, str]], kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``featurize`` rows of many bigrams, stacked, and which of them are
-    representable.
-
-    Row i equals ``featurize(store, bigrams[i], kind)`` bit for bit where
-    ``representable[i]``; the row of a bigram with both words unknown is
-    zeros.  The words are looked up here and the rest is ``featurize_rows``.
-    """
-    ids = store.rows(itertools.chain.from_iterable(bigrams)).reshape(-1, 2)
-    return featurize_rows(store, ids, kind)
-
-
 def featurize_rows(store: EmbeddingStore, ids: np.ndarray, kind: str
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``featurize_many`` of bigrams given as an (n x 2) array of the store
-    rows of their words, -1 for a word without a vector.
+    """The ``featurize`` rows of bigrams given as an (n x 2) array of the
+    store rows of their words, -1 for a word without a vector, stacked, and
+    which of them are representable.
 
-    Both words' rows are gathered from the store's matrix in one indexing
-    step, and the rows of unknown words are zeroed in the gathered copy,
-    never in the store.
+    Row i equals ``featurize`` of bigram i bit for bit where
+    ``representable[i]``; the row of a bigram with both words unknown is
+    zeros.  Both words' rows are gathered from the store's matrix in one
+    indexing step, and the rows of unknown words are zeroed in the
+    gathered copy, never in the store.
     """
     _check_kind(kind)
     known = ids >= 0

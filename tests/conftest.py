@@ -5,7 +5,7 @@ the signature table is checked against, the general-graph shortest path
 search that the dependency path walk is checked against, the search down
 from the root that the reachability walk is checked against, the
 whole-file per-row ``.vec`` reader that ``load_embeddings`` is checked
-against, the per-phrase ``featurize_many`` scoring that ``classify``'s
+against, the per-phrase ``featurize`` scoring that ``classify``'s
 per-word slots are checked against, the per-value rounding, relation
 model writer and per-example accuracy count that ``soundkb.rounded``, the
 model writer and ``lstm.evaluate`` are checked against, the
@@ -27,7 +27,13 @@ import pytest
 
 from soundkb import lstm, phrase
 from soundkb.corpus import CorpusFormatError, parse_block
-from soundkb.embeddings import EmbeddingFormatError, EmbeddingStore, _header_dim, featurize_many
+from soundkb.embeddings import (
+    EmbeddingFormatError,
+    EmbeddingStore,
+    PhraseUnrepresentableError,
+    _header_dim,
+    featurize,
+)
 from soundkb.lstm import LstmParams, load_relation_model, save_relation_model, softmax
 from soundkb.mining import PATTERNS, CandidateMention
 from soundkb.paths import NEGATIVE, POSITIVE, DepPath, _data_text, load_seed_paths
@@ -328,11 +334,13 @@ def dump_embeddings(store: EmbeddingStore, out) -> None:
 def load_per_row(lines, words=None) -> EmbeddingStore:
     """The reference ``.vec`` reader: the whole file parsed and checked one
     row at a time, naming the first bad line; a malformed row is named
-    before a non-finite one, wherever each is."""
+    before a header whose count is not the number of rows, and that
+    before a non-finite row, wherever each is."""
     index: dict[str, int] = {}  # kept word -> row, in row order
     dropped: set[str] = set()  # the other words, for the duplicate check
     kept = array.array("d")  # the kept rows, end to end
-    dimension = header_dim = non_finite = None
+    dimension = header_dim = header_line = non_finite = None
+    rows = 0
     first_content = True
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -343,7 +351,9 @@ def load_per_row(lines, words=None) -> EmbeddingStore:
             first_content = False
             header_dim = _header_dim(fields)
             if header_dim is not None:
+                header_line, header_rows = line_no, int(fields[0])
                 continue
+        rows += 1
         word = fields[0].lower()
         try:
             vector = [float(v) for v in fields[1:]]
@@ -374,6 +384,9 @@ def load_per_row(lines, words=None) -> EmbeddingStore:
             dropped.add(word)
     if dimension is None:
         raise EmbeddingFormatError("no vector lines in embedding file")
+    if header_line is not None and header_rows != rows:
+        raise EmbeddingFormatError(
+            f"line {header_line}: header declares {header_rows} rows, the file has {rows}")
     if non_finite is not None:
         raise EmbeddingFormatError(f"line {non_finite}: non-finite vector component")
     return EmbeddingStore(np.frombuffer(kept, dtype=np.float64).reshape(-1, dimension), index)
@@ -381,13 +394,16 @@ def load_per_row(lines, words=None) -> EmbeddingStore:
 
 def classify_per_phrase(store: EmbeddingStore, model: LinearModel, bigrams) -> list[str]:
     """The data lines of ``classify``: each phrase looked up word by word and
-    featurized alone by ``featurize_many``, then scored by ``phrase.margins``."""
+    featurized alone by ``featurize``, then scored by ``phrase.margins``."""
     lines = []
     for w1, w2 in bigrams:
-        features, representable = featurize_many(store, [(w1, w2)], model.feature_kind)
-        margin = phrase.margins(model, features)[0]
-        lines.append(f"{w1}\t{w2}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}"
-                     if representable[0] else f"{w1}\t{w2}\tunrepresentable\tNA")
+        try:
+            features = featurize(store, (w1, w2), model.feature_kind)
+        except PhraseUnrepresentableError:
+            lines.append(f"{w1}\t{w2}\tunrepresentable\tNA")
+            continue
+        margin = phrase.margins(model, features[np.newaxis])[0]
+        lines.append(f"{w1}\t{w2}\t{'+1' if margin > 0 else '-1'}\t{margin:.9g}")
     return lines
 
 

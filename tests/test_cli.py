@@ -23,7 +23,7 @@ import pytest
 
 from soundkb import DataError, cli, embeddings, lstm, phrase
 from soundkb.cli import main
-from soundkb.embeddings import featurize, featurize_many, load_embeddings
+from soundkb.embeddings import featurize, featurize_rows, load_embeddings
 from soundkb.lstm import load_relation_model, predict_relation, tokenize_path
 from soundkb.paths import EnvironmentLexicon
 
@@ -52,6 +52,13 @@ def data_lines(path):
 def write_embeddings(store, path):
     with open(path, "w", encoding="utf-8") as sink:
         dump_embeddings(store, sink)
+
+
+def extend_embeddings(vec, path, row):
+    """Write ``vec``'s rows, then ``row``, to ``path``, under a header that counts them."""
+    header, body = vec.read_text(encoding="utf-8").split("\n", 1)
+    count, dimension = header.split()
+    path.write_text(f"{int(count) + 1} {dimension}\n{body}{row}\n", encoding="utf-8")
 
 
 def default_seed_files():
@@ -251,29 +258,33 @@ class TestTrainPhrase:
     def test_each_row_featurized_once(self, phrase_setup, tmp_path, monkeypatch, capsys):
         _, labeled, vec, _ = phrase_setup
         data = tmp_path / "with_oov.tsv"
+        bigrams = [b for b, _ in labeled] + [("zz", "qq")]
         rows = "".join(f"{b[0]}\t{b[1]}\t{y:+d}\n" for b, y in labeled)
         data.write_text(rows + "zz\tqq\t+1\n", encoding="utf-8")
-        calls = []
+        calls, every_row = [], []
 
-        def counting(store, bigrams, kind):
-            calls.append(list(bigrams))
-            return featurize_many(store, bigrams, kind)
+        def counting(store, ids, kind):
+            calls.append(ids.tolist())
+            every_row.append(store.rows([w for bigram in bigrams for w in bigram])
+                             .reshape(-1, 2).tolist())
+            return featurize_rows(store, ids, kind)
 
         def one_row(store, bigram, kind):
             raise AssertionError(f"featurized {bigram} alone")
 
-        monkeypatch.setattr(embeddings, "featurize_many", counting)
+        monkeypatch.setattr(embeddings, "featurize_rows", counting)
         # both names a layer could reach the one-row featurizer by
         monkeypatch.setattr(embeddings, "featurize", one_row)
         monkeypatch.setattr(phrase, "featurize", one_row)
         assert main(["train-phrase", "--data", str(data), "--embeddings", str(vec),
                      "--out", str(tmp_path / "m.json")]) == 0
-        assert calls == [[b for b, _ in labeled] + [("zz", "qq")]]
+        assert len(calls) == 1 and len(calls[0]) == len(bigrams)
+        assert calls == every_row
         assert capsys.readouterr().err == (f"warning: with_oov.tsv line {len(labeled) + 1}: "
                                            "skipping unrepresentable phrase: zz qq\n")
 
     def test_store_is_dropped_before_the_folds(self, phrase_setup, tmp_path, monkeypatch):
-        """The fits need only the features: the store that ``featurize_many``
+        """The fits need only the features: the store that ``featurize_rows``
         copied its rows from is gone when cross-validation starts."""
         _, _, vec, data = phrase_setup
         stores, alive = [], []
@@ -464,7 +475,7 @@ class TestClassify:
         assert data_lines(out) == expected
 
     @pytest.mark.parametrize("kind", ["awv", "cwv"])
-    def test_word_slots_equal_per_phrase_featurize_many(self, phrase_setup, tmp_path,
+    def test_word_slots_equal_per_phrase_featurize(self, phrase_setup, tmp_path,
                                                         monkeypatch, kind):
         store, labeled, vec, data = phrase_setup
         model_path = self._train(data, vec, tmp_path, kind)
@@ -519,8 +530,7 @@ class TestClassify:
         if per_chunk is not None:
             monkeypatch.setattr(cli, "CLASSIFY_CHUNK_FLOATS", per_chunk * 2 * store.dimension)
         big = tmp_path / "big.vec"
-        big.write_text(vec.read_text(encoding="utf-8")
-                       + "big " + " ".join(["1e308"] * store.dimension) + "\n", encoding="utf-8")
+        extend_embeddings(vec, big, "big " + " ".join(["1e308"] * store.dimension))
         (w1, w2), _ = labeled[0]
         phrases = tmp_path / "phrases.tsv"
         # line 5 is the first whose average overflows; big with an unknown
@@ -1079,6 +1089,17 @@ def data_error(argv, capsys) -> str:
 class TestDataErrorsNameTheirInput:
     """Each data error exits 2 and names the file (and the line, for rows)."""
 
+    def test_vec_header_count_names_the_file_and_the_header_line(self, phrase_setup,
+                                                                  tmp_path, capsys):
+        store, _, vec, data = phrase_setup
+        short = tmp_path / "short.vec"
+        body = vec.read_text(encoding="utf-8").split("\n", 1)[1]
+        short.write_text(f"{len(store) + 1} {store.dimension}\n{body}", encoding="utf-8")
+        err = data_error(["train-phrase", "--data", str(data), "--embeddings", str(short),
+                          "--out", str(tmp_path / "m.json")], capsys)
+        assert err == (f"error: short.vec line 1: header declares {len(store) + 1} rows, "
+                       f"the file has {len(store)}\n")
+
     def test_non_utf8_file(self, tmp_path, capsys):
         corpus = tmp_path / "latin1.ann"
         corpus.write_bytes(b"# header\n1\tcaf\xe9\tNN\t0\troot\n")
@@ -1159,7 +1180,7 @@ class TestDataErrorsNameTheirInput:
                      "--out", str(model)]) == 0
         bad = tmp_path / "nan.vec"
         zeros = " 0" * (store.dimension - 1)
-        bad.write_text(vec.read_text(encoding="utf-8") + f"zz nan{zeros}\n", encoding="utf-8")
+        extend_embeddings(vec, bad, f"zz nan{zeros}")
         line_no = len(bad.read_text(encoding="utf-8").splitlines())
         phrases = tmp_path / "phrases.tsv"
         phrases.write_text("zz\taa\n", encoding="utf-8")
@@ -2100,6 +2121,59 @@ def earlier_run(tmp_path, monkeypatch):
             with open(output, "a", encoding="utf-8") as sink:
                 sink.write("# an earlier run\n")
     return files_in(tmp_path)
+
+
+class TestInputsAreRegularFiles:
+    """Each input is read more than once (for the ``#`` line's digest, then
+    for its data), so an input that is neither a regular file nor a
+    directory exits 2 before anything is read, and a pipe's bytes are never
+    split between the reads."""
+
+    # the option given the pipe, and the command's other inputs
+    PIPED = {
+        "mine": ("--corpus", []),
+        "train-phrase": ("--data", ["--embeddings", "w.vec"]),
+        "classify": ("--phrases", ["--model", "m.json", "--embeddings", "w.vec"]),
+        "paths": ("--corpus", ["--concepts", "k.tsv"]),
+        "train-relation": ("--occurrences", ["--seeds-pos", "s.pos", "--seeds-neg", "s.neg"]),
+        "predict": ("--occurrences", ["--model", "r.json"]),
+        "report": ("--predictions", []),
+    }
+
+    @pytest.mark.parametrize("command", PIPED)
+    def test_a_pipe_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        option, others = self.PIPED[command]
+        for name in others[1::2]:
+            Path(name).write_text("", encoding="utf-8")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"1\tpark\tNN\t0\troot\n")
+            os.close(write_end)
+            piped = f"/dev/fd/{read_end}"
+            status = main([command, option, piped, *others, "--out", "out.tsv"])
+        finally:
+            os.close(read_end)
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, "")
+        assert captured.err == f"error: {piped}: not a regular file\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(others[1::2])  # no output file
+
+    def test_a_link_to_a_regular_file_is_read(self, tmp_path):
+        """``/dev/fd/N`` (and so ``/dev/stdin``) of a regular file is read as the file."""
+        corpus = tmp_path / "c.ann"
+        corpus.write_text(PARK_BLOCK + "\n", encoding="utf-8")
+        linked, direct = tmp_path / "linked.tsv", tmp_path / "direct.tsv"
+        fd = os.open(corpus, os.O_RDONLY)
+        try:
+            assert main(["mine", "--corpus", f"/dev/fd/{fd}", "--out", str(linked)]) == 0
+        finally:
+            os.close(fd)
+        assert main(["mine", "--corpus", str(corpus), "--out", str(direct)]) == 0
+        assert data_lines(linked) == data_lines(direct) != []
+        digest = cli._digest(corpus)
+        assert linked.read_text(encoding="utf-8").startswith(
+            f"# soundkb {cli.__version__} mine seed=- inputs={fd}:{digest}\n")
 
 
 class TestAFailedWriteLeavesTheOutputs:

@@ -13,7 +13,6 @@ from soundkb.embeddings import (
     EmbeddingFormatError,
     PhraseUnrepresentableError,
     featurize,
-    featurize_many,
     featurize_rows,
     load_embeddings,
 )
@@ -66,6 +65,26 @@ class TestLoad:
     def test_header_dim_mismatch(self):
         with pytest.raises(EmbeddingFormatError, match="header dimension"):
             load_embeddings(["2 300", "cat 1 2 3"])
+
+    @pytest.mark.parametrize("lines, header_line, declared, found", [
+        (["3 2", "a 1 0", "b 2 0"], 1, 3, 2),
+        (["1 2", "a 1 0", "", "b 2 0"], 1, 1, 2),
+        (["", " 2\t2 ", "a 1 0", "b 2 0", "c 3 0"], 2, 2, 3),
+    ])
+    def test_header_count_must_be_the_number_of_rows(self, lines, header_line, declared, found):
+        message = f"^line {header_line}: header declares {declared} rows, the file has {found}$"
+        for wanted in (None, {"a"}):
+            for load in (load_embeddings, load_per_row):
+                with pytest.raises(EmbeddingFormatError, match=message):
+                    load(lines, wanted)
+
+    def test_header_count_comes_after_a_bad_row_and_before_a_non_finite_one(self):
+        for load in (load_embeddings, load_per_row):
+            with pytest.raises(EmbeddingFormatError, match="^line 3: non-numeric"):
+                load(["3 2", "a 1 0", "b x 0"])
+            with pytest.raises(EmbeddingFormatError,
+                               match="^line 1: header declares 3 rows, the file has 2$"):
+                load(["3 2", "a nan 0", "b 1 0"])
 
     def test_duplicate_word(self):
         with pytest.raises(EmbeddingFormatError, match="duplicate word"):
@@ -436,7 +455,10 @@ def _stacked_featurize(store, bigrams, kind):
     return np.array(rows).reshape(-1, width), np.array(representable, dtype=bool)
 
 
-class TestFeaturizeMany:
+class TestFeaturizeRows:
+    """Bigrams given as the store rows of their words featurize as
+    ``featurize`` featurizes each of them alone."""
+
     @staticmethod
     def _store(seed=6, n=12, dim=7):
         rng = np.random.default_rng(seed)
@@ -446,6 +468,14 @@ class TestFeaturizeMany:
         return load_embeddings(
             [f"{w} " + " ".join(repr(float(v)) for v in vec) for w, vec in vectors.items()])
 
+    @staticmethod
+    def _featurize(store, bigrams, kind):
+        """``featurize_rows`` of bigrams of words, each word's row found
+        apart from ``store.rows``."""
+        ids = np.array([[store.index.get(w.lower(), -1) for w in bigram] for bigram in bigrams],
+                       dtype=np.intp).reshape(-1, 2)
+        return featurize_rows(store, ids, kind)
+
     @pytest.mark.parametrize("kind", ["awv", "cwv"])
     def test_equals_stacked_featurize_bitwise(self, kind):
         store = self._store()
@@ -454,7 +484,7 @@ class TestFeaturizeMany:
         bigrams = [(rng.choice(vocab), rng.choice(vocab)) for _ in range(400)]
         bigrams += [("w1", "oov"), ("oov", "w1"), ("negzero", "oov"), ("oov", "negzero"),
                     ("W1", "w1"), ("oov", "missing")]
-        features, representable = featurize_many(store, bigrams, kind)
+        features, representable = self._featurize(store, bigrams, kind)
         want, want_representable = _stacked_featurize(store, bigrams, kind)
         assert features.shape == want.shape
         assert features.tobytes() == want.tobytes()
@@ -464,7 +494,7 @@ class TestFeaturizeMany:
     @pytest.mark.parametrize("kind, width", [("awv", 2), ("cwv", 4)])
     def test_unknown_word_on_either_side(self, kind, width):
         store = make_store({"a": [2.0, 4.0], "b": [-1.0, 3.0]})
-        features, representable = featurize_many(
+        features, representable = self._featurize(
             store, [("a", "x"), ("x", "B"), ("x", "y"), ("A", "b")], kind)
         assert features.shape == (4, width)
         assert representable.tolist() == [True, True, False, True]
@@ -477,56 +507,26 @@ class TestFeaturizeMany:
     def test_the_store_matrix_is_not_changed(self):
         store = make_store({"a": [2.0, 4.0], "b": [-1.0, 3.0]})
         before = store.matrix.copy()
-        featurize_many(store, [("x", "y"), ("a", "x"), ("y", "b")], "cwv")
+        self._featurize(store, [("x", "y"), ("a", "x"), ("y", "b")], "cwv")
         np.testing.assert_array_equal(store.matrix, before)
 
     @pytest.mark.parametrize("kind, width", [("awv", 3), ("cwv", 6)])
     def test_no_bigrams(self, kind, width):
-        features, representable = featurize_many(make_store({"a": [1.0, 2.0, 3.0]}), [], kind)
+        features, representable = self._featurize(make_store({"a": [1.0, 2.0, 3.0]}), [], kind)
         assert features.shape == (0, width) and representable.shape == (0,)
 
     def test_unknown_kind_is_data_error(self):
         with pytest.raises(DataError, match="unknown feature kind 'xyz'"):
-            featurize_many(make_store({"a": [1.0]}), [("a", "a")], "xyz")
+            self._featurize(make_store({"a": [1.0]}), [("a", "a")], "xyz")
 
     @pytest.mark.parametrize("kind, width", [("awv", 2), ("cwv", 4)])
     def test_store_that_kept_no_row(self, kind, width):
         store = load_embeddings(["a 1 2", "b 3 4"], {"x", "y"})
-        features, representable = featurize_many(store, [("x", "y"), ("A", "b")], kind)
-        assert features.shape == (2, width) and not features.any()
-        assert representable.tolist() == [False, False]
-
-
-class TestFeaturizeRows:
-    """Bigrams given as the store rows of their words featurize as
-    ``featurize_many`` featurizes their words."""
-
-    @staticmethod
-    def _ids(store, bigrams):
-        return np.array([[store.index.get(w.lower(), -1) for w in bigram] for bigram in bigrams],
-                        dtype=np.intp).reshape(-1, 2)
-
-    @pytest.mark.parametrize("kind", ["awv", "cwv"])
-    def test_equals_featurize_many_bitwise(self, kind):
-        store = TestFeaturizeMany._store()
-        rng = random.Random(8)
-        vocab = words(store) + ["W3", "Neg", "NEGZERO", "oov", "Missing"]
-        bigrams = [(rng.choice(vocab), rng.choice(vocab)) for _ in range(300)]
-        bigrams += [("w1", "oov"), ("oov", "w1"), ("W1", "w1"), ("oov", "missing")]
-        features, representable = featurize_rows(store, self._ids(store, bigrams), kind)
-        for want, want_representable in (featurize_many(store, bigrams, kind),
-                                         _stacked_featurize(store, bigrams, kind)):
-            assert features.shape == want.shape
-            assert features.tobytes() == want.tobytes()
-            assert representable.tolist() == want_representable.tolist()
-
-    @pytest.mark.parametrize("kind", ["awv", "cwv"])
-    def test_store_that_kept_no_row(self, kind):
-        store = load_embeddings(["a 1 2", "b 3 4"], {"x", "y"})
         bigrams = [("x", "y"), ("A", "b")]
-        features, representable = featurize_rows(store, self._ids(store, bigrams), kind)
-        want, want_representable = featurize_many(store, bigrams, kind)
-        assert features.shape == want.shape and features.tobytes() == want.tobytes()
+        features, representable = self._featurize(store, bigrams, kind)
+        want, want_representable = _stacked_featurize(store, bigrams, kind)
+        assert features.shape == want.shape == (2, width) and not features.any()
+        assert features.tobytes() == want.tobytes()
         assert representable.tolist() == want_representable.tolist() == [False, False]
 
     def test_rows_are_looked_up_on_the_lowercased_word(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from soundkb import DataError, phrase
-from soundkb.embeddings import CWV, featurize, featurize_many
+from soundkb.embeddings import CWV, featurize, featurize_rows
 from soundkb.phrase import (
     LinearModel,
     load_model,
@@ -379,7 +379,8 @@ def dropped_rows_matrix(seed: int) -> tuple[np.ndarray, np.ndarray]:
     labeled = [(b, -y if i % 5 == 0 else y) for i, (b, y) in enumerate(labeled)]
     labeled[10:10] = [(("zz", "qq"), +1), (("yy", "xx"), -1)]
     labeled.append((("ww", "vv"), +1))
-    features, known = featurize_many(store, [b for b, _ in labeled], CWV)
+    ids = store.rows([w for b, _ in labeled for w in b]).reshape(-1, 2)
+    features, known = featurize_rows(store, ids, CWV)
     keep = np.flatnonzero(known)
     labels = np.array([y for _, y in labeled], dtype=np.float64)
     return features[keep], labels[keep]

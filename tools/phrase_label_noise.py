@@ -41,11 +41,10 @@ data, vec, featurizer, epochs, seed, flip = sys.argv[1:]
 with open(vec, encoding="utf-8-sig") as lines:
     store = embeddings.load_embeddings(lines)
 rnd = random.Random(int(seed))
-rows = [row for _, row in cli._read_labeled_phrases(Path(data))]
-features, representable = embeddings.featurize_many(
-    store, [row.bigram for row in rows], featurizer)
-labels = np.array([-row.label if rnd.random() < float(flip) else row.label for row in rows],
-                  dtype=np.float64)
+(words, pairs, _), labels = cli._read_labeled_phrases(Path(data))
+features, representable = embeddings.featurize_rows(
+    store, store.rows(words)[pairs].reshape(-1, 2), featurizer)
+labels = np.array([-y if rnd.random() < float(flip) else y for y in labels], dtype=np.float64)
 features, labels = features[representable], labels[representable]
 start = time.perf_counter()
 phrase.cross_validate(features, labels, k=4, seed=int(seed), epochs=int(epochs))
